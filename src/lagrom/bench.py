@@ -27,8 +27,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from . import kernels
-from .core import linear_interpolate
+from .core import NUMBER_FORMAT, format_row, stacked_to_grid
 from .dmd_rom import fit_dmd, fit_lagrangian_dmd, predict_series
 from .errors import GridEntanglement, LagromError
 from .error_analysis import (
@@ -56,7 +55,6 @@ from .presets import (
     resolve,
 )
 
-_FMT = "%.17g"
 OUTPUT_ROOT_ENV = "LAGROM_OUT_ROOT"
 
 
@@ -202,21 +200,19 @@ def _lagrangian_reference(lagr_run):
 
 def _states_on_reference_grid(stacked_columns, euler_grid, spec):
     """Interpolate stacked [x; u] columns onto the fixed grid, column by column."""
-    n = len(euler_grid)
-    out = np.empty((n, stacked_columns.shape[1]))
+    out = np.empty((len(euler_grid), stacked_columns.shape[1]))
     rule = (
         {"bc": "periodic", "period": spec.domain_length}
         if spec.periodic
         else {"bc": "clamp", "period": None}
     )
     for k in range(stacked_columns.shape[1]):
-        col = stacked_columns[:, k]
-        x, u = col[:n], col[n:]
-        if np.any(np.diff(x) <= 0.0):
+        try:
+            _, _, out[:, k] = stacked_to_grid(stacked_columns[:, k], euler_grid, **rule)
+        except GridEntanglement as exc:
             raise GridEntanglement(
                 f"reconstructed positions tangled at time index {k + 1}", time_index=k + 1
-            )
-        out[:, k] = linear_interpolate(x, u, euler_grid, **rule)
+            ) from exc
     return out
 
 
@@ -319,7 +315,6 @@ def run_experiment(config: ExperimentConfig, keep_states: bool = False, emit: bo
     resolved = resolve(config)
     spec = resolved.spec
     spec.validate_flux_consistency()
-    kernels.warmup()
 
     record = RunRecord(
         label=resolved.label,
@@ -374,21 +369,18 @@ def _write_snapshot_csv(path, times_dt, data, preamble=None):
             fh.write(preamble + "\n")
         fh.write(header + "\n")
         for k in range(data.shape[1]):
-            row = ",".join(_FMT % v for v in data[:, k])
-            fh.write(f"{_FMT % times_dt[k]},{row}\n")
+            fh.write(f"{NUMBER_FORMAT % times_dt[k]},{format_row(data[:, k])}\n")
 
 
 def _write_modes_csv(path, coords, modes):
-    cols = []
+    names, cols = ["coord"], [coords]
     for j in range(modes.shape[1]):
-        cols.append((f"mode{j + 1}_re", np.real(modes[:, j])))
-        cols.append((f"mode{j + 1}_im", np.imag(modes[:, j])))
-    header = "coord," + ",".join(name for name, _ in cols)
+        names += [f"mode{j + 1}_re", f"mode{j + 1}_im"]
+        cols += [np.real(modes[:, j]), np.imag(modes[:, j])]
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i in range(modes.shape[0]):
-            vals = ",".join(_FMT % arr[i] for _, arr in cols)
-            fh.write(f"{_FMT % coords[i]},{vals}\n")
+        fh.write(",".join(names) + "\n")
+        for row in np.column_stack(cols):
+            fh.write(format_row(row) + "\n")
 
 
 def _emit_outputs(out_dir: Path, resolved: ResolvedExperiment, record: RunRecord, euler_run, lagr_run, level_run=None):

@@ -12,7 +12,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatch, NonMonotonicGrid, NumericalFailure
+from .errors import DimensionMismatch, GridEntanglement, NonMonotonicGrid, NumericalFailure
+
+# Every number the library writes to disk: 17 significant digits round-trip
+# any float64 exactly, so identical runs emit identical bytes.
+NUMBER_FORMAT = "%.17g"
 
 DIRICHLET_ZERO = "dirichlet-zero"
 PERIODIC = "periodic"
@@ -299,3 +303,25 @@ def split_stacked(data, n: int = None):
     if not 0 < n < rows:
         raise DimensionMismatch("split row outside matrix")
     return mat[:n], mat[n:]
+
+
+def stacked_to_grid(stacked, grid, bc: str = "clamp", period: float = None):
+    """Take one stacked [x; u] column back to ``grid``.
+
+    Splits the column at its midpoint and interpolates the values onto the
+    grid nodes with the given boundary rule. Returns (positions, values,
+    values_on_grid). The positions must be strictly increasing; crossings
+    mean the moving grid is unusable.
+    """
+    col = np.asarray(stacked, dtype=float)
+    if col.size != 2 * len(grid):
+        raise DimensionMismatch("stacked prediction must have 2N rows")
+    positions, values = col[: col.size // 2], col[col.size // 2 :]
+    if np.any(np.diff(positions) <= 0.0):
+        raise GridEntanglement("predicted positions are not strictly increasing")
+    return positions, values, linear_interpolate(positions, values, grid, bc=bc, period=period)
+
+
+def format_row(values) -> str:
+    """One comma-separated line (no newline) of numbers in ``NUMBER_FORMAT``."""
+    return ",".join([NUMBER_FORMAT] * len(values)) % tuple(values)

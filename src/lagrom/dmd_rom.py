@@ -2,18 +2,18 @@
 moving-frame variant whose observable stacks grid positions over carried
 values.
 
-A fitted model holds complex modes, eigenvalues and amplitudes; prediction at
-any future index is a single superposition evaluation (no time stepping), so
-its cost does not grow with the prediction horizon.
+A fitted model holds the orthonormal data basis U, the reduced one-step
+operator K and the projected anchor snapshot U^T y_base. Prediction at any
+future index is the single evaluation ``U @ K^k @ (U^T y_base)`` (the
+projector form of exact DMD; no time stepping), so its cost does not grow
+with the prediction horizon. The form keeps every intermediate at the scale
+of the data: for snapshot data whose one-step operator is nearly defective
+(for example a state growing linearly in time) the eigenvector basis is
+ill-conditioned, and a superposition of modes would cancel about half of its
+floating-point digits.
 
-Numerical note: the prediction ``modes @ (eigenvalues**k * amplitudes)`` is
-evaluated through the algebraically identical projector form
-``U @ K^k @ (U^T y_base)`` whenever the factors from the fit are available.
-For snapshot data whose one-step operator is nearly defective (for example a
-state growing linearly in time), the eigenvector basis is ill-conditioned and
-the naive mode superposition cancels ~half of its floating-point digits; the
-projector form keeps every intermediate at the scale of the data and stays
-accurate to rounding. Both paths return the same mathematical value.
+The complex modes, eigenvalues, amplitudes and mode pseudoinverse are kept
+on the model for the error bound, the emitted mode shapes and diagnostics.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import Grid1D, SnapshotMatrix, linear_interpolate, split_stacked
+from .core import NUMBER_FORMAT, Grid1D, SnapshotMatrix, format_row, split_stacked, stacked_to_grid
 from .errors import (
     DimensionMismatch,
-    GridEntanglement,
     NumericalFailure,
     RankDeficient,
     TooFewSnapshots,
@@ -77,10 +76,10 @@ class DmdModel:
     requested_rank: Optional[int]
     real_input: bool
     # Orthonormal data basis, reduced one-step operator, and projected anchor
-    # snapshot; carried for the numerically robust prediction path.
-    projector: Optional[np.ndarray] = None
-    reduced_operator: Optional[np.ndarray] = None
-    projected_anchor: Optional[np.ndarray] = None
+    # snapshot: the factors every prediction is evaluated from.
+    projector: np.ndarray
+    reduced_operator: np.ndarray
+    projected_anchor: np.ndarray
 
     @property
     def rank(self) -> int:
@@ -188,14 +187,21 @@ def fit_lagrangian_dmd(stacked_snapshots, epsilon: float = None, fixed_rank: int
 def one_step_map(model: DmdModel, columns: np.ndarray) -> np.ndarray:
     """Apply the fitted one-step propagator to each column."""
     cols = np.asarray(columns)
-    if model.projector is not None:
-        out = model.projector @ (model.reduced_operator @ (model.projector.T.conj() @ cols))
-    else:
-        out = model.modes @ (model.eigenvalues[:, None] * (model.mode_pseudoinverse @ cols))
+    out = model.projector @ (model.reduced_operator @ (model.projector.T.conj() @ cols))
     return out.real if model.real_input else out
 
 
-def _check_imag(result: np.ndarray, model: DmdModel) -> np.ndarray:
+def _checked_real(result: np.ndarray, model: DmdModel, indices) -> np.ndarray:
+    """Real part of a prediction block whose columns belong to ``indices``.
+
+    Raises when a prediction overflowed or, for real input, when its
+    imaginary part is not negligible.
+    """
+    finite = np.isfinite(result)
+    if not finite.all():
+        bad_columns = ~finite.reshape(result.shape[0], -1).all(axis=0)
+        first = int(np.ravel(indices)[np.argmax(bad_columns)])
+        raise NumericalFailure(f"prediction at time index {first} is not finite")
     real = result.real
     if model.real_input and np.iscomplexobj(result):
         imag_norm = float(np.linalg.norm(result.imag))
@@ -208,19 +214,14 @@ def _check_imag(result: np.ndarray, model: DmdModel) -> np.ndarray:
 
 
 def predict(model: DmdModel, k: int) -> np.ndarray:
-    """Observable at time index k via eigenvalue powers from the anchor snapshot.
+    """Observable at time index k: ``U @ K^(k - base) @ (U^T y_base)``.
 
-    Single evaluation, no rollout; see the module docstring for the projector
-    form used when the fit factors are cached on the model.
+    Single evaluation, no rollout.
     """
     if k < model.base_time_index:
         raise ValueError(f"prediction index {k} precedes anchor {model.base_time_index}")
-    power = k - model.base_time_index
-    if model.projector is not None:
-        op_pow = np.linalg.matrix_power(model.reduced_operator, power)
-        return _check_imag(model.projector @ (op_pow @ model.projected_anchor), model)
-    weights = model.eigenvalues**power * model.amplitudes
-    return _check_imag(model.modes @ weights, model)
+    op_pow = np.linalg.matrix_power(model.reduced_operator, k - model.base_time_index)
+    return _checked_real(model.projector @ (op_pow @ model.projected_anchor), model, k)
 
 
 def predict_series(model: DmdModel, indices) -> np.ndarray:
@@ -229,13 +230,10 @@ def predict_series(model: DmdModel, indices) -> np.ndarray:
     if np.any(idx < model.base_time_index):
         raise ValueError("prediction indices precede the anchor snapshot")
     powers = idx - model.base_time_index
-    if model.projector is not None:
-        reduced = np.empty((model.projected_anchor.size, idx.size), dtype=model.reduced_operator.dtype)
-        for j, p in enumerate(powers):
-            reduced[:, j] = np.linalg.matrix_power(model.reduced_operator, int(p)) @ model.projected_anchor
-        return _check_imag(model.projector @ reduced, model)
-    lam = model.eigenvalues[:, None] ** powers[None, :]
-    return _check_imag(model.modes @ (lam * model.amplitudes[:, None]), model)
+    reduced = np.empty((model.projected_anchor.size, idx.size), dtype=model.reduced_operator.dtype)
+    for j, p in enumerate(powers):
+        reduced[:, j] = np.linalg.matrix_power(model.reduced_operator, int(p)) @ model.projected_anchor
+    return _checked_real(model.projector @ reduced, model, idx)
 
 
 @dataclass(frozen=True)
@@ -261,65 +259,54 @@ def reconstruct_state(
     """
     pred = np.asarray(prediction, dtype=float)
     if model.observable_kind == OBSERVABLE_STACKED:
-        positions, values = pred[: pred.size // 2], pred[pred.size // 2 :]
-        if pred.size != 2 * len(eulerian_grid):
-            raise DimensionMismatch("stacked prediction must have 2N rows")
-        if np.any(np.diff(positions) <= 0.0):
-            raise GridEntanglement("predicted positions are not strictly increasing")
-        on_euler = linear_interpolate(positions, values, eulerian_grid, bc=bc, period=period)
+        positions, values, on_euler = stacked_to_grid(pred, eulerian_grid, bc=bc, period=period)
         return ReconstructedState(on_euler, positions, values)
     if pred.size != len(eulerian_grid):
         raise DimensionMismatch("prediction length must match the grid")
     return ReconstructedState(pred)
 
 
-_FMT = "%.17g"
-
-
 def save_dmd_model(model: DmdModel, path) -> None:
-    """Plain-text serialization: header lines then CSV blocks of the factors."""
-    lines = [
-        "lagrom-dmd-v1",
-        f"kind={model.observable_kind}",
-        f"base_time_index={model.base_time_index}",
-        f"training_count={model.training_count}",
-        f"rank={model.rank}",
-        f"rows={model.n_rows}",
-        f"train_residual={_FMT % model.train_residual}",
-        f"real_input={int(model.real_input)}",
-        f"requested_rank={'' if model.requested_rank is None else model.requested_rank}",
-    ]
+    """Plain-text serialization: header lines then CSV blocks of the factors.
 
-    def csv_row(arr):
-        return ",".join(_FMT % x for x in arr)
-
-    def matrix_block(name, matrix):
-        lines.append(f"[{name}_re]")
-        lines.extend(csv_row(row) for row in np.atleast_2d(matrix.real))
-        lines.append(f"[{name}_im]")
-        lines.extend(csv_row(row) for row in np.atleast_2d(matrix.imag))
-
-    lines.append("[eigenvalues_re]")
-    lines.append(csv_row(model.eigenvalues.real))
-    lines.append("[eigenvalues_im]")
-    lines.append(csv_row(model.eigenvalues.imag))
-    lines.append("[amplitudes_re]")
-    lines.append(csv_row(model.amplitudes.real))
-    lines.append("[amplitudes_im]")
-    lines.append(csv_row(model.amplitudes.imag))
-    matrix_block("modes", model.modes)
-    if model.projector is not None:
-        matrix_block("projector", np.asarray(model.projector, dtype=complex))
-        matrix_block("reduced_operator", np.asarray(model.reduced_operator, dtype=complex))
-        lines.append("[projected_anchor_re]")
-        lines.append(csv_row(np.asarray(model.projected_anchor, dtype=complex).real))
-        lines.append("[projected_anchor_im]")
-        lines.append(csv_row(np.asarray(model.projected_anchor, dtype=complex).imag))
+    Every factor is written as a ``[name_re]`` block and a ``[name_im]``
+    block; vectors take one row.
+    """
+    blocks = (
+        ("eigenvalues", model.eigenvalues[None, :]),
+        ("amplitudes", model.amplitudes[None, :]),
+        ("modes", model.modes),
+        ("projector", model.projector),
+        ("reduced_operator", model.reduced_operator),
+        ("projected_anchor", model.projected_anchor[None, :]),
+    )
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            "lagrom-dmd-v1\n"
+            f"kind={model.observable_kind}\n"
+            f"base_time_index={model.base_time_index}\n"
+            f"training_count={model.training_count}\n"
+            f"rank={model.rank}\n"
+            f"rows={model.n_rows}\n"
+            f"train_residual={NUMBER_FORMAT % model.train_residual}\n"
+            f"real_input={int(model.real_input)}\n"
+            f"requested_rank={'' if model.requested_rank is None else model.requested_rank}\n"
+        )
+        for name, matrix in blocks:
+            matrix = np.asarray(matrix, dtype=complex)
+            for part, values in (("re", matrix.real), ("im", matrix.imag)):
+                fh.write(f"[{name}_{part}]\n")
+                for row in values:
+                    fh.write(format_row(row) + "\n")
 
 
 def load_dmd_model(path) -> DmdModel:
+    """Read a model written by ``save_dmd_model``.
+
+    Raises ValueError for a file that is not a complete ``lagrom-dmd-v1``
+    model: unknown format, a missing factor block, or block shapes that
+    disagree with the header's ``rows`` and ``rank``.
+    """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != "lagrom-dmd-v1":
@@ -339,34 +326,39 @@ def load_dmd_model(path) -> DmdModel:
         elif current is not None and ln:
             blocks[current].append(np.array([float(x) for x in ln.split(",")]))
 
-    def block(name):
-        rows = blocks.get(name)
-        return np.array(rows) if rows else None
+    try:
+        rows, rank = int(header["rows"]), int(header["rank"])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"model header lacks a valid rows/rank entry: {exc}") from exc
 
-    def complex_block(name):
-        re, im = block(f"{name}_re"), block(f"{name}_im")
-        return None if re is None else re + 1j * im
+    def complex_block(name, shape):
+        parts = []
+        for label in (f"{name}_re", f"{name}_im"):
+            if not blocks.get(label):
+                raise ValueError(f"model file lacks the [{label}] block")
+            parts.append(np.array(blocks[label]))  # ragged rows raise ValueError here
+            if parts[-1].shape != shape:
+                raise ValueError(f"[{label}] block does not have shape {shape} (rows={rows}, rank={rank})")
+        return parts[0] + 1j * parts[1]
 
-    eigvals = complex_block("eigenvalues")[0]
-    amps = complex_block("amplitudes")[0]
-    modes = complex_block("modes")
-    pinv = np.linalg.pinv(modes)
-    projector = complex_block("projector")
-    reduced_op = complex_block("reduced_operator")
-    anchor = complex_block("projected_anchor")
+    eigvals = complex_block("eigenvalues", (1, rank))[0]
+    amps = complex_block("amplitudes", (1, rank))[0]
+    modes = complex_block("modes", (rows, rank))
+    projector = complex_block("projector", (rows, rank))
+    reduced_op = complex_block("reduced_operator", (rank, rank))
+    anchor = complex_block("projected_anchor", (1, rank))[0]
     real_input = bool(int(header.get("real_input", "1")))
-    if projector is not None and real_input and np.allclose(projector.imag, 0.0):
-        projector = projector.real
-        reduced_op = reduced_op.real
-        anchor = anchor[0].real
-    elif anchor is not None:
-        anchor = anchor[0]
+    if real_input and not eigvals.imag.any():
+        # np.linalg.eig returns real factors for a real operator's real spectrum
+        eigvals, amps, modes = (np.ascontiguousarray(a.real) for a in (eigvals, amps, modes))
+    if real_input and np.allclose(projector.imag, 0.0):
+        projector, reduced_op, anchor = (np.ascontiguousarray(a.real) for a in (projector, reduced_op, anchor))
     req = header.get("requested_rank", "")
     return DmdModel(
         modes=modes,
         eigenvalues=eigvals,
         amplitudes=amps,
-        mode_pseudoinverse=pinv,
+        mode_pseudoinverse=np.linalg.pinv(modes),
         observable_kind=header["kind"],
         base_time_index=int(header["base_time_index"]),
         training_count=int(header["training_count"]),

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SnapshotMatrix
+from .core import NUMBER_FORMAT, SnapshotMatrix
 from .dmd_rom import DmdModel, one_step_map
 from .errors import DimensionMismatch, IndexBeforeAnchor
 
@@ -96,18 +96,14 @@ class ErrorReport:
         return bool(np.all(self.bound[mask] + 1e-12 >= self.error_observable[mask]))
 
 
-_FMT = "%.17g"
-
-
 def write_error_csv(report: ErrorReport, path) -> None:
     """Columns: n, t, error_state, error_observable, bound (blank where absent)."""
     with open(path, "w") as fh:
         fh.write("n,t,error_state,error_observable,bound\n")
         for i, n in enumerate(report.times):
-            state = "" if report.error_state is None else _FMT % report.error_state[i]
+            state = "" if report.error_state is None else NUMBER_FORMAT % report.error_state[i]
             bound = ""
             if report.bound is not None and not np.isnan(report.bound[i]):
-                bound = _FMT % report.bound[i]
-            fh.write(
-                f"{int(n)},{_FMT % report.t_values[i]},{state},{_FMT % report.error_observable[i]},{bound}\n"
-            )
+                bound = NUMBER_FORMAT % report.bound[i]
+            t, err = NUMBER_FORMAT % report.t_values[i], NUMBER_FORMAT % report.error_observable[i]
+            fh.write(f"{int(n)},{t},{state},{err},{bound}\n")

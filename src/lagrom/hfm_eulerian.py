@@ -209,7 +209,6 @@ def run_eulerian_hfm(spec: ProblemSpec, n_store: int) -> EulerianRun:
     """Integrate n_steps steps, storing the first n_store post-initial states."""
     if n_store > spec.n_steps:
         raise ValueError("n_store cannot exceed the number of steps")
-    kernels.warmup()
     started = time.perf_counter()
     state = spec.initial_state()
     n = len(state.grid)

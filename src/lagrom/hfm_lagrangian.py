@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .core import Grid1D, ProblemSpec, SnapshotMatrix, interp_unchecked
 from .errors import DimensionMismatch, GridEntanglement, NumericalFailure
 from .hfm_eulerian import RESIDUAL_TOL, diffusion_system_for, second_difference
@@ -110,7 +109,6 @@ def run_lagrangian_hfm(spec: ProblemSpec, n_store: int) -> LagrangianRun:
     """Integrate from the uniform grid; snapshots are the 2N stacks [x^k; u^k]."""
     if n_store > spec.n_steps:
         raise ValueError("n_store cannot exceed the number of steps")
-    kernels.warmup()
     started = time.perf_counter()
     state = initial_lagrangian_state(spec)
     n = state.n

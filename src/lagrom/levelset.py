@@ -140,7 +140,6 @@ def run_levelset_hfm(
     """Integrate the embedded field over the problem's full time horizon."""
     if n_store > spec.n_steps:
         raise ValueError("n_store cannot exceed the number of steps")
-    kernels.warmup()
     started = time.perf_counter()
     x_grid = spec.grid()
     if n_y is None:

@@ -260,7 +260,6 @@ class PodRomRun:
 
 def run_pod_rom(basis: PodBasis, initial_full: np.ndarray, spec: ProblemSpec, horizon: int) -> PodRomRun:
     """Project the initial state, step to the horizon, reconstruct each state."""
-    kernels.warmup()
     started = time.perf_counter()
     context = PodStepContext.for_basis(basis, spec)
     z0 = np.asarray(initial_full, dtype=float)

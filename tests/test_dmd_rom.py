@@ -19,7 +19,7 @@ from lagrom.dmd_rom import (
     save_dmd_model,
     split_pairs,
 )
-from lagrom.errors import DimensionMismatch, GridEntanglement, TooFewSnapshots
+from lagrom.errors import DimensionMismatch, GridEntanglement, NumericalFailure, TooFewSnapshots
 
 
 def linear_trajectory(a, y0, count):
@@ -204,6 +204,16 @@ class TestPredict:
         far = best_time(10 * model.training_count)
         assert far <= 2.0 * near + 5e-5
 
+    def test_overflow_raises_instead_of_inf(self):
+        v = np.array([1.0, -2.0, 3.0])
+        model = fit_dmd(np.column_stack([v * 1.5**k for k in range(6)]), epsilon=1e-8)
+        assert np.all(np.isfinite(predict(model, 10)))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalFailure, match="time index 5000 "):
+                predict(model, 5000)
+            with pytest.raises(NumericalFailure, match="time index 2000 "):
+                predict_series(model, [10, 2000, 5000])
+
 
 class TestLagrangianObservable:
     def test_odd_row_count_rejected(self):
@@ -248,19 +258,11 @@ class TestImaginaryGuard:
     def test_excess_imaginary_part_rejected(self):
         import dataclasses
 
-        from lagrom.errors import NumericalFailure
-
         data = np.column_stack([np.array([1.0, -2.0])] * 5)
         model = fit_dmd(data, epsilon=1e-8)
-        # Corrupt the factors so the superposition is dominantly imaginary
-        # while the model still claims real input.
-        broken = dataclasses.replace(
-            model,
-            projector=None,
-            reduced_operator=None,
-            projected_anchor=None,
-            amplitudes=model.amplitudes * 1j,
-        )
+        # Corrupt the anchor so the prediction is dominantly imaginary while
+        # the model still claims real input.
+        broken = dataclasses.replace(model, projected_anchor=model.projected_anchor * 1j)
         with pytest.raises(NumericalFailure):
             predict(broken, 3)
 
@@ -314,3 +316,60 @@ class TestPersistence:
         path.write_text("not a model\n")
         with pytest.raises(ValueError):
             load_dmd_model(path)
+
+    def _saved_model_lines(self, tmp_path):
+        rng = np.random.default_rng(13)
+        data = linear_trajectory(rng.standard_normal((6, 6)) * 0.3, rng.standard_normal(6), 9)
+        path = tmp_path / "model.txt"
+        save_dmd_model(fit_dmd(data, epsilon=1e-12), path)
+        return path, path.read_text().splitlines()
+
+    @pytest.mark.parametrize("key", ["rows", "rank"])
+    def test_rejects_header_disagreeing_with_blocks(self, tmp_path, key):
+        path, lines = self._saved_model_lines(tmp_path)
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(f"{key}="))
+        lines[at] = f"{key}={int(lines[at].partition('=')[2]) + 1}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="shape"):
+            load_dmd_model(path)
+
+    def test_rejects_missing_projector_blocks(self, tmp_path):
+        path, lines = self._saved_model_lines(tmp_path)
+        path.write_text("\n".join(lines[: lines.index("[projector_re]")]) + "\n")
+        with pytest.raises(ValueError, match="projector"):
+            load_dmd_model(path)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        rows=st.integers(2, 12),
+        true_rank=st.integers(1, 4),
+        count=st.integers(3, 10),
+    )
+    def test_round_trip_property(self, seed, rows, true_rank, count):
+        import dataclasses
+        import tempfile
+        from pathlib import Path
+
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((rows, true_rank)) @ rng.standard_normal((true_rank, count))
+        try:
+            model = fit_dmd(data, epsilon=1e-10)
+        except NumericalFailure:
+            return  # ill-conditioned eigenvectors: nothing to persist
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
+            save_dmd_model(model, first)
+            loaded = load_dmd_model(first)
+            save_dmd_model(loaded, second)
+            assert first.read_bytes() == second.read_bytes()
+        for field in dataclasses.fields(model):
+            want, got = getattr(model, field.name), getattr(loaded, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+            else:
+                assert got == want, field.name
+        indices = [1, 2, count, 3 * count]
+        for k in indices:
+            assert np.array_equal(predict(loaded, k), predict(model, k))
+        assert np.array_equal(predict_series(loaded, indices), predict_series(model, indices))

@@ -1,4 +1,4 @@
-"""Backend parity for the numba kernels against numpy fallbacks and dense oracles."""
+"""Kernels against independent references: dense solves, dense operators, per-point formulas."""
 
 import numpy as np
 import pytest
@@ -37,15 +37,6 @@ def test_thomas_matches_dense_solve(n):
     assert np.allclose(x, oracle, atol=1e-12)
 
 
-def test_thomas_backends_agree():
-    rng = np.random.default_rng(7)
-    lower, diag, upper, rhs = random_tridiag(64, rng)
-    a = kernels.thomas_solve_numpy(lower, diag, upper, rhs)
-    if kernels.NUMBA_ENABLED:
-        b = kernels.thomas_solve_numba(lower, diag, upper, rhs)
-        assert np.allclose(a, b, atol=1e-13)
-
-
 def test_thomas_zero_pivot_raises():
     n = 4
     lower = np.zeros(n)
@@ -65,17 +56,32 @@ def test_cyclic_thomas_matches_dense(n):
     assert np.allclose(x, oracle, atol=1e-11)
 
 
-def test_interp_clamped_matches_numpy():
+def interp_per_point(src, vals, x):
+    """Reference: hold the edge sample outside the hull, else the chord through the bracketing nodes."""
+    if x <= src[0]:
+        return vals[0]
+    if x >= src[-1]:
+        return vals[-1]
+    i = int(np.searchsorted(src, x, side="right")) - 1
+    w = (x - src[i]) / (src[i + 1] - src[i])
+    return vals[i] + w * (vals[i + 1] - vals[i])
+
+
+def test_interp_clamped_matches_per_point_reference():
     rng = np.random.default_rng(3)
     src = np.sort(rng.random(40)) * 5.0
     vals = np.cos(src)
     dst = rng.random(200) * 7.0 - 1.0  # includes out-of-hull points
-    a = kernels.interp_clamped_numpy(src, vals, dst)
-    b = kernels.interp_clamped(src, vals, dst)
-    assert np.allclose(a, b, atol=1e-14)
+    out = kernels.interp_clamped(src, vals, dst)
+    reference = np.array([interp_per_point(src, vals, x) for x in dst])
+    assert np.allclose(out, reference, atol=1e-14)
+    below, above = dst < src[0], dst > src[-1]
+    assert below.any() and above.any()
+    assert np.all(out[below] == vals[0])
+    assert np.all(out[above] == vals[-1])
 
 
-def test_interp_periodic_matches_numpy_period_mode():
+def test_interp_periodic_matches_np_interp_period_mode():
     rng = np.random.default_rng(4)
     period = 2.0 * np.pi
     src = np.sort(rng.random(50)) * (period * 0.97)
@@ -86,14 +92,40 @@ def test_interp_periodic_matches_numpy_period_mode():
     assert np.allclose(reference, fast, atol=1e-12)
 
 
-def test_diffusion_bands_backends_agree():
+def dense_diffusion_operator(d_nodes, mu, periodic):
+    """Reference I - mu*D2 assembled entry by entry.
+
+    Row j of D2 couples node j to each neighbour through the face coefficient
+    between them (the mean of the two nodal values). Without periodic wrap, a
+    boundary face takes the edge node's coefficient and the ghost value is zero.
+    """
+    n = d_nodes.size
+    d2 = np.zeros((n, n))
+    for j in range(n):
+        for nb in (j - 1, j + 1):
+            inside = 0 <= nb < n
+            face = 0.5 * (d_nodes[j] + d_nodes[nb % n]) if inside or periodic else d_nodes[j]
+            d2[j, j] -= face
+            if inside or periodic:
+                d2[j, nb % n] += face
+    return np.eye(n) - mu * d2
+
+
+def test_diffusion_bands_match_dense_operator():
     rng = np.random.default_rng(5)
     d_nodes = 0.01 + rng.random(33)
+    mu, n = 0.7, d_nodes.size
     for periodic in (True, False):
-        ref = kernels.diffusion_bands_numpy(d_nodes, 0.7, periodic)
-        out = kernels.diffusion_bands(d_nodes, 0.7, periodic)
-        for a, b in zip(ref, out):
-            assert np.allclose(a, b, atol=1e-14)
+        d_faces, lower, diag, upper = kernels.diffusion_bands(d_nodes, mu, periodic)
+        dense = dense_diffusion_operator(d_nodes, mu, periodic)
+        assert np.allclose(diag, np.diag(dense), rtol=1e-14, atol=0.0)
+        assert np.allclose(lower[1:], np.diag(dense, -1), rtol=1e-14, atol=0.0)
+        assert np.allclose(upper[:-1], np.diag(dense, 1), rtol=1e-14, atol=0.0)
+        assert lower[0] == 0.0 and upper[-1] == 0.0
+        if periodic:
+            # the solvers close the cycle with -mu times the seam face coefficient
+            assert np.isclose(-mu * d_faces[0], dense[0, n - 1], rtol=1e-14, atol=0.0)
+            assert np.isclose(-mu * d_faces[-1], dense[n - 1, 0], rtol=1e-14, atol=0.0)
 
 
 def test_solve_small_matches_lapack():
@@ -109,14 +141,31 @@ def test_solve_small_singular_raises():
         kernels.solve_small(np.zeros((3, 3)), np.ones(3))
 
 
+def upwind_per_row(values, speeds, dt_over_dx, periodic):
+    """Reference first-order upwind step written row by row and node by node."""
+    ny, nx = values.shape
+    out = np.empty_like(values)
+    for i in range(ny):
+        nu = speeds[i] * dt_over_dx
+        row = values[i]
+        for j in range(nx):
+            if speeds[i] >= 0.0:
+                left = row[j - 1] if j > 0 else (row[nx - 1] if periodic else row[0])
+                out[i, j] = row[j] - nu * (row[j] - left)
+            else:
+                right = row[j + 1] if j < nx - 1 else (row[0] if periodic else row[nx - 1])
+                out[i, j] = row[j] - nu * (right - row[j])
+    return out
+
+
 @pytest.mark.parametrize("periodic", [True, False])
-def test_levelset_step_backends_agree(periodic):
+def test_levelset_step_matches_per_row_upwind(periodic):
     rng = np.random.default_rng(8)
     values = rng.standard_normal((12, 30))
-    speeds = np.linspace(-1.5, 2.0, 12)
-    a = kernels.levelset_step_numpy(values, speeds, 0.3, periodic)
-    b = kernels.levelset_step(values, speeds, 0.3, periodic)
-    assert np.allclose(a, b, atol=1e-14)
+    speeds = np.linspace(-1.5, 2.0, 12)  # both signs
+    assert np.any(speeds < 0.0) and np.any(speeds > 0.0)
+    out = kernels.levelset_step(values, speeds, 0.3, periodic)
+    assert np.allclose(out, upwind_per_row(values, speeds, 0.3, periodic), atol=1e-14)
 
 
 def test_levelset_unit_courant_is_exact_shift():
