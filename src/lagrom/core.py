@@ -7,7 +7,7 @@ so instances can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -76,10 +76,15 @@ class ProblemSpec:
     """One advection-diffusion problem instance.
 
     ``flux_f`` is the wave speed u -> f(u) and ``flux_F`` the conserved flux
-    u -> F(u) with f = dF/du; both must accept numpy arrays. ``diffusion_D``
-    maps (x, t, u) to a diffusion coefficient (scalar or array) and may be
-    ``None`` for the identically-zero case, which lets the semi-Lagrangian
-    stepper skip its interpolation round-trips entirely.
+    u -> F(u) with f = dF/du; both must accept numpy arrays. ``flux_df`` is
+    the derivative f'(u) of the wave speed; it may return a scalar (constant
+    f', as for Burgers or constant-speed transport) or an array.
+
+    ``diffusion_D`` is ``None`` for the identically-zero case, which lets the
+    semi-Lagrangian stepper skip its interpolation round-trips entirely; a
+    number for a constant coefficient, which lets every stepper build and
+    factor its implicit system once per run; or a callable mapping (x, t, u)
+    to a coefficient (scalar or array), evaluated at every step.
     """
 
     domain_lo: float
@@ -89,7 +94,8 @@ class ProblemSpec:
     t_final: float
     flux_f: Callable
     flux_F: Callable
-    diffusion_D: Optional[Callable]
+    flux_df: Callable
+    diffusion_D: Union[None, float, Callable]
     initial_u0: Callable
     bc: str = DIRICHLET_ZERO
     bc_values: tuple = (0.0, 0.0)
@@ -105,6 +111,13 @@ class ProblemSpec:
             raise ValueError("domain_hi must exceed domain_lo")
         if self.bc not in _BC_TAGS:
             raise ValueError(f"unknown boundary condition tag {self.bc!r}")
+        if self.diffusion_D is not None and not callable(self.diffusion_D):
+            object.__setattr__(self, "diffusion_D", float(self.diffusion_D))
+
+    @property
+    def diffusion_is_constant(self) -> bool:
+        """True when D is a number, so the implicit system is fixed for a run."""
+        return isinstance(self.diffusion_D, float)
 
     @property
     def periodic(self) -> bool:
@@ -135,13 +148,14 @@ class ProblemSpec:
 
     def diffusion_at(self, x: np.ndarray, t: float, u: np.ndarray) -> np.ndarray:
         """Evaluate D on the given nodes, broadcasting scalar coefficients."""
-        d = np.asarray(self.diffusion_D(x, t, u), dtype=float)
+        d = self.diffusion_D
+        d = np.asarray(d(x, t, u) if callable(d) else d, dtype=float)
         if d.ndim == 0:
             return np.full(x.shape, float(d))
         return d
 
     def validate_flux_consistency(self, u_samples=None, tol: float = 1e-6) -> float:
-        """Check f = dF/du by centered differences on sampled states.
+        """Check f = dF/du and f' = df/du by centered differences on sampled states.
 
         Returns the worst absolute deviation; raises ValueError beyond ``tol``.
         Run once per problem definition, not inside step loops.
@@ -153,11 +167,18 @@ class ProblemSpec:
             u_samples = np.linspace(lo - pad, hi + pad, 33)
         u_samples = np.asarray(u_samples, dtype=float)
         h = 1e-4 * np.maximum(1.0, np.abs(u_samples))
-        approx = (np.asarray(self.flux_F(u_samples + h)) - np.asarray(self.flux_F(u_samples - h))) / (2 * h)
-        worst = float(np.max(np.abs(approx - np.asarray(self.flux_f(u_samples)))))
-        if worst > tol:
-            raise ValueError(f"flux_f and flux_F are inconsistent (max deviation {worst:.3e})")
-        return worst
+
+        def worst_deviation(antiderivative, derivative):
+            approx = (np.asarray(antiderivative(u_samples + h)) - np.asarray(antiderivative(u_samples - h))) / (2 * h)
+            return float(np.max(np.abs(approx - np.asarray(derivative(u_samples)))))
+
+        worst_f = worst_deviation(self.flux_F, self.flux_f)
+        if worst_f > tol:
+            raise ValueError(f"flux_f and flux_F are inconsistent (max deviation {worst_f:.3e})")
+        worst_df = worst_deviation(self.flux_f, self.flux_df)
+        if worst_df > tol:
+            raise ValueError(f"flux_df and flux_f are inconsistent (max deviation {worst_df:.3e})")
+        return max(worst_f, worst_df)
 
 
 @dataclass(frozen=True)

@@ -201,7 +201,7 @@ def _checked_real(result: np.ndarray, model: DmdModel, indices) -> np.ndarray:
     if not finite.all():
         bad_columns = ~finite.reshape(result.shape[0], -1).all(axis=0)
         first = int(np.ravel(indices)[np.argmax(bad_columns)])
-        raise NumericalFailure(f"prediction at time index {first} is not finite")
+        raise NumericalFailure(f"prediction at time index {first} is not finite", time_index=first)
     real = result.real
     if model.real_input and np.iscomplexobj(result):
         imag_norm = float(np.linalg.norm(result.imag))

@@ -34,7 +34,15 @@ class GridEntanglement(LagromError):
 
 
 class NumericalFailure(LagromError):
-    """A numerical routine produced NaN/Inf or failed to converge."""
+    """A numerical routine produced NaN/Inf or failed to converge.
+
+    ``time_index`` names the step or predicted index that failed, when the
+    failure belongs to one.
+    """
+
+    def __init__(self, message, time_index=None):
+        super().__init__(message)
+        self.time_index = time_index
 
 
 class EmptySpectrum(LagromError):

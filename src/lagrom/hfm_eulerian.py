@@ -8,13 +8,20 @@ an implicit backward-Euler centered-difference diffusion solve. One step is
 
 with the face flux F_{j+1/2} = (F(u_R)+F(u_L))/2 - |a| (u_R-u_L)/2 and the
 local speed a taken as the secant slope of F (the tangent f when u_L = u_R).
+
+The implicit system is held as a ``DiffusionSystem``: face coefficients plus
+the LU factors of (I - dt D2). When D is a number the system is the same at
+every step, so a run builds and factors it once (``run_diffusion_system``)
+and each step is one factored solve; a callable D is evaluated, assembled
+and factored at every step. Every step still checks its residual, its
+Courant number and the finiteness of the new state.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -28,23 +35,23 @@ RESIDUAL_TOL = 1e-10
 
 @dataclass
 class EulerianStepWorkspace:
-    """Scratch arrays reused across steps of a single run (not thread-safe)."""
+    """Scratch arrays and per-run constants reused across the steps of a
+    single run (not thread-safe).
+
+    ``system`` is the run's diffusion system when D is constant, else None
+    and each step builds its own.
+    """
 
     flux_faces: np.ndarray
     wave_speeds: np.ndarray
-    diff_faces: np.ndarray
-    tridiag: tuple
+    system: Optional["DiffusionSystem"]
     last_residual: float = 0.0
     last_courant: float = 0.0
 
     @classmethod
-    def for_size(cls, n: int) -> "EulerianStepWorkspace":
-        return cls(
-            flux_faces=np.empty(n + 1),
-            wave_speeds=np.empty(n + 1),
-            diff_faces=np.empty(n + 1),
-            tridiag=(np.empty(n), np.empty(n), np.empty(n)),
-        )
+    def for_spec(cls, spec: ProblemSpec) -> "EulerianStepWorkspace":
+        n = spec.n_cells
+        return cls(flux_faces=np.empty(n + 1), wave_speeds=np.empty(n + 1), system=run_diffusion_system(spec))
 
 
 def numerical_flux(u_left: float, u_right: float, spec: ProblemSpec) -> float:
@@ -101,43 +108,49 @@ def check_cfl(u: np.ndarray, spec: ProblemSpec) -> float:
 
 @dataclass
 class DiffusionSystem:
-    """(I - dt D2) as tridiagonal bands plus periodic corner couplings."""
+    """(I - dt D2) on a fixed grid: face coefficients and the LU factors,
+    with the periodic corner couplings inside the factorization."""
 
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-    corner_top: float
-    corner_bottom: float
+    factor: Union[kernels.TridiagonalFactor, kernels.CyclicFactor]
     periodic: bool
     mu: float
     d_faces: np.ndarray
     bc_values: tuple
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def with_boundary_terms(self, rhs: np.ndarray) -> np.ndarray:
+        """``rhs`` plus the known Dirichlet ghost terms of the first and last rows."""
         if self.periodic:
-            return kernels.cyclic_thomas_solve(
-                self.lower, self.diag, self.upper, self.corner_top, self.corner_bottom, rhs
-            )
+            return rhs
         b = rhs.copy()
-        # Dirichlet ghosts contribute known terms to the first and last rows.
         b[0] += self.mu * self.d_faces[0] * self.bc_values[0]
         b[-1] += self.mu * self.d_faces[-1] * self.bc_values[1]
-        return kernels.thomas_solve(self.lower, self.diag, self.upper, b)
+        return b
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self.periodic:
+            return kernels.cyclic_thomas_solve(self.factor, rhs)
+        return kernels.thomas_solve(self.factor, self.with_boundary_terms(rhs))
 
 
 def diffusion_system_for(spec: ProblemSpec, x: np.ndarray, t: float, u: np.ndarray) -> DiffusionSystem:
-    """Evaluate D on the nodes, average it to faces, and assemble the
-    implicit system in one pass."""
+    """Evaluate D on the nodes, average it to faces, assemble the implicit
+    system and factor it."""
     d_nodes = spec.diffusion_at(x, t, u)
     mu = spec.dt / spec.dx**2
     d_faces, lower, diag, upper = kernels.diffusion_bands(np.ascontiguousarray(d_nodes), mu, spec.periodic)
-    corner_top = corner_bottom = 0.0
     if spec.periodic:
-        corner_top = -mu * d_faces[0]
-        corner_bottom = -mu * d_faces[-1]
-    return DiffusionSystem(
-        lower, diag, upper, corner_top, corner_bottom, spec.periodic, mu, d_faces, spec.bc_values
-    )
+        factor = kernels.factor_cyclic(lower, diag, upper, -mu * d_faces[0], -mu * d_faces[-1])
+    else:
+        factor = kernels.factor_tridiagonal(lower, diag, upper)
+    return DiffusionSystem(factor, spec.periodic, mu, d_faces, spec.bc_values)
+
+
+def run_diffusion_system(spec: ProblemSpec) -> Optional[DiffusionSystem]:
+    """The diffusion system of a whole run when D is a number; None when D is
+    absent or varies (then each step builds its own)."""
+    if not spec.diffusion_is_constant:
+        return None
+    return diffusion_system_for(spec, spec.grid().nodes, 0.0, None)
 
 
 def second_difference(system: DiffusionSystem, u: np.ndarray) -> np.ndarray:
@@ -162,11 +175,10 @@ def step_residual(u_new: np.ndarray, u_old: np.ndarray, adv_div: np.ndarray, sys
 def advance_eulerian(state: StateVector, spec: ProblemSpec, workspace: EulerianStepWorkspace = None) -> StateVector:
     """One full step: explicit upwind advection then implicit diffusion."""
     u = state.values
-    n = u.size
     if workspace is None:
-        workspace = EulerianStepWorkspace.for_size(n)
+        workspace = EulerianStepWorkspace.for_spec(spec)
     workspace.last_courant = check_cfl(u, spec)
-    t_next = (state.time_index + 1) * spec.dt
+    index = state.time_index + 1
 
     fluxes = face_fluxes(u, spec, out=workspace.flux_faces, speeds_out=workspace.wave_speeds)
     adv = (spec.dt / spec.dx) * (fluxes[1:] - fluxes[:-1])
@@ -176,21 +188,22 @@ def advance_eulerian(state: StateVector, spec: ProblemSpec, workspace: EulerianS
         u_new = u_star
         system = None
     else:
-        # D is lagged at the advected intermediate to keep one linear solve.
-        system = diffusion_system_for(spec, state.grid.nodes, t_next, u_star)
-        workspace.diff_faces[:] = system.d_faces
-        workspace.tridiag = (system.lower, system.diag, system.upper)
+        system = workspace.system
+        if system is None:
+            # D is lagged at the advected intermediate to keep one linear solve.
+            system = diffusion_system_for(spec, state.grid.nodes, index * spec.dt, u_star)
         u_new = system.solve(u_star)
 
     residual = step_residual(u_new, u, adv, system)
     workspace.last_residual = float(np.max(np.abs(residual)))
     if workspace.last_residual > RESIDUAL_TOL:
         raise NumericalFailure(
-            f"step residual {workspace.last_residual:.3e} exceeds {RESIDUAL_TOL:.0e} at step {state.time_index + 1}"
+            f"step residual {workspace.last_residual:.3e} exceeds {RESIDUAL_TOL:.0e} at time index {index}",
+            time_index=index,
         )
     if not np.all(np.isfinite(u_new)):
-        raise NumericalFailure(f"non-finite state after step {state.time_index + 1}")
-    return StateVector(u_new, state.grid, state.time_index + 1)
+        raise NumericalFailure(f"non-finite state at time index {index}", time_index=index)
+    return StateVector(u_new, state.grid, index)
 
 
 @dataclass
@@ -212,7 +225,7 @@ def run_eulerian_hfm(spec: ProblemSpec, n_store: int) -> EulerianRun:
     started = time.perf_counter()
     state = spec.initial_state()
     n = len(state.grid)
-    workspace = EulerianStepWorkspace.for_size(n)
+    workspace = EulerianStepWorkspace.for_spec(spec)
     trajectory = np.empty((n, spec.n_steps + 1))
     trajectory[:, 0] = state.values
     max_res = 0.0
@@ -220,8 +233,8 @@ def run_eulerian_hfm(spec: ProblemSpec, n_store: int) -> EulerianRun:
     for step in range(spec.n_steps):
         try:
             state = advance_eulerian(state, spec, workspace)
-        except (CflViolation, NumericalFailure) as exc:
-            raise type(exc)(f"{exc} (time index {step + 1})") from exc
+        except CflViolation as exc:
+            raise CflViolation(f"{exc} (time index {step + 1})", max_speed=exc.max_speed) from exc
         trajectory[:, step + 1] = state.values
         max_res = max(max_res, workspace.last_residual)
         max_cfl = max(max_cfl, workspace.last_courant)

@@ -11,21 +11,30 @@ performs, in order:
         x^{n+1} = x^n + dt/2 (f(u^n) + f(u^{n+1})).
 
 When the diffusion coefficient is ``None`` the first three sub-steps are
-skipped and the carried values are transported bit-exactly. Positions are
-kept unwrapped (monotone) for periodic problems; wrapping happens only inside
-the interpolation, so entanglement detection stays a plain monotonicity test.
+skipped and the carried values are transported bit-exactly. When it is a
+number, the run builds and factors the implicit system once and every step
+reuses it. Positions are kept unwrapped (monotone) for periodic problems;
+wrapping happens only inside the interpolation, so entanglement detection
+stays a plain monotonicity test.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .core import Grid1D, ProblemSpec, SnapshotMatrix, interp_unchecked
 from .errors import DimensionMismatch, GridEntanglement, NumericalFailure
-from .hfm_eulerian import RESIDUAL_TOL, diffusion_system_for, second_difference
+from .hfm_eulerian import (
+    RESIDUAL_TOL,
+    DiffusionSystem,
+    diffusion_system_for,
+    run_diffusion_system,
+    second_difference,
+)
 
 
 @dataclass(frozen=True)
@@ -58,11 +67,17 @@ def initial_lagrangian_state(spec: ProblemSpec) -> LagrangianState:
     return LagrangianState(grid, u0, grid, 0)
 
 
-def advance_lagrangian(state: LagrangianState, spec: ProblemSpec) -> LagrangianState:
-    """One semi-Lagrangian step; raises GridEntanglement when characteristics cross."""
+def advance_lagrangian(
+    state: LagrangianState, spec: ProblemSpec, system: Optional[DiffusionSystem] = None
+) -> LagrangianState:
+    """One semi-Lagrangian step; raises GridEntanglement when characteristics cross.
+
+    ``system`` is the run's diffusion system when D is constant; without it a
+    diffusive step builds its own.
+    """
     x = state.positions.nodes
     u = state.values
-    t_next = (state.time_index + 1) * spec.dt
+    index = state.time_index + 1
 
     if spec.diffusion_D is None:
         u_new = u
@@ -71,12 +86,15 @@ def advance_lagrangian(state: LagrangianState, spec: ProblemSpec) -> LagrangianS
         period = spec.domain_length
         x_euler = state.eulerian_grid.nodes
         u_tilde = interp_unchecked(x, u, x_euler, periodic, period)
-        system = diffusion_system_for(spec, x_euler, t_next, u_tilde)
+        if system is None:
+            system = diffusion_system_for(spec, x_euler, index * spec.dt, u_tilde)
         u_tilde_new = system.solve(u_tilde)
         residual = u_tilde_new - u_tilde - second_difference(system, u_tilde_new)
-        if np.max(np.abs(residual)) > RESIDUAL_TOL:
+        worst = float(np.max(np.abs(residual)))
+        if worst > RESIDUAL_TOL:
             raise NumericalFailure(
-                f"diffusion residual {np.max(np.abs(residual)):.3e} exceeds {RESIDUAL_TOL:.0e}"
+                f"diffusion residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e} at time index {index}",
+                time_index=index,
             )
         u_new = interp_unchecked(x_euler, u_tilde_new, x, periodic, period)
 
@@ -85,13 +103,10 @@ def advance_lagrangian(state: LagrangianState, spec: ProblemSpec) -> LagrangianS
     x_new = x + 0.5 * spec.dt * (f_old + f_new)
 
     if np.any(np.diff(x_new) <= 0.0):
-        raise GridEntanglement(
-            f"moving grid tangled at time index {state.time_index + 1}",
-            time_index=state.time_index + 1,
-        )
+        raise GridEntanglement(f"moving grid tangled at time index {index}", time_index=index)
     if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(u_new))):
-        raise NumericalFailure(f"non-finite state at time index {state.time_index + 1}")
-    return LagrangianState(Grid1D(x_new), u_new, state.eulerian_grid, state.time_index + 1)
+        raise NumericalFailure(f"non-finite state at time index {index}", time_index=index)
+    return LagrangianState(Grid1D(x_new), u_new, state.eulerian_grid, index)
 
 
 @dataclass
@@ -111,13 +126,14 @@ def run_lagrangian_hfm(spec: ProblemSpec, n_store: int) -> LagrangianRun:
         raise ValueError("n_store cannot exceed the number of steps")
     started = time.perf_counter()
     state = initial_lagrangian_state(spec)
+    system = run_diffusion_system(spec)
     n = state.n
     positions = np.empty((n, spec.n_steps + 1))
     values = np.empty((n, spec.n_steps + 1))
     positions[:, 0] = state.positions.nodes
     values[:, 0] = state.values
     for step in range(spec.n_steps):
-        state = advance_lagrangian(state, spec)
+        state = advance_lagrangian(state, spec, system)
         positions[:, step + 1] = state.positions.nodes
         values[:, step + 1] = state.values
     stacked = np.vstack([positions[:, 1 : n_store + 1], values[:, 1 : n_store + 1]])

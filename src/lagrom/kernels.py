@@ -5,12 +5,22 @@ tridiagonal solves behind the implicit diffusion steps, piecewise-linear
 interpolation, the diffusion band assembly, the row-wise upwind sweep of the
 level-set field, and the small dense Newton solves. Each is one whole-array
 numpy or LAPACK call, so there is nothing to compile and nothing to warm up.
+
+The tridiagonal systems are factored apart from their solves: ``factor_*``
+runs the LU elimination (LAPACK ``gttrf``) once, and ``thomas_solve`` /
+``cyclic_thomas_solve`` reuse that factorization for each right-hand side
+(one ``gttrs`` each). A periodic system stores its Sherman-Morrison vector
+and denominator with the factorization, so a periodic solve is one ``gttrs``
+plus an O(1) correction. A run whose diffusion coefficient is constant
+factors once and solves once per step.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple, Optional
+
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import NumericalFailure, SingularTridiagonal
 
@@ -23,26 +33,106 @@ NUMBA_ENABLED = False
 # pivots sit at O(1).
 _PIVOT_TINY = 1e-300
 
+# scipy's gttrf/gttrs wrappers reject systems of fewer than three rows;
+# smaller ones are padded with decoupled identity rows, which leaves the
+# elimination of the leading block unchanged.
+_LAPACK_MIN_ROWS = 3
 
-def thomas_solve(lower, diag, upper, rhs):
-    """Solve a tridiagonal system through LAPACK's banded solver.
+
+class TridiagonalFactor(NamedTuple):
+    """LU factors of a tridiagonal matrix as LAPACK ``gttrf`` returns them."""
+
+    dl: np.ndarray
+    d: np.ndarray
+    du: np.ndarray
+    du2: np.ndarray
+    ipiv: np.ndarray
+    n: int
+
+
+class CyclicFactor(NamedTuple):
+    """A periodic tridiagonal matrix as a factored tridiagonal part plus the
+    Sherman-Morrison rank-one correction that restores the corners.
+
+    ``z`` is None when the corners were folded into the bands (n < 3).
+    """
+
+    tridiagonal: TridiagonalFactor
+    z: Optional[np.ndarray]
+    gamma: float
+    corner_top: float
+    denom: float
+
+
+def factor_tridiagonal(lower, diag, upper) -> TridiagonalFactor:
+    """LU-factor a tridiagonal matrix once for any number of later solves.
 
     ``lower[i]`` multiplies x[i-1] in row i (lower[0] unused);
     ``upper[i]`` multiplies x[i+1] in row i (upper[-1] unused).
+    Raises ``SingularTridiagonal`` on an exactly zero pivot.
     """
     n = diag.shape[0]
-    if n == 1:
-        if abs(diag[0]) < _PIVOT_TINY:
-            raise SingularTridiagonal("zero pivot in 1x1 system")
-        return rhs / diag
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    try:
-        return solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise SingularTridiagonal(str(exc)) from exc
+    dl = np.zeros(max(n, _LAPACK_MIN_ROWS) - 1)
+    d = np.ones(max(n, _LAPACK_MIN_ROWS))
+    du = np.zeros_like(dl)
+    dl[: n - 1] = lower[1:]
+    d[:n] = diag
+    du[: n - 1] = upper[:-1]
+    dl, d, du, du2, ipiv, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info > 0:
+        raise SingularTridiagonal(f"zero pivot in row {info - 1} of a {n}x{n} system")
+    return TridiagonalFactor(dl, d, du, du2, ipiv, n)
+
+
+def thomas_solve(factor: TridiagonalFactor, rhs):
+    """Solve a factored tridiagonal system for one right-hand side."""
+    n = factor.n
+    if n < _LAPACK_MIN_ROWS:
+        rhs = np.concatenate([rhs, np.zeros(_LAPACK_MIN_ROWS - n)])
+    x, _ = dgttrs(factor.dl, factor.d, factor.du, factor.du2, factor.ipiv, rhs)
+    return x[:n]
+
+
+def factor_cyclic(lower, diag, upper, corner_top, corner_bottom) -> CyclicFactor:
+    """Factor a tridiagonal matrix with periodic corner couplings.
+
+    ``corner_top`` is the (0, n-1) matrix entry, ``corner_bottom`` the
+    (n-1, 0) entry. The tridiagonal part is modified so that the corners
+    become a rank-one update; its factorization, the solve against the update
+    vector and the Sherman-Morrison denominator are computed here, once.
+    Systems of fewer than three rows fold the corners into the bands.
+    """
+    n = diag.shape[0]
+    if n < 3:
+        lower2 = np.array(lower, dtype=float)
+        upper2 = np.array(upper, dtype=float)
+        if n == 2:
+            upper2[0] += corner_top
+            lower2[1] += corner_bottom
+        return CyclicFactor(factor_tridiagonal(lower2, diag, upper2), None, 1.0, 0.0, 1.0)
+    gamma = -diag[0]
+    diag2 = diag.copy()
+    diag2[0] = diag[0] - gamma
+    diag2[-1] = diag[-1] - corner_top * corner_bottom / gamma
+    tri = factor_tridiagonal(lower, diag2, upper)
+    u = np.zeros(n)
+    u[0] = gamma
+    u[-1] = corner_bottom
+    z = thomas_solve(tri, u)
+    denom = 1.0 + z[0] + corner_top * z[-1] / gamma
+    if abs(denom) < _PIVOT_TINY:
+        raise SingularTridiagonal("singular rank-one correction")
+    return CyclicFactor(tri, z, gamma, corner_top, denom)
+
+
+def cyclic_thomas_solve(factor: CyclicFactor, rhs):
+    """Solve a factored periodic system: one tridiagonal solve, then the
+    rank-one correction."""
+    y = thomas_solve(factor.tridiagonal, rhs)
+    if factor.z is None:
+        return y
+    correction = (y[0] + factor.corner_top * y[-1] / factor.gamma) / factor.denom
+    return y - correction * factor.z
 
 
 def interp_clamped(src, vals, dst):
@@ -97,40 +187,6 @@ def levelset_step(values, speeds, dt_over_dx, periodic):
     fwd = values - nu * (values - left)
     bwd = values - nu * (right - values)
     return np.where(speeds[:, None] >= 0.0, fwd, bwd)
-
-
-def cyclic_thomas_solve(lower, diag, upper, corner_top, corner_bottom, rhs):
-    """Solve a tridiagonal system with periodic corner couplings.
-
-    ``corner_top`` is the (0, n-1) matrix entry, ``corner_bottom`` the
-    (n-1, 0) entry. Uses the Sherman-Morrison rank-one update on top of two
-    plain tridiagonal solves.
-    """
-    n = diag.shape[0]
-    if n < 3:
-        a = np.zeros((n, n))
-        a[np.arange(n), np.arange(n)] = diag
-        if n == 2:
-            a[0, 1] = upper[0] + corner_top
-            a[1, 0] = lower[1] + corner_bottom
-        try:
-            return np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularTridiagonal(str(exc)) from exc
-    gamma = -diag[0]
-    diag2 = diag.copy()
-    diag2[0] = diag[0] - gamma
-    diag2[-1] = diag[-1] - corner_top * corner_bottom / gamma
-    y = thomas_solve(lower, diag2, upper, rhs)
-    u = np.zeros(n)
-    u[0] = gamma
-    u[-1] = corner_bottom
-    z = thomas_solve(lower, diag2, upper, u)
-    denom = 1.0 + z[0] + corner_top * z[-1] / gamma
-    if abs(denom) < _PIVOT_TINY:
-        raise SingularTridiagonal("singular rank-one correction")
-    factor = (y[0] + corner_top * y[-1] / gamma) / denom
-    return y - factor * z
 
 
 def warmup():

@@ -8,8 +8,13 @@ the projected system with Newton iteration in the reduced coordinates.
 
 No hyper-reduction is applied: every Newton iteration evaluates the residual
 at full dimension, so rollout cost scales with the grid like the solvers do.
-A prepared ``PodStepContext`` caches per-run constants (grid nodes, basis
-splits) so the per-step overhead stays proportional to actual work.
+A prepared ``PodStepContext`` holds what is constant over a rollout, so the
+step loop repeats only per-step work: the grid nodes and basis splits; the
+factored diffusion system when D is a number; the fixed-grid stepper's
+projected Jacobian Phi^T (I - dt D2) Phi when D is a number or absent; and
+the coupling block P^T V of the moving-frame Jacobian
+I - (dt/2) P^T diag(f'(u)) V, which for a constant f' = c (``flux_df``
+returning a scalar) is the whole state dependence.
 """
 
 from __future__ import annotations
@@ -24,12 +29,11 @@ import numpy as np
 from . import kernels
 from .core import ProblemSpec, SnapshotMatrix, interp_unchecked
 from .errors import GridEntanglement, NewtonDivergence, NumericalFailure
-from .hfm_eulerian import diffusion_system_for, face_fluxes
+from .hfm_eulerian import DiffusionSystem, diffusion_system_for, face_fluxes, run_diffusion_system
 from .svd_core import reduced_svd, truncate, truncation_rank
 
 NEWTON_TOL = 1e-10
 NEWTON_CAP = 50
-FD_STEP = 1e-7
 
 FRAME_EULERIAN = "eulerian"
 FRAME_LAGRANGIAN = "lagrangian"
@@ -70,7 +74,13 @@ class StepResult(NamedTuple):
 
 @dataclass
 class PodStepContext:
-    """Per-run constants shared by every step of one rollout."""
+    """Per-run constants shared by every step of one rollout.
+
+    ``system`` is the run's factored diffusion system when D is a number.
+    ``jacobian`` is the fixed-grid stepper's projected Jacobian when it does
+    not change over the run (D a number or absent), else None. ``pos_t_val``
+    is P^T V for moving-frame bases.
+    """
 
     basis_matrix: np.ndarray
     basis_t: np.ndarray
@@ -78,32 +88,45 @@ class PodStepContext:
     val_block: Optional[np.ndarray]
     pos_block_t: Optional[np.ndarray]
     val_block_t: Optional[np.ndarray]
+    pos_t_val: Optional[np.ndarray]
     euler_nodes: np.ndarray
     periodic: bool
     period: float
     identity_r: np.ndarray
+    system: Optional[DiffusionSystem]
+    jacobian: Optional[np.ndarray]
 
     @classmethod
     def for_basis(cls, basis: PodBasis, spec: ProblemSpec) -> "PodStepContext":
         phi = basis.basis
+        phi_t = np.ascontiguousarray(phi.T)
         nodes = np.array(spec.grid().nodes)
-        pos = val = pos_t = val_t = None
+        system = run_diffusion_system(spec)
+        pos = val = pos_t = val_t = pos_t_val = jacobian = None
         if basis.frame == FRAME_LAGRANGIAN:
             n = phi.shape[0] // 2
             pos, val = phi[:n], phi[n:]
             pos_t = np.ascontiguousarray(pos.T)
             val_t = np.ascontiguousarray(val.T)
+            pos_t_val = pos_t @ val
+        elif spec.diffusion_D is None:
+            jacobian = phi_t @ phi
+        elif system is not None:
+            jacobian = phi_t @ _apply_identity_minus_diffusion(system, phi)
         return cls(
             basis_matrix=phi,
-            basis_t=np.ascontiguousarray(phi.T),
+            basis_t=phi_t,
             pos_block=pos,
             val_block=val,
             pos_block_t=pos_t,
             val_block_t=val_t,
+            pos_t_val=pos_t_val,
             euler_nodes=nodes,
             periodic=spec.periodic,
             period=spec.domain_length,
             identity_r=np.eye(basis.rank),
+            system=system,
+            jacobian=jacobian,
         )
 
 
@@ -125,38 +148,37 @@ def pod_step_eulerian(
     spec: ProblemSpec,
     time_index: int,
     context: PodStepContext = None,
+    u_prev_full: np.ndarray = None,
 ) -> StepResult:
     """Advance reduced coordinates by projecting the fixed-grid step residual.
 
     The advective flux is explicit in the previous state, so the projected
     residual is affine in the unknown and Newton lands in one iteration; the
-    loop form covers state-dependent diffusion coefficients.
+    loop form covers state-dependent diffusion coefficients. ``u_prev_full``
+    may carry the already reconstructed previous state.
     """
     if basis.frame != FRAME_EULERIAN:
         raise ValueError("basis frame must be eulerian")
     if context is None:
         context = PodStepContext.for_basis(basis, spec)
     phi = context.basis_matrix
-    u_prev = phi @ u_hat
+    u_prev = phi @ u_hat if u_prev_full is None else u_prev_full
     t_next = (time_index + 1) * spec.dt
 
     fluxes = face_fluxes(u_prev, spec)
     adv = (spec.dt / spec.dx) * (fluxes[1:] - fluxes[:-1])
     u_star = u_prev - adv
 
-    if spec.diffusion_D is None:
-        a_phi = phi
-        rhs_known = u_star
-    else:
-        system = diffusion_system_for(spec, context.euler_nodes, t_next, u_star)
-        a_phi = _apply_identity_minus_diffusion(system, phi)
-        rhs_known = u_star
-        if not spec.periodic:
-            rhs_known = u_star.copy()
-            rhs_known[0] += system.mu * system.d_faces[0] * spec.bc_values[0]
-            rhs_known[-1] += system.mu * system.d_faces[-1] * spec.bc_values[1]
+    jac = context.jacobian
+    rhs_known = u_star
+    if spec.diffusion_D is not None:
+        system = context.system
+        if system is None:
+            system = diffusion_system_for(spec, context.euler_nodes, t_next, u_star)
+        rhs_known = system.with_boundary_terms(u_star)
+        if jac is None:
+            jac = context.basis_t @ _apply_identity_minus_diffusion(system, phi)
 
-    jac = context.basis_t @ a_phi
     target = context.basis_t @ rhs_known
     u_next_hat = u_hat.copy()
     for iteration in range(1, NEWTON_CAP + 1):
@@ -199,9 +221,16 @@ def pod_step_lagrangian(
         raise ValueError("basis frame must be lagrangian")
     if context is None:
         context = PodStepContext.for_basis(basis, spec)
+    z_prev = context.basis_matrix @ z_hat if z_prev_full is None else z_prev_full
+    z_next_hat, iterations, _ = _lagrangian_newton(context, z_hat, z_prev, spec, time_index)
+    return StepResult(z_next_hat, iterations)
+
+
+def _lagrangian_newton(context: PodStepContext, z_hat, z_prev, spec: ProblemSpec, time_index: int):
+    """Body of ``pod_step_lagrangian``; also returns the reconstruction of the
+    new state, which the last Newton iteration has already computed."""
     phi = context.basis_matrix
     n = context.pos_block.shape[0]
-    z_prev = phi @ z_hat if z_prev_full is None else z_prev_full
     x_prev, u_prev = z_prev[:n], z_prev[n:]
     if np.any(np.diff(x_prev) <= 0.0):
         raise GridEntanglement(
@@ -216,15 +245,17 @@ def pod_step_lagrangian(
     else:
         nodes = context.euler_nodes
         u_tilde = interp_unchecked(x_prev, u_prev, nodes, context.periodic, context.period)
-        system = diffusion_system_for(spec, nodes, t_next, u_tilde)
+        system = context.system
+        if system is None:
+            system = diffusion_system_for(spec, nodes, t_next, u_tilde)
         u_tilde_new = system.solve(u_tilde)
         u_target = interp_unchecked(nodes, u_tilde_new, x_prev, context.periodic, context.period)
 
     base_x = x_prev + dt_half * _speed_vector(spec, u_prev)
 
     z_next_hat = z_hat.copy()
+    z_next = z_prev
     for iteration in range(1, NEWTON_CAP + 1):
-        z_next = phi @ z_next_hat
         x_next, u_next = z_next[:n], z_next[n:]
         f_next = _speed_vector(spec, u_next)
         r_x = x_next - base_x - dt_half * f_next
@@ -232,18 +263,22 @@ def pod_step_lagrangian(
         proj_resid = context.pos_block_t @ r_x + context.val_block_t @ r_u
         _newton_guard(proj_resid, iteration)
         if math.sqrt(float(proj_resid @ proj_resid)) <= NEWTON_TOL:
-            return StepResult(z_next_hat, iteration - 1)
-        # d(flux speed)/du by scaled forward differences; everything else in
-        # the Jacobian is the identity thanks to the orthonormal basis.
-        h = FD_STEP * np.maximum(1.0, np.abs(u_next))
-        f_prime = (_speed_vector(spec, u_next + h) - f_next) / h
-        jac = context.identity_r - dt_half * (context.pos_block_t @ (f_prime[:, None] * context.val_block))
+            return z_next_hat, iteration - 1, z_next
+        # The orthonormal basis leaves I - (dt/2) P^T diag(f'(u)) V; a
+        # scalar f' = c reduces that to the per-run block c P^T V.
+        f_prime = np.asarray(spec.flux_df(u_next), dtype=float)
+        if f_prime.ndim == 0:
+            coupling = float(f_prime) * context.pos_t_val
+        else:
+            coupling = context.pos_block_t @ (f_prime[:, None] * context.val_block)
+        jac = context.identity_r - dt_half * coupling
         try:
             delta = kernels.solve_small(jac, proj_resid)
         except NumericalFailure as exc:
             raise NewtonDivergence(f"singular reduced Jacobian: {exc}", iterations=iteration) from exc
         z_next_hat = z_next_hat - delta
         _newton_guard(z_next_hat, iteration)
+        z_next = phi @ z_next_hat
     raise NewtonDivergence(f"no convergence in {NEWTON_CAP} iterations", iterations=NEWTON_CAP)
 
 
@@ -273,12 +308,12 @@ def run_pod_rom(basis: PodBasis, initial_full: np.ndarray, spec: ProblemSpec, ho
     lagrangian = basis.frame == FRAME_LAGRANGIAN
     for k in range(horizon):
         if lagrangian:
-            z_hat, used = pod_step_lagrangian(basis, z_hat, spec, k, context, z_prev_full=recon)
+            z_hat, used, recon = _lagrangian_newton(context, z_hat, recon, spec, k)
         else:
-            z_hat, used = pod_step_eulerian(basis, z_hat, spec, k, context)
+            z_hat, used = pod_step_eulerian(basis, z_hat, spec, k, context, u_prev_full=recon)
+            recon = context.basis_matrix @ z_hat
         iters.append(used)
         reduced[:, k + 1] = z_hat
-        recon = context.basis_matrix @ z_hat
         full[:, k] = recon
     snaps = SnapshotMatrix(full, np.arange(1, horizon + 1)) if horizon else SnapshotMatrix(
         np.empty((basis.basis.shape[0], 0)), np.empty(0, dtype=int)

@@ -60,13 +60,18 @@ def one_plus_sin(x):
 
 
 def constant_speed_flux(c: float):
+    """Wave speed, flux and speed derivative of transport at constant speed c."""
+
     def speed(u):
         return np.full_like(np.asarray(u, dtype=float), c)
 
     def flux(u):
         return c * np.asarray(u, dtype=float)
 
-    return speed, flux
+    def speed_derivative(u):
+        return 0.0
+
+    return speed, flux, speed_derivative
 
 
 def burgers_speed(u):
@@ -78,11 +83,8 @@ def burgers_flux(u):
     return 0.5 * u * u
 
 
-def constant_diffusion(d: float):
-    def coefficient(x, t, u):
-        return np.full_like(np.asarray(x, dtype=float), d)
-
-    return coefficient
+def burgers_speed_derivative(u):
+    return 1.0
 
 
 @dataclass(frozen=True)
@@ -220,10 +222,9 @@ _ICS = {
 def _build_spec(entry: dict, n: int, m_steps: int) -> ProblemSpec:
     lo, hi = entry["domain"]
     if entry["speed"] == "burgers":
-        speed, flux = burgers_speed, burgers_flux
+        speed, flux, speed_derivative = burgers_speed, burgers_flux, burgers_speed_derivative
     else:
-        speed, flux = constant_speed_flux(float(entry["speed"]))
-    diffusion = entry["diffusion"]
+        speed, flux, speed_derivative = constant_speed_flux(float(entry["speed"]))
     return ProblemSpec(
         domain_lo=lo,
         domain_hi=hi,
@@ -232,7 +233,8 @@ def _build_spec(entry: dict, n: int, m_steps: int) -> ProblemSpec:
         t_final=1.0,
         flux_f=speed,
         flux_F=flux,
-        diffusion_D=None if diffusion is None else constant_diffusion(float(diffusion)),
+        flux_df=speed_derivative,
+        diffusion_D=entry["diffusion"],
         initial_u0=_ICS[entry["ic"]],
         bc=entry["bc"],
         bc_values=(0.0, 0.0),

@@ -7,7 +7,7 @@ from lagrom.core import DIRICHLET_ZERO, PERIODIC, ProblemSpec
 from lagrom.presets import (
     burgers_flux,
     burgers_speed,
-    constant_diffusion,
+    burgers_speed_derivative,
     constant_speed_flux,
     gaussian_pulse,
     one_plus_sin,
@@ -26,11 +26,11 @@ def make_spec(
 ):
     """Small advection-diffusion problem with preset-style ingredients."""
     if speed == "burgers":
-        f, flux = burgers_speed, burgers_flux
+        f, flux, df = burgers_speed, burgers_flux, burgers_speed_derivative
         lo, hi = 0.0, 2.0 * np.pi
         ic = ic or one_plus_sin
     else:
-        f, flux = constant_speed_flux(c)
+        f, flux, df = constant_speed_flux(c)
         lo, hi = 0.0, 2.0
         ic = ic or gaussian_pulse
     return ProblemSpec(
@@ -41,7 +41,8 @@ def make_spec(
         t_final=t_final,
         flux_f=f,
         flux_F=flux,
-        diffusion_D=None if diffusion is None else constant_diffusion(diffusion),
+        flux_df=df,
+        diffusion_D=diffusion,
         initial_u0=ic,
         bc=bc,
     )

@@ -1,5 +1,7 @@
 """Grids, problem validation, interpolation, and snapshot assembly."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from lagrom.core import (
     uniform_grid,
 )
 from lagrom.errors import DimensionMismatch, NonMonotonicGrid, NumericalFailure
+from lagrom.presets import PRESET_NAMES, ExperimentConfig, resolve
 
 from conftest import make_spec
 
@@ -74,6 +77,29 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             bad.validate_flux_consistency()
         spec.validate_flux_consistency()
+
+    @pytest.mark.parametrize("preset", [p for p in PRESET_NAMES if p != "custom"])
+    def test_every_preset_derivative_is_consistent(self, preset):
+        spec = resolve(ExperimentConfig(preset=preset, scale=10)).spec
+        assert spec.validate_flux_consistency() < 1e-6
+
+    @pytest.mark.parametrize(
+        "speed, wrong_df",
+        [("burgers", lambda u: 0.0), ("burgers", lambda u: 2.0 * np.asarray(u)), ("const", lambda u: 1.0)],
+    )
+    def test_flux_consistency_rejects_wrong_derivative(self, speed, wrong_df):
+        bad = replace(make_spec(speed=speed, bc=PERIODIC if speed == "burgers" else "dirichlet-zero"), flux_df=wrong_df)
+        with pytest.raises(ValueError, match="flux_df"):
+            bad.validate_flux_consistency()
+
+    def test_number_diffusion_broadcasts(self):
+        spec = make_spec(diffusion=0.25)
+        assert spec.diffusion_is_constant
+        x = spec.grid().nodes
+        assert np.array_equal(spec.diffusion_at(x, 0.0, None), np.full(x.shape, 0.25))
+        varying = replace(spec, diffusion_D=lambda x, t, u: 0.25)
+        assert not varying.diffusion_is_constant
+        assert np.array_equal(varying.diffusion_at(x, 0.0, None), np.full(x.shape, 0.25))
 
 
 class TestStateVector:

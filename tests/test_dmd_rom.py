@@ -209,10 +209,12 @@ class TestPredict:
         model = fit_dmd(np.column_stack([v * 1.5**k for k in range(6)]), epsilon=1e-8)
         assert np.all(np.isfinite(predict(model, 10)))
         with np.errstate(over="ignore"):
-            with pytest.raises(NumericalFailure, match="time index 5000 "):
+            with pytest.raises(NumericalFailure, match="time index 5000 ") as exc:
                 predict(model, 5000)
-            with pytest.raises(NumericalFailure, match="time index 2000 "):
+            assert exc.value.time_index == 5000
+            with pytest.raises(NumericalFailure, match="time index 2000 ") as exc:
                 predict_series(model, [10, 2000, 5000])
+            assert exc.value.time_index == 2000
 
 
 class TestLagrangianObservable:

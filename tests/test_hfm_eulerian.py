@@ -135,6 +135,7 @@ class TestVariableDiffusion:
             t_final=spec.t_final,
             flux_f=spec.flux_f,
             flux_F=spec.flux_F,
+            flux_df=spec.flux_df,
             diffusion_D=lambda x, t, u: 0.01 * (1.0 + 0.5 * np.sin(x)) * (1.0 + 0.1 * np.abs(u)),
             initial_u0=spec.initial_u0,
             bc=spec.bc,
@@ -158,7 +159,7 @@ class TestConservationAndResidual:
         spec = make_spec(speed="const", c=1.0, diffusion=0.01, n=150, m_steps=200)
         grid = spec.grid()
         state = StateVector(gaussian_pulse(grid.nodes), grid)
-        ws = EulerianStepWorkspace.for_size(len(grid))
+        ws = EulerianStepWorkspace.for_spec(spec)
         for _ in range(30):
             state = advance_eulerian(state, spec, ws)
             assert ws.last_residual <= 1e-10

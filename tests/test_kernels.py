@@ -32,9 +32,15 @@ def dense_from_bands(lower, diag, upper, corner_top=0.0, corner_bottom=0.0):
 def test_thomas_matches_dense_solve(n):
     rng = np.random.default_rng(n)
     lower, diag, upper, rhs = random_tridiag(n, rng)
-    x = kernels.thomas_solve(lower, diag, upper, rhs)
-    oracle = np.linalg.solve(dense_from_bands(lower, diag, upper), rhs)
-    assert np.allclose(x, oracle, atol=1e-12)
+    dense = dense_from_bands(lower, diag, upper)
+    factor = kernels.factor_tridiagonal(lower, diag, upper)
+    x = kernels.thomas_solve(factor, rhs)
+    assert x.shape == (n,)
+    assert np.allclose(x, np.linalg.solve(dense, rhs), atol=1e-12)
+    # one factorization serves any number of right-hand sides
+    for _ in range(3):
+        b = rng.standard_normal(n)
+        assert np.allclose(kernels.thomas_solve(factor, b), np.linalg.solve(dense, b), atol=1e-12)
 
 
 def test_thomas_zero_pivot_raises():
@@ -43,7 +49,7 @@ def test_thomas_zero_pivot_raises():
     diag = np.zeros(n)
     upper = np.zeros(n)
     with pytest.raises(SingularTridiagonal):
-        kernels.thomas_solve(lower, diag, upper, np.ones(n))
+        kernels.factor_tridiagonal(lower, diag, upper)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 128])
@@ -51,9 +57,14 @@ def test_cyclic_thomas_matches_dense(n):
     rng = np.random.default_rng(n + 100)
     lower, diag, upper, rhs = random_tridiag(n, rng)
     ct, cb = -0.3, -0.4
-    x = kernels.cyclic_thomas_solve(lower, diag, upper, ct, cb, rhs)
-    oracle = np.linalg.solve(dense_from_bands(lower, diag, upper, ct, cb), rhs)
-    assert np.allclose(x, oracle, atol=1e-11)
+    dense = dense_from_bands(lower, diag, upper, ct, cb)
+    factor = kernels.factor_cyclic(lower, diag, upper, ct, cb)
+    x = kernels.cyclic_thomas_solve(factor, rhs)
+    assert x.shape == (n,)
+    assert np.allclose(x, np.linalg.solve(dense, rhs), atol=1e-11)
+    for _ in range(3):
+        b = rng.standard_normal(n)
+        assert np.allclose(kernels.cyclic_thomas_solve(factor, b), np.linalg.solve(dense, b), atol=1e-11)
 
 
 def interp_per_point(src, vals, x):

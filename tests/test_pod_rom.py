@@ -113,6 +113,7 @@ class TestNewtonBehavior:
             t_final=spec.t_final,
             flux_f=lambda u: np.full_like(np.asarray(u, float), np.nan),
             flux_F=spec.flux_F,
+            flux_df=spec.flux_df,
             diffusion_D=None,
             initial_u0=spec.initial_u0,
             bc=spec.bc,
