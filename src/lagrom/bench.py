@@ -2,7 +2,10 @@
 timing records, and CSV/JSON emission.
 
 Conventions for the emitted files (all numeric output is full double
-precision so reruns diff bit-identically):
+precision so reruns diff bit-identically). Every number in a CSV reads
+exactly as ``core.NUMBER_FORMAT`` (``%.17g``) prints it. One block formatter,
+``core.write_number_table``, writes the tables in numpy blocks; only the
+error CSV, whose state and bound cells may be blank, formats cell by cell:
 
 * ``snapshots.csv``          training states, header ``t,x_1..x_N``, one row per time
 * ``lagrangian_positions.csv`` / ``lagrangian_values.csv`` paired moving-frame data
@@ -11,7 +14,8 @@ precision so reruns diff bit-identically):
                              reference grid, error_observable the absolute
                              2-norm error of the method's observable vector
 * ``<method>_modes.csv``     leading three fitted modes (real and imaginary parts)
-* ``timing.json``            wall-clock seconds per phase (excluded from determinism)
+* ``timing.json``            wall-clock seconds per phase, including ``emit_seconds``
+                             for writing the CSVs (excluded from determinism)
 * ``manifest.json``          resolved configuration and file inventory
 * ``plot.py``                standalone matplotlib script rendering the figures
 """
@@ -27,7 +31,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import NUMBER_FORMAT, format_row, stacked_to_grid
+from .core import stacked_to_grid, write_number_table
 from .dmd_rom import fit_dmd, fit_lagrangian_dmd, predict_series
 from .errors import GridEntanglement, LagromError
 from .error_analysis import (
@@ -93,6 +97,7 @@ class RunRecord:
     hfm_eulerian_seconds: float = 0.0
     hfm_lagrangian_seconds: Optional[float] = None
     hfm_levelset_seconds: Optional[float] = None
+    emit_seconds: Optional[float] = None
     methods: Dict[str, MethodResult] = field(default_factory=dict)
     output_dir: Optional[str] = None
 
@@ -364,12 +369,11 @@ def _write_snapshot_csv(path, times_dt, data, preamble=None):
     """Rows are states over time; data columns are snapshots."""
     n = data.shape[0]
     header = "t," + ",".join(f"x_{j + 1}" for j in range(n))
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         if preamble:
-            fh.write(preamble + "\n")
-        fh.write(header + "\n")
-        for k in range(data.shape[1]):
-            fh.write(f"{NUMBER_FORMAT % times_dt[k]},{format_row(data[:, k])}\n")
+            fh.write((preamble + "\n").encode())
+        fh.write((header + "\n").encode())
+        write_number_table(fh, times_dt[: data.shape[1]], data.T)
 
 
 def _write_modes_csv(path, coords, modes):
@@ -377,13 +381,13 @@ def _write_modes_csv(path, coords, modes):
     for j in range(modes.shape[1]):
         names += [f"mode{j + 1}_re", f"mode{j + 1}_im"]
         cols += [np.real(modes[:, j]), np.imag(modes[:, j])]
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in np.column_stack(cols):
-            fh.write(format_row(row) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
+        write_number_table(fh, *cols)
 
 
 def _emit_outputs(out_dir: Path, resolved: ResolvedExperiment, record: RunRecord, euler_run, lagr_run, level_run=None):
+    started = time.perf_counter()
     spec = resolved.spec
     m = resolved.n_snapshots
     dt = spec.dt
@@ -414,11 +418,13 @@ def _emit_outputs(out_dir: Path, resolved: ResolvedExperiment, record: RunRecord
             modes_path = out_dir / f"{name}_modes.csv"
             _write_modes_csv(modes_path, coords, result.modes)
             files.append(modes_path.name)
+    record.emit_seconds = time.perf_counter() - started
 
     timing = {
         "hfm_eulerian_seconds": record.hfm_eulerian_seconds,
         "hfm_lagrangian_seconds": record.hfm_lagrangian_seconds,
         "hfm_levelset_seconds": record.hfm_levelset_seconds,
+        "emit_seconds": record.emit_seconds,
         "methods": {
             name: {
                 "rank": res.rank,
@@ -581,6 +587,7 @@ def load_timing(run_dir) -> RunRecord:
         hfm_eulerian_seconds=payload.get("hfm_eulerian_seconds", 0.0),
         hfm_lagrangian_seconds=payload.get("hfm_lagrangian_seconds"),
         hfm_levelset_seconds=payload.get("hfm_levelset_seconds"),
+        emit_seconds=payload.get("emit_seconds"),
         output_dir=str(run_dir),
     )
     for name, info in payload.get("methods", {}).items():
@@ -648,4 +655,10 @@ def validate_run_dir(run_dir) -> List[tuple]:
     if timing_path.exists():
         payload = json.loads(timing_path.read_text())
         add("timing label matches", payload.get("label") == manifest.get("label"))
+        emit = payload.get("emit_seconds")
+        add(
+            "timing emit_seconds nonnegative",
+            isinstance(emit, (int, float)) and not isinstance(emit, bool) and emit >= 0,
+            f"emit_seconds {emit!r}",
+        )
     return checks

@@ -330,9 +330,11 @@ def stacked_to_grid(stacked, grid, bc: str = "clamp", period: float = None):
     """Take one stacked [x; u] column back to ``grid``.
 
     Splits the column at its midpoint and interpolates the values onto the
-    grid nodes with the given boundary rule. Returns (positions, values,
-    values_on_grid). The positions must be strictly increasing; crossings
-    mean the moving grid is unusable.
+    grid nodes with the given boundary rule (``linear_interpolate``'s
+    ``bc``). Returns (positions, values, values_on_grid). The positions must
+    be strictly increasing; crossings mean the moving grid is unusable. That
+    check is the only one the positions need, so the interpolation itself
+    runs unchecked.
     """
     col = np.asarray(stacked, dtype=float)
     if col.size != 2 * len(grid):
@@ -340,9 +342,212 @@ def stacked_to_grid(stacked, grid, bc: str = "clamp", period: float = None):
     positions, values = col[: col.size // 2], col[col.size // 2 :]
     if np.any(np.diff(positions) <= 0.0):
         raise GridEntanglement("predicted positions are not strictly increasing")
-    return positions, values, linear_interpolate(positions, values, grid, bc=bc, period=period)
+    periodic = bc == "periodic"
+    if periodic and period is None:
+        raise ValueError("periodic interpolation requires the domain period")
+    nodes = grid.nodes if isinstance(grid, Grid1D) else np.asarray(grid, dtype=float)
+    return positions, values, interp_unchecked(positions, values, nodes, periodic, period)
 
 
-def format_row(values) -> str:
-    """One comma-separated line (no newline) of numbers in ``NUMBER_FORMAT``."""
-    return ",".join([NUMBER_FORMAT] * len(values)) % tuple(values)
+# Cells formatted per block and per compaction step: bound the writer's
+# scratch memory (48 canvas bytes per block cell, about 170 index bytes per
+# step cell) whatever the table size.
+_BLOCK_CELLS = 8192
+_COMPACT_CELLS = 2048
+# A nonzero |x| < 1e17 has exponent d in [-324, 16], so k = 16 - d in [0, 340].
+_K_MAX = 340
+# 5**k is exact in a double for k <= 22, so the scaled product is exact there.
+_K_EXACT = 22
+_TIE_WINDOW = 1e-9
+_SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+
+# Every byte a cell may print, in print order, 48 bytes (six 8-byte words)
+# per cell; a cell's layout keeps a subset of them:
+#    0 "-"   1 "0"   2 "."   3-5 "000"   6 + 2j digit j of 17
+#    7 + 2j "." after digit j (j < 16)   39 "e"   40 "-"   41-43 the three
+#    digits of |d|   44 separator   45-47 unused
+_CANVAS_BYTES = 48
+_SEP = 44
+# Layout classes: 0..20 fixed notation with d = class - 4, then exponent
+# notation with two or three exponent digits, then zero. A layout is
+# (class, sign, significant digits); rows past them keep a prefix of the
+# canvas, for cells formatted by ``%`` itself.
+_EXP2, _EXP3, _ZERO_CLASS = 21, 22, 23
+_PREFIX_LAYOUTS = (_ZERO_CLASS + 1) * 2 * 17
+
+
+def _split(v):
+    """Veltkamp split: v == hi + lo with each half holding 26 bits."""
+    c = _SPLITTER * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _power5_tables():
+    """hi, hi's split halves and lo with 5**k == hi + lo to about 2**-106.
+
+    Built from Python ints; numpy int64 powers overflow from k = 28.
+    """
+    table = np.empty((4, _K_MAX + 1))
+    for k in range(_K_MAX + 1):
+        power = 5**k
+        hi = float(power)
+        table[:, k] = (hi, *_split(hi), float(power - int(hi)))
+    return tuple(table)
+
+
+def _layout_masks() -> np.ndarray:
+    """Kept canvas bytes per layout, then the prefix rows."""
+    grid = np.meshgrid(np.arange(_ZERO_CLASS + 1), (0, 1), np.arange(1, 18), indexing="ij")
+    cls, negative, n_digits = (g.reshape(-1, 1) for g in grid)
+    d = cls - 4
+    zero = cls == _ZERO_CLASS
+    expo = (cls == _EXP2) | (cls == _EXP3)
+    integer = ~expo & ~zero & (d >= 0)
+    small = ~expo & ~zero & (d < 0)
+    masks = np.zeros((_PREFIX_LAYOUTS + _CANVAS_BYTES + 1, _CANVAS_BYTES), dtype=bool)
+    layouts = masks[:_PREFIX_LAYOUTS]
+    layouts[:, [0]] = negative == 1
+    layouts[:, [1]] = small | zero
+    layouts[:, [2]] = small
+    layouts[:, 3:6] = small & (np.arange(3) < -d - 1)
+    # fixed notation prints every integer digit, even a trailing zero
+    layouts[:, 6:40:2] = ~zero & (np.arange(17) < np.where(integer, np.maximum(n_digits, d + 1), n_digits))
+    dot_after = np.where(integer, d, np.where(expo, 0, -1))
+    layouts[:, 7:38:2] = (np.arange(16) == dot_after) & (n_digits > dot_after + 1)
+    layouts[:, [39, 40, 42, 43]] = expo
+    layouts[:, [41]] = cls == _EXP3
+    layouts[:, [_SEP]] = True
+    masks[_PREFIX_LAYOUTS:] = np.arange(_CANVAS_BYTES) < np.arange(_CANVAS_BYTES + 1)[:, None]
+    return masks
+
+
+def _ascii_words(*columns) -> np.ndarray:
+    """One 8-byte word per row from eight columns of byte values."""
+    return np.ascontiguousarray(np.column_stack(np.broadcast_arrays(*columns)), dtype=np.uint8).view(np.uint64)[:, 0]
+
+
+_POW5_HI, _POW5_HI_HI, _POW5_HI_LO, _POW5_LO = _power5_tables()
+_LAYOUT_MASKS = _layout_masks()
+# Canvas words: word 0 carries the leading digit, words 1-4 four digits
+# each with a dot after every digit (the last word ends in "e" instead),
+# word 5 the exponent of k.
+_ZERO_CHAR, _DOT_CHAR = ord("0"), ord(".")
+_LEAD_WORDS = _ascii_words(*b"-0.000", _ZERO_CHAR + np.arange(10), _DOT_CHAR)
+_QUAD = np.arange(10000)
+_QUAD_DIGITS = [_ZERO_CHAR + _QUAD // 10**p % 10 for p in (3, 2, 1, 0)]
+_QUAD_COLUMNS = [c for digit in _QUAD_DIGITS for c in (digit, _DOT_CHAR)]
+_QUAD_WORDS = _ascii_words(*_QUAD_COLUMNS)
+_LAST_QUAD_WORDS = _ascii_words(*_QUAD_COLUMNS[:-1], ord("e"))
+_EXPONENT = np.abs(16 - np.arange(_K_MAX + 1))
+_EXP_WORDS = _ascii_words(ord("-"), *(_ZERO_CHAR + _EXPONENT // 10**p % 10 for p in (2, 1, 0)), 0, 0, 0, 0)
+# Significant digits of a four-digit group, up to its last nonzero digit.
+_QUAD_SIGNIFICANT = 4 - (_QUAD % 10 == 0) - (_QUAD % 100 == 0) - (_QUAD % 1000 == 0) - (_QUAD == 0)
+_LINE_END, _COMMA = ord("\n"), ord(",")
+
+
+def _significands(ax: np.ndarray):
+    """k = 16 - d, the 17-digit significand D and where D is exact, per |x|."""
+    with np.errstate(all="ignore"):
+        k = np.clip(16 - np.floor(np.log10(ax)).astype(np.int64), 0, _K_MAX)
+        a = np.ldexp(ax, k)
+        p = a * _POW5_HI[k]
+        ah, al = _split(a)
+        hh, hl = _POW5_HI_HI[k], _POW5_HI_LO[k]
+        rest = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * _POW5_LO[k]
+        exact = (ax < 1e17) & ((p > 1e16) | ((p == 1e16) & (rest >= 0.0))) & (p < 1e17)
+        exact &= (k <= _K_EXACT) | (np.abs(rest - np.floor(rest) - 0.5) >= _TIE_WINDOW)
+        # p is an even integer (it exceeds 2**53), so rounding rest half-even
+        # rounds S = p + rest half-even
+        digits = p.astype(np.int64) + np.rint(rest).astype(np.int64)
+    exact &= digits < 10**17
+    return k, np.where(exact, digits, 10**16), exact
+
+
+def _fill_canvas(canvas: np.ndarray, k: np.ndarray, digits: np.ndarray, sep: np.ndarray) -> np.ndarray:
+    """Write every printable byte of each cell; returns its significant digits."""
+    lead, digits = np.divmod(digits, 10**16)
+    upper, lower = np.divmod(digits, 10**8)
+    q1, q2 = np.divmod(upper, 10**4)
+    q3, q4 = np.divmod(lower, 10**4)
+    canvas[:, 0] = _LEAD_WORDS[lead]
+    canvas[:, 1] = _QUAD_WORDS[q1]
+    canvas[:, 2] = _QUAD_WORDS[q2]
+    canvas[:, 3] = _QUAD_WORDS[q3]
+    canvas[:, 4] = _LAST_QUAD_WORDS[q4]
+    canvas[:, 5] = _EXP_WORDS[k]
+    canvas.view(np.uint8)[:, _SEP] = sep
+    significant = _QUAD_SIGNIFICANT
+    return np.where(
+        q4 > 0,
+        13 + significant[q4],
+        np.where(q3 > 0, 9 + significant[q3], np.where(q2 > 0, 5 + significant[q2], 1 + significant[q1])),
+    )
+
+
+def _write_cells(fh, x: np.ndarray, sep: np.ndarray, canvas: np.ndarray) -> None:
+    """Write ``NUMBER_FORMAT % v`` and its separator byte for every cell of x."""
+    n = x.size
+    ax = np.abs(x)
+    zero = ax == 0.0
+    k, digits, exact = _significands(ax)
+    canvas = canvas[:n]
+    n_digits = _fill_canvas(canvas, k, digits, sep)
+    d = 16 - k
+    cls = np.where(d >= -4, d + 4, np.where(d <= -100, _EXP3, _EXP2))
+    cls[zero] = _ZERO_CLASS
+    layout = (cls * 2 + np.signbit(x)) * 17 + n_digits - 1
+    text_bytes = canvas.view(np.uint8)
+    fallback = np.flatnonzero(~(exact | zero))
+    if fallback.size:
+        texts = np.array([NUMBER_FORMAT % v for v in x[fallback].tolist()], dtype=f"S{_CANVAS_BYTES}")
+        lengths = np.char.str_len(texts)
+        text_bytes[fallback] = texts.view(np.uint8).reshape(-1, _CANVAS_BYTES)
+        text_bytes[fallback, lengths] = sep[fallback]
+        layout[fallback] = _PREFIX_LAYOUTS + lengths + 1
+    # Compact by index: a boolean mask copies run by run, and a cell's kept
+    # bytes form a dozen short runs.
+    for s in range(0, n, _COMPACT_CELLS):
+        keep = _LAYOUT_MASKS[layout[s : s + _COMPACT_CELLS]]
+        fh.write(text_bytes[s : s + _COMPACT_CELLS].reshape(-1).take(np.flatnonzero(keep)))
+
+
+def write_number_table(fh, *columns) -> None:
+    """Write a table of float64 cells to the binary file ``fh`` as CSV lines.
+
+    The table is ``columns`` side by side: each is a 1-D array (one column)
+    or a 2-D array (several), all with the same number of rows. Every cell is
+    byte-for-byte ``NUMBER_FORMAT % value``, cells are joined with ``,`` and
+    each row ends with a newline. Cells are formatted with numpy and written
+    in blocks of at most ``_BLOCK_CELLS``, so memory stays bounded and no
+    whole-table copy is made.
+
+    Exactness: for finite nonzero |x| < 1e17, d = floor(log10 |x|) and
+    k = 16 - d give S = |x| * 10**k = ldexp(|x|, k) * 5**k, whose
+    round-half-even integer D is the 17-digit significand ``%.17g`` prints.
+    ldexp is exact and 5**k is a double-double hi + lo; Dekker's two-product
+    makes ldexp(|x|, k) * hi exact, so S is exact for k <= 22 (where
+    lo == 0) and within about 5e-15 otherwise, far inside the 1e-9 window
+    around one half checked below. A cell is formatted by ``%`` itself when
+    * it is nan, inf or |x| >= 1e17;
+    * S is not in [1e16, 1e17), which catches a log10 that was off by one;
+    * k > 22 and the fraction of S lies within 1e-9 of one half.
+    Zeros print as ``0`` and ``-0`` without that fallback.
+    """
+    parts = [np.asarray(c, dtype=float) for c in columns]
+    parts = [c[:, None] if c.ndim == 1 else c for c in parts]
+    n_rows = parts[0].shape[0]
+    width = sum(c.shape[1] for c in parts)
+    if width == 0:
+        fh.write(b"\n" * n_rows)
+        return
+    rows_per_block = max(1, _BLOCK_CELLS // width)
+    sep = np.full((rows_per_block, width), _COMMA, dtype=np.uint8)
+    sep[:, -1] = _LINE_END
+    sep = sep.ravel()
+    canvas = np.empty((min(_BLOCK_CELLS, n_rows * width), _CANVAS_BYTES // 8), dtype=np.uint64)
+    for r0 in range(0, n_rows, rows_per_block):
+        cells = np.hstack([c[r0 : r0 + rows_per_block] for c in parts]).ravel()
+        for c0 in range(0, cells.size, _BLOCK_CELLS):
+            block = cells[c0 : c0 + _BLOCK_CELLS]
+            _write_cells(fh, block, sep[c0 : c0 + block.size], canvas)

@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import NUMBER_FORMAT, Grid1D, SnapshotMatrix, format_row, split_stacked, stacked_to_grid
+from .core import NUMBER_FORMAT, Grid1D, SnapshotMatrix, split_stacked, stacked_to_grid, write_number_table
 from .errors import (
     DimensionMismatch,
     NumericalFailure,
@@ -280,24 +280,25 @@ def save_dmd_model(model: DmdModel, path) -> None:
         ("reduced_operator", model.reduced_operator),
         ("projected_anchor", model.projected_anchor[None, :]),
     )
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         fh.write(
-            "lagrom-dmd-v1\n"
-            f"kind={model.observable_kind}\n"
-            f"base_time_index={model.base_time_index}\n"
-            f"training_count={model.training_count}\n"
-            f"rank={model.rank}\n"
-            f"rows={model.n_rows}\n"
-            f"train_residual={NUMBER_FORMAT % model.train_residual}\n"
-            f"real_input={int(model.real_input)}\n"
-            f"requested_rank={'' if model.requested_rank is None else model.requested_rank}\n"
+            (
+                "lagrom-dmd-v1\n"
+                f"kind={model.observable_kind}\n"
+                f"base_time_index={model.base_time_index}\n"
+                f"training_count={model.training_count}\n"
+                f"rank={model.rank}\n"
+                f"rows={model.n_rows}\n"
+                f"train_residual={NUMBER_FORMAT % model.train_residual}\n"
+                f"real_input={int(model.real_input)}\n"
+                f"requested_rank={'' if model.requested_rank is None else model.requested_rank}\n"
+            ).encode()
         )
         for name, matrix in blocks:
             matrix = np.asarray(matrix, dtype=complex)
             for part, values in (("re", matrix.real), ("im", matrix.imag)):
-                fh.write(f"[{name}_{part}]\n")
-                for row in values:
-                    fh.write(format_row(row) + "\n")
+                fh.write(f"[{name}_{part}]\n".encode())
+                write_number_table(fh, values)
 
 
 def load_dmd_model(path) -> DmdModel:

@@ -105,6 +105,10 @@ class TestRunExperiment:
         assert manifest["deterministic"] is True
         assert manifest["n_cells"] == 40
         compile((out / "plot.py").read_text(), "plot.py", "exec")
+        timing = json.loads((out / "timing.json").read_text())
+        assert isinstance(timing["emit_seconds"], float) and timing["emit_seconds"] >= 0
+        assert timing["emit_seconds"] == record.emit_seconds
+        assert load_timing(out).emit_seconds == record.emit_seconds
 
     def test_record_contents(self, tmp_path):
         record = run_experiment(tiny_config(output_dir=str(tmp_path / "out")), keep_states=True)
@@ -244,6 +248,17 @@ class TestCli:
         parts = lines[-1].split(",")
         parts[4] = "0.0"  # force a bound below the recorded error
         lines[-1] = ",".join(parts)
+        original = errors.read_bytes()
         errors.write_text("\n".join(lines) + "\n")
         assert main(["validate", str(out)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+        errors.write_bytes(original)
+        timing_path = out / "timing.json"
+        timing = json.loads(timing_path.read_text())
+        for bad in (-1.0, None, "0.5", True):
+            timing["emit_seconds"] = bad
+            timing_path.write_text(json.dumps(timing))
+            assert main(["validate", str(out)]) == 1
+            failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+            assert len(failed) == 1 and "emit_seconds" in failed[0], failed

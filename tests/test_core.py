@@ -15,8 +15,10 @@ from lagrom.core import (
     assemble_snapshots,
     linear_interpolate,
     split_stacked,
+    stacked_to_grid,
     uniform_grid,
 )
+from lagrom import core
 from lagrom.errors import DimensionMismatch, NonMonotonicGrid, NumericalFailure
 from lagrom.presets import PRESET_NAMES, ExperimentConfig, resolve
 
@@ -208,6 +210,32 @@ class TestInterpolation:
     def test_non_monotone_source_raises(self):
         with pytest.raises(NonMonotonicGrid):
             linear_interpolate(np.array([0.0, 2.0, 1.0]), np.zeros(3), np.array([0.5]))
+
+
+class TestStackedToGrid:
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_matches_validating_interpolation_without_repeating_its_check(self, monkeypatch, periodic):
+        rng = np.random.default_rng(6)
+        period = 2.0 * np.pi
+        grid = uniform_grid(0.0, period, 64, periodic=periodic)
+        # a periodic column spans less than one period; a clamped one overhangs the grid
+        positions = np.sort(rng.uniform(-0.2, period - 0.2, 64) if periodic else rng.uniform(-0.3, period + 0.3, 64))
+        values = rng.standard_normal(64)
+        rule = {"bc": "periodic", "period": period} if periodic else {"bc": "clamp"}
+        want = linear_interpolate(positions, values, grid, **rule)
+
+        def no_second_check(*args, **kwargs):
+            raise AssertionError("positions were validated twice")
+
+        monkeypatch.setattr(core, "linear_interpolate", no_second_check)
+        got_positions, got_values, got = stacked_to_grid(np.concatenate([positions, values]), grid, **rule)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_positions, positions) and np.array_equal(got_values, values)
+
+    def test_periodic_requires_period(self):
+        grid = uniform_grid(0.0, 1.0, 2, periodic=True)
+        with pytest.raises(ValueError):
+            stacked_to_grid(np.array([0.0, 0.5, 1.0, 1.0]), grid, bc="periodic")
 
 
 class TestAssembly:
