@@ -12,7 +12,10 @@ runs the LU elimination (LAPACK ``gttrf``) once, and ``thomas_solve`` /
 (one ``gttrs`` each). A periodic system stores its Sherman-Morrison vector
 and denominator with the factorization, so a periodic solve is one ``gttrs``
 plus an O(1) correction. A run whose diffusion coefficient is constant
-factors once and solves once per step.
+factors once and solves once per step. The small dense Newton systems follow
+the same split: ``factor_small`` (``getrf``) once per run when the reduced
+Jacobian is constant, ``small_factor_solve`` (``getrs``) per iteration, and
+``solve_small`` for a Jacobian that changes at every step.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dgttrf, dgttrs
 
 from .errors import NumericalFailure, SingularTridiagonal
 
@@ -48,6 +51,13 @@ class TridiagonalFactor(NamedTuple):
     du2: np.ndarray
     ipiv: np.ndarray
     n: int
+
+
+class SmallFactor(NamedTuple):
+    """LU factors of a small dense matrix as LAPACK ``getrf`` returns them."""
+
+    lu: np.ndarray
+    piv: np.ndarray
 
 
 class CyclicFactor(NamedTuple):
@@ -143,10 +153,30 @@ def interp_clamped(src, vals, dst):
 def interp_periodic(src, vals, dst, period):
     """Periodic variant: wrap destinations into the source window and bridge
     the seam segment from the last source node to the first plus one period.
+
+    Offsets within one period of the window are wrapped by one masked add or
+    subtract of the period, which rounds exactly as ``np.mod`` does there and
+    costs a fraction of it; farther offsets take ``np.mod``.
     """
-    shifted = src[0] + np.mod(dst - src[0], period)
-    src_ext = np.concatenate([src, src[:1] + period])
-    vals_ext = np.concatenate([vals, vals[:1]])
+    origin = src[0]
+    shifted = dst - origin
+    lo = np.minimum.reduce(shifted, initial=0.0)
+    hi = np.maximum.reduce(shifted, initial=0.0)
+    if lo < -period or hi >= 2.0 * period:
+        shifted = np.mod(shifted, period)
+    else:
+        if lo < 0.0:
+            np.add(shifted, period, out=shifted, where=shifted < 0.0)
+        if hi >= period:
+            np.subtract(shifted, period, out=shifted, where=shifted >= period)
+    shifted += origin
+    n = src.shape[0]
+    src_ext = np.empty(n + 1)
+    src_ext[:n] = src
+    src_ext[n] = origin + period
+    vals_ext = np.empty(n + 1)
+    vals_ext[:n] = vals
+    vals_ext[n] = vals[0]
     return np.interp(shifted, src_ext, vals_ext)
 
 
@@ -168,8 +198,27 @@ def diffusion_bands(d_nodes, mu, periodic):
     return d_faces, lower, diag, upper
 
 
+def factor_small(a) -> SmallFactor:
+    """LU-factor a small dense matrix once for any number of later solves.
+
+    Raises ``NumericalFailure`` on an exactly zero pivot, which
+    ``scipy.linalg.lu_factor`` would only warn about.
+    """
+    lu, piv, info = dgetrf(a)
+    if info > 0:
+        n = a.shape[0]
+        raise NumericalFailure(f"zero pivot in row {info - 1} of a {n}x{n} system")
+    return SmallFactor(lu, piv)
+
+
+def small_factor_solve(factor: SmallFactor, rhs):
+    """Solve a factored small dense system for one right-hand side."""
+    x, _ = dgetrs(factor.lu, factor.piv, rhs)
+    return x
+
+
 def solve_small(a, b):
-    """Dense LAPACK solve for the reduced Newton systems."""
+    """Dense LAPACK solve for reduced Newton systems that change every step."""
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:

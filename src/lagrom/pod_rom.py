@@ -6,15 +6,24 @@ diffusion contribution evaluated through the same interpolate-to-reference,
 diffuse, interpolate-back pipeline as the semi-Lagrangian solver. Both solve
 the projected system with Newton iteration in the reduced coordinates.
 
-No hyper-reduction is applied: every Newton iteration evaluates the residual
-at full dimension, so rollout cost scales with the grid like the solvers do.
-A prepared ``PodStepContext`` holds what is constant over a rollout, so the
-step loop repeats only per-step work: the grid nodes and basis splits; the
-factored diffusion system when D is a number; the fixed-grid stepper's
-projected Jacobian Phi^T (I - dt D2) Phi when D is a number or absent; and
-the coupling block P^T V of the moving-frame Jacobian
-I - (dt/2) P^T diag(f'(u)) V, which for a constant f' = c (``flux_df``
-returning a scalar) is the whole state dependence.
+No hyper-reduction is applied: each step still does full-dimension work, so
+rollout cost scales with the grid like the solvers do. A prepared
+``PodStepContext`` holds what is constant over a rollout, so the step loop
+repeats only per-step work: the grid nodes and basis splits; the factored
+diffusion system when D is a number; and the reduced Jacobian with its LU
+factors when it does not change over the run.
+
+* Fixed grid: the Jacobian Phi^T (I - dt D2) Phi is constant when D is a
+  number or absent, and is factored once per run.
+* Moving frame with a constant f' = c (``flux_df`` returning a scalar): the
+  speed is affine, f(u) = f(0) + c u, so the projected residual is exactly
+  A z - b with the per-run map A = Phi^T Phi - (dt/2) c P^T V. Newton then
+  runs entirely in r x r arithmetic against one LU of A; the step's
+  full-dimension work is one entanglement check, the diffusion round trip,
+  one projection for b and one reconstruction of the converged state.
+* Moving frame with an array-valued f': f has no reduced form, so every
+  Newton iteration evaluates the residual at full dimension and solves its
+  Jacobian I - (dt/2) P^T diag(f'(u)) V afresh.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +43,8 @@ from .svd_core import reduced_svd, truncate, truncation_rank
 
 NEWTON_TOL = 1e-10
 NEWTON_CAP = 50
+# Relative tolerance of the check that a constant f' comes with an affine f.
+AFFINE_TOL = 1e-12
 
 FRAME_EULERIAN = "eulerian"
 FRAME_LAGRANGIAN = "lagrangian"
@@ -77,9 +88,10 @@ class PodStepContext:
     """Per-run constants shared by every step of one rollout.
 
     ``system`` is the run's factored diffusion system when D is a number.
-    ``jacobian`` is the fixed-grid stepper's projected Jacobian when it does
-    not change over the run (D a number or absent), else None. ``pos_t_val``
-    is P^T V for moving-frame bases.
+    ``jacobian`` is the reduced Jacobian when it does not change over the run
+    (fixed grid: D a number or absent; moving frame: a scalar f'), else None,
+    and ``jacobian_factor`` its LU factors. ``flux_at_zero`` is f(0) on the
+    nodes when the moving-frame residual is affine.
     """
 
     basis_matrix: np.ndarray
@@ -88,31 +100,48 @@ class PodStepContext:
     val_block: Optional[np.ndarray]
     pos_block_t: Optional[np.ndarray]
     val_block_t: Optional[np.ndarray]
-    pos_t_val: Optional[np.ndarray]
     euler_nodes: np.ndarray
     periodic: bool
     period: float
     identity_r: np.ndarray
     system: Optional[DiffusionSystem]
     jacobian: Optional[np.ndarray]
+    jacobian_factor: Optional[kernels.SmallFactor]
+    flux_at_zero: Optional[np.ndarray]
 
     @classmethod
-    def for_basis(cls, basis: PodBasis, spec: ProblemSpec) -> "PodStepContext":
+    def for_basis(cls, basis: PodBasis, spec: ProblemSpec, initial_full: np.ndarray) -> "PodStepContext":
+        """Prepare a rollout from ``initial_full``, the full state it starts
+        from; a moving-frame rollout checks its flux against that state.
+
+        Raises ``ValueError`` when ``flux_df`` returns a constant but
+        ``flux_f`` is not affine, and ``NewtonDivergence`` when a per-run
+        Jacobian is singular.
+        """
         phi = basis.basis
         phi_t = np.ascontiguousarray(phi.T)
         nodes = np.array(spec.grid().nodes)
         system = run_diffusion_system(spec)
-        pos = val = pos_t = val_t = pos_t_val = jacobian = None
+        pos = val = pos_t = val_t = jacobian = flux_at_zero = None
         if basis.frame == FRAME_LAGRANGIAN:
             n = phi.shape[0] // 2
             pos, val = phi[:n], phi[n:]
             pos_t = np.ascontiguousarray(pos.T)
             val_t = np.ascontiguousarray(val.T)
-            pos_t_val = pos_t @ val
+            affine = _affine_speed(spec, np.asarray(initial_full, dtype=float)[n:])
+            if affine is not None:
+                slope, flux_at_zero = affine
+                jacobian = phi_t @ phi - (0.5 * spec.dt * slope) * (pos_t @ val)
         elif spec.diffusion_D is None:
             jacobian = phi_t @ phi
         elif system is not None:
             jacobian = phi_t @ _apply_identity_minus_diffusion(system, phi)
+        factor = None
+        if jacobian is not None:
+            try:
+                factor = kernels.factor_small(jacobian)
+            except NumericalFailure as exc:
+                raise NewtonDivergence(f"singular reduced Jacobian: {exc}", iterations=0) from exc
         return cls(
             basis_matrix=phi,
             basis_t=phi_t,
@@ -120,13 +149,14 @@ class PodStepContext:
             val_block=val,
             pos_block_t=pos_t,
             val_block_t=val_t,
-            pos_t_val=pos_t_val,
             euler_nodes=nodes,
             periodic=spec.periodic,
             period=spec.domain_length,
             identity_r=np.eye(basis.rank),
             system=system,
             jacobian=jacobian,
+            jacobian_factor=factor,
+            flux_at_zero=flux_at_zero,
         )
 
 
@@ -137,9 +167,52 @@ def _speed_vector(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
     return f
 
 
+def _affine_speed(spec: ProblemSpec, u: np.ndarray) -> Optional[Tuple[float, np.ndarray]]:
+    """(c, f(0)) when ``flux_df`` returns a scalar c, else None.
+
+    A scalar f' promises f(u) = f(0) + c u, which the reduced residual relies
+    on; that is checked once, on the state ``u``. Non-finite speeds are left
+    to the Newton guards.
+    """
+    slope = np.asarray(spec.flux_df(u), dtype=float)
+    if slope.ndim:
+        return None
+    c = float(slope)
+    f_u = _speed_vector(spec, u)
+    f_zero = _speed_vector(spec, np.zeros_like(u))
+    worst = float(np.max(np.abs(f_u - (f_zero + c * u)), initial=0.0))
+    if worst > AFFINE_TOL * max(1.0, float(np.max(np.abs(f_u), initial=0.0))):
+        raise ValueError(
+            f"flux_df returns the constant {c!r} but flux_f is not affine on the initial state "
+            f"(max deviation {worst:.3e})"
+        )
+    return c, f_zero
+
+
 def _newton_guard(vec: np.ndarray, iteration: int) -> None:
     if not np.isfinite(vec).all():
         raise NewtonDivergence(f"non-finite iterate at Newton iteration {iteration}", iterations=iteration)
+
+
+def _reduced_newton(jac: np.ndarray, factor, z_hat: np.ndarray, target: np.ndarray):
+    """Newton on a reduced residual jac z - target that is affine in z.
+
+    ``factor`` holds jac's LU factors when jac is a per-run constant; without
+    it each solve factors jac afresh.
+    """
+    z_next_hat = z_hat.copy()
+    for iteration in range(1, NEWTON_CAP + 1):
+        resid = jac @ z_next_hat - target
+        _newton_guard(resid, iteration)
+        if math.sqrt(float(resid @ resid)) <= NEWTON_TOL:
+            return z_next_hat, iteration - 1
+        if factor is None:
+            delta = kernels.solve_small(jac, resid)
+        else:
+            delta = kernels.small_factor_solve(factor, resid)
+        z_next_hat = z_next_hat - delta
+        _newton_guard(z_next_hat, iteration)
+    raise NewtonDivergence(f"no convergence in {NEWTON_CAP} iterations", iterations=NEWTON_CAP)
 
 
 def pod_step_eulerian(
@@ -159,36 +232,28 @@ def pod_step_eulerian(
     """
     if basis.frame != FRAME_EULERIAN:
         raise ValueError("basis frame must be eulerian")
-    if context is None:
-        context = PodStepContext.for_basis(basis, spec)
-    phi = context.basis_matrix
+    phi = basis.basis
     u_prev = phi @ u_hat if u_prev_full is None else u_prev_full
+    if context is None:
+        context = PodStepContext.for_basis(basis, spec, u_prev)
     t_next = (time_index + 1) * spec.dt
 
     fluxes = face_fluxes(u_prev, spec)
     adv = (spec.dt / spec.dx) * (fluxes[1:] - fluxes[:-1])
     u_star = u_prev - adv
 
-    jac = context.jacobian
     rhs_known = u_star
     if spec.diffusion_D is not None:
         system = context.system
         if system is None:
             system = diffusion_system_for(spec, context.euler_nodes, t_next, u_star)
         rhs_known = system.with_boundary_terms(u_star)
-        if jac is None:
-            jac = context.basis_t @ _apply_identity_minus_diffusion(system, phi)
 
     target = context.basis_t @ rhs_known
-    u_next_hat = u_hat.copy()
-    for iteration in range(1, NEWTON_CAP + 1):
-        resid = jac @ u_next_hat - target
-        _newton_guard(resid, iteration)
-        if math.sqrt(float(resid @ resid)) <= NEWTON_TOL:
-            return StepResult(u_next_hat, iteration - 1)
-        u_next_hat = u_next_hat - kernels.solve_small(jac, resid)
-        _newton_guard(u_next_hat, iteration)
-    raise NewtonDivergence(f"no convergence in {NEWTON_CAP} iterations", iterations=NEWTON_CAP)
+    jac = context.jacobian
+    if jac is None:
+        jac = context.basis_t @ _apply_identity_minus_diffusion(system, phi)
+    return StepResult(*_reduced_newton(jac, context.jacobian_factor, u_hat, target))
 
 
 def _apply_identity_minus_diffusion(system, columns: np.ndarray) -> np.ndarray:
@@ -219,16 +284,16 @@ def pod_step_lagrangian(
     """
     if basis.frame != FRAME_LAGRANGIAN:
         raise ValueError("basis frame must be lagrangian")
+    z_prev = basis.basis @ z_hat if z_prev_full is None else z_prev_full
     if context is None:
-        context = PodStepContext.for_basis(basis, spec)
-    z_prev = context.basis_matrix @ z_hat if z_prev_full is None else z_prev_full
+        context = PodStepContext.for_basis(basis, spec, z_prev)
     z_next_hat, iterations, _ = _lagrangian_newton(context, z_hat, z_prev, spec, time_index)
     return StepResult(z_next_hat, iterations)
 
 
 def _lagrangian_newton(context: PodStepContext, z_hat, z_prev, spec: ProblemSpec, time_index: int):
     """Body of ``pod_step_lagrangian``; also returns the reconstruction of the
-    new state, which the last Newton iteration has already computed."""
+    new state, which the next step starts from."""
     phi = context.basis_matrix
     n = context.pos_block.shape[0]
     x_prev, u_prev = z_prev[:n], z_prev[n:]
@@ -251,26 +316,29 @@ def _lagrangian_newton(context: PodStepContext, z_hat, z_prev, spec: ProblemSpec
         u_tilde_new = system.solve(u_tilde)
         u_target = interp_unchecked(nodes, u_tilde_new, x_prev, context.periodic, context.period)
 
-    base_x = x_prev + dt_half * _speed_vector(spec, u_prev)
+    f_prev = _speed_vector(spec, u_prev)
+    if context.jacobian is not None:
+        # f(u) = f(0) + c u turns the position residual into P z - (dt/2) c V z
+        # minus known terms, so the whole residual is A z - b.
+        base_x = x_prev + dt_half * (f_prev + context.flux_at_zero)
+        target = context.pos_block_t @ base_x + context.val_block_t @ u_target
+        z_next_hat, iterations = _reduced_newton(context.jacobian, context.jacobian_factor, z_hat, target)
+        return z_next_hat, iterations, phi @ z_next_hat
 
+    base_x = x_prev + dt_half * f_prev
     z_next_hat = z_hat.copy()
     z_next = z_prev
     for iteration in range(1, NEWTON_CAP + 1):
         x_next, u_next = z_next[:n], z_next[n:]
-        f_next = _speed_vector(spec, u_next)
-        r_x = x_next - base_x - dt_half * f_next
+        r_x = x_next - base_x - dt_half * _speed_vector(spec, u_next)
         r_u = u_next - u_target
         proj_resid = context.pos_block_t @ r_x + context.val_block_t @ r_u
         _newton_guard(proj_resid, iteration)
         if math.sqrt(float(proj_resid @ proj_resid)) <= NEWTON_TOL:
             return z_next_hat, iteration - 1, z_next
-        # The orthonormal basis leaves I - (dt/2) P^T diag(f'(u)) V; a
-        # scalar f' = c reduces that to the per-run block c P^T V.
+        # The orthonormal basis leaves I - (dt/2) P^T diag(f'(u)) V.
         f_prime = np.asarray(spec.flux_df(u_next), dtype=float)
-        if f_prime.ndim == 0:
-            coupling = float(f_prime) * context.pos_t_val
-        else:
-            coupling = context.pos_block_t @ (f_prime[:, None] * context.val_block)
+        coupling = context.pos_block_t @ (f_prime[:, None] * context.val_block)
         jac = context.identity_r - dt_half * coupling
         try:
             delta = kernels.solve_small(jac, proj_resid)
@@ -294,16 +362,20 @@ class PodRomRun:
 
 
 def run_pod_rom(basis: PodBasis, initial_full: np.ndarray, spec: ProblemSpec, horizon: int) -> PodRomRun:
-    """Project the initial state, step to the horizon, reconstruct each state."""
+    """Project the initial state, step to the horizon, reconstruct each state.
+
+    States are stored time-major, one contiguous row per step, and returned
+    as column-ordered transposes.
+    """
     started = time.perf_counter()
-    context = PodStepContext.for_basis(basis, spec)
     z0 = np.asarray(initial_full, dtype=float)
+    context = PodStepContext.for_basis(basis, spec, z0)
     z_hat = basis.project(z0)
     recon = context.basis_matrix @ z_hat
     proj_err = float(np.linalg.norm(z0 - recon))
-    reduced = np.empty((basis.rank, horizon + 1))
-    reduced[:, 0] = z_hat
-    full = np.empty((basis.basis.shape[0], horizon))
+    reduced = np.empty((horizon + 1, basis.rank))
+    reduced[0] = z_hat
+    full = np.empty((horizon, basis.basis.shape[0]))
     iters: List[int] = []
     lagrangian = basis.frame == FRAME_LAGRANGIAN
     for k in range(horizon):
@@ -313,10 +385,8 @@ def run_pod_rom(basis: PodBasis, initial_full: np.ndarray, spec: ProblemSpec, ho
             z_hat, used = pod_step_eulerian(basis, z_hat, spec, k, context, u_prev_full=recon)
             recon = context.basis_matrix @ z_hat
         iters.append(used)
-        reduced[:, k + 1] = z_hat
-        full[:, k] = recon
-    snaps = SnapshotMatrix(full, np.arange(1, horizon + 1)) if horizon else SnapshotMatrix(
-        np.empty((basis.basis.shape[0], 0)), np.empty(0, dtype=int)
-    )
+        reduced[k + 1] = z_hat
+        full[k] = recon
+    snaps = SnapshotMatrix(full.T, np.arange(1, horizon + 1))
     elapsed = time.perf_counter() - started
-    return PodRomRun(snaps, reduced, iters, proj_err, elapsed)
+    return PodRomRun(snaps, reduced.T, iters, proj_err, elapsed)

@@ -77,6 +77,28 @@ def test_constant_diffusion_system_is_built_once_per_run(monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("preset", ["test4", "test0-advection"])
+def test_pod_jacobian_is_factored_once_per_rollout(monkeypatch, preset):
+    calls = {"factor_small": 0, "solve_small": 0}
+
+    def counting(name):
+        original = getattr(kernels, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(kernels, name, counting(name))
+    record = run_experiment(ExperimentConfig(preset=preset, scale=20), emit=False)
+    assert not any(m.failure for m in record.methods.values())
+    # test4 runs one Lagrangian POD rollout and test0-advection one Eulerian
+    # POD rollout; each has a constant reduced Jacobian.
+    assert calls == {"factor_small": 1, "solve_small": 0}
+
+
 @pytest.mark.parametrize("solver", [run_eulerian_hfm, run_lagrangian_hfm])
 @pytest.mark.parametrize("fault, message", [(1e10, "residual"), (np.nan, "non-finite")])
 def test_solver_failure_carries_time_index(solver, fault, message):

@@ -97,10 +97,22 @@ def test_interp_periodic_matches_np_interp_period_mode():
     period = 2.0 * np.pi
     src = np.sort(rng.random(50)) * (period * 0.97)
     vals = np.sin(src)
-    dst = rng.random(300) * 3 * period - period
+    wrap_edges = [
+        src[:1],
+        src[:1] + period,
+        np.nextafter(src[:1], -np.inf),
+        src - period,
+        src + period,
+    ]
+    dst = np.concatenate([rng.random(300) * 3 * period - period, *wrap_edges])
     reference = np.interp(dst, src, vals, period=period)
     fast = kernels.interp_periodic(src, vals, dst, period)
     assert np.allclose(reference, fast, atol=1e-12)
+    # Bit for bit what wrapping by np.mod and bridging the seam gives.
+    shifted = src[0] + np.mod(dst - src[0], period)
+    by_mod = np.interp(shifted, np.append(src, src[0] + period), np.append(vals, vals[0]))
+    assert np.array_equal(fast, by_mod)
+    assert kernels.interp_periodic(src, vals, np.empty(0), period).shape == (0,)
 
 
 def dense_diffusion_operator(d_nodes, mu, periodic):
@@ -150,6 +162,23 @@ def test_solve_small_matches_lapack():
 def test_solve_small_singular_raises():
     with pytest.raises(NumericalFailure):
         kernels.solve_small(np.zeros((3, 3)), np.ones(3))
+
+
+def test_factor_small_solves_match_lapack():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 12):
+        a = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        factor = kernels.factor_small(a)
+        for _ in range(3):
+            b = rng.standard_normal(n)
+            assert np.allclose(kernels.small_factor_solve(factor, b), np.linalg.solve(a, b), atol=1e-10)
+
+
+def test_factor_small_singular_raises():
+    with pytest.raises(NumericalFailure, match="zero pivot"):
+        kernels.factor_small(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(NumericalFailure):
+        kernels.factor_small(np.zeros((1, 1)))
 
 
 def upwind_per_row(values, speeds, dt_over_dx, periodic):

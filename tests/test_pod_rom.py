@@ -1,5 +1,7 @@
 """Galerkin reduced models: complete-basis equivalence, Newton behavior, rollouts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,42 @@ class TestRollout:
         errs = np.linalg.norm(rom.snapshots.data - reference, axis=0)
         assert errs[:25].max() < 1e-3
         assert errs[-1] > 10 * errs[24]
+
+
+class TestAffineResidual:
+    """A scalar f' = c makes the moving-frame residual A z - b with a per-run A;
+    an array-valued f' keeps the full-dimension residual."""
+
+    @staticmethod
+    def rollout(spec):
+        run = run_lagrangian_hfm(spec, 20)
+        basis = fit_pod(run.snapshots, fixed_rank=8, frame=FRAME_LAGRANGIAN)
+        z0 = np.concatenate([run.positions[:, 0], run.values[:, 0]])
+        return run_pod_rom(basis, z0, spec, spec.n_steps)
+
+    def test_reduced_and_full_dimension_residuals_agree(self):
+        scalar = make_spec(speed="burgers", diffusion=0.1, n=100, m_steps=60, bc=PERIODIC)
+        array = replace(scalar, flux_df=lambda u: np.ones_like(u))
+        reduced, full = self.rollout(scalar), self.rollout(array)
+        assert reduced.newton_iterations == full.newton_iterations
+        ref = full.snapshots.data
+        assert np.max(np.abs(reduced.snapshots.data - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_scalar_slope_with_non_affine_flux_rejected(self):
+        spec = make_spec(speed="burgers", n=40, m_steps=10, bc=PERIODIC)
+        quadratic = replace(spec, flux_f=lambda u: u * u, flux_df=lambda u: 1.0)
+        basis = identity_basis(80, FRAME_LAGRANGIAN)
+        z0 = np.concatenate([spec.grid().nodes, spec.initial_u0(spec.grid().nodes)])
+        with pytest.raises(ValueError, match="flux_df"):
+            run_pod_rom(basis, z0, quadratic, 1)
+
+    def test_singular_per_run_jacobian_raises(self):
+        # p = v = e1/sqrt(2), f' = 1 and dt = 4: Phi^T Phi = 1 = (dt/2) P^T V,
+        # so A = Phi^T Phi - (dt/2) c P^T V is exactly zero.
+        spec = make_spec(speed="burgers", n=4, m_steps=1, t_final=4.0, bc=PERIODIC)
+        phi = np.zeros((8, 1))
+        phi[0, 0] = phi[4, 0] = 1.0 / np.sqrt(2.0)
+        basis = PodBasis(phi, 1, FRAME_LAGRANGIAN)
+        z0 = np.concatenate([spec.grid().nodes, np.ones(4)])
+        with pytest.raises(NewtonDivergence, match="singular reduced Jacobian"):
+            run_pod_rom(basis, z0, spec, 1)
