@@ -31,9 +31,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import stacked_to_grid, write_number_table
+from .core import interp_unchecked, write_number_table
 from .dmd_rom import fit_dmd, fit_lagrangian_dmd, predict_series
-from .errors import GridEntanglement, LagromError
+from .errors import DimensionMismatch, GridEntanglement, LagromError
 from .error_analysis import (
     ErrorReport,
     error_bound_series,
@@ -60,6 +60,8 @@ from .presets import (
 )
 
 OUTPUT_ROOT_ENV = "LAGROM_OUT_ROOT"
+# Stacked columns taken to the fixed grid per block by _states_on_reference_grid.
+GRID_BLOCK_COLUMNS = 32
 
 
 @dataclass
@@ -100,6 +102,26 @@ class RunRecord:
     emit_seconds: Optional[float] = None
     methods: Dict[str, MethodResult] = field(default_factory=dict)
     output_dir: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class _Reference:
+    """What every method of one run is scored against, built once per run."""
+
+    states: np.ndarray  # fixed-grid solver states at indices 1..M
+    state_norms: np.ndarray  # their column 2-norms, the relative_l2 scale
+    observables: Optional[np.ndarray]  # stacked [x; u] moving-frame states at 1..M
+
+    @classmethod
+    def of(cls, euler_run, lagr_run) -> "_Reference":
+        states = euler_run.trajectory[:, 1:]
+        observables = None
+        if lagr_run is not None:
+            observables = np.vstack([lagr_run.positions[:, 1:], lagr_run.values[:, 1:]])
+        return cls(states, np.linalg.norm(states, axis=0), observables)
+
+    def relative_state_error(self, states: np.ndarray) -> np.ndarray:
+        return relative_l2(self.states, states, scale=self.state_norms)
 
 
 def _time_call(fn, *args, **kwargs):
@@ -153,15 +175,14 @@ def _leading_modes(matrix: np.ndarray, k: int = 3) -> np.ndarray:
     return np.asarray(matrix)[:, : min(k, matrix.shape[1])]
 
 
-def _run_eulerian_dmd(resolved, euler_run, keep_states):
+def _run_eulerian_dmd(resolved, euler_run, ref, keep_states):
     spec = resolved.spec
     horizon = spec.n_steps
     model, fit_s = _time_call(
         fit_dmd, euler_run.snapshots, epsilon=resolved.epsilon, fixed_rank=resolved.fixed_rank
     )
     preds, roll_s = _time_call(predict_series, model, np.arange(1, horizon + 1))
-    reference = euler_run.trajectory[:, 1:]
-    report = _dmd_report(model, reference, preds, relative_l2(reference, preds), spec.dt, horizon)
+    report = _dmd_report(model, ref.states, preds, ref.relative_state_error(preds), spec.dt, horizon)
     return MethodResult(
         method=METHOD_EULERIAN_DMD,
         rank=model.rank,
@@ -173,7 +194,7 @@ def _run_eulerian_dmd(resolved, euler_run, keep_states):
     )
 
 
-def _run_eulerian_pod(resolved, euler_run, keep_states):
+def _run_eulerian_pod(resolved, euler_run, ref, keep_states):
     spec = resolved.spec
     horizon = spec.n_steps
     basis, fit_s = _time_call(
@@ -185,8 +206,7 @@ def _run_eulerian_pod(resolved, euler_run, keep_states):
     )
     rollout, roll_s = _time_call(run_pod_rom, basis, euler_run.trajectory[:, 0], spec, horizon)
     recon = rollout.snapshots.data
-    reference = euler_run.trajectory[:, 1:]
-    report = _pod_report(reference, recon, relative_l2(reference, recon), spec.dt, horizon)
+    report = _pod_report(ref.states, recon, ref.relative_state_error(recon), spec.dt, horizon)
     return MethodResult(
         method=METHOD_EULERIAN_POD,
         rank=basis.rank,
@@ -199,41 +219,42 @@ def _run_eulerian_pod(resolved, euler_run, keep_states):
     )
 
 
-def _lagrangian_reference(lagr_run):
-    return np.vstack([lagr_run.positions[:, 1:], lagr_run.values[:, 1:]])
-
-
 def _states_on_reference_grid(stacked_columns, euler_grid, spec):
-    """Interpolate stacked [x; u] columns onto the fixed grid, column by column."""
-    out = np.empty((len(euler_grid), stacked_columns.shape[1]))
-    rule = (
-        {"bc": "periodic", "period": spec.domain_length}
-        if spec.periodic
-        else {"bc": "clamp", "period": None}
-    )
-    for k in range(stacked_columns.shape[1]):
-        try:
-            _, _, out[:, k] = stacked_to_grid(stacked_columns[:, k], euler_grid, **rule)
-        except GridEntanglement as exc:
-            raise GridEntanglement(
-                f"reconstructed positions tangled at time index {k + 1}", time_index=k + 1
-            ) from exc
-    return out
+    """Interpolate stacked [x; u] columns onto the fixed grid.
+
+    Works through ``GRID_BLOCK_COLUMNS`` columns at a time, copied to
+    contiguous time-major rows: the positions of a block are checked for
+    tangling at once, and the first tangled column raises with its own time
+    index. Returns the (N, h) states column-contiguous.
+    """
+    nodes = euler_grid.nodes
+    n = nodes.size
+    if stacked_columns.shape[0] != 2 * n:
+        raise DimensionMismatch("stacked prediction must have 2N rows")
+    out = np.empty((stacked_columns.shape[1], n))
+    for start in range(0, out.shape[0], GRID_BLOCK_COLUMNS):
+        rows = np.ascontiguousarray(stacked_columns[:, start : start + GRID_BLOCK_COLUMNS].T)
+        tangled = np.any(np.diff(rows[:, :n], axis=1) <= 0.0, axis=1)
+        if tangled.any():
+            k = start + int(np.argmax(tangled)) + 1
+            raise GridEntanglement(f"reconstructed positions tangled at time index {k}", time_index=k)
+        for j, row in enumerate(rows, start):
+            out[j] = interp_unchecked(row[:n], row[n:], nodes, spec.periodic, spec.domain_length)
+    return out.T
 
 
-def _run_lagrangian_dmd(resolved, euler_run, lagr_run, keep_states):
+def _run_lagrangian_dmd(resolved, euler_run, lagr_run, ref, keep_states):
     spec = resolved.spec
     horizon = spec.n_steps
     model, fit_s = _time_call(
         fit_lagrangian_dmd, lagr_run.snapshots, epsilon=resolved.epsilon, fixed_rank=resolved.fixed_rank
     )
     preds, roll_s = _time_call(predict_series, model, np.arange(1, horizon + 1))
-    reference_obs = _lagrangian_reference(lagr_run)
     # State-space comparison happens on the fixed grid shared with the
     # reference solver; prediction columns must stay untangled to interpolate.
     states = _states_on_reference_grid(preds, euler_run.grid, spec)
-    rel_state = relative_l2(euler_run.trajectory[:, 1:], states)
-    report = _dmd_report(model, reference_obs, preds, rel_state, spec.dt, horizon)
+    rel_state = ref.relative_state_error(states)
+    report = _dmd_report(model, ref.observables, preds, rel_state, spec.dt, horizon)
     return MethodResult(
         method=METHOD_LAGRANGIAN_DMD,
         rank=model.rank,
@@ -245,7 +266,7 @@ def _run_lagrangian_dmd(resolved, euler_run, lagr_run, keep_states):
     )
 
 
-def _run_lagrangian_pod(resolved, euler_run, lagr_run, keep_states):
+def _run_lagrangian_pod(resolved, euler_run, lagr_run, ref, keep_states):
     spec = resolved.spec
     horizon = spec.n_steps
     basis, fit_s = _time_call(
@@ -258,10 +279,8 @@ def _run_lagrangian_pod(resolved, euler_run, lagr_run, keep_states):
     z0 = np.concatenate([lagr_run.positions[:, 0], lagr_run.values[:, 0]])
     rollout, roll_s = _time_call(run_pod_rom, basis, z0, spec, horizon)
     recon = rollout.snapshots.data
-    reference_obs = _lagrangian_reference(lagr_run)
     states = _states_on_reference_grid(recon, euler_run.grid, spec)
-    rel_state = relative_l2(euler_run.trajectory[:, 1:], states)
-    report = _pod_report(reference_obs, recon, rel_state, spec.dt, horizon)
+    report = _pod_report(ref.observables, recon, ref.relative_state_error(states), spec.dt, horizon)
     return MethodResult(
         method=METHOD_LAGRANGIAN_POD,
         rank=basis.rank,
@@ -274,7 +293,7 @@ def _run_lagrangian_pod(resolved, euler_run, lagr_run, keep_states):
     )
 
 
-def _run_levelset_dmd(resolved, euler_run, level_run, keep_states):
+def _run_levelset_dmd(resolved, level_run, ref, keep_states):
     spec = resolved.spec
     horizon = spec.n_steps
     model, fit_s = _time_call(
@@ -285,14 +304,12 @@ def _run_levelset_dmd(resolved, euler_run, level_run, keep_states):
     for k in range(1, horizon + 1):
         contours[:, k - 1] = predicted_contour(model, k, level_run.x_grid, level_run.y_grid).values
     roll_s = time.perf_counter() - t0
-    reference = euler_run.trajectory[:, 1:]
-    rel_state = relative_l2(reference, contours)
     times = np.arange(1, horizon + 1)
     report = ErrorReport(
         times=times,
         t_values=times * spec.dt,
-        error_state=rel_state,
-        error_observable=truncation_error(reference, contours),
+        error_state=ref.relative_state_error(contours),
+        error_observable=truncation_error(ref.states, contours),
         bound=None,
     )
     return MethodResult(
@@ -344,12 +361,13 @@ def run_experiment(config: ExperimentConfig, keep_states: bool = False, emit: bo
         level_run = run_levelset_hfm(spec, resolved.n_snapshots, n_y=resolved.n_y)
         record.hfm_levelset_seconds = level_run.wall_seconds
 
+    ref = _Reference.of(euler_run, lagr_run)
     runners = {
-        METHOD_EULERIAN_DMD: lambda: _run_eulerian_dmd(resolved, euler_run, keep_states),
-        METHOD_EULERIAN_POD: lambda: _run_eulerian_pod(resolved, euler_run, keep_states),
-        METHOD_LAGRANGIAN_DMD: lambda: _run_lagrangian_dmd(resolved, euler_run, lagr_run, keep_states),
-        METHOD_LAGRANGIAN_POD: lambda: _run_lagrangian_pod(resolved, euler_run, lagr_run, keep_states),
-        METHOD_LEVELSET_DMD: lambda: _run_levelset_dmd(resolved, euler_run, level_run, keep_states),
+        METHOD_EULERIAN_DMD: lambda: _run_eulerian_dmd(resolved, euler_run, ref, keep_states),
+        METHOD_EULERIAN_POD: lambda: _run_eulerian_pod(resolved, euler_run, ref, keep_states),
+        METHOD_LAGRANGIAN_DMD: lambda: _run_lagrangian_dmd(resolved, euler_run, lagr_run, ref, keep_states),
+        METHOD_LAGRANGIAN_POD: lambda: _run_lagrangian_pod(resolved, euler_run, lagr_run, ref, keep_states),
+        METHOD_LEVELSET_DMD: lambda: _run_levelset_dmd(resolved, level_run, ref, keep_states),
     }
     for method in resolved.methods:
         try:

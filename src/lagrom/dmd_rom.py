@@ -3,14 +3,20 @@ moving-frame variant whose observable stacks grid positions over carried
 values.
 
 A fitted model holds the orthonormal data basis U, the reduced one-step
-operator K and the projected anchor snapshot U^T y_base. Prediction at any
+operator K and the projected anchor snapshot U^T y_base. Prediction at one
 future index is the single evaluation ``U @ K^k @ (U^T y_base)`` (the
-projector form of exact DMD; no time stepping), so its cost does not grow
-with the prediction horizon. The form keeps every intermediate at the scale
-of the data: for snapshot data whose one-step operator is nearly defective
-(for example a state growing linearly in time) the eigenvector basis is
-ill-conditioned, and a superposition of modes would cancel about half of its
-floating-point digits.
+projector form of exact DMD; no time stepping in the full dimension), so
+``predict`` costs one r x r matrix power (about log2 k products) and one
+n x r matvec (n observable rows) whatever the horizon. ``predict_series``
+over h indices walks them in sorted order and advances the reduced vector by
+K^gap, one r x r matvec per adjacent index, then applies U once as an
+n x r by r x h product: per index it costs an r x r matvec plus a 1/h share
+of that product, against a matrix power and an n x r matvec for a separate
+``predict``. The form keeps every intermediate at the scale of the data: for
+snapshot data whose one-step operator is nearly defective (for example a
+state growing linearly in time) the eigenvector basis is ill-conditioned,
+and a superposition of modes would cancel about half of its floating-point
+digits.
 
 The complex modes, eigenvalues, amplitudes and mode pseudoinverse are kept
 on the model for the error bound, the emitted mode shapes and diagnostics.
@@ -225,15 +231,29 @@ def predict(model: DmdModel, k: int) -> np.ndarray:
 
 
 def predict_series(model: DmdModel, indices) -> np.ndarray:
-    """Column-stacked predictions for many indices."""
+    """Column-stacked predictions for many indices, in the caller's order.
+
+    The indices are visited in sorted order: the projected anchor advances by
+    ``K^gap`` between consecutive distinct indices (one r x r matvec when they
+    are adjacent), and ``U`` is applied to all reduced columns in one product.
+    The result is column-contiguous (Fortran order).
+    """
     idx = np.asarray(indices, dtype=int)
     if np.any(idx < model.base_time_index):
         raise ValueError("prediction indices precede the anchor snapshot")
-    powers = idx - model.base_time_index
-    reduced = np.empty((model.projected_anchor.size, idx.size), dtype=model.reduced_operator.dtype)
-    for j, p in enumerate(powers):
-        reduced[:, j] = np.linalg.matrix_power(model.reduced_operator, int(p)) @ model.projected_anchor
-    return _checked_real(model.projector @ reduced, model, idx)
+    op = model.reduced_operator
+    current = model.projected_anchor
+    reduced_t = np.empty((idx.size, current.size), dtype=np.result_type(op, current))
+    power = 0
+    for j in np.argsort(idx, kind="stable"):
+        gap = int(idx[j]) - model.base_time_index - power
+        if gap == 1:
+            current = op @ current
+        elif gap:
+            current = np.linalg.matrix_power(op, gap) @ current
+        power += gap
+        reduced_t[j] = current
+    return np.asfortranarray(_checked_real((reduced_t @ model.projector.T).T, model, idx))
 
 
 @dataclass(frozen=True)

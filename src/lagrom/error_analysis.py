@@ -34,11 +34,15 @@ def truncation_error(reference, rom) -> np.ndarray:
     return np.linalg.norm(ref - approx, axis=0)
 
 
-def relative_l2(reference, rom, floor: float = 1e-300) -> np.ndarray:
-    """Column-wise ||ref - rom|| / ||ref||, falling back to absolute on zero columns."""
-    ref = _as_array(reference)
+def relative_l2(reference, rom, floor: float = 1e-300, scale: np.ndarray = None) -> np.ndarray:
+    """Column-wise ||ref - rom|| / ||ref||, falling back to absolute on zero columns.
+
+    ``scale`` may carry the reference's column norms when several
+    approximations are scored against one reference.
+    """
     diff = truncation_error(reference, rom)
-    scale = np.linalg.norm(ref, axis=0)
+    if scale is None:
+        scale = np.linalg.norm(_as_array(reference), axis=0)
     return diff / np.maximum(scale, floor)
 
 

@@ -17,10 +17,15 @@ factors when it does not change over the run.
   number or absent, and is factored once per run.
 * Moving frame with a constant f' = c (``flux_df`` returning a scalar): the
   speed is affine, f(u) = f(0) + c u, so the projected residual is exactly
-  A z - b with the per-run map A = Phi^T Phi - (dt/2) c P^T V. Newton then
-  runs entirely in r x r arithmetic against one LU of A; the step's
-  full-dimension work is one entanglement check, the diffusion round trip,
-  one projection for b and one reconstruction of the converged state.
+  A z - b with the per-run map A = Phi^T Phi - (dt/2) c P^T V, and the
+  position part of b is the per-run affine map B z + g of the previous
+  coordinates, B = P^T P + (dt/2) c P^T V and g = dt P^T f(0). Newton then
+  runs entirely in r x r arithmetic against one LU of A. A step's
+  full-dimension work is one entanglement check, one reconstruction of the
+  converged state and, when D is given, the value target: the diffusion
+  round trip and its projection V^T u_target (one N x r product). With D
+  absent the value target is u = V z, its projection joins B, and b is r x r
+  algebra throughout.
 * Moving frame with an array-valued f': f has no reduced form, so every
   Newton iteration evaluates the residual at full dimension and solves its
   Jacobian I - (dt/2) P^T diag(f'(u)) V afresh.
@@ -90,8 +95,10 @@ class PodStepContext:
     ``system`` is the run's factored diffusion system when D is a number.
     ``jacobian`` is the reduced Jacobian when it does not change over the run
     (fixed grid: D a number or absent; moving frame: a scalar f'), else None,
-    and ``jacobian_factor`` its LU factors. ``flux_at_zero`` is f(0) on the
-    nodes when the moving-frame residual is affine.
+    and ``jacobian_factor`` its LU factors. When the moving-frame residual is
+    affine, ``target_map`` and ``target_offset`` give the part of its target
+    known from the previous coordinates z as ``target_map @ z + target_offset``:
+    the position part, plus V^T V z when D is absent; else they are None.
     """
 
     basis_matrix: np.ndarray
@@ -107,7 +114,8 @@ class PodStepContext:
     system: Optional[DiffusionSystem]
     jacobian: Optional[np.ndarray]
     jacobian_factor: Optional[kernels.SmallFactor]
-    flux_at_zero: Optional[np.ndarray]
+    target_map: Optional[np.ndarray]
+    target_offset: Optional[np.ndarray]
 
     @classmethod
     def for_basis(cls, basis: PodBasis, spec: ProblemSpec, initial_full: np.ndarray) -> "PodStepContext":
@@ -122,7 +130,7 @@ class PodStepContext:
         phi_t = np.ascontiguousarray(phi.T)
         nodes = np.array(spec.grid().nodes)
         system = run_diffusion_system(spec)
-        pos = val = pos_t = val_t = jacobian = flux_at_zero = None
+        pos = val = pos_t = val_t = jacobian = target_map = target_offset = None
         if basis.frame == FRAME_LAGRANGIAN:
             n = phi.shape[0] // 2
             pos, val = phi[:n], phi[n:]
@@ -131,7 +139,13 @@ class PodStepContext:
             affine = _affine_speed(spec, np.asarray(initial_full, dtype=float)[n:])
             if affine is not None:
                 slope, flux_at_zero = affine
-                jacobian = phi_t @ phi - (0.5 * spec.dt * slope) * (pos_t @ val)
+                coupling = (0.5 * spec.dt * slope) * (pos_t @ val)
+                jacobian = phi_t @ phi - coupling
+                # P^T (x + (dt/2)(f(u) + f(0))) with x = P z, u = V z.
+                target_map = pos_t @ pos + coupling
+                if spec.diffusion_D is None:
+                    target_map += val_t @ val
+                target_offset = spec.dt * (pos_t @ flux_at_zero)
         elif spec.diffusion_D is None:
             jacobian = phi_t @ phi
         elif system is not None:
@@ -156,7 +170,8 @@ class PodStepContext:
             system=system,
             jacobian=jacobian,
             jacobian_factor=factor,
-            flux_at_zero=flux_at_zero,
+            target_map=target_map,
+            target_offset=target_offset,
         )
 
 
@@ -279,8 +294,9 @@ def pod_step_lagrangian(
 ) -> StepResult:
     """Advance stacked [positions; values] reduced coordinates one step.
 
-    ``z_prev_full`` may carry the already reconstructed previous state to
-    avoid a redundant basis multiplication inside rollout loops.
+    ``z_prev_full`` may carry the already reconstructed previous state
+    ``basis.basis @ z_hat`` to avoid a redundant basis multiplication inside
+    rollout loops.
     """
     if basis.frame != FRAME_LAGRANGIAN:
         raise ValueError("basis frame must be lagrangian")
@@ -316,16 +332,16 @@ def _lagrangian_newton(context: PodStepContext, z_hat, z_prev, spec: ProblemSpec
         u_tilde_new = system.solve(u_tilde)
         u_target = interp_unchecked(nodes, u_tilde_new, x_prev, context.periodic, context.period)
 
-    f_prev = _speed_vector(spec, u_prev)
-    if context.jacobian is not None:
-        # f(u) = f(0) + c u turns the position residual into P z - (dt/2) c V z
-        # minus known terms, so the whole residual is A z - b.
-        base_x = x_prev + dt_half * (f_prev + context.flux_at_zero)
-        target = context.pos_block_t @ base_x + context.val_block_t @ u_target
+    if context.target_map is not None:
+        # f(u) = f(0) + c u makes the residual A z - b, and every part of b but
+        # the diffused value target a per-run map of the previous coordinates.
+        target = context.target_map @ z_hat + context.target_offset
+        if spec.diffusion_D is not None:
+            target += context.val_block_t @ u_target
         z_next_hat, iterations = _reduced_newton(context.jacobian, context.jacobian_factor, z_hat, target)
         return z_next_hat, iterations, phi @ z_next_hat
 
-    base_x = x_prev + dt_half * f_prev
+    base_x = x_prev + dt_half * _speed_vector(spec, u_prev)
     z_next_hat = z_hat.copy()
     z_next = z_prev
     for iteration in range(1, NEWTON_CAP + 1):

@@ -3,16 +3,23 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lagrom.bench import (
+    GRID_BLOCK_COLUMNS,
+    _states_on_reference_grid,
     load_timing,
     run_experiment,
     timing_table,
     validate_run_dir,
 )
 from lagrom.cli import main
+from lagrom.core import DIRICHLET_ZERO, PERIODIC, stacked_to_grid
+from lagrom.errors import GridEntanglement
 from lagrom.presets import ExperimentConfig, parse_config_file, resolve
+
+from conftest import make_spec
 
 
 TINY = dict(n_cells=40, n_steps=20, n_snapshots=5)
@@ -169,6 +176,42 @@ class TestRunExperiment:
         record = run_experiment(tiny_config(output_dir=str(tmp_path / "out")))
         assert "TooFewSnapshots" in record.methods["lagrangian-dmd"].failure
         assert record.methods["lagrangian-pod"].failure is None
+
+
+class TestStatesOnReferenceGrid:
+    """The blocked moving-to-fixed reconstruction equals per-column stacked_to_grid."""
+
+    COUNT = 2 * GRID_BLOCK_COLUMNS + 6  # a partial last block
+
+    @staticmethod
+    def stacked(spec, count):
+        # Moving grids drifting and stretching about the first node; the later
+        # periodic columns span more than one period.
+        nodes = spec.grid().nodes
+        k = np.arange(1, count + 1)
+        positions = nodes[0] + (nodes[:, None] - nodes[0]) * (1.0 + 0.002 * k) + 0.01 * k
+        values = np.sin(nodes[:, None] + 0.1 * k)
+        return np.vstack([positions, values])
+
+    @pytest.mark.parametrize("speed, bc", [("burgers", PERIODIC), ("const", DIRICHLET_ZERO)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bit_identical_to_per_column(self, speed, bc, order):
+        spec = make_spec(speed=speed, n=50, m_steps=self.COUNT, bc=bc)
+        columns = np.asarray(self.stacked(spec, self.COUNT), order=order)
+        rule = {"bc": "periodic", "period": spec.domain_length} if spec.periodic else {"bc": "clamp"}
+        expected = np.column_stack([stacked_to_grid(col, spec.grid(), **rule)[2] for col in columns.T])
+        got = _states_on_reference_grid(columns, spec.grid(), spec)
+        assert np.array_equal(got, expected)
+        assert got.flags.f_contiguous
+
+    def test_first_tangled_column_reports_its_time_index(self):
+        spec = make_spec(speed="burgers", n=50, m_steps=self.COUNT, bc=PERIODIC)
+        columns = self.stacked(spec, self.COUNT)
+        for col in (GRID_BLOCK_COLUMNS + 8, 2 * GRID_BLOCK_COLUMNS + 1):
+            columns[[5, 6], col] = columns[[6, 5], col]
+        with pytest.raises(GridEntanglement, match=f"time index {GRID_BLOCK_COLUMNS + 9}$") as exc:
+            _states_on_reference_grid(columns, spec.grid(), spec)
+        assert exc.value.time_index == GRID_BLOCK_COLUMNS + 9
 
 
 class TestTimingTable:

@@ -166,6 +166,26 @@ class TestPredict:
         for j, k in enumerate(ks):
             assert np.allclose(series[:, j], predict(model, int(k)), atol=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        offsets=st.lists(st.integers(0, 60), min_size=1, max_size=25),
+        anchor_at=st.integers(0, 25),
+    )
+    def test_stepped_series_matches_single_calls(self, seed, offsets, anchor_at):
+        # Unsorted, repeated and gapped indices with the anchor among them:
+        # each column of the stepped series is its own single evaluation.
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        model = fit_dmd(linear_trajectory(0.98 * q, rng.standard_normal(6), 10), epsilon=1e-12)
+        offsets.insert(anchor_at, 0)
+        ks = model.base_time_index + np.array(offsets)
+        series = predict_series(model, ks)
+        assert series.shape == (6, ks.size) and series.flags.f_contiguous
+        for j, k in enumerate(ks):
+            single = predict(model, int(k))
+            assert np.linalg.norm(series[:, j] - single) <= 1e-12 * np.linalg.norm(single)
+
     def test_before_anchor_rejected(self):
         data = np.column_stack([np.ones(3)] * 4)
         model = fit_dmd(data, epsilon=1e-8)

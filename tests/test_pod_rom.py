@@ -185,13 +185,20 @@ class TestAffineResidual:
         z0 = np.concatenate([run.positions[:, 0], run.values[:, 0]])
         return run_pod_rom(basis, z0, spec, spec.n_steps)
 
-    def test_reduced_and_full_dimension_residuals_agree(self):
-        scalar = make_spec(speed="burgers", diffusion=0.1, n=100, m_steps=60, bc=PERIODIC)
+    def assert_matches_full_dimension(self, scalar):
         array = replace(scalar, flux_df=lambda u: np.ones_like(u))
         reduced, full = self.rollout(scalar), self.rollout(array)
         assert reduced.newton_iterations == full.newton_iterations
         ref = full.snapshots.data
         assert np.max(np.abs(reduced.snapshots.data - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_reduced_and_full_dimension_residuals_agree(self):
+        self.assert_matches_full_dimension(make_spec(speed="burgers", diffusion=0.1, n=100, m_steps=60, bc=PERIODIC))
+
+    def test_pure_transport_reduced_target_agrees(self):
+        # D absent: the value target is V z itself, so the scalar-f' target is
+        # r x r algebra throughout.
+        self.assert_matches_full_dimension(make_spec(speed="burgers", n=100, m_steps=60, t_final=0.5, bc=PERIODIC))
 
     def test_scalar_slope_with_non_affine_flux_rejected(self):
         spec = make_spec(speed="burgers", n=40, m_steps=10, bc=PERIODIC)
