@@ -13,14 +13,12 @@ from .core import (
     ProblemSpec,
     SnapshotMatrix,
     StateVector,
-    assemble_snapshots,
     linear_interpolate,
     split_stacked,
     uniform_grid,
 )
 from .dmd_rom import (
     DmdModel,
-    ObservableMap,
     fit_dmd,
     fit_lagrangian_dmd,
     load_dmd_model,
@@ -32,7 +30,6 @@ from .dmd_rom import (
 )
 from .error_analysis import (
     ErrorReport,
-    error_bound,
     error_bound_series,
     estimate_eps_m,
     relative_l2,

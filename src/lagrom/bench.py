@@ -46,7 +46,7 @@ from .error_analysis import (
 )
 from .hfm_eulerian import run_eulerian_hfm
 from .hfm_lagrangian import run_lagrangian_hfm
-from .levelset import levelset_dmd, predicted_contour, run_levelset_hfm
+from .levelset import extract_zero_contour, levelset_dmd, run_levelset_hfm, unflatten_field
 from .pod_rom import FRAME_EULERIAN, FRAME_LAGRANGIAN, fit_pod, run_pod_rom
 from .presets import (
     METHOD_EULERIAN_DMD,
@@ -60,7 +60,8 @@ from .presets import (
 )
 
 OUTPUT_ROOT_ENV = "LAGROM_OUT_ROOT"
-# Stacked columns taken to the fixed grid per block by _states_on_reference_grid.
+# Columns handled per block by _states_on_reference_grid (stacked states taken
+# to the fixed grid) and by _run_levelset_dmd (predicted level-set fields).
 GRID_BLOCK_COLUMNS = 32
 
 
@@ -299,10 +300,15 @@ def _run_levelset_dmd(resolved, level_run, ref, keep_states):
     model, fit_s = _time_call(
         levelset_dmd, level_run.snapshots, epsilon=resolved.epsilon, fixed_rank=resolved.fixed_rank
     )
+    x_grid, y_grid = level_run.x_grid, level_run.y_grid
     t0 = time.perf_counter()
-    contours = np.empty((len(level_run.x_grid), horizon))
-    for k in range(1, horizon + 1):
-        contours[:, k - 1] = predicted_contour(model, k, level_run.x_grid, level_run.y_grid).values
+    contours = np.empty((len(x_grid), horizon))
+    # A block of predicted fields, not the whole horizon's, is held at once.
+    for start in range(1, horizon + 1, GRID_BLOCK_COLUMNS):
+        indices = np.arange(start, min(start + GRID_BLOCK_COLUMNS, horizon + 1))
+        fields = predict_series(model, indices)
+        for j, k in enumerate(indices):
+            contours[:, k - 1] = extract_zero_contour(unflatten_field(fields[:, j], x_grid, y_grid, k)).values
     roll_s = time.perf_counter() - t0
     times = np.arange(1, horizon + 1)
     report = ErrorReport(

@@ -7,7 +7,7 @@ so instances can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -279,38 +279,6 @@ def linear_interpolate(src_grid, src_values, dst_grid, bc: str = "clamp", period
     else:
         out = interp_unchecked(src, vals, dst, False)
     return out[0] if scalar else out
-
-
-def assemble_snapshots(states: Sequence, grids: Sequence = None) -> SnapshotMatrix:
-    """Stack states (optionally with their grids on top) into a snapshot matrix.
-
-    Without grids, column k is state k. With grids, column k is the vertical
-    stack [grid_k; state_k], grid block first.
-    """
-    if len(states) == 0:
-        raise DimensionMismatch("need at least one state to assemble")
-    vals = []
-    times = []
-    for k, s in enumerate(states):
-        if isinstance(s, StateVector):
-            vals.append(s.values)
-            times.append(s.time_index)
-        else:
-            vals.append(np.asarray(s, dtype=float))
-            times.append(k)
-    n = vals[0].size
-    if any(v.size != n for v in vals):
-        raise DimensionMismatch("states have inconsistent lengths")
-    if grids is not None:
-        if len(grids) != len(vals):
-            raise DimensionMismatch("need one grid per state")
-        gs = [g.nodes if isinstance(g, Grid1D) else np.asarray(g, dtype=float) for g in grids]
-        if any(g.size != n for g in gs):
-            raise DimensionMismatch("grids have inconsistent lengths")
-        cols = [np.concatenate([g, v]) for g, v in zip(gs, vals)]
-    else:
-        cols = vals
-    return SnapshotMatrix(np.column_stack(cols), np.asarray(times, dtype=int))
 
 
 def split_stacked(data, n: int = None):

@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import NUMBER_FORMAT, Grid1D, SnapshotMatrix, split_stacked, stacked_to_grid, write_number_table
+from .core import NUMBER_FORMAT, Grid1D, SnapshotMatrix, stacked_to_grid, write_number_table
 from .errors import (
     DimensionMismatch,
     NumericalFailure,
@@ -43,30 +43,6 @@ OBSERVABLE_STACKED = "lagrangian-stacked"
 OBSERVABLE_LEVELSET = "levelset-field"
 
 _IMAG_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class ObservableMap:
-    """Forward/inverse map between solver state and DMD observable vectors.
-
-    The stacked map is an exact bijection: forward concatenates positions over
-    values, inverse splits at the midpoint row.
-    """
-
-    kind: str
-
-    def forward(self, values: np.ndarray, positions: np.ndarray = None) -> np.ndarray:
-        if self.kind == OBSERVABLE_STACKED:
-            if positions is None:
-                raise DimensionMismatch("stacked observable needs grid positions")
-            return np.concatenate([np.asarray(positions, float), np.asarray(values, float)])
-        return np.asarray(values, dtype=float)
-
-    def inverse(self, observable: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        if self.kind == OBSERVABLE_STACKED:
-            positions, values = split_stacked(np.asarray(observable, float)[:, None])
-            return values[:, 0], positions[:, 0]
-        return np.asarray(observable, dtype=float), None
 
 
 @dataclass(frozen=True)

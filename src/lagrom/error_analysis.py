@@ -63,15 +63,8 @@ def phi_pinv_fnorm(model: DmdModel) -> float:
     return float(np.linalg.norm(model.mode_pseudoinverse, "fro"))
 
 
-def error_bound(model: DmdModel, n: int, anchor_error: float, eps_m: float) -> float:
-    """Bound on the observable error at index n (affine in n past the anchor)."""
-    m = last_training_index(model)
-    if n < m:
-        raise IndexBeforeAnchor(f"index {n} precedes last training index {m}")
-    return phi_pinv_fnorm(model) * (anchor_error + (n - m) * eps_m)
-
-
 def error_bound_series(model: DmdModel, indices, anchor_error: float, eps_m: float) -> np.ndarray:
+    """Bound on the observable error at each index (affine in n past the anchor)."""
     idx = np.asarray(indices, dtype=int)
     if idx.size and idx.min() < last_training_index(model):
         raise IndexBeforeAnchor("series starts before the last training index")

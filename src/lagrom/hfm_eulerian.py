@@ -1,4 +1,5 @@
-"""Eulerian high-fidelity solver.
+"""Eulerian high-fidelity solver, and the owner of the fixed-grid
+discretisation every other stepper calls.
 
 Explicit conservative upwind advection (local wave-speed flux) combined with
 an implicit backward-Euler centered-difference diffusion solve. One step is
@@ -9,12 +10,17 @@ an implicit backward-Euler centered-difference diffusion solve. One step is
 with the face flux F_{j+1/2} = (F(u_R)+F(u_L))/2 - |a| (u_R-u_L)/2 and the
 local speed a taken as the secant slope of F (the tangent f when u_L = u_R).
 
-The implicit system is held as a ``DiffusionSystem``: face coefficients plus
-the LU factors of (I - dt D2). When D is a number the system is the same at
-every step, so a run builds and factors it once (``run_diffusion_system``)
-and each step is one factored solve; a callable D is evaluated, assembled
-and factored at every step. Every step still checks its residual, its
-Courant number and the finiteness of the new state.
+This module owns the pieces of that step: ``advected_state`` (the explicit
+half, through ``face_fluxes``) and ``DiffusionSystem`` (the implicit half:
+face coefficients plus the LU factors of (I - dt D2), with ``apply`` for the
+operator itself and ``solve`` for its inverse). When D is a number the
+system is the same at every step, so a run builds and factors it once
+(``run_diffusion_system``); ``step_system`` hands a step that system, or
+evaluates, assembles and factors one when D is a callable. The
+semi-Lagrangian solver and both POD steppers call these pieces instead of
+repeating them; this module calls only ``kernels`` and ``core``. Every
+solver step checks its residual ``apply(u_new) - with_boundary_terms(u*)``,
+its Courant number and the finiteness of the new state.
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ class EulerianStepWorkspace:
     """
 
     flux_faces: np.ndarray
-    wave_speeds: np.ndarray
     system: Optional["DiffusionSystem"]
     last_residual: float = 0.0
     last_courant: float = 0.0
@@ -51,7 +56,7 @@ class EulerianStepWorkspace:
     @classmethod
     def for_spec(cls, spec: ProblemSpec) -> "EulerianStepWorkspace":
         n = spec.n_cells
-        return cls(flux_faces=np.empty(n + 1), wave_speeds=np.empty(n + 1), system=run_diffusion_system(spec))
+        return cls(flux_faces=np.empty(n + 1), system=run_diffusion_system(spec))
 
 
 def numerical_flux(u_left: float, u_right: float, spec: ProblemSpec) -> float:
@@ -73,7 +78,7 @@ def _extend(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     return np.concatenate([[lo], u, [hi]])
 
 
-def face_fluxes(u: np.ndarray, spec: ProblemSpec, out: np.ndarray = None, speeds_out: np.ndarray = None):
+def face_fluxes(u: np.ndarray, spec: ProblemSpec, out: np.ndarray = None):
     """All N+1 face fluxes for a state of length N, ghost cells included."""
     u_ext = _extend(u, spec)
     f_vals = np.asarray(spec.flux_F(u_ext), dtype=float)
@@ -85,13 +90,17 @@ def face_fluxes(u: np.ndarray, spec: ProblemSpec, out: np.ndarray = None, speeds
     ties = du == 0.0
     secant = d_f / np.where(ties, 1.0, du)
     secant = np.where(ties, tangent, secant)
-    if speeds_out is not None:
-        speeds_out[:] = secant
     flux = 0.5 * (f_vals[1:] + f_vals[:-1]) - 0.5 * np.abs(secant) * du
     if out is not None:
         out[:] = flux
         return out
     return flux
+
+
+def advected_state(u: np.ndarray, spec: ProblemSpec, flux_out: np.ndarray = None) -> np.ndarray:
+    """The explicit half-step u* = u - (dt/dx) (F_{j+1/2} - F_{j-1/2})."""
+    fluxes = face_fluxes(u, spec, out=flux_out)
+    return u - (spec.dt / spec.dx) * (fluxes[1:] - fluxes[:-1])
 
 
 def check_cfl(u: np.ndarray, spec: ProblemSpec) -> float:
@@ -131,6 +140,24 @@ class DiffusionSystem:
             return kernels.cyclic_thomas_solve(self.factor, rhs)
         return kernels.thomas_solve(self.factor, self.with_boundary_terms(rhs))
 
+    def apply(self, columns: np.ndarray) -> np.ndarray:
+        """(I - dt D2) with zero ghost values, on a vector or on each column
+        of a block; periodic corners included. Independent of the
+        elimination path, so it checks ``solve``."""
+        mu = self.mu
+        df = self.d_faces.reshape((-1,) + (1,) * (columns.ndim - 1))
+        out = columns * (1.0 + mu * (df[:-1] + df[1:]))
+        out[1:] -= mu * df[1:-1] * columns[:-1]
+        out[:-1] -= mu * df[1:-1] * columns[1:]
+        if self.periodic:
+            out[0] -= mu * df[0] * columns[-1]
+            out[-1] -= mu * df[-1] * columns[0]
+        return out
+
+    def residual(self, solution: np.ndarray, rhs: np.ndarray) -> float:
+        """Largest entry of apply(solution) - with_boundary_terms(rhs)."""
+        return float(np.max(np.abs(self.apply(solution) - self.with_boundary_terms(rhs))))
+
 
 def diffusion_system_for(spec: ProblemSpec, x: np.ndarray, t: float, u: np.ndarray) -> DiffusionSystem:
     """Evaluate D on the nodes, average it to faces, assemble the implicit
@@ -153,23 +180,12 @@ def run_diffusion_system(spec: ProblemSpec) -> Optional[DiffusionSystem]:
     return diffusion_system_for(spec, spec.grid().nodes, 0.0, None)
 
 
-def second_difference(system: DiffusionSystem, u: np.ndarray) -> np.ndarray:
-    """dt * D2 u, evaluated independently of the elimination path."""
-    if system.periodic:
-        u_ext = np.concatenate([u[-1:], u, u[:1]])
-    else:
-        lo, hi = system.bc_values
-        u_ext = np.concatenate([[lo], u, [hi]])
-    df = system.d_faces
-    return system.mu * (df[1:] * (u_ext[2:] - u_ext[1:-1]) - df[:-1] * (u_ext[1:-1] - u_ext[:-2]))
-
-
-def step_residual(u_new: np.ndarray, u_old: np.ndarray, adv_div: np.ndarray, system: Optional[DiffusionSystem]) -> np.ndarray:
-    """Residual of the full discrete step: u' - u + dt*adv - dt*D2 u'."""
-    r = u_new - u_old + adv_div
-    if system is not None:
-        r = r - second_difference(system, u_new)
-    return r
+def step_system(spec: ProblemSpec, run_system: Optional[DiffusionSystem], x: np.ndarray, t: float, u: np.ndarray) -> DiffusionSystem:
+    """The system one step solves: the run's when D is a number, else one
+    built from D evaluated at (x, t, u)."""
+    if run_system is not None:
+        return run_system
+    return diffusion_system_for(spec, x, t, u)
 
 
 def advance_eulerian(state: StateVector, spec: ProblemSpec, workspace: EulerianStepWorkspace = None) -> StateVector:
@@ -180,27 +196,20 @@ def advance_eulerian(state: StateVector, spec: ProblemSpec, workspace: EulerianS
     workspace.last_courant = check_cfl(u, spec)
     index = state.time_index + 1
 
-    fluxes = face_fluxes(u, spec, out=workspace.flux_faces, speeds_out=workspace.wave_speeds)
-    adv = (spec.dt / spec.dx) * (fluxes[1:] - fluxes[:-1])
-    u_star = u - adv
-
+    u_star = advected_state(u, spec, workspace.flux_faces)
     if spec.diffusion_D is None:
         u_new = u_star
-        system = None
+        workspace.last_residual = 0.0
     else:
-        system = workspace.system
-        if system is None:
-            # D is lagged at the advected intermediate to keep one linear solve.
-            system = diffusion_system_for(spec, state.grid.nodes, index * spec.dt, u_star)
+        # D is lagged at the advected intermediate to keep one linear solve.
+        system = step_system(spec, workspace.system, state.grid.nodes, index * spec.dt, u_star)
         u_new = system.solve(u_star)
-
-    residual = step_residual(u_new, u, adv, system)
-    workspace.last_residual = float(np.max(np.abs(residual)))
-    if workspace.last_residual > RESIDUAL_TOL:
-        raise NumericalFailure(
-            f"step residual {workspace.last_residual:.3e} exceeds {RESIDUAL_TOL:.0e} at time index {index}",
-            time_index=index,
-        )
+        workspace.last_residual = system.residual(u_new, u_star)
+        if workspace.last_residual > RESIDUAL_TOL:
+            raise NumericalFailure(
+                f"step residual {workspace.last_residual:.3e} exceeds {RESIDUAL_TOL:.0e} at time index {index}",
+                time_index=index,
+            )
     if not np.all(np.isfinite(u_new)):
         raise NumericalFailure(f"non-finite state at time index {index}", time_index=index)
     return StateVector(u_new, state.grid, index)

@@ -1,4 +1,5 @@
-"""Semi-Lagrangian high-fidelity solver.
+"""Semi-Lagrangian high-fidelity solver, and the owner of the moving-grid
+diffusion round trip.
 
 Grid points ride the characteristics and carry the solution values. Each step
 performs, in order:
@@ -10,6 +11,10 @@ performs, in order:
   (iv)  advance the grid positions with the trapezoidal rule
         x^{n+1} = x^n + dt/2 (f(u^n) + f(u^{n+1})).
 
+Sub-steps (i)-(iii) are ``diffuse_carried_values`` and the speeds of (iv)
+are ``speeds``; the moving-frame POD stepper calls both for its residual.
+This module calls ``hfm_eulerian`` for the fixed-grid solve (``step_system``
+and ``DiffusionSystem``) and ``core.interp_unchecked`` for the interpolation.
 When the diffusion coefficient is ``None`` the first three sub-steps are
 skipped and the carried values are transported bit-exactly. When it is a
 number, the run builds and factors the implicit system once and every step
@@ -28,13 +33,7 @@ import numpy as np
 
 from .core import Grid1D, ProblemSpec, SnapshotMatrix, interp_unchecked
 from .errors import DimensionMismatch, GridEntanglement, NumericalFailure
-from .hfm_eulerian import (
-    RESIDUAL_TOL,
-    DiffusionSystem,
-    diffusion_system_for,
-    run_diffusion_system,
-    second_difference,
-)
+from .hfm_eulerian import RESIDUAL_TOL, DiffusionSystem, run_diffusion_system, step_system
 
 
 @dataclass(frozen=True)
@@ -57,14 +56,35 @@ class LagrangianState:
     def n(self) -> int:
         return len(self.positions)
 
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.positions.nodes, self.values])
-
 
 def initial_lagrangian_state(spec: ProblemSpec) -> LagrangianState:
     grid = spec.grid()
     u0 = np.asarray(spec.initial_u0(grid.nodes), dtype=float)
     return LagrangianState(grid, u0, grid, 0)
+
+
+def speeds(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
+    """f(u) at every point, also when ``flux_f`` returns one number."""
+    f = np.asarray(spec.flux_f(u), dtype=float)
+    if f.ndim == 0:
+        return np.full(u.shape, float(f))
+    return f
+
+
+def diffuse_carried_values(
+    spec: ProblemSpec, run_system: Optional[DiffusionSystem], x: np.ndarray, u: np.ndarray, nodes: np.ndarray, t: float
+):
+    """Sub-steps (i)-(iii): values ``u`` carried on ``x`` after one implicit
+    diffusion step solved on the fixed ``nodes`` at time ``t``.
+
+    Returns the diffused values on ``x`` and the fixed-grid step as
+    (system, rhs, solution), whose residual the solver checks.
+    """
+    u_tilde = interp_unchecked(x, u, nodes, spec.periodic, spec.domain_length)
+    system = step_system(spec, run_system, nodes, t, u_tilde)
+    u_tilde_new = system.solve(u_tilde)
+    u_new = interp_unchecked(nodes, u_tilde_new, x, spec.periodic, spec.domain_length)
+    return u_new, (system, u_tilde, u_tilde_new)
 
 
 def advance_lagrangian(
@@ -82,25 +102,17 @@ def advance_lagrangian(
     if spec.diffusion_D is None:
         u_new = u
     else:
-        periodic = spec.periodic
-        period = spec.domain_length
-        x_euler = state.eulerian_grid.nodes
-        u_tilde = interp_unchecked(x, u, x_euler, periodic, period)
-        if system is None:
-            system = diffusion_system_for(spec, x_euler, index * spec.dt, u_tilde)
-        u_tilde_new = system.solve(u_tilde)
-        residual = u_tilde_new - u_tilde - second_difference(system, u_tilde_new)
-        worst = float(np.max(np.abs(residual)))
+        u_new, (system, u_tilde, u_tilde_new) = diffuse_carried_values(
+            spec, system, x, u, state.eulerian_grid.nodes, index * spec.dt
+        )
+        worst = system.residual(u_tilde_new, u_tilde)
         if worst > RESIDUAL_TOL:
             raise NumericalFailure(
                 f"diffusion residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e} at time index {index}",
                 time_index=index,
             )
-        u_new = interp_unchecked(x_euler, u_tilde_new, x, periodic, period)
 
-    f_old = np.broadcast_to(np.asarray(spec.flux_f(u), dtype=float), u.shape)
-    f_new = np.broadcast_to(np.asarray(spec.flux_f(u_new), dtype=float), u.shape)
-    x_new = x + 0.5 * spec.dt * (f_old + f_new)
+    x_new = x + 0.5 * spec.dt * (speeds(spec, u) + speeds(spec, u_new))
 
     if np.any(np.diff(x_new) <= 0.0):
         raise GridEntanglement(f"moving grid tangled at time index {index}", time_index=index)

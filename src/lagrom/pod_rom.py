@@ -1,9 +1,14 @@
 """Galerkin-projection reduced models on orthonormal snapshot bases.
 
-The fixed-grid stepper projects the full advection-diffusion residual; the
-moving-frame stepper projects the coupled position/value residuals, with the
-diffusion contribution evaluated through the same interpolate-to-reference,
-diffuse, interpolate-back pipeline as the semi-Lagrangian solver. Both solve
+This module owns the bases, the reduced Newton iteration and the per-run
+reduced operators; the discretisation it projects belongs to the solvers.
+The fixed-grid stepper projects the full advection-diffusion residual, built
+from ``hfm_eulerian``'s pieces: ``advected_state`` for the explicit half,
+``step_system`` for the (I - dt D2) system and ``DiffusionSystem.apply`` for
+its action on the basis. The moving-frame stepper projects the coupled
+position/value residuals, with the value target taken from
+``hfm_lagrangian.diffuse_carried_values``, the semi-Lagrangian solver's own
+interpolate-to-reference, diffuse, interpolate-back round trip. Both solve
 the projected system with Newton iteration in the reduced coordinates.
 
 No hyper-reduction is applied: each step still does full-dimension work, so
@@ -41,9 +46,10 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import kernels
-from .core import ProblemSpec, SnapshotMatrix, interp_unchecked
+from .core import ProblemSpec, SnapshotMatrix
 from .errors import GridEntanglement, NewtonDivergence, NumericalFailure
-from .hfm_eulerian import DiffusionSystem, diffusion_system_for, face_fluxes, run_diffusion_system
+from .hfm_eulerian import DiffusionSystem, advected_state, run_diffusion_system, step_system
+from .hfm_lagrangian import diffuse_carried_values, speeds
 from .svd_core import reduced_svd, truncate, truncation_rank
 
 NEWTON_TOL = 1e-10
@@ -108,8 +114,6 @@ class PodStepContext:
     pos_block_t: Optional[np.ndarray]
     val_block_t: Optional[np.ndarray]
     euler_nodes: np.ndarray
-    periodic: bool
-    period: float
     identity_r: np.ndarray
     system: Optional[DiffusionSystem]
     jacobian: Optional[np.ndarray]
@@ -149,7 +153,7 @@ class PodStepContext:
         elif spec.diffusion_D is None:
             jacobian = phi_t @ phi
         elif system is not None:
-            jacobian = phi_t @ _apply_identity_minus_diffusion(system, phi)
+            jacobian = phi_t @ system.apply(phi)
         factor = None
         if jacobian is not None:
             try:
@@ -164,8 +168,6 @@ class PodStepContext:
             pos_block_t=pos_t,
             val_block_t=val_t,
             euler_nodes=nodes,
-            periodic=spec.periodic,
-            period=spec.domain_length,
             identity_r=np.eye(basis.rank),
             system=system,
             jacobian=jacobian,
@@ -173,13 +175,6 @@ class PodStepContext:
             target_map=target_map,
             target_offset=target_offset,
         )
-
-
-def _speed_vector(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
-    f = np.asarray(spec.flux_f(u), dtype=float)
-    if f.ndim == 0:
-        return np.full(u.shape, float(f))
-    return f
 
 
 def _affine_speed(spec: ProblemSpec, u: np.ndarray) -> Optional[Tuple[float, np.ndarray]]:
@@ -193,8 +188,8 @@ def _affine_speed(spec: ProblemSpec, u: np.ndarray) -> Optional[Tuple[float, np.
     if slope.ndim:
         return None
     c = float(slope)
-    f_u = _speed_vector(spec, u)
-    f_zero = _speed_vector(spec, np.zeros_like(u))
+    f_u = speeds(spec, u)
+    f_zero = speeds(spec, np.zeros_like(u))
     worst = float(np.max(np.abs(f_u - (f_zero + c * u)), initial=0.0))
     if worst > AFFINE_TOL * max(1.0, float(np.max(np.abs(f_u), initial=0.0))):
         raise ValueError(
@@ -253,35 +248,17 @@ def pod_step_eulerian(
         context = PodStepContext.for_basis(basis, spec, u_prev)
     t_next = (time_index + 1) * spec.dt
 
-    fluxes = face_fluxes(u_prev, spec)
-    adv = (spec.dt / spec.dx) * (fluxes[1:] - fluxes[:-1])
-    u_star = u_prev - adv
-
+    u_star = advected_state(u_prev, spec)
     rhs_known = u_star
     if spec.diffusion_D is not None:
-        system = context.system
-        if system is None:
-            system = diffusion_system_for(spec, context.euler_nodes, t_next, u_star)
+        system = step_system(spec, context.system, context.euler_nodes, t_next, u_star)
         rhs_known = system.with_boundary_terms(u_star)
 
     target = context.basis_t @ rhs_known
     jac = context.jacobian
     if jac is None:
-        jac = context.basis_t @ _apply_identity_minus_diffusion(system, phi)
+        jac = context.basis_t @ system.apply(phi)
     return StepResult(*_reduced_newton(jac, context.jacobian_factor, u_hat, target))
-
-
-def _apply_identity_minus_diffusion(system, columns: np.ndarray) -> np.ndarray:
-    """(I - dt D2) applied column-wise, corners included for periodic closure."""
-    mu = system.mu
-    df = system.d_faces
-    out = columns * (1.0 + mu * (df[:-1, None] + df[1:, None]))
-    out[1:, :] -= mu * df[1:-1, None] * columns[:-1, :]
-    out[:-1, :] -= mu * df[1:-1, None] * columns[1:, :]
-    if system.periodic:
-        out[0, :] -= mu * df[0] * columns[-1, :]
-        out[-1, :] -= mu * df[-1] * columns[0, :]
-    return out
 
 
 def pod_step_lagrangian(
@@ -324,13 +301,7 @@ def _lagrangian_newton(context: PodStepContext, z_hat, z_prev, spec: ProblemSpec
     if spec.diffusion_D is None:
         u_target = u_prev
     else:
-        nodes = context.euler_nodes
-        u_tilde = interp_unchecked(x_prev, u_prev, nodes, context.periodic, context.period)
-        system = context.system
-        if system is None:
-            system = diffusion_system_for(spec, nodes, t_next, u_tilde)
-        u_tilde_new = system.solve(u_tilde)
-        u_target = interp_unchecked(nodes, u_tilde_new, x_prev, context.periodic, context.period)
+        u_target = diffuse_carried_values(spec, context.system, x_prev, u_prev, context.euler_nodes, t_next)[0]
 
     if context.target_map is not None:
         # f(u) = f(0) + c u makes the residual A z - b, and every part of b but
@@ -341,12 +312,12 @@ def _lagrangian_newton(context: PodStepContext, z_hat, z_prev, spec: ProblemSpec
         z_next_hat, iterations = _reduced_newton(context.jacobian, context.jacobian_factor, z_hat, target)
         return z_next_hat, iterations, phi @ z_next_hat
 
-    base_x = x_prev + dt_half * _speed_vector(spec, u_prev)
+    base_x = x_prev + dt_half * speeds(spec, u_prev)
     z_next_hat = z_hat.copy()
     z_next = z_prev
     for iteration in range(1, NEWTON_CAP + 1):
         x_next, u_next = z_next[:n], z_next[n:]
-        r_x = x_next - base_x - dt_half * _speed_vector(spec, u_next)
+        r_x = x_next - base_x - dt_half * speeds(spec, u_next)
         r_u = u_next - u_target
         proj_resid = context.pos_block_t @ r_x + context.val_block_t @ r_u
         _newton_guard(proj_resid, iteration)

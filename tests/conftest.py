@@ -23,6 +23,7 @@ def make_spec(
     t_final=1.0,
     bc=DIRICHLET_ZERO,
     ic=None,
+    bc_values=(0.0, 0.0),
 ):
     """Small advection-diffusion problem with preset-style ingredients."""
     if speed == "burgers":
@@ -45,6 +46,7 @@ def make_spec(
         diffusion_D=diffusion,
         initial_u0=ic,
         bc=bc,
+        bc_values=bc_values,
     )
 
 

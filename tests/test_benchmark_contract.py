@@ -1,10 +1,13 @@
-"""The library names the benchmark under ``perfbench/`` looks up at run time.
+"""The library names the benchmark under ``perfbench/`` looks up at run time,
+and the call counts its tracer sees.
 
 ``perfbench/tracing.py`` wraps each ``(module, function)`` in ``TARGETS`` with
 ``getattr`` and ``perfbench/run.py`` records ``kernels.NUMBA_ENABLED``; a
 rename in the library would break the benchmark without failing any other
-test. ``tracing.py`` imports only the standard library, so it loads here from
-its path without putting ``perfbench`` on the import path.
+test. A refactor that routes a step through a different function, or calls a
+kernel one time more or less per step, shows in the traced layers' call
+counts. ``tracing.py`` imports only the standard library, so it loads here
+from its path without putting ``perfbench`` on the import path.
 """
 
 import importlib
@@ -16,14 +19,14 @@ import pytest
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
-@pytest.mark.parametrize("module_name,func_name", [(m, f) for m, f, _ in _targets()])
+@pytest.mark.parametrize("module_name,func_name", [(m, f) for m, f, _ in _tracing().TARGETS])
 def test_traced_target_is_module_level_callable(module_name, func_name):
     module = importlib.import_module(f"lagrom.{module_name}")
     assert callable(getattr(module, func_name, None)), f"lagrom.{module_name}.{func_name}"
@@ -34,3 +37,52 @@ def test_environment_record_fields_exist():
 
     assert isinstance(kernels.NUMBA_ENABLED, bool)
     kernels.warmup()
+
+
+# Calls per traced layer in one scale-20 run_experiment(emit=False). test4 is
+# periodic viscous Burgers with both solvers and a Lagrangian POD rollout;
+# test2 the Dirichlet counterpart; test0-advection runs no Lagrangian method.
+# A constant D is assembled once per solver and per POD rollout that diffuses.
+TRACED_CALLS = {
+    "test4": {
+        "hfm_eulerian.face_fluxes": 50,
+        "hfm_eulerian.diffusion_system_for": 3,
+        "kernels.diffusion_bands": 3,
+        "kernels.interp": 300,
+        "kernels.thomas_solve": 153,
+        "kernels.cyclic_thomas_solve": 150,
+    },
+    "test2": {
+        "hfm_eulerian.face_fluxes": 50,
+        "hfm_eulerian.diffusion_system_for": 3,
+        "kernels.diffusion_bands": 3,
+        "kernels.interp": 300,
+        "kernels.thomas_solve": 150,
+        "kernels.cyclic_thomas_solve": 0,
+    },
+    "test0-advection": {
+        "hfm_eulerian.face_fluxes": 100,
+        "hfm_eulerian.diffusion_system_for": 2,
+        "kernels.diffusion_bands": 2,
+        "kernels.interp": 0,
+        "kernels.thomas_solve": 50,
+        "kernels.cyclic_thomas_solve": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("preset", sorted(TRACED_CALLS))
+def test_traced_call_counts(preset):
+    import lagrom
+    from lagrom.presets import ExperimentConfig
+
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        record = lagrom.bench.run_experiment(ExperimentConfig(preset=preset, scale=20), emit=False)
+    finally:
+        tracer.uninstall()
+    assert not any(m.failure for m in record.methods.values())
+    table = tracer.layer_table()
+    calls = {layer: table.get(layer, {}).get("calls", 0) for layer in TRACED_CALLS[preset]}
+    assert calls == TRACED_CALLS[preset]

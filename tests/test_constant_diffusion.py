@@ -25,6 +25,11 @@ from conftest import make_spec
 SPECS = {
     "periodic": dict(speed="burgers", diffusion=0.1, n=64, m_steps=60, bc=PERIODIC),
     "dirichlet": dict(speed="const", c=1.0, diffusion=0.01, n=80, m_steps=60, bc=DIRICHLET_ZERO),
+    # Nonzero boundary data: the residual checks and the projected right-hand
+    # sides must carry the ghost terms.
+    "dirichlet-data": dict(
+        speed="const", c=1.0, diffusion=0.01, n=80, m_steps=60, bc=DIRICHLET_ZERO, bc_values=(0.3, -0.2)
+    ),
 }
 
 

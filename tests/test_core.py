@@ -12,7 +12,6 @@ from lagrom.core import (
     Grid1D,
     SnapshotMatrix,
     StateVector,
-    assemble_snapshots,
     linear_interpolate,
     split_stacked,
     stacked_to_grid,
@@ -239,40 +238,13 @@ class TestStackedToGrid:
 
 
 class TestAssembly:
-    def test_plain_stacking_shape(self):
-        states = [np.zeros(4), np.ones(4), np.full(4, 2.0)]
-        snaps = assemble_snapshots(states)
-        assert snaps.data.shape == (4, 3)
-
-    def test_grid_stacking_shape_and_order(self):
-        states = [np.zeros(4) + k for k in range(3)]
-        grids = [np.arange(4.0) for _ in range(3)]
-        snaps = assemble_snapshots(states, grids)
-        assert snaps.data.shape == (8, 3)
-        assert np.array_equal(snaps.data[:4, 0], np.arange(4.0))
-
-    def test_single_column_stacking_order(self):
-        snaps = assemble_snapshots([np.array([1.0, 2.0])], [np.array([0.0, 1.0])])
-        assert np.array_equal(snaps.data[:, 0], [0.0, 1.0, 1.0, 2.0])
-
-    def test_ragged_input_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            assemble_snapshots([np.zeros(4), np.zeros(5)])
-        with pytest.raises(DimensionMismatch):
-            assemble_snapshots([np.zeros(4)], [np.zeros(5)])
-
-    def test_state_vector_times_preserved(self):
-        g = uniform_grid(0.0, 1.0, 3)
-        states = [StateVector(np.full(3, float(k)), g, time_index=k + 1) for k in range(3)]
-        snaps = assemble_snapshots(states)
-        assert np.array_equal(snaps.col_times, [1, 2, 3])
+    """Stacked [grid; state] columns split back at the midpoint row."""
 
     def test_round_trip_split_is_bit_exact(self):
         rng = np.random.default_rng(11)
         states = [rng.standard_normal(6) for _ in range(4)]
         grids = [np.sort(rng.standard_normal(6)) for _ in range(4)]
-        snaps = assemble_snapshots(states, grids)
-        top, bottom = split_stacked(snaps)
+        top, bottom = split_stacked(np.vstack([np.column_stack(grids), np.column_stack(states)]))
         for k in range(4):
             assert np.array_equal(top[:, k], grids[k])
             assert np.array_equal(bottom[:, k], states[k])

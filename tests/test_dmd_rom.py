@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lagrom.core import SnapshotMatrix, uniform_grid
 from lagrom.dmd_rom import (
-    ObservableMap,
     fit_dmd,
     fit_lagrangian_dmd,
     load_dmd_model,
@@ -262,18 +261,6 @@ class TestLagrangianObservable:
         model = fit_lagrangian_dmd(data, epsilon=1e-8)
         assert model.rank == 1
         assert np.isclose(model.eigenvalues[0].real, 0.9, atol=1e-10)
-
-    def test_observable_map_round_trip(self):
-        m = ObservableMap("lagrangian-stacked")
-        x = np.linspace(0, 1, 6)
-        u = np.sin(x)
-        values, positions = m.inverse(m.forward(u, x))
-        assert np.array_equal(values, u)
-        assert np.array_equal(positions, x)
-
-    def test_observable_map_requires_positions(self):
-        with pytest.raises(DimensionMismatch):
-            ObservableMap("lagrangian-stacked").forward(np.ones(3))
 
 
 class TestImaginaryGuard:

@@ -6,7 +6,6 @@ import pytest
 from lagrom.dmd_rom import fit_dmd
 from lagrom.error_analysis import (
     ErrorReport,
-    error_bound,
     error_bound_series,
     estimate_eps_m,
     last_training_index,
@@ -79,13 +78,13 @@ class TestBound:
     def test_zero_slope_point(self, linear_model):
         model, _ = linear_model
         m_last = last_training_index(model)
-        value = error_bound(model, m_last, anchor_error=0.5, eps_m=0.1)
+        value = error_bound_series(model, [m_last], anchor_error=0.5, eps_m=0.1)[0]
         assert np.isclose(value, phi_pinv_fnorm(model) * 0.5)
 
     def test_constant_when_eps_zero(self, linear_model):
         model, _ = linear_model
         m_last = last_training_index(model)
-        vals = [error_bound(model, n, 0.5, 0.0) for n in range(m_last, m_last + 5)]
+        vals = error_bound_series(model, np.arange(m_last, m_last + 5), 0.5, 0.0)
         assert np.allclose(vals, vals[0])
 
     def test_affine_and_monotone(self, linear_model):
@@ -97,18 +96,10 @@ class TestBound:
         assert np.allclose(slopes, slopes[0])
         assert np.all(slopes >= 0)
 
-    def test_series_matches_scalar(self, linear_model):
-        model, _ = linear_model
-        m_last = last_training_index(model)
-        ns = np.arange(m_last, m_last + 4)
-        series = error_bound_series(model, ns, 0.3, 0.01)
-        for j, n in enumerate(ns):
-            assert np.isclose(series[j], error_bound(model, int(n), 0.3, 0.01))
-
     def test_index_before_anchor_rejected(self, linear_model):
         model, _ = linear_model
         with pytest.raises(IndexBeforeAnchor):
-            error_bound(model, last_training_index(model) - 1, 0.1, 0.1)
+            error_bound_series(model, [last_training_index(model) - 1], 0.1, 0.1)
         with pytest.raises(IndexBeforeAnchor):
             error_bound_series(model, [1], 0.1, 0.1)
 

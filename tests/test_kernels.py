@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lagrom import kernels
+from lagrom.hfm_eulerian import DiffusionSystem
 from lagrom.errors import NumericalFailure, SingularTridiagonal
 
 
@@ -149,6 +150,14 @@ def test_diffusion_bands_match_dense_operator():
             # the solvers close the cycle with -mu times the seam face coefficient
             assert np.isclose(-mu * d_faces[0], dense[0, n - 1], rtol=1e-14, atol=0.0)
             assert np.isclose(-mu * d_faces[-1], dense[n - 1, 0], rtol=1e-14, atol=0.0)
+        # apply() is the operator with zero ghost values: boundary data enter
+        # only through with_boundary_terms, so nonzero data must not show here.
+        system = DiffusionSystem(None, periodic, mu, d_faces, (0.3, -0.2))
+        vector = rng.standard_normal(n)
+        block = rng.standard_normal((n, 4))
+        assert np.allclose(system.apply(vector), dense @ vector, rtol=1e-13, atol=1e-13)
+        assert np.allclose(system.apply(block), dense @ block, rtol=1e-13, atol=1e-13)
+        assert system.apply(block[:, 1]).tolist() == system.apply(block)[:, 1].tolist()
 
 
 def test_solve_small_matches_lapack():
