@@ -176,8 +176,8 @@ def one_step_map(model: DmdModel, columns: np.ndarray) -> np.ndarray:
 def _checked_real(result: np.ndarray, model: DmdModel, indices) -> np.ndarray:
     """Real part of a prediction block whose columns belong to ``indices``.
 
-    Raises when a prediction overflowed or, for real input, when its
-    imaginary part is not negligible.
+    Raises when a prediction overflowed or, for real input, when the
+    imaginary part of any column is not negligible against that column.
     """
     finite = np.isfinite(result)
     if not finite.all():
@@ -186,11 +186,16 @@ def _checked_real(result: np.ndarray, model: DmdModel, indices) -> np.ndarray:
         raise NumericalFailure(f"prediction at time index {first} is not finite", time_index=first)
     real = result.real
     if model.real_input and np.iscomplexobj(result):
-        imag_norm = float(np.linalg.norm(result.imag))
-        scale = max(float(np.linalg.norm(real)), 1e-300)
-        if imag_norm > _IMAG_TOL * scale:
+        imag_norms = np.ravel(np.linalg.norm(result.imag, axis=0))
+        scales = np.maximum(np.ravel(np.linalg.norm(real, axis=0)), 1e-300)
+        excess = imag_norms > _IMAG_TOL * scales
+        if excess.any():
+            j = int(np.argmax(excess))
+            first = int(np.ravel(indices)[j])
             raise NumericalFailure(
-                f"prediction imaginary part {imag_norm:.3e} exceeds {_IMAG_TOL:g} of magnitude {scale:.3e}"
+                f"prediction imaginary part {imag_norms[j]:.3e} at time index {first} exceeds "
+                f"{_IMAG_TOL:g} of magnitude {scales[j]:.3e}",
+                time_index=first,
             )
     return real
 

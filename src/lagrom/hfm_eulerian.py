@@ -41,22 +41,20 @@ RESIDUAL_TOL = 1e-10
 
 @dataclass
 class EulerianStepWorkspace:
-    """Scratch arrays and per-run constants reused across the steps of a
-    single run (not thread-safe).
+    """Per-run constants and last-step diagnostics reused across the steps
+    of a single run (not thread-safe).
 
     ``system`` is the run's diffusion system when D is constant, else None
     and each step builds its own.
     """
 
-    flux_faces: np.ndarray
     system: Optional["DiffusionSystem"]
     last_residual: float = 0.0
     last_courant: float = 0.0
 
     @classmethod
     def for_spec(cls, spec: ProblemSpec) -> "EulerianStepWorkspace":
-        n = spec.n_cells
-        return cls(flux_faces=np.empty(n + 1), system=run_diffusion_system(spec))
+        return cls(system=run_diffusion_system(spec))
 
 
 def numerical_flux(u_left: float, u_right: float, spec: ProblemSpec) -> float:
@@ -78,7 +76,7 @@ def _extend(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     return np.concatenate([[lo], u, [hi]])
 
 
-def face_fluxes(u: np.ndarray, spec: ProblemSpec, out: np.ndarray = None):
+def face_fluxes(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """All N+1 face fluxes for a state of length N, ghost cells included."""
     u_ext = _extend(u, spec)
     f_vals = np.asarray(spec.flux_F(u_ext), dtype=float)
@@ -90,16 +88,12 @@ def face_fluxes(u: np.ndarray, spec: ProblemSpec, out: np.ndarray = None):
     ties = du == 0.0
     secant = d_f / np.where(ties, 1.0, du)
     secant = np.where(ties, tangent, secant)
-    flux = 0.5 * (f_vals[1:] + f_vals[:-1]) - 0.5 * np.abs(secant) * du
-    if out is not None:
-        out[:] = flux
-        return out
-    return flux
+    return 0.5 * (f_vals[1:] + f_vals[:-1]) - 0.5 * np.abs(secant) * du
 
 
-def advected_state(u: np.ndarray, spec: ProblemSpec, flux_out: np.ndarray = None) -> np.ndarray:
+def advected_state(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """The explicit half-step u* = u - (dt/dx) (F_{j+1/2} - F_{j-1/2})."""
-    fluxes = face_fluxes(u, spec, out=flux_out)
+    fluxes = face_fluxes(u, spec)
     return u - (spec.dt / spec.dx) * (fluxes[1:] - fluxes[:-1])
 
 
@@ -196,7 +190,7 @@ def advance_eulerian(state: StateVector, spec: ProblemSpec, workspace: EulerianS
     workspace.last_courant = check_cfl(u, spec)
     index = state.time_index + 1
 
-    u_star = advected_state(u, spec, workspace.flux_faces)
+    u_star = advected_state(u, spec)
     if spec.diffusion_D is None:
         u_new = u_star
         workspace.last_residual = 0.0

@@ -275,6 +275,32 @@ class TestImaginaryGuard:
         with pytest.raises(NumericalFailure):
             predict(broken, 3)
 
+    def test_series_checks_each_column(self):
+        import dataclasses
+
+        data = np.column_stack([np.array([1.0, -2.0])] * 5)
+        model = fit_dmd(data, epsilon=1e-8)
+        # Column k is [1, 1e-9j * 2^k]: its imaginary share passes the tolerance
+        # up to k = 9 and exceeds it at k = 10, while over the block 1..10 the
+        # imaginary norm stays below 1e-6 of the real norm.
+        broken = dataclasses.replace(
+            model,
+            projector=np.eye(2),
+            reduced_operator=np.diag([1.0, 2.0]).astype(complex),
+            projected_anchor=np.array([1.0, 1e-9j]),
+        )
+        base = broken.base_time_index
+        predict_series(broken, base + np.arange(1, 10))
+        block = base + np.arange(1, 11)
+        assert np.linalg.norm([2.0**k * 1e-9 for k in range(1, 11)]) < 1e-6 * np.sqrt(10)
+        for indices in (block, block[::-1]):
+            with pytest.raises(NumericalFailure) as excinfo:
+                predict_series(broken, indices)
+            assert excinfo.value.time_index == base + 10
+        with pytest.raises(NumericalFailure) as excinfo:
+            predict(broken, base + 10)
+        assert excinfo.value.time_index == base + 10
+
 
 class TestReconstructState:
     def test_identity_grid_returns_values(self):
