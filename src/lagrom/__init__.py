@@ -40,7 +40,6 @@ from .hfm_eulerian import (
     EulerianRun,
     EulerianStepWorkspace,
     advance_eulerian,
-    numerical_flux,
     run_eulerian_hfm,
 )
 from .hfm_lagrangian import (

@@ -18,6 +18,19 @@ error CSV, whose state and bound cells may be blank, formats cell by cell:
                              for writing the CSVs (excluded from determinism)
 * ``manifest.json``          resolved configuration and file inventory
 * ``plot.py``                standalone matplotlib script rendering the figures
+
+Scoring: every method is scored by ``_score`` against one reference built
+per run, which holds views of the solver trajectories rather than a stacked
+copy. The scorer walks the method's whole-horizon prediction in column
+blocks of at most ``SCORE_BLOCK_CELLS`` cells (16 columns of the full-size
+stacked observable); per block it computes the observable error,
+takes stacked moving-frame columns to the fixed grid (tangle check, then
+interpolation), the relative state error, and for DMD the one-step residual
+behind the bound. No temporary grows with the horizon, and the fixed-grid
+states are kept only when the caller asks for them. Predictions themselves
+are still made once over the whole horizon: predicting per chunk restarts
+the ``K^gap`` walk at each chunk, which moved the full-size test4 L-DMD error
+columns by up to 6e-8 relative.
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import interp_unchecked, write_number_table
+from .core import Grid1D, interp_unchecked, write_number_table
 from .dmd_rom import fit_dmd, fit_lagrangian_dmd, predict_series
 from .errors import DimensionMismatch, GridEntanglement, LagromError
 from .error_analysis import (
@@ -60,9 +73,14 @@ from .presets import (
 )
 
 OUTPUT_ROOT_ENV = "LAGROM_OUT_ROOT"
-# Columns handled per block by _states_on_reference_grid (stacked states taken
-# to the fixed grid) and by _run_levelset_dmd (predicted level-set fields).
+# Indices predicted per chunk by _run_levelset_dmd (about 100 MB of fields at
+# full size).
 GRID_BLOCK_COLUMNS = 32
+# Cells per column block of _score, so each scoring temporary holds at most
+# 512 KiB of float64: 16 columns of the full-size stacked 2N = 4000 rows, and
+# one block for the whole horizon at desk size, where per-block calls would
+# cost more than the memory they save.
+SCORE_BLOCK_CELLS = 1 << 16
 
 
 @dataclass
@@ -107,22 +125,32 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class _Reference:
-    """What every method of one run is scored against, built once per run."""
+    """What every method of one run is scored against, built once per run.
 
+    Holds views of the solver trajectories, never a stacked copy: a method
+    scored in the moving frame gets its stacked [x; u] reference one block
+    of columns at a time.
+    """
+
+    grid: Grid1D  # the fixed grid of the Eulerian solver
     states: np.ndarray  # fixed-grid solver states at indices 1..M
     state_norms: np.ndarray  # their column 2-norms, the relative_l2 scale
-    observables: Optional[np.ndarray]  # stacked [x; u] moving-frame states at 1..M
+    positions: Optional[np.ndarray]  # moving-frame positions at 1..M
+    values: Optional[np.ndarray]  # moving-frame carried values at 1..M
 
     @classmethod
     def of(cls, euler_run, lagr_run) -> "_Reference":
         states = euler_run.trajectory[:, 1:]
-        observables = None
+        positions = values = None
         if lagr_run is not None:
-            observables = np.vstack([lagr_run.positions[:, 1:], lagr_run.values[:, 1:]])
-        return cls(states, np.linalg.norm(states, axis=0), observables)
+            positions, values = lagr_run.positions[:, 1:], lagr_run.values[:, 1:]
+        return cls(euler_run.grid, states, np.linalg.norm(states, axis=0), positions, values)
 
-    def relative_state_error(self, states: np.ndarray) -> np.ndarray:
-        return relative_l2(self.states, states, scale=self.state_norms)
+    def observables(self, cols: slice, stacked: bool) -> np.ndarray:
+        """Reference observable columns: fixed-grid states, or stacked [x; u]."""
+        if not stacked:
+            return self.states[:, cols]
+        return np.vstack([self.positions[:, cols], self.values[:, cols]])
 
 
 def _time_call(fn, *args, **kwargs):
@@ -131,45 +159,62 @@ def _time_call(fn, *args, **kwargs):
     return out, time.perf_counter() - t0
 
 
-def _dmd_report(model, reference_obs, predictions, rel_state, dt, horizon):
-    """Observable errors with the affine bound past the training window.
+def _score(ref, observed, spec, model=None, keep_states=False):
+    """Error report of one method whose observables at indices 1..h are the
+    columns of ``observed``; returns (report, fixed-grid states or None).
 
-    The bound slope uses the one-step residuals of the fitted propagator over
-    the whole retained reference trajectory (not just the training window);
-    the training-window residual alone understates how far an extrapolated
-    trajectory leaves the learned subspace and would not stay above the
-    measured error.
+    The columns are fixed-grid states (N rows), or stacked [x; u]
+    moving-frame states (2N rows), which are taken to the reference grid.
+    One pass over column blocks of at most ``SCORE_BLOCK_CELLS`` cells
+    computes the observable error, the tangle check and interpolation of
+    stacked columns, and the relative state error, so the scoring
+    temporaries stay bounded whatever the horizon. Fixed-grid states are
+    returned only with ``keep_states`` (column-contiguous).
+
+    With a DMD ``model`` the report carries the affine bound past the
+    training window. Its slope eps_m is the worst one-step residual of the
+    fitted propagator over the whole retained reference trajectory (not just
+    the training window), taken over blocks that overlap by one column so
+    every consecutive pair is seen: the training-window residual alone
+    understates how far an extrapolated trajectory leaves the learned
+    subspace and would not stay above the measured error.
     """
-    times = np.arange(1, horizon + 1)
-    err_obs = truncation_error(reference_obs, predictions)
-    eps_m = estimate_eps_m(model, reference_obs)
-    m_last = last_training_index(model)
-    anchor = float(err_obs[m_last - 1])
-    bound = np.full(horizon, np.nan)
-    tail = times >= m_last
-    bound[tail] = error_bound_series(model, times[tail], anchor, eps_m)
-    return ErrorReport(
-        times=times,
-        t_values=times * dt,
-        error_state=rel_state,
-        error_observable=err_obs,
-        bound=bound,
-        phi_pinv_fnorm=phi_pinv_fnorm(model),
-        eps_m=eps_m,
-        anchor_error=anchor,
-        anchor_index=m_last,
-    )
+    horizon = observed.shape[1]
+    stacked = observed.shape[0] != len(ref.grid)
+    err_obs = np.empty(horizon)
+    rel_state = np.empty(horizon)
+    states = None
+    if keep_states:
+        states = np.empty((len(ref.grid), horizon), order="F") if stacked else observed
+    eps_m = 0.0
+    step = max(1, SCORE_BLOCK_CELLS // observed.shape[0])
+    for start in range(0, horizon, step):
+        cols = slice(start, start + step)
+        block = observed[:, cols]
+        width = block.shape[1]
+        reference = ref.observables(slice(start, start + width + 1), stacked)
+        err_obs[cols] = truncation_error(reference[:, :width], block)
+        if model is not None:
+            eps_m = max(eps_m, estimate_eps_m(model, reference))
+        if stacked:
+            block = _states_on_reference_grid(block, ref.grid, spec, first_index=start + 1)
+            if states is not None:
+                states[:, cols] = block
+        rel_state[cols] = relative_l2(ref.states[:, cols], block, scale=ref.state_norms[cols])
 
-
-def _pod_report(reference_obs, reconstructions, rel_state, dt, horizon):
     times = np.arange(1, horizon + 1)
-    return ErrorReport(
-        times=times,
-        t_values=times * dt,
-        error_state=rel_state,
-        error_observable=truncation_error(reference_obs, reconstructions),
-        bound=None,
-    )
+    bound_terms = {}
+    if model is not None:
+        m_last = last_training_index(model)
+        anchor = float(err_obs[m_last - 1])
+        bound = np.full(horizon, np.nan)
+        tail = times >= m_last
+        bound[tail] = error_bound_series(model, times[tail], anchor, eps_m)
+        bound_terms = dict(
+            bound=bound, phi_pinv_fnorm=phi_pinv_fnorm(model), eps_m=eps_m, anchor_error=anchor, anchor_index=m_last
+        )
+    report = ErrorReport(times, times * spec.dt, rel_state, err_obs, **bound_terms)
+    return report, states
 
 
 def _leading_modes(matrix: np.ndarray, k: int = 3) -> np.ndarray:
@@ -183,14 +228,14 @@ def _run_eulerian_dmd(resolved, euler_run, ref, keep_states):
         fit_dmd, euler_run.snapshots, epsilon=resolved.epsilon, fixed_rank=resolved.fixed_rank
     )
     preds, roll_s = _time_call(predict_series, model, np.arange(1, horizon + 1))
-    report = _dmd_report(model, ref.states, preds, ref.relative_state_error(preds), spec.dt, horizon)
+    report, states = _score(ref, preds, spec, model=model, keep_states=keep_states)
     return MethodResult(
         method=METHOD_EULERIAN_DMD,
         rank=model.rank,
         fit_seconds=fit_s,
         rollout_seconds=roll_s,
         report=report,
-        states=preds if keep_states else None,
+        states=states,
         modes=_leading_modes(model.modes),
     )
 
@@ -206,8 +251,7 @@ def _run_eulerian_pod(resolved, euler_run, ref, keep_states):
         frame=FRAME_EULERIAN,
     )
     rollout, roll_s = _time_call(run_pod_rom, basis, euler_run.trajectory[:, 0], spec, horizon)
-    recon = rollout.snapshots.data
-    report = _pod_report(ref.states, recon, ref.relative_state_error(recon), spec.dt, horizon)
+    report, states = _score(ref, rollout.snapshots.data, spec, keep_states=keep_states)
     return MethodResult(
         method=METHOD_EULERIAN_POD,
         rank=basis.rank,
@@ -215,36 +259,35 @@ def _run_eulerian_pod(resolved, euler_run, ref, keep_states):
         rollout_seconds=roll_s,
         newton_iterations=rollout.newton_iterations,
         report=report,
-        states=recon if keep_states else None,
+        states=states,
         modes=_leading_modes(basis.basis),
     )
 
 
-def _states_on_reference_grid(stacked_columns, euler_grid, spec):
-    """Interpolate stacked [x; u] columns onto the fixed grid.
+def _states_on_reference_grid(stacked_columns, euler_grid, spec, first_index=1):
+    """Interpolate stacked [x; u] columns, at time indices ``first_index``
+    onwards, onto the fixed grid.
 
-    Works through ``GRID_BLOCK_COLUMNS`` columns at a time, copied to
-    contiguous time-major rows: the positions of a block are checked for
-    tangling at once, and the first tangled column raises with its own time
-    index. Returns the (N, h) states column-contiguous.
+    The columns are copied to contiguous time-major rows: their positions
+    are checked for tangling at once, and the first tangled column raises
+    with its own time index. Returns the (N, h) states column-contiguous.
     """
     nodes = euler_grid.nodes
     n = nodes.size
     if stacked_columns.shape[0] != 2 * n:
         raise DimensionMismatch("stacked prediction must have 2N rows")
-    out = np.empty((stacked_columns.shape[1], n))
-    for start in range(0, out.shape[0], GRID_BLOCK_COLUMNS):
-        rows = np.ascontiguousarray(stacked_columns[:, start : start + GRID_BLOCK_COLUMNS].T)
-        tangled = np.any(np.diff(rows[:, :n], axis=1) <= 0.0, axis=1)
-        if tangled.any():
-            k = start + int(np.argmax(tangled)) + 1
-            raise GridEntanglement(f"reconstructed positions tangled at time index {k}", time_index=k)
-        for j, row in enumerate(rows, start):
-            out[j] = interp_unchecked(row[:n], row[n:], nodes, spec.periodic, spec.domain_length)
+    rows = np.ascontiguousarray(stacked_columns.T)
+    tangled = np.any(np.diff(rows[:, :n], axis=1) <= 0.0, axis=1)
+    if tangled.any():
+        k = first_index + int(np.argmax(tangled))
+        raise GridEntanglement(f"reconstructed positions tangled at time index {k}", time_index=k)
+    out = np.empty((rows.shape[0], n))
+    for j, row in enumerate(rows):
+        out[j] = interp_unchecked(row[:n], row[n:], nodes, spec.periodic, spec.domain_length)
     return out.T
 
 
-def _run_lagrangian_dmd(resolved, euler_run, lagr_run, ref, keep_states):
+def _run_lagrangian_dmd(resolved, lagr_run, ref, keep_states):
     spec = resolved.spec
     horizon = spec.n_steps
     model, fit_s = _time_call(
@@ -253,21 +296,19 @@ def _run_lagrangian_dmd(resolved, euler_run, lagr_run, ref, keep_states):
     preds, roll_s = _time_call(predict_series, model, np.arange(1, horizon + 1))
     # State-space comparison happens on the fixed grid shared with the
     # reference solver; prediction columns must stay untangled to interpolate.
-    states = _states_on_reference_grid(preds, euler_run.grid, spec)
-    rel_state = ref.relative_state_error(states)
-    report = _dmd_report(model, ref.observables, preds, rel_state, spec.dt, horizon)
+    report, states = _score(ref, preds, spec, model=model, keep_states=keep_states)
     return MethodResult(
         method=METHOD_LAGRANGIAN_DMD,
         rank=model.rank,
         fit_seconds=fit_s,
         rollout_seconds=roll_s,
         report=report,
-        states=states if keep_states else None,
+        states=states,
         modes=_leading_modes(model.modes),
     )
 
 
-def _run_lagrangian_pod(resolved, euler_run, lagr_run, ref, keep_states):
+def _run_lagrangian_pod(resolved, lagr_run, ref, keep_states):
     spec = resolved.spec
     horizon = spec.n_steps
     basis, fit_s = _time_call(
@@ -279,9 +320,7 @@ def _run_lagrangian_pod(resolved, euler_run, lagr_run, ref, keep_states):
     )
     z0 = np.concatenate([lagr_run.positions[:, 0], lagr_run.values[:, 0]])
     rollout, roll_s = _time_call(run_pod_rom, basis, z0, spec, horizon)
-    recon = rollout.snapshots.data
-    states = _states_on_reference_grid(recon, euler_run.grid, spec)
-    report = _pod_report(ref.observables, recon, ref.relative_state_error(states), spec.dt, horizon)
+    report, states = _score(ref, rollout.snapshots.data, spec, keep_states=keep_states)
     return MethodResult(
         method=METHOD_LAGRANGIAN_POD,
         rank=basis.rank,
@@ -289,7 +328,7 @@ def _run_lagrangian_pod(resolved, euler_run, lagr_run, ref, keep_states):
         rollout_seconds=roll_s,
         newton_iterations=rollout.newton_iterations,
         report=report,
-        states=states if keep_states else None,
+        states=states,
         modes=_leading_modes(basis.basis),
     )
 
@@ -310,21 +349,14 @@ def _run_levelset_dmd(resolved, level_run, ref, keep_states):
         for j, k in enumerate(indices):
             contours[:, k - 1] = extract_zero_contour(unflatten_field(fields[:, j], x_grid, y_grid, k)).values
     roll_s = time.perf_counter() - t0
-    times = np.arange(1, horizon + 1)
-    report = ErrorReport(
-        times=times,
-        t_values=times * spec.dt,
-        error_state=ref.relative_state_error(contours),
-        error_observable=truncation_error(ref.states, contours),
-        bound=None,
-    )
+    report, states = _score(ref, contours, spec, keep_states=keep_states)
     return MethodResult(
         method=METHOD_LEVELSET_DMD,
         rank=model.rank,
         fit_seconds=fit_s,
         rollout_seconds=roll_s,
         report=report,
-        states=contours if keep_states else None,
+        states=states,
         modes=_leading_modes(model.modes),
     )
 
@@ -371,8 +403,8 @@ def run_experiment(config: ExperimentConfig, keep_states: bool = False, emit: bo
     runners = {
         METHOD_EULERIAN_DMD: lambda: _run_eulerian_dmd(resolved, euler_run, ref, keep_states),
         METHOD_EULERIAN_POD: lambda: _run_eulerian_pod(resolved, euler_run, ref, keep_states),
-        METHOD_LAGRANGIAN_DMD: lambda: _run_lagrangian_dmd(resolved, euler_run, lagr_run, ref, keep_states),
-        METHOD_LAGRANGIAN_POD: lambda: _run_lagrangian_pod(resolved, euler_run, lagr_run, ref, keep_states),
+        METHOD_LAGRANGIAN_DMD: lambda: _run_lagrangian_dmd(resolved, lagr_run, ref, keep_states),
+        METHOD_LAGRANGIAN_POD: lambda: _run_lagrangian_pod(resolved, lagr_run, ref, keep_states),
         METHOD_LEVELSET_DMD: lambda: _run_levelset_dmd(resolved, level_run, ref, keep_states),
     }
     for method in resolved.methods:

@@ -1,7 +1,10 @@
 """Grids, problem definitions, state vectors, interpolation, snapshot assembly.
 
 Everything here is immutable after construction (arrays are marked read-only),
-so instances can be shared freely across threads.
+so instances can be shared freely across threads. A float64 array is adopted
+without a copy when it and every array it is a view of are read-only and the
+chain ends in an array that owns its memory; anything else is copied, since a
+read-only view of a writeable base could still change under the instance.
 """
 
 from __future__ import annotations
@@ -24,6 +27,12 @@ _BC_TAGS = (DIRICHLET_ZERO, PERIODIC)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
+    if type(arr) is np.ndarray and not arr.flags.writeable and arr.dtype == np.float64:
+        link = arr.base
+        while type(link) is np.ndarray and not link.flags.writeable:
+            link = link.base
+        if link is None:
+            return arr
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
     return out

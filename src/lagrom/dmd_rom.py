@@ -136,8 +136,9 @@ def fit_dmd(
     amplitudes = pinv @ data[:, 0]
     anchor_proj = u.T @ data[:, 0]
 
-    # One-step training residual, reused as the growth-rate estimate in the
-    # a-posteriori error bound.
+    # One-step training residual: a fit diagnostic kept on the model and
+    # saved with it. The error bound does not read it; its slope comes from
+    # error_analysis.estimate_eps_m on the data the caller scores against.
     stepped = u @ (k_tilde @ (u.T @ y1))
     resid = float(np.max(np.linalg.norm(y2 - stepped, axis=0)))
 

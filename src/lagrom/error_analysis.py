@@ -4,9 +4,13 @@ The bound at index n >= m (m = last training index) is
 
     ||pinv(modes)||_F * ( ||e^m||_2 + (n - m) * eps_m )
 
-where eps_m is estimated as the worst one-step residual of the fitted model
-over its own training pairs. Validity (bound >= measured error) is the
-asserted property; tightness is not.
+where eps_m is the worst one-step residual of the fitted propagator over the
+consecutive column pairs of whatever trajectory the caller passes to
+``estimate_eps_m``. ``bench.run_experiment`` passes the whole retained
+reference trajectory (indices 1..M, past the training window too), so the
+bound is not a-posteriori in the strict sense: its slope sees data the fit
+did not. Validity (bound >= measured error) is the asserted property;
+tightness is not.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ def last_training_index(model: DmdModel) -> int:
 
 
 def estimate_eps_m(model: DmdModel, training) -> float:
-    """Worst one-step residual of the fitted propagator on the training pairs."""
+    """Worst one-step residual of the fitted propagator over the consecutive
+    column pairs of ``training`` (whatever trajectory the caller passes)."""
     y = _as_array(training)
     if y.shape[1] < 2:
         return 0.0

@@ -57,17 +57,6 @@ class EulerianStepWorkspace:
         return cls(system=run_diffusion_system(spec))
 
 
-def numerical_flux(u_left: float, u_right: float, spec: ProblemSpec) -> float:
-    """Single upwind face flux; consistent (flux(c, c) = F(c))."""
-    f_l = float(spec.flux_F(u_left))
-    f_r = float(spec.flux_F(u_right))
-    if u_right != u_left:
-        a = (f_r - f_l) / (u_right - u_left)
-    else:
-        a = float(spec.flux_f(u_left))
-    return 0.5 * (f_r + f_l) - 0.5 * abs(a) * (u_right - u_left)
-
-
 def _extend(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Attach ghost values: boundary data for Dirichlet, wrapped for periodic."""
     if spec.periodic:

@@ -149,6 +149,7 @@ def run_lagrangian_hfm(spec: ProblemSpec, n_store: int) -> LagrangianRun:
         positions[:, step + 1] = state.positions.nodes
         values[:, step + 1] = state.values
     stacked = np.vstack([positions[:, 1 : n_store + 1], values[:, 1 : n_store + 1]])
+    stacked.setflags(write=False)  # adopted by the snapshot matrix, not copied
     snaps = SnapshotMatrix(stacked, np.arange(1, n_store + 1))
     elapsed = time.perf_counter() - started
     return LagrangianRun(snaps, positions, values, state.eulerian_grid, elapsed)

@@ -352,7 +352,8 @@ def run_pod_rom(basis: PodBasis, initial_full: np.ndarray, spec: ProblemSpec, ho
     """Project the initial state, step to the horizon, reconstruct each state.
 
     States are stored time-major, one contiguous row per step, and returned
-    as column-ordered transposes.
+    as column-ordered transposes; the store is marked read-only so the
+    snapshot matrix adopts it without a copy.
     """
     started = time.perf_counter()
     z0 = np.asarray(initial_full, dtype=float)
@@ -374,6 +375,7 @@ def run_pod_rom(basis: PodBasis, initial_full: np.ndarray, spec: ProblemSpec, ho
         iters.append(used)
         reduced[k + 1] = z_hat
         full[k] = recon
+    full.setflags(write=False)
     snaps = SnapshotMatrix(full.T, np.arange(1, horizon + 1))
     elapsed = time.perf_counter() - started
     return PodRomRun(snaps, reduced.T, iters, proj_err, elapsed)

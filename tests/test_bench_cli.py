@@ -1,13 +1,18 @@
 """Experiment runner emissions, determinism, validation, CLI plumbing."""
 
 import json
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from lagrom import bench
 from lagrom.bench import (
     GRID_BLOCK_COLUMNS,
+    _Reference,
+    _score,
     _states_on_reference_grid,
     load_timing,
     run_experiment,
@@ -16,6 +21,8 @@ from lagrom.bench import (
 )
 from lagrom.cli import main
 from lagrom.core import DIRICHLET_ZERO, PERIODIC, stacked_to_grid
+from lagrom.dmd_rom import fit_dmd
+from lagrom.error_analysis import estimate_eps_m, relative_l2, truncation_error
 from lagrom.errors import GridEntanglement
 from lagrom.presets import ExperimentConfig, parse_config_file, resolve
 
@@ -179,7 +186,7 @@ class TestRunExperiment:
 
 
 class TestStatesOnReferenceGrid:
-    """The blocked moving-to-fixed reconstruction equals per-column stacked_to_grid."""
+    """The moving-to-fixed reconstruction equals per-column stacked_to_grid."""
 
     COUNT = 2 * GRID_BLOCK_COLUMNS + 6  # a partial last block
 
@@ -212,6 +219,107 @@ class TestStatesOnReferenceGrid:
         with pytest.raises(GridEntanglement, match=f"time index {GRID_BLOCK_COLUMNS + 9}$") as exc:
             _states_on_reference_grid(columns, spec.grid(), spec)
         assert exc.value.time_index == GRID_BLOCK_COLUMNS + 9
+
+
+class TestScore:
+    """The blocked scorer against whole-array arithmetic on the same data."""
+
+    WIDTH = 32  # columns per block, set through the cell budget
+    COUNT = 2 * WIDTH + 6  # a partial last block
+
+    @pytest.fixture
+    def blocks_of(self, monkeypatch):
+        """Make the scorer's blocks WIDTH columns of an observable with this many rows."""
+        return lambda rows: monkeypatch.setattr(bench, "SCORE_BLOCK_CELLS", self.WIDTH * rows)
+
+    @staticmethod
+    def reference(spec, count):
+        """A reference over indices 0..count: fixed-grid states and a moving frame."""
+        stacked = TestStatesOnReferenceGrid.stacked(spec, count + 1)
+        n = spec.n_cells
+        euler = SimpleNamespace(grid=spec.grid(), trajectory=np.cos(stacked[n:] + 0.3))
+        lagr = SimpleNamespace(positions=stacked[:n], values=stacked[n:])
+        return _Reference.of(euler, lagr)
+
+    @staticmethod
+    def perturbed(columns):
+        """Column-contiguous, like the predictions and reconstructions scored in a run."""
+        k = np.arange(columns.shape[1])
+        return np.asfortranarray(columns + 1e-3 * np.sin(0.7 * k + np.arange(columns.shape[0])[:, None]))
+
+    def test_tangled_column_raises_with_global_time_index(self, blocks_of):
+        spec = make_spec(speed="burgers", n=50, m_steps=self.COUNT, bc=PERIODIC)
+        ref = self.reference(spec, self.COUNT)
+        blocks_of(100)
+        for col in (self.WIDTH + 8, 2 * self.WIDTH + 1):
+            observed = np.vstack([ref.positions, ref.values])
+            observed[[5, 6], col] = observed[[6, 5], col]
+            with pytest.raises(GridEntanglement, match=f"time index {col + 1}$") as exc:
+                _score(ref, observed, spec)
+            assert exc.value.time_index == col + 1
+
+    def test_kept_states_equal_whole_array_reconstruction(self, blocks_of):
+        spec = make_spec(speed="burgers", n=50, m_steps=self.COUNT, bc=PERIODIC)
+        ref = self.reference(spec, self.COUNT)
+        blocks_of(100)
+        observed = self.perturbed(np.vstack([ref.positions, ref.values]))
+        report, states = _score(ref, observed, spec, keep_states=True)
+        assert states.flags.f_contiguous
+        assert np.array_equal(states, _states_on_reference_grid(observed, spec.grid(), spec))
+        assert np.array_equal(report.error_state, relative_l2(ref.states, states))
+        assert _score(ref, observed, spec)[1] is None
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_observable_errors_equal_whole_array_errors(self, stacked, blocks_of):
+        spec = make_spec(speed="burgers", n=50, m_steps=self.COUNT, bc=PERIODIC)
+        ref = self.reference(spec, self.COUNT)
+        whole = np.vstack([ref.positions, ref.values]) if stacked else np.ascontiguousarray(ref.states)
+        blocks_of(whole.shape[0])
+        observed = self.perturbed(whole)
+        report, _ = _score(ref, observed, spec)
+        assert np.array_equal(report.error_observable, truncation_error(whole, observed))
+        assert report.bound is None and report.eps_m is None
+
+    def test_eps_m_sees_pairs_across_block_boundaries(self, blocks_of):
+        # Linear data in the first three coordinates; the fitted projector
+        # spans exactly those. A kick orthogonal to it at the first column of
+        # the second block shows only in the pair that ends there, which
+        # belongs to the first block alone once the blocks overlap.
+        spec = make_spec(speed="const", n=6, m_steps=self.COUNT)
+        data = np.zeros((6, self.COUNT + 1))
+        data[:3, 0] = 1.0
+        for k in range(self.COUNT):
+            data[:3, k + 1] = np.array([0.99, 0.97, 0.95]) * data[:3, k]
+        model = fit_dmd(data[:, 1:20], epsilon=1e-12)
+        data[4, self.WIDTH + 1] = 0.5
+        ref = _Reference.of(SimpleNamespace(grid=spec.grid(), trajectory=data), None)
+        blocks_of(6)
+        report, _ = _score(ref, self.perturbed(ref.states), spec, model=model)
+        assert report.eps_m == pytest.approx(0.5, rel=1e-12)
+        assert report.eps_m == pytest.approx(estimate_eps_m(model, ref.states), rel=1e-12)
+
+
+class TestMemory:
+    def test_scoring_peak_stays_under_six_stacked_horizons(self):
+        # One stacked-horizon array is the 2N x M float64 observable of the
+        # whole horizon. Predictions, the L-POD reconstructions and the solver
+        # trajectories need about three of them; whole-horizon error
+        # temporaries and a stacked copy of the reference add about four more.
+        config = ExperimentConfig(preset="test4", scale=4)
+        spec = resolve(config).spec
+        stacked_horizon = 2 * spec.n_cells * spec.n_steps * 8
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            run_experiment(config, emit=False)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 6 * stacked_horizon, f"peak {peak / stacked_horizon:.2f} stacked-horizon arrays"
 
 
 class TestTimingTable:

@@ -133,6 +133,49 @@ class TestSnapshotMatrix:
         assert not m2.has_unit_stride()
 
 
+class TestReadonlyAdoption:
+    """Arrays nothing can change are adopted; everything else is copied."""
+
+    @staticmethod
+    def frozen(arr):
+        arr.setflags(write=False)
+        return arr
+
+    def test_readonly_float_array_is_adopted(self):
+        source = self.frozen(np.arange(6.0)).reshape(2, 3)
+        assert np.shares_memory(core._readonly(source), source)
+        view = source.T  # a read-only view of a read-only owner
+        matrix = SnapshotMatrix(view, np.array([1, 2]))
+        assert np.shares_memory(matrix.data, source)
+        assert matrix.data.flags.f_contiguous
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.arange(6.0).reshape(2, 3),
+            lambda: np.broadcast_to(np.arange(3.0), (2, 3)),
+            lambda: TestReadonlyAdoption.frozen(np.arange(6).reshape(2, 3)),
+        ],
+        ids=["writeable", "readonly-view-of-writeable", "int"],
+    )
+    def test_other_inputs_are_copied(self, make):
+        source = make()
+        out = core._readonly(source)
+        assert not np.shares_memory(out, source)
+        assert out.dtype == np.float64 and not out.flags.writeable
+        assert np.array_equal(out, source)
+
+    def test_mutating_the_source_leaves_the_matrix_unchanged(self):
+        owner = np.ones((2, 3))
+        base = np.ones(3)
+        copied = SnapshotMatrix(owner, np.array([1, 2, 3]))
+        broadcast = SnapshotMatrix(np.broadcast_to(base, (2, 3)), np.array([1, 2, 3]))
+        owner[0, 0] = 5.0
+        base[1] = 7.0
+        assert np.array_equal(copied.data, np.ones((2, 3)))
+        assert np.array_equal(broadcast.data, np.ones((2, 3)))
+
+
 class TestInterpolation:
     def test_identity_grid_returns_values(self):
         g = uniform_grid(0.0, 1.0, 9)

@@ -9,7 +9,7 @@ from lagrom.hfm_eulerian import (
     EulerianStepWorkspace,
     advance_eulerian,
     check_cfl,
-    numerical_flux,
+    face_fluxes,
     run_eulerian_hfm,
 )
 from lagrom.presets import gaussian_pulse
@@ -18,19 +18,32 @@ from conftest import make_spec
 
 
 class TestNumericalFlux:
-    def test_consistency_at_equal_states(self, burgers_spec):
+    """``face_fluxes``, the vectorised flux the solver and the E-POD step run,
+    on short states (ghost values included)."""
+
+    def test_consistency_at_equal_states(self):
+        spec = make_spec(speed="burgers", n=4, bc=PERIODIC)
         for c in (0.0, 0.4, 1.7, -2.0):
-            assert np.isclose(numerical_flux(c, c, burgers_spec), 0.5 * c * c, atol=1e-15)
+            fluxes = face_fluxes(np.full(4, c), spec)
+            assert fluxes.shape == (5,)
+            assert np.allclose(fluxes, 0.5 * c * c, rtol=0.0, atol=1e-15)
 
-    def test_linear_flux_reduces_to_upwind(self, advection_spec):
+    def test_linear_flux_reduces_to_upwind(self):
         # With F(u) = u the secant speed is 1 and the average/diffusion terms
-        # cancel to the left value.
-        for ul, ur in [(0.3, 0.9), (1.0, -0.5), (0.0, 0.0)]:
-            assert np.isclose(numerical_flux(ul, ur, advection_spec), ul, atol=1e-15)
+        # cancel to the left value at every face, the left ghost included.
+        spec = make_spec(speed="const", c=1.0, n=5, bc_values=(0.2, -0.1))
+        u = np.array([0.3, 0.9, 1.0, -0.5, 0.0])
+        expected = np.concatenate([[0.2], u])
+        assert np.allclose(face_fluxes(u, spec), expected, rtol=0.0, atol=1e-15)
 
-    def test_burgers_hand_value(self, burgers_spec):
-        # F = u^2/2 with states 0 and 1: secant 0.5, average 0.25, spread 0.25.
-        assert np.isclose(numerical_flux(0.0, 1.0, burgers_spec), 0.0, atol=1e-15)
+    def test_burgers_hand_value(self):
+        # F = u^2/2 across the face from the Dirichlet ghost 0 to u = 1:
+        # secant 0.5, average 0.25, spread 0.25, so the flux is 0; the
+        # interior face (1 | 1) carries F(1) = 0.5, and so does the right
+        # face to the ghost 0 (average 0.25 plus spread 0.25).
+        spec = make_spec(speed="burgers", n=2)
+        fluxes = face_fluxes(np.ones(2), spec)
+        assert np.allclose(fluxes, [0.0, 0.5, 0.5], rtol=0.0, atol=1e-15)
 
 
 class TestAdvance:
