@@ -20,17 +20,19 @@ error CSV, whose state and bound cells may be blank, formats cell by cell:
 * ``plot.py``                standalone matplotlib script rendering the figures
 
 Scoring: every method is scored by ``_score`` against one reference built
-per run, which holds views of the solver trajectories rather than a stacked
-copy. The scorer walks the method's whole-horizon prediction in column
-blocks of at most ``SCORE_BLOCK_CELLS`` cells (16 columns of the full-size
-stacked observable); per block it computes the observable error,
-takes stacked moving-frame columns to the fixed grid (tangle check, then
-interpolation), the relative state error, and for DMD the one-step residual
-behind the bound. No temporary grows with the horizon, and the fixed-grid
-states are kept only when the caller asks for them. Predictions themselves
-are still made once over the whole horizon: predicting per chunk restarts
-the ``K^gap`` walk at each chunk, which moved the full-size test4 L-DMD error
-columns by up to 6e-8 relative.
+per run. The solvers keep their runs in time-major read-only stores, so the
+reference holds only views of them: the fixed-grid states, and the stacked
+[x; u] moving-frame columns, of which the scorer reads one block of columns
+at a time without a copy. The scorer walks the method's whole-horizon
+prediction in column blocks of at most ``SCORE_BLOCK_CELLS`` cells (16
+columns of the full-size stacked observable); per block it computes the
+observable error, takes stacked moving-frame columns to the fixed grid
+(tangle check, then interpolation), the relative state error, and for DMD
+the one-step residual behind the bound. No temporary grows with the
+horizon, and the fixed-grid states are kept only when the caller asks for
+them. Predictions themselves are still made once over the whole horizon:
+predicting per chunk restarts the ``K^gap`` walk at each chunk, which moved
+the full-size test4 L-DMD error columns by up to 6e-8 relative.
 """
 
 from __future__ import annotations
@@ -127,30 +129,25 @@ class RunRecord:
 class _Reference:
     """What every method of one run is scored against, built once per run.
 
-    Holds views of the solver trajectories, never a stacked copy: a method
-    scored in the moving frame gets its stacked [x; u] reference one block
-    of columns at a time.
+    Holds views of the solver stores, never a copy: a method scored in the
+    moving frame reads its stacked [x; u] reference one block of columns at
+    a time.
     """
 
     grid: Grid1D  # the fixed grid of the Eulerian solver
     states: np.ndarray  # fixed-grid solver states at indices 1..M
     state_norms: np.ndarray  # their column 2-norms, the relative_l2 scale
-    positions: Optional[np.ndarray]  # moving-frame positions at 1..M
-    values: Optional[np.ndarray]  # moving-frame carried values at 1..M
+    stacked: Optional[np.ndarray]  # moving-frame [x; u] columns at 1..M
 
     @classmethod
     def of(cls, euler_run, lagr_run) -> "_Reference":
         states = euler_run.trajectory[:, 1:]
-        positions = values = None
-        if lagr_run is not None:
-            positions, values = lagr_run.positions[:, 1:], lagr_run.values[:, 1:]
-        return cls(euler_run.grid, states, np.linalg.norm(states, axis=0), positions, values)
+        stacked = None if lagr_run is None else lagr_run.stacked[:, 1:]
+        return cls(euler_run.grid, states, np.linalg.norm(states, axis=0), stacked)
 
     def observables(self, cols: slice, stacked: bool) -> np.ndarray:
         """Reference observable columns: fixed-grid states, or stacked [x; u]."""
-        if not stacked:
-            return self.states[:, cols]
-        return np.vstack([self.positions[:, cols], self.values[:, cols]])
+        return (self.stacked if stacked else self.states)[:, cols]
 
 
 def _time_call(fn, *args, **kwargs):
@@ -290,8 +287,16 @@ def _states_on_reference_grid(stacked_columns, euler_grid, spec, first_index=1):
 def _run_lagrangian_dmd(resolved, lagr_run, ref, keep_states):
     spec = resolved.spec
     horizon = spec.n_steps
+    # Fitted on a row-major copy of the column-major snapshot view. On the
+    # exact-transport presets (test1, test3) the errors are rounding noise
+    # and the bound multiplies it by ||pinv(modes)||_F (7e5 to 6e6 at desk
+    # size); fitting the view, whose BLAS path differs by layout alone,
+    # moved their emitted bounds by up to 2e-3 relative.
     model, fit_s = _time_call(
-        fit_lagrangian_dmd, lagr_run.snapshots, epsilon=resolved.epsilon, fixed_rank=resolved.fixed_rank
+        fit_lagrangian_dmd,
+        np.ascontiguousarray(lagr_run.snapshots.data),
+        epsilon=resolved.epsilon,
+        fixed_rank=resolved.fixed_rank,
     )
     preds, roll_s = _time_call(predict_series, model, np.arange(1, horizon + 1))
     # State-space comparison happens on the fixed grid shared with the
@@ -318,8 +323,7 @@ def _run_lagrangian_pod(resolved, lagr_run, ref, keep_states):
         fixed_rank=resolved.fixed_rank,
         frame=FRAME_LAGRANGIAN,
     )
-    z0 = np.concatenate([lagr_run.positions[:, 0], lagr_run.values[:, 0]])
-    rollout, roll_s = _time_call(run_pod_rom, basis, z0, spec, horizon)
+    rollout, roll_s = _time_call(run_pod_rom, basis, lagr_run.stacked[:, 0], spec, horizon)
     report, states = _score(ref, rollout.snapshots.data, spec, keep_states=keep_states)
     return MethodResult(
         method=METHOD_LAGRANGIAN_POD,

@@ -14,11 +14,16 @@ class DimensionMismatch(LagromError):
 
 
 class CflViolation(LagromError):
-    """Explicit advection step would exceed the stability limit."""
+    """Explicit advection step would exceed the stability limit.
 
-    def __init__(self, message, max_speed=None):
+    ``time_index`` names the index the rejected step would have produced,
+    when the check belongs to a step.
+    """
+
+    def __init__(self, message, max_speed=None, time_index=None):
         super().__init__(message)
         self.max_speed = max_speed
+        self.time_index = time_index
 
 
 class SingularTridiagonal(LagromError):

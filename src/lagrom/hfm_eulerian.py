@@ -21,6 +21,14 @@ semi-Lagrangian solver and both POD steppers call these pieces instead of
 repeating them; this module calls only ``kernels`` and ``core``. Every
 solver step checks its residual ``apply(u_new) - with_boundary_terms(u*)``,
 its Courant number and the finiteness of the new state.
+
+One step path: ``eulerian_step`` advances a raw value array, and both
+``advance_eulerian`` (one ``StateVector`` to the next) and the run loop call
+it. ``run_eulerian_hfm`` keeps its states time-major: a preallocated
+(M+1, N) C-order store whose row n is u^n, written as one contiguous row per
+step and marked read-only after the loop. ``trajectory`` is its (N, M+1)
+transposed view and ``snapshots.data`` the view of rows 1..m, which the
+snapshot matrix adopts without a copy.
 """
 
 from __future__ import annotations
@@ -86,14 +94,18 @@ def advected_state(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     return u - (spec.dt / spec.dx) * (fluxes[1:] - fluxes[:-1])
 
 
-def check_cfl(u: np.ndarray, spec: ProblemSpec) -> float:
-    """Courant number of the explicit advection step; raises past 1 + slack."""
+def check_cfl(u: np.ndarray, spec: ProblemSpec, time_index: int = None) -> float:
+    """Courant number of the explicit advection step from state ``u``;
+    raises past 1 + slack, naming ``time_index`` (the step's new index)
+    when given."""
     speeds = np.max(np.abs(np.asarray(spec.flux_f(u), dtype=float)))
     courant = float(speeds) * spec.dt / spec.dx
     if courant > 1.0 + CFL_SLACK:
+        where = "" if time_index is None else f" (time index {time_index})"
         raise CflViolation(
-            f"Courant number {courant:.6f} exceeds 1 (max |f(u)| = {float(speeds):.6g})",
+            f"Courant number {courant:.6f} exceeds 1 (max |f(u)| = {float(speeds):.6g}){where}",
             max_speed=float(speeds),
+            time_index=time_index,
         )
     return courant
 
@@ -171,21 +183,20 @@ def step_system(spec: ProblemSpec, run_system: Optional[DiffusionSystem], x: np.
     return diffusion_system_for(spec, x, t, u)
 
 
-def advance_eulerian(state: StateVector, spec: ProblemSpec, workspace: EulerianStepWorkspace = None) -> StateVector:
-    """One full step: explicit upwind advection then implicit diffusion."""
-    u = state.values
-    if workspace is None:
-        workspace = EulerianStepWorkspace.for_spec(spec)
-    workspace.last_courant = check_cfl(u, spec)
-    index = state.time_index + 1
-
+def eulerian_step(
+    u: np.ndarray, spec: ProblemSpec, workspace: EulerianStepWorkspace, nodes: np.ndarray, index: int
+) -> np.ndarray:
+    """u at time index ``index`` from u at ``index - 1`` on the fixed ``nodes``:
+    explicit upwind advection then implicit diffusion, with the step's
+    Courant, residual and finiteness checks."""
+    workspace.last_courant = check_cfl(u, spec, index)
     u_star = advected_state(u, spec)
     if spec.diffusion_D is None:
         u_new = u_star
         workspace.last_residual = 0.0
     else:
         # D is lagged at the advected intermediate to keep one linear solve.
-        system = step_system(spec, workspace.system, state.grid.nodes, index * spec.dt, u_star)
+        system = step_system(spec, workspace.system, nodes, index * spec.dt, u_star)
         u_new = system.solve(u_star)
         workspace.last_residual = system.residual(u_new, u_star)
         if workspace.last_residual > RESIDUAL_TOL:
@@ -195,12 +206,25 @@ def advance_eulerian(state: StateVector, spec: ProblemSpec, workspace: EulerianS
             )
     if not np.all(np.isfinite(u_new)):
         raise NumericalFailure(f"non-finite state at time index {index}", time_index=index)
+    return u_new
+
+
+def advance_eulerian(state: StateVector, spec: ProblemSpec, workspace: EulerianStepWorkspace = None) -> StateVector:
+    """One full step: explicit upwind advection then implicit diffusion."""
+    if workspace is None:
+        workspace = EulerianStepWorkspace.for_spec(spec)
+    index = state.time_index + 1
+    u_new = eulerian_step(state.values, spec, workspace, state.grid.nodes, index)
     return StateVector(u_new, state.grid, index)
 
 
 @dataclass
 class EulerianRun:
-    """Snapshots plus the retained full trajectory and timing of one run."""
+    """Snapshots plus the retained full trajectory and timing of one run.
+
+    ``trajectory`` (N, M+1) and ``snapshots.data`` are read-only views of
+    the run's time-major store.
+    """
 
     snapshots: SnapshotMatrix
     trajectory: np.ndarray
@@ -216,20 +240,18 @@ def run_eulerian_hfm(spec: ProblemSpec, n_store: int) -> EulerianRun:
         raise ValueError("n_store cannot exceed the number of steps")
     started = time.perf_counter()
     state = spec.initial_state()
-    n = len(state.grid)
+    nodes = state.grid.nodes
     workspace = EulerianStepWorkspace.for_spec(spec)
-    trajectory = np.empty((n, spec.n_steps + 1))
-    trajectory[:, 0] = state.values
+    store = np.empty((spec.n_steps + 1, nodes.size))
+    store[0] = state.values
     max_res = 0.0
     max_cfl = 0.0
     for step in range(spec.n_steps):
-        try:
-            state = advance_eulerian(state, spec, workspace)
-        except CflViolation as exc:
-            raise CflViolation(f"{exc} (time index {step + 1})", max_speed=exc.max_speed) from exc
-        trajectory[:, step + 1] = state.values
+        store[step + 1] = eulerian_step(store[step], spec, workspace, nodes, step + 1)
         max_res = max(max_res, workspace.last_residual)
         max_cfl = max(max_cfl, workspace.last_courant)
+    store.setflags(write=False)
+    trajectory = store.T
     snaps = SnapshotMatrix(trajectory[:, 1 : n_store + 1], np.arange(1, n_store + 1))
     elapsed = time.perf_counter() - started
     return EulerianRun(snaps, trajectory, state.grid, elapsed, max_res, max_cfl)

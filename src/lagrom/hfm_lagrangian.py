@@ -21,6 +21,15 @@ number, the run builds and factors the implicit system once and every step
 reuses it. Positions are kept unwrapped (monotone) for periodic problems;
 wrapping happens only inside the interpolation, so entanglement detection
 stays a plain monotonicity test.
+
+One step path: ``lagrangian_step`` advances raw position and value arrays
+(and hands back f(u^{n+1}), which the next step reuses as its f(u^n)); both
+``advance_lagrangian`` and the run loop call it. ``run_lagrangian_hfm``
+writes each step as one contiguous row [x^n; u^n] of a preallocated
+(M+1, 2N) C-order store, marked read-only after the loop. ``stacked`` is its
+(2N, M+1) transposed view, ``positions`` and ``values`` are that view's two
+halves, and ``snapshots.data`` is the view of columns 1..m, which the
+snapshot matrix adopts without a copy.
 """
 
 from __future__ import annotations
@@ -87,6 +96,41 @@ def diffuse_carried_values(
     return u_new, (system, u_tilde, u_tilde_new)
 
 
+def lagrangian_step(
+    spec: ProblemSpec,
+    system: Optional[DiffusionSystem],
+    nodes: np.ndarray,
+    x: np.ndarray,
+    u: np.ndarray,
+    f_u: np.ndarray,
+    index: int,
+):
+    """Positions, values and speeds at time index ``index`` from ``x``, ``u``
+    and ``f_u = speeds(spec, u)`` at ``index - 1``; the diffusion solve runs
+    on the fixed ``nodes``. Checks the diffusion residual, entanglement and
+    finiteness of the new state.
+    """
+    if spec.diffusion_D is None:
+        u_new, f_new = u, f_u
+    else:
+        u_new, (system, u_tilde, u_tilde_new) = diffuse_carried_values(spec, system, x, u, nodes, index * spec.dt)
+        worst = system.residual(u_tilde_new, u_tilde)
+        if worst > RESIDUAL_TOL:
+            raise NumericalFailure(
+                f"diffusion residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e} at time index {index}",
+                time_index=index,
+            )
+        f_new = speeds(spec, u_new)
+
+    x_new = x + 0.5 * spec.dt * (f_u + f_new)
+
+    if np.any(np.diff(x_new) <= 0.0):
+        raise GridEntanglement(f"moving grid tangled at time index {index}", time_index=index)
+    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(u_new))):
+        raise NumericalFailure(f"non-finite state at time index {index}", time_index=index)
+    return x_new, u_new, f_new
+
+
 def advance_lagrangian(
     state: LagrangianState, spec: ProblemSpec, system: Optional[DiffusionSystem] = None
 ) -> LagrangianState:
@@ -95,41 +139,29 @@ def advance_lagrangian(
     ``system`` is the run's diffusion system when D is constant; without it a
     diffusive step builds its own.
     """
-    x = state.positions.nodes
     u = state.values
     index = state.time_index + 1
-
-    if spec.diffusion_D is None:
-        u_new = u
-    else:
-        u_new, (system, u_tilde, u_tilde_new) = diffuse_carried_values(
-            spec, system, x, u, state.eulerian_grid.nodes, index * spec.dt
-        )
-        worst = system.residual(u_tilde_new, u_tilde)
-        if worst > RESIDUAL_TOL:
-            raise NumericalFailure(
-                f"diffusion residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e} at time index {index}",
-                time_index=index,
-            )
-
-    x_new = x + 0.5 * spec.dt * (speeds(spec, u) + speeds(spec, u_new))
-
-    if np.any(np.diff(x_new) <= 0.0):
-        raise GridEntanglement(f"moving grid tangled at time index {index}", time_index=index)
-    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(u_new))):
-        raise NumericalFailure(f"non-finite state at time index {index}", time_index=index)
+    x_new, u_new, _ = lagrangian_step(
+        spec, system, state.eulerian_grid.nodes, state.positions.nodes, u, speeds(spec, u), index
+    )
     return LagrangianState(Grid1D(x_new), u_new, state.eulerian_grid, index)
 
 
 @dataclass
 class LagrangianRun:
-    """Stacked snapshots plus retained position/value trajectories."""
+    """Stacked snapshots plus retained position/value trajectories.
+
+    ``stacked`` (2N, M+1) holds [x^n; u^n] in column n; ``positions`` and
+    ``values`` are its halves and ``snapshots.data`` its columns 1..m, all
+    read-only views of the run's time-major store.
+    """
 
     snapshots: SnapshotMatrix
     positions: np.ndarray
     values: np.ndarray
     eulerian_grid: Grid1D
     wall_seconds: float
+    stacked: np.ndarray
 
 
 def run_lagrangian_hfm(spec: ProblemSpec, n_store: int) -> LagrangianRun:
@@ -139,17 +171,19 @@ def run_lagrangian_hfm(spec: ProblemSpec, n_store: int) -> LagrangianRun:
     started = time.perf_counter()
     state = initial_lagrangian_state(spec)
     system = run_diffusion_system(spec)
+    nodes = state.eulerian_grid.nodes
     n = state.n
-    positions = np.empty((n, spec.n_steps + 1))
-    values = np.empty((n, spec.n_steps + 1))
-    positions[:, 0] = state.positions.nodes
-    values[:, 0] = state.values
+    store = np.empty((spec.n_steps + 1, 2 * n))
+    store[0, :n] = state.positions.nodes
+    store[0, n:] = state.values
+    f_u = speeds(spec, state.values)
     for step in range(spec.n_steps):
-        state = advance_lagrangian(state, spec, system)
-        positions[:, step + 1] = state.positions.nodes
-        values[:, step + 1] = state.values
-    stacked = np.vstack([positions[:, 1 : n_store + 1], values[:, 1 : n_store + 1]])
-    stacked.setflags(write=False)  # adopted by the snapshot matrix, not copied
-    snaps = SnapshotMatrix(stacked, np.arange(1, n_store + 1))
+        row = store[step]
+        x_new, u_new, f_u = lagrangian_step(spec, system, nodes, row[:n], row[n:], f_u, step + 1)
+        store[step + 1, :n] = x_new
+        store[step + 1, n:] = u_new
+    store.setflags(write=False)
+    stacked = store.T
+    snaps = SnapshotMatrix(stacked[:, 1 : n_store + 1], np.arange(1, n_store + 1))
     elapsed = time.perf_counter() - started
-    return LagrangianRun(snaps, positions, values, state.eulerian_grid, elapsed)
+    return LagrangianRun(snaps, stacked[:n], stacked[n:], state.eulerian_grid, elapsed, stacked)

@@ -6,6 +6,19 @@ independently at the constant speed f(y_row), and the zero contour of c in
 the (x, y) plane recovers u. The 2-D field is linear dynamics, so a DMD fit
 on flattened field snapshots gives an iteration-free surrogate whose contours
 approximate the nonlinear solution.
+
+One step path: ``advance_levelset`` and ``run_levelset_hfm`` both check the
+row speeds with ``row_speeds`` and step the raw field with
+``kernels.levelset_step``; ``extract_zero_contour`` and the run both take
+contours with ``zero_contour``. The y grid is fixed, so a run evaluates the
+row speeds and their Courant check once. It steps the field in column-major
+(Fortran) order, so the column-major flattening of a snapshot is the field's
+own memory: each of the first m steps is one contiguous row of a
+preallocated (m, n_x·n_y) C-order store, and each contour one row of an
+(M+1, n_x) store. Both stores are marked read-only after the loop;
+``snapshots.data`` and ``contours`` are their transposed views, and the
+snapshot matrix adopts its view without a copy. A ``LevelSetField`` is built
+only for ``final_field``.
 """
 
 from __future__ import annotations
@@ -21,6 +34,7 @@ from .errors import (
     CflViolation,
     MultipleSignChanges,
     NoSignChange,
+    NumericalFailure,
     RangeNotCovered,
 )
 from .dmd_rom import OBSERVABLE_LEVELSET, DmdModel, fit_dmd, predict
@@ -82,46 +96,63 @@ def embed_initial(u0, x_grid: Grid1D, y_grid: Grid1D) -> LevelSetField:
     return LevelSetField(x_grid, y_grid, values, 0)
 
 
-def advance_levelset(field: LevelSetField, spec: ProblemSpec, dt: float) -> LevelSetField:
-    """Advance every row by sign-aware upwind at its own constant speed f(y)."""
-    dx = field.x_grid.spacing
-    speeds = np.asarray(spec.flux_f(field.y_grid.nodes), dtype=float)
-    speeds = np.broadcast_to(speeds, field.y_grid.nodes.shape).astype(float)
+def row_speeds(spec: ProblemSpec, y_nodes: np.ndarray, dt: float, dx: float, time_index: int = None) -> np.ndarray:
+    """The constant speed f(y) of every row; raises CflViolation (naming
+    ``time_index``, the index of the step being checked) when the fastest
+    row's Courant number exceeds 1."""
+    speeds = np.asarray(spec.flux_f(y_nodes), dtype=float)
+    speeds = np.broadcast_to(speeds, y_nodes.shape).astype(float)
     courant = float(np.max(np.abs(speeds))) * dt / dx
     if courant > 1.0 + CFL_SLACK:
         raise CflViolation(
-            f"row Courant number {courant:.6f} exceeds 1", max_speed=float(np.max(np.abs(speeds)))
+            f"row Courant number {courant:.6f} exceeds 1",
+            max_speed=float(np.max(np.abs(speeds))),
+            time_index=time_index,
         )
+    return speeds
+
+
+def advance_levelset(field: LevelSetField, spec: ProblemSpec, dt: float) -> LevelSetField:
+    """Advance every row by sign-aware upwind at its own constant speed f(y)."""
+    dx = field.x_grid.spacing
+    index = field.time_index + 1
+    speeds = row_speeds(spec, field.y_grid.nodes, dt, dx, index)
     out = kernels.levelset_step(np.asarray(field.values), speeds, dt / dx, spec.periodic)
-    return LevelSetField(field.x_grid, field.y_grid, out, field.time_index + 1)
+    return LevelSetField(field.x_grid, field.y_grid, out, index)
 
 
-def extract_zero_contour(field: LevelSetField) -> StateVector:
-    """Per-column linear root of c in y; exact for fields affine in y."""
-    c = field.values
-    y = field.y_grid.nodes
+def zero_contour(c: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-column linear root in y of the (n_y, n_x) field ``c`` sampled at
+    rows ``y`` and columns ``x``; exact for fields affine in y."""
     nonneg = c >= 0.0
     flips = np.sum(nonneg[1:, :] != nonneg[:-1, :], axis=0)
     if np.any(flips == 0):
         col = int(np.argmax(flips == 0))
-        raise NoSignChange(f"column {col} (x = {field.x_grid.nodes[col]:.4g}) never crosses zero")
+        raise NoSignChange(f"column {col} (x = {x[col]:.4g}) never crosses zero")
     if np.any(flips > 1):
         col = int(np.argmax(flips > 1))
-        raise MultipleSignChanges(
-            f"column {col} (x = {field.x_grid.nodes[col]:.4g}) crosses zero {int(flips[col])} times"
-        )
+        raise MultipleSignChanges(f"column {col} (x = {x[col]:.4g}) crosses zero {int(flips[col])} times")
     idx = np.argmax(nonneg[1:, :] != nonneg[:-1, :], axis=0)
     cols = np.arange(c.shape[1])
     c_lo = c[idx, cols]
     c_hi = c[idx + 1, cols]
     frac = c_lo / (c_lo - c_hi)
-    roots = y[idx] + frac * (y[idx + 1] - y[idx])
+    return y[idx] + frac * (y[idx + 1] - y[idx])
+
+
+def extract_zero_contour(field: LevelSetField) -> StateVector:
+    """Per-column linear root of c in y; exact for fields affine in y."""
+    roots = zero_contour(field.values, field.y_grid.nodes, field.x_grid.nodes)
     return StateVector(roots, field.x_grid, field.time_index)
 
 
 @dataclass
 class LevelSetRun:
-    """Training snapshots, contour trajectory, and final field of one 2-D run."""
+    """Training snapshots, contour trajectory, and final field of one 2-D run.
+
+    ``snapshots.data`` and ``contours`` (n_x, M+1) are read-only views of
+    the run's time-major stores.
+    """
 
     snapshots: SnapshotMatrix
     contours: np.ndarray
@@ -146,19 +177,29 @@ def run_levelset_hfm(
         n_y = max(len(x_grid) // 10, 8)
     u0_samples = np.asarray(spec.initial_u0(x_grid.nodes), dtype=float)
     y_grid = value_grid_for(u0_samples, n_y, margin_frac)
-    field = embed_initial(spec.initial_u0, x_grid, y_grid)
+    x, y = x_grid.nodes, y_grid.nodes
+    dx = x_grid.spacing
+    speeds = row_speeds(spec, y, spec.dt, dx, time_index=1)
+    # Column-major, so ravel(order="F") below is the field's own memory.
+    c = np.asfortranarray(embed_initial(spec.initial_u0, x_grid, y_grid).values)
 
-    contours = np.empty((len(x_grid), spec.n_steps + 1))
-    contours[:, 0] = extract_zero_contour(field).values
-    stored = np.empty((len(x_grid) * n_y, n_store))
+    contours = np.empty((spec.n_steps + 1, x.size))
+    contours[0] = zero_contour(c, y, x)
+    store = np.empty((n_store, c.size))
     for step in range(spec.n_steps):
-        field = advance_levelset(field, spec, spec.dt)
-        contours[:, step + 1] = extract_zero_contour(field).values
+        c = kernels.levelset_step(c, speeds, spec.dt / dx, spec.periodic)
+        roots = zero_contour(c, y, x)
+        if not np.all(np.isfinite(roots)):
+            raise NumericalFailure(f"non-finite contour at time index {step + 1}", time_index=step + 1)
+        contours[step + 1] = roots
         if step < n_store:
-            stored[:, step] = field.flattened()
-    snaps = SnapshotMatrix(stored, np.arange(1, n_store + 1))
+            store[step] = c.ravel(order="F")
+    contours.setflags(write=False)
+    store.setflags(write=False)
+    snaps = SnapshotMatrix(store.T, np.arange(1, n_store + 1))
+    final_field = LevelSetField(x_grid, y_grid, np.ascontiguousarray(c), spec.n_steps)
     elapsed = time.perf_counter() - started
-    return LevelSetRun(snaps, contours, x_grid, y_grid, field, elapsed)
+    return LevelSetRun(snaps, contours.T, x_grid, y_grid, final_field, elapsed)
 
 
 def levelset_dmd(snapshots, epsilon: float = None, fixed_rank: int = None) -> DmdModel:

@@ -206,3 +206,38 @@ class TestRun:
         run = run_eulerian_hfm(burgers_spec, burgers_spec.n_steps)
         assert run.trajectory.min() >= 0.0 - 1e-12
         assert run.trajectory.max() <= 2.0 + 1e-12
+
+    def test_cfl_violation_names_its_time_index(self):
+        spec = make_spec(speed="const", c=5.0, n=100, m_steps=10)
+        courant = 5.0 * spec.dt / spec.dx
+        with pytest.raises(CflViolation) as err:
+            run_eulerian_hfm(spec, 5)
+        assert err.value.time_index == 1
+        assert str(err.value) == f"Courant number {courant:.6f} exceeds 1 (max |f(u)| = 5) (time index 1)"
+        grid = spec.grid()
+        with pytest.raises(CflViolation, match=r"\(time index 5\)$") as err:
+            advance_eulerian(StateVector(gaussian_pulse(grid.nodes), grid, 4), spec)
+        assert err.value.time_index == 5
+
+
+class TestStore:
+    """The run keeps one time-major store; its arrays are read-only views."""
+
+    SPEC = dict(speed="burgers", diffusion=0.05, n=64, m_steps=40, bc=PERIODIC)
+
+    def test_snapshots_and_trajectory_share_the_store(self):
+        run = run_eulerian_hfm(make_spec(**self.SPEC), 7)
+        assert np.shares_memory(run.snapshots.data, run.trajectory)
+        assert run.trajectory.T.flags.c_contiguous
+        for arr in (run.trajectory, run.snapshots.data):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+
+    def test_run_equals_advance_bit_for_bit(self):
+        spec = make_spec(**self.SPEC)
+        run = run_eulerian_hfm(spec, 7)
+        state = spec.initial_state()
+        workspace = EulerianStepWorkspace.for_spec(spec)
+        for k in range(1, spec.n_steps + 1):
+            state = advance_eulerian(state, spec, workspace)
+            assert np.array_equal(state.values, run.trajectory[:, k])

@@ -5,7 +5,7 @@ import pytest
 
 from lagrom.core import PERIODIC
 from lagrom.errors import GridEntanglement
-from lagrom.hfm_eulerian import run_eulerian_hfm
+from lagrom.hfm_eulerian import run_diffusion_system, run_eulerian_hfm
 from lagrom.hfm_lagrangian import (
     LagrangianState,
     advance_lagrangian,
@@ -132,3 +132,24 @@ class TestRun:
         spread1 = run.values[:, -1].max() - run.values[:, -1].min()
         assert spread1 < spread0
         assert run.wall_seconds > 0.0
+
+    def test_arrays_are_read_only_views_of_one_store(self, viscous_burgers_spec):
+        run = run_lagrangian_hfm(viscous_burgers_spec, 10)
+        assert run.stacked.T.flags.c_contiguous
+        assert np.shares_memory(run.snapshots.data, run.positions)
+        assert np.shares_memory(run.snapshots.data, run.values)
+        assert np.array_equal(run.snapshots.data, run.stacked[:, 1:11])
+        for arr in (run.stacked, run.positions, run.values, run.snapshots.data):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+
+    @pytest.mark.parametrize("diffusion", [None, 0.1])
+    def test_run_equals_advance_bit_for_bit(self, diffusion):
+        spec = make_spec(speed="burgers", diffusion=diffusion, n=100, m_steps=20, t_final=0.4, bc=PERIODIC)
+        run = run_lagrangian_hfm(spec, 5)
+        state = initial_lagrangian_state(spec)
+        system = run_diffusion_system(spec)
+        for k in range(1, spec.n_steps + 1):
+            state = advance_lagrangian(state, spec, system)
+            assert np.array_equal(state.positions.nodes, run.positions[:, k])
+            assert np.array_equal(state.values, run.values[:, k])

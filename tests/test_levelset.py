@@ -111,8 +111,18 @@ class TestAdvance:
 
     def test_cfl_violation(self, burgers_spec):
         field = self.make_field()
-        with pytest.raises(CflViolation):
+        with pytest.raises(CflViolation) as err:
             advance_levelset(field, burgers_spec, 10.0)
+        assert err.value.time_index == 1
+
+    def test_run_cfl_violation_names_its_time_index(self):
+        spec = make_spec(speed="burgers", n=200, m_steps=5, bc=PERIODIC)
+        y = value_grid_for(one_plus_sin(spec.grid().nodes), 20).nodes
+        courant = np.max(np.abs(y)) * spec.dt / spec.dx
+        with pytest.raises(CflViolation) as err:
+            run_levelset_hfm(spec, 2, n_y=20)
+        assert err.value.time_index == 1
+        assert str(err.value) == f"row Courant number {courant:.6f} exceeds 1"
 
     def test_row_conservation_periodic(self, burgers_spec):
         field = self.make_field()
@@ -207,3 +217,28 @@ class TestLevelsetDmd:
         run = run_levelset_hfm(burgers_spec, 5)
         final = run.final_field
         assert np.all(np.diff(final.values, axis=0) > 0.0)
+
+
+class TestStore:
+    """The run keeps time-major stores; its arrays are read-only views."""
+
+    def test_snapshots_are_a_view_of_the_time_major_store(self, burgers_spec):
+        run = run_levelset_hfm(burgers_spec, 6, n_y=20)
+        store = run.snapshots.data.base
+        assert store.shape == (6, 200 * 20) and store.flags.c_contiguous
+        assert np.shares_memory(run.snapshots.data, store)
+        assert run.contours.T.flags.c_contiguous
+        for arr in (run.snapshots.data, run.contours):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+
+    def test_run_equals_advance_bit_for_bit(self, burgers_spec):
+        run = run_levelset_hfm(burgers_spec, 6, n_y=20)
+        field = embed_initial(burgers_spec.initial_u0, run.x_grid, run.y_grid)
+        assert np.array_equal(extract_zero_contour(field).values, run.contours[:, 0])
+        for k in range(1, burgers_spec.n_steps + 1):
+            field = advance_levelset(field, burgers_spec, burgers_spec.dt)
+            assert np.array_equal(extract_zero_contour(field).values, run.contours[:, k])
+            if k <= 6:
+                assert np.array_equal(field.flattened(), run.snapshots.data[:, k - 1])
+        assert np.array_equal(field.values, run.final_field.values)
