@@ -55,6 +55,7 @@ from .levelset import (
     embed_initial,
     extract_zero_contour,
     levelset_dmd,
+    predict_contours,
     predicted_contour,
     run_levelset_hfm,
 )
@@ -67,7 +68,7 @@ from .pod_rom import (
 )
 from .presets import ExperimentConfig, parse_config_file, resolve
 from .bench import RunRecord, run_experiment, timing_table, validate_run_dir
-from .svd_core import TruncatedSvd, reduced_svd, truncate, truncation_rank
+from .svd_core import TruncatedSvd, reduced_svd, select_rank, truncate, truncation_rank
 from . import errors
 
 __version__ = "0.1.0"

@@ -19,6 +19,13 @@ error CSV, whose state and bound cells may be blank, formats cell by cell:
 * ``manifest.json``          resolved configuration and file inventory
 * ``plot.py``                standalone matplotlib script rendering the figures
 
+Methods: one runner, ``_run_method``, fits every method on its training
+snapshots, rolls it out over the whole horizon and scores it. It branches
+only where the methods differ: POD steps its Galerkin rollout, DMD predicts
+its observable with ``predict_series``, the level set predicts contours with
+``levelset.predict_contours``, and only the Eulerian and Lagrangian DMD
+carry the bound.
+
 Scoring: every method is scored by ``_score`` against one reference built
 per run. The solvers keep their runs in time-major read-only stores, so the
 reference holds only views of them: the fixed-grid states, and the stacked
@@ -26,13 +33,15 @@ reference holds only views of them: the fixed-grid states, and the stacked
 at a time without a copy. The scorer walks the method's whole-horizon
 prediction in column blocks of at most ``SCORE_BLOCK_CELLS`` cells (16
 columns of the full-size stacked observable); per block it computes the
-observable error, takes stacked moving-frame columns to the fixed grid
-(tangle check, then interpolation), the relative state error, and for DMD
-the one-step residual behind the bound. No temporary grows with the
-horizon, and the fixed-grid states are kept only when the caller asks for
-them. Predictions themselves are still made once over the whole horizon:
-predicting per chunk restarts the ``K^gap`` walk at each chunk, which moved
-the full-size test4 L-DMD error columns by up to 6e-8 relative.
+observable error, takes stacked moving-frame columns to the fixed grid with
+``core.stacked_to_grid`` (tangle check, then interpolation), the relative
+state error, and for DMD the one-step residual behind the bound. No
+temporary grows with the horizon, and the fixed-grid states are kept only
+when the caller asks for them. DMD observables are still predicted once over
+the whole horizon: predicting per chunk restarts the ``K^gap`` walk at each
+chunk, which moved the full-size test4 L-DMD error columns by up to 6e-8
+relative. The level set, which carries no bound, predicts its fields in
+chunks, so one chunk of fields is held at a time.
 """
 
 from __future__ import annotations
@@ -46,9 +55,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import Grid1D, interp_unchecked, write_number_table
+from .core import Grid1D, stacked_to_grid, write_number_table
 from .dmd_rom import fit_dmd, fit_lagrangian_dmd, predict_series
-from .errors import DimensionMismatch, GridEntanglement, LagromError
+from .errors import LagromError
 from .error_analysis import (
     ErrorReport,
     error_bound_series,
@@ -61,8 +70,8 @@ from .error_analysis import (
 )
 from .hfm_eulerian import run_eulerian_hfm
 from .hfm_lagrangian import run_lagrangian_hfm
-from .levelset import extract_zero_contour, levelset_dmd, run_levelset_hfm, unflatten_field
-from .pod_rom import FRAME_EULERIAN, FRAME_LAGRANGIAN, fit_pod, run_pod_rom
+from .levelset import levelset_dmd, predict_contours, run_levelset_hfm
+from .pod_rom import FRAME_EULERIAN, FRAME_LAGRANGIAN, PodBasis, fit_pod, run_pod_rom
 from .presets import (
     METHOD_EULERIAN_DMD,
     METHOD_EULERIAN_POD,
@@ -75,9 +84,6 @@ from .presets import (
 )
 
 OUTPUT_ROOT_ENV = "LAGROM_OUT_ROOT"
-# Indices predicted per chunk by _run_levelset_dmd (about 100 MB of fields at
-# full size).
-GRID_BLOCK_COLUMNS = 32
 # Cells per column block of _score, so each scoring temporary holds at most
 # 512 KiB of float64: 16 columns of the full-size stacked 2N = 4000 rows, and
 # one block for the whole horizon at desk size, where per-block calls would
@@ -150,12 +156,6 @@ class _Reference:
         return (self.stacked if stacked else self.states)[:, cols]
 
 
-def _time_call(fn, *args, **kwargs):
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    return out, time.perf_counter() - t0
-
-
 def _score(ref, observed, spec, model=None, keep_states=False):
     """Error report of one method whose observables at indices 1..h are the
     columns of ``observed``; returns (report, fixed-grid states or None).
@@ -194,7 +194,7 @@ def _score(ref, observed, spec, model=None, keep_states=False):
         if model is not None:
             eps_m = max(eps_m, estimate_eps_m(model, reference))
         if stacked:
-            block = _states_on_reference_grid(block, ref.grid, spec, first_index=start + 1)
+            block = stacked_to_grid(block, ref.grid, spec.bc, spec.domain_length, first_index=start + 1)[2]
             if states is not None:
                 states[:, cols] = block
         rel_state[cols] = relative_l2(ref.states[:, cols], block, scale=ref.state_norms[cols])
@@ -214,154 +214,45 @@ def _score(ref, observed, spec, model=None, keep_states=False):
     return report, states
 
 
-def _leading_modes(matrix: np.ndarray, k: int = 3) -> np.ndarray:
-    return np.asarray(matrix)[:, : min(k, matrix.shape[1])]
-
-
-def _run_eulerian_dmd(resolved, euler_run, ref, keep_states):
+def _run_method(method, resolved, euler_run, lagr_run, level_run, ref, keep_states):
+    """Fit one method on its training snapshots, roll it out over the whole
+    horizon, and score it; only the rollout and the bound differ by method."""
     spec = resolved.spec
-    horizon = spec.n_steps
-    model, fit_s = _time_call(
-        fit_dmd, euler_run.snapshots, epsilon=resolved.epsilon, fixed_rank=resolved.fixed_rank
-    )
-    preds, roll_s = _time_call(predict_series, model, np.arange(1, horizon + 1))
-    report, states = _score(ref, preds, spec, model=model, keep_states=keep_states)
+    rule = dict(epsilon=resolved.epsilon, fixed_rank=resolved.fixed_rank)
+    started = time.perf_counter()
+    if method == METHOD_EULERIAN_DMD:
+        model = fit_dmd(euler_run.snapshots, **rule)
+    elif method == METHOD_EULERIAN_POD:
+        model = fit_pod(euler_run.snapshots, frame=FRAME_EULERIAN, **rule)
+    elif method == METHOD_LAGRANGIAN_DMD:
+        # Fitted on a row-major copy of the column-major snapshot view. On the
+        # exact-transport presets (test1, test3) the errors are rounding noise
+        # and the bound multiplies it by ||pinv(modes)||_F (7e5 to 6e6 at desk
+        # size); fitting the view, whose BLAS path differs by layout alone,
+        # moved their emitted bounds by up to 2e-3 relative.
+        model = fit_lagrangian_dmd(np.ascontiguousarray(lagr_run.snapshots.data), **rule)
+    elif method == METHOD_LAGRANGIAN_POD:
+        model = fit_pod(lagr_run.snapshots, frame=FRAME_LAGRANGIAN, **rule)
+    else:
+        model = levelset_dmd(level_run.snapshots, **rule)
+    fitted = time.perf_counter()
+    indices = np.arange(1, spec.n_steps + 1)
+    newton = None
+    if isinstance(model, PodBasis):
+        initial = (euler_run.trajectory if method == METHOD_EULERIAN_POD else lagr_run.stacked)[:, 0]
+        rollout = run_pod_rom(model, initial, spec, spec.n_steps)
+        observed, newton, modes = rollout.snapshots.data, rollout.newton_iterations, model.basis
+    elif method == METHOD_LEVELSET_DMD:
+        observed, modes = predict_contours(model, indices, level_run.x_grid, level_run.y_grid), model.modes
+    else:
+        observed, modes = predict_series(model, indices), model.modes
+    rolled = time.perf_counter()
+    # The bound belongs to a DMD propagator on the observable it was fitted
+    # to; the level set is scored on contours, which it does not propagate.
+    bound_model = model if method in (METHOD_EULERIAN_DMD, METHOD_LAGRANGIAN_DMD) else None
+    report, states = _score(ref, observed, spec, model=bound_model, keep_states=keep_states)
     return MethodResult(
-        method=METHOD_EULERIAN_DMD,
-        rank=model.rank,
-        fit_seconds=fit_s,
-        rollout_seconds=roll_s,
-        report=report,
-        states=states,
-        modes=_leading_modes(model.modes),
-    )
-
-
-def _run_eulerian_pod(resolved, euler_run, ref, keep_states):
-    spec = resolved.spec
-    horizon = spec.n_steps
-    basis, fit_s = _time_call(
-        fit_pod,
-        euler_run.snapshots,
-        epsilon=resolved.epsilon,
-        fixed_rank=resolved.fixed_rank,
-        frame=FRAME_EULERIAN,
-    )
-    rollout, roll_s = _time_call(run_pod_rom, basis, euler_run.trajectory[:, 0], spec, horizon)
-    report, states = _score(ref, rollout.snapshots.data, spec, keep_states=keep_states)
-    return MethodResult(
-        method=METHOD_EULERIAN_POD,
-        rank=basis.rank,
-        fit_seconds=fit_s,
-        rollout_seconds=roll_s,
-        newton_iterations=rollout.newton_iterations,
-        report=report,
-        states=states,
-        modes=_leading_modes(basis.basis),
-    )
-
-
-def _states_on_reference_grid(stacked_columns, euler_grid, spec, first_index=1):
-    """Interpolate stacked [x; u] columns, at time indices ``first_index``
-    onwards, onto the fixed grid.
-
-    The columns are copied to contiguous time-major rows: their positions
-    are checked for tangling at once, and the first tangled column raises
-    with its own time index. Returns the (N, h) states column-contiguous.
-    """
-    nodes = euler_grid.nodes
-    n = nodes.size
-    if stacked_columns.shape[0] != 2 * n:
-        raise DimensionMismatch("stacked prediction must have 2N rows")
-    rows = np.ascontiguousarray(stacked_columns.T)
-    tangled = np.any(np.diff(rows[:, :n], axis=1) <= 0.0, axis=1)
-    if tangled.any():
-        k = first_index + int(np.argmax(tangled))
-        raise GridEntanglement(f"reconstructed positions tangled at time index {k}", time_index=k)
-    out = np.empty((rows.shape[0], n))
-    for j, row in enumerate(rows):
-        out[j] = interp_unchecked(row[:n], row[n:], nodes, spec.periodic, spec.domain_length)
-    return out.T
-
-
-def _run_lagrangian_dmd(resolved, lagr_run, ref, keep_states):
-    spec = resolved.spec
-    horizon = spec.n_steps
-    # Fitted on a row-major copy of the column-major snapshot view. On the
-    # exact-transport presets (test1, test3) the errors are rounding noise
-    # and the bound multiplies it by ||pinv(modes)||_F (7e5 to 6e6 at desk
-    # size); fitting the view, whose BLAS path differs by layout alone,
-    # moved their emitted bounds by up to 2e-3 relative.
-    model, fit_s = _time_call(
-        fit_lagrangian_dmd,
-        np.ascontiguousarray(lagr_run.snapshots.data),
-        epsilon=resolved.epsilon,
-        fixed_rank=resolved.fixed_rank,
-    )
-    preds, roll_s = _time_call(predict_series, model, np.arange(1, horizon + 1))
-    # State-space comparison happens on the fixed grid shared with the
-    # reference solver; prediction columns must stay untangled to interpolate.
-    report, states = _score(ref, preds, spec, model=model, keep_states=keep_states)
-    return MethodResult(
-        method=METHOD_LAGRANGIAN_DMD,
-        rank=model.rank,
-        fit_seconds=fit_s,
-        rollout_seconds=roll_s,
-        report=report,
-        states=states,
-        modes=_leading_modes(model.modes),
-    )
-
-
-def _run_lagrangian_pod(resolved, lagr_run, ref, keep_states):
-    spec = resolved.spec
-    horizon = spec.n_steps
-    basis, fit_s = _time_call(
-        fit_pod,
-        lagr_run.snapshots,
-        epsilon=resolved.epsilon,
-        fixed_rank=resolved.fixed_rank,
-        frame=FRAME_LAGRANGIAN,
-    )
-    rollout, roll_s = _time_call(run_pod_rom, basis, lagr_run.stacked[:, 0], spec, horizon)
-    report, states = _score(ref, rollout.snapshots.data, spec, keep_states=keep_states)
-    return MethodResult(
-        method=METHOD_LAGRANGIAN_POD,
-        rank=basis.rank,
-        fit_seconds=fit_s,
-        rollout_seconds=roll_s,
-        newton_iterations=rollout.newton_iterations,
-        report=report,
-        states=states,
-        modes=_leading_modes(basis.basis),
-    )
-
-
-def _run_levelset_dmd(resolved, level_run, ref, keep_states):
-    spec = resolved.spec
-    horizon = spec.n_steps
-    model, fit_s = _time_call(
-        levelset_dmd, level_run.snapshots, epsilon=resolved.epsilon, fixed_rank=resolved.fixed_rank
-    )
-    x_grid, y_grid = level_run.x_grid, level_run.y_grid
-    t0 = time.perf_counter()
-    contours = np.empty((len(x_grid), horizon))
-    # A block of predicted fields, not the whole horizon's, is held at once.
-    for start in range(1, horizon + 1, GRID_BLOCK_COLUMNS):
-        indices = np.arange(start, min(start + GRID_BLOCK_COLUMNS, horizon + 1))
-        fields = predict_series(model, indices)
-        for j, k in enumerate(indices):
-            contours[:, k - 1] = extract_zero_contour(unflatten_field(fields[:, j], x_grid, y_grid, k)).values
-    roll_s = time.perf_counter() - t0
-    report, states = _score(ref, contours, spec, keep_states=keep_states)
-    return MethodResult(
-        method=METHOD_LEVELSET_DMD,
-        rank=model.rank,
-        fit_seconds=fit_s,
-        rollout_seconds=roll_s,
-        report=report,
-        states=states,
-        modes=_leading_modes(model.modes),
+        method, model.rank, fitted - started, rolled - fitted, newton, report=report, states=states, modes=modes[:, :3]
     )
 
 
@@ -404,16 +295,9 @@ def run_experiment(config: ExperimentConfig, keep_states: bool = False, emit: bo
         record.hfm_levelset_seconds = level_run.wall_seconds
 
     ref = _Reference.of(euler_run, lagr_run)
-    runners = {
-        METHOD_EULERIAN_DMD: lambda: _run_eulerian_dmd(resolved, euler_run, ref, keep_states),
-        METHOD_EULERIAN_POD: lambda: _run_eulerian_pod(resolved, euler_run, ref, keep_states),
-        METHOD_LAGRANGIAN_DMD: lambda: _run_lagrangian_dmd(resolved, lagr_run, ref, keep_states),
-        METHOD_LAGRANGIAN_POD: lambda: _run_lagrangian_pod(resolved, lagr_run, ref, keep_states),
-        METHOD_LEVELSET_DMD: lambda: _run_levelset_dmd(resolved, level_run, ref, keep_states),
-    }
     for method in resolved.methods:
         try:
-            record.methods[method] = runners[method]()
+            record.methods[method] = _run_method(method, resolved, euler_run, lagr_run, level_run, ref, keep_states)
         except LagromError as exc:
             record.methods[method] = MethodResult(method=method, failure=f"{type(exc).__name__}: {exc}")
 

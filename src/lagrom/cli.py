@@ -80,7 +80,11 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
-    config = _config_from_args(args)
+    try:
+        config = _config_from_args(args)
+    except ValueError as exc:
+        print(f"lagrom run: error: {exc}", file=sys.stderr)
+        return 2
     record = run_experiment(config)
     print(f"experiment {record.label}: N = {record.n_cells}, M = {record.n_steps}, m = {record.n_snapshots}")
     print(f"  eulerian HFM    {record.hfm_eulerian_seconds:.4f} s")

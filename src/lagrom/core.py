@@ -303,27 +303,36 @@ def split_stacked(data, n: int = None):
     return mat[:n], mat[n:]
 
 
-def stacked_to_grid(stacked, grid, bc: str = "clamp", period: float = None):
-    """Take one stacked [x; u] column back to ``grid``.
+def stacked_to_grid(stacked, grid, bc: str = "clamp", period: float = None, first_index: int = None):
+    """Take one stacked [x; u] column (1-D), or a block of them (2-D) at time
+    indices ``first_index`` onwards, back to ``grid``.
 
-    Splits the column at its midpoint and interpolates the values onto the
-    grid nodes with the given boundary rule (``linear_interpolate``'s
-    ``bc``). Returns (positions, values, values_on_grid). The positions must
-    be strictly increasing; crossings mean the moving grid is unusable. That
-    check is the only one the positions need, so the interpolation itself
-    runs unchecked.
+    Each column splits at its midpoint; its values are interpolated onto the
+    grid nodes with the boundary rule ``bc`` (as in ``linear_interpolate``).
+    Returns (positions, values, values_on_grid), the last column-contiguous.
+    Crossed positions make a moving grid unusable: the first tangled column
+    raises ``GridEntanglement`` with its time index. That check is the only
+    one the positions need, so the contiguous time-major copy of the columns
+    is checked at once and interpolated unchecked row by row.
     """
-    col = np.asarray(stacked, dtype=float)
-    if col.size != 2 * len(grid):
+    block = np.asarray(stacked, dtype=float)
+    nodes = grid.nodes if isinstance(grid, Grid1D) else np.asarray(grid, dtype=float)
+    n = nodes.size
+    if block.shape[0] != 2 * n:
         raise DimensionMismatch("stacked prediction must have 2N rows")
-    positions, values = col[: col.size // 2], col[col.size // 2 :]
-    if np.any(np.diff(positions) <= 0.0):
-        raise GridEntanglement("predicted positions are not strictly increasing")
     periodic = bc == "periodic"
     if periodic and period is None:
         raise ValueError("periodic interpolation requires the domain period")
-    nodes = grid.nodes if isinstance(grid, Grid1D) else np.asarray(grid, dtype=float)
-    return positions, values, interp_unchecked(positions, values, nodes, periodic, period)
+    rows = np.ascontiguousarray(np.atleast_2d(block.T))
+    tangled = np.any(np.diff(rows[:, :n], axis=1) <= 0.0, axis=1)
+    if tangled.any():
+        k = None if first_index is None else first_index + int(np.argmax(tangled))
+        where = "" if k is None else f" at time index {k}"
+        raise GridEntanglement(f"predicted positions tangled{where}", time_index=k)
+    out = np.empty((rows.shape[0], n))
+    for j, row in enumerate(rows):
+        out[j] = interp_unchecked(row[:n], row[n:], nodes, periodic, period)
+    return block[:n], block[n:], out[0] if block.ndim == 1 else out.T
 
 
 # Cells formatted per block and per compaction step: bound the writer's

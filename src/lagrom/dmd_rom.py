@@ -3,16 +3,16 @@ moving-frame variant whose observable stacks grid positions over carried
 values.
 
 A fitted model holds the orthonormal data basis U, the reduced one-step
-operator K and the projected anchor snapshot U^T y_base. Prediction at one
-future index is the single evaluation ``U @ K^k @ (U^T y_base)`` (the
-projector form of exact DMD; no time stepping in the full dimension), so
-``predict`` costs one r x r matrix power (about log2 k products) and one
-n x r matvec (n observable rows) whatever the horizon. ``predict_series``
-over h indices walks them in sorted order and advances the reduced vector by
-K^gap, one r x r matvec per adjacent index, then applies U once as an
-n x r by r x h product: per index it costs an r x r matvec plus a 1/h share
-of that product, against a matrix power and an n x r matvec for a separate
-``predict``. The form keeps every intermediate at the scale of the data: for
+operator K and the projected anchor snapshot U^T y_base. Prediction at a
+future index k is ``U @ K^k @ (U^T y_base)`` (the projector form of exact
+DMD; no time stepping in the full dimension). ``predict_series`` is the one
+prediction path: over h indices it walks them in sorted order and advances
+the reduced vector by K^gap, one r x r matvec per adjacent index, then
+applies U once as an n x r by r x h product (n observable rows): per index
+it costs an r x r matvec plus a 1/h share of that product. ``predict`` is
+that path at one index, where the walk is one r x r matrix power (about
+log2 k products) and the product one n x r matvec, whatever the horizon.
+The form keeps every intermediate at the scale of the data: for
 snapshot data whose one-step operator is nearly defective (for example a
 state growing linearly in time) the eigenvector basis is ill-conditioned,
 and a superposition of modes would cancel about half of its floating-point
@@ -30,13 +30,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import NUMBER_FORMAT, Grid1D, SnapshotMatrix, stacked_to_grid, write_number_table
-from .errors import (
-    DimensionMismatch,
-    NumericalFailure,
-    RankDeficient,
-    TooFewSnapshots,
-)
-from .svd_core import reduced_svd, truncate, truncation_rank
+from .errors import DimensionMismatch, NumericalFailure, TooFewSnapshots
+from .svd_core import check_rank_rule, reduced_svd, select_rank, truncate
 
 OBSERVABLE_STATE = "state"
 OBSERVABLE_STACKED = "lagrangian-stacked"
@@ -104,26 +99,17 @@ def fit_dmd(
     """Fit a DMD model on consecutive snapshot columns.
 
     Exactly one of ``epsilon`` (share-based rank selection) or ``fixed_rank``
-    must be given. A fixed rank beyond the numerical rank of the first data
-    block is clamped down to it, since the trailing singular values carry no
-    information and their inverses would poison the reduced operator.
+    must be given; ``svd_core.select_rank`` applies the rule to the first
+    data block, clamping a fixed rank to its numerical rank.
     """
-    if (epsilon is None) == (fixed_rank is None):
-        raise ValueError("provide exactly one of epsilon or fixed_rank")
+    check_rank_rule(epsilon, fixed_rank)
     data, base = _resolve_training(snapshots, base_time_index)
     y1, y2 = split_pairs(data)
     m = data.shape[1]
 
     svd = reduced_svd(y1)
-    if epsilon is not None:
-        r = truncation_rank(svd.singular_values, epsilon)
-    else:
-        if fixed_rank < 1:
-            raise RankDeficient("fixed_rank must be positive")
-        r = min(int(fixed_rank), svd.rank)
-    svd_r = truncate(svd, r)
-    if np.any(svd_r.singular_values == 0.0):
-        raise RankDeficient(f"zero singular value inside requested rank {r}")
+    svd_r = truncate(svd, select_rank(svd, epsilon, fixed_rank))
+    r = svd_r.rank
 
     u, s, v = svd_r.left_vectors, svd_r.singular_values, svd_r.right_vectors
     k_tilde = (u.T @ y2 @ v) / s[None, :]
@@ -202,14 +188,8 @@ def _checked_real(result: np.ndarray, model: DmdModel, indices) -> np.ndarray:
 
 
 def predict(model: DmdModel, k: int) -> np.ndarray:
-    """Observable at time index k: ``U @ K^(k - base) @ (U^T y_base)``.
-
-    Single evaluation, no rollout.
-    """
-    if k < model.base_time_index:
-        raise ValueError(f"prediction index {k} precedes anchor {model.base_time_index}")
-    op_pow = np.linalg.matrix_power(model.reduced_operator, k - model.base_time_index)
-    return _checked_real(model.projector @ (op_pow @ model.projected_anchor), model, k)
+    """Observable at time index k: ``U @ K^(k - base) @ (U^T y_base)``."""
+    return predict_series(model, [k])[:, 0]
 
 
 def predict_series(model: DmdModel, indices) -> np.ndarray:

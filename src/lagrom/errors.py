@@ -54,16 +54,12 @@ class EmptySpectrum(LagromError):
     """All singular values are zero; no rank can be selected."""
 
 
-class RankOutOfRange(LagromError):
+class RankOutOfRange(LagromError, ValueError):
     """Requested truncation rank is outside the valid range."""
 
 
 class TooFewSnapshots(LagromError):
     """At least two snapshot columns are required."""
-
-
-class RankDeficient(LagromError):
-    """Requested rank reaches exactly-zero singular values."""
 
 
 class NewtonDivergence(LagromError):

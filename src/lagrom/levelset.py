@@ -9,16 +9,17 @@ approximate the nonlinear solution.
 
 One step path: ``advance_levelset`` and ``run_levelset_hfm`` both check the
 row speeds with ``row_speeds`` and step the raw field with
-``kernels.levelset_step``; ``extract_zero_contour`` and the run both take
-contours with ``zero_contour``. The y grid is fixed, so a run evaluates the
-row speeds and their Courant check once. It steps the field in column-major
-(Fortran) order, so the column-major flattening of a snapshot is the field's
-own memory: each of the first m steps is one contiguous row of a
-preallocated (m, n_x·n_y) C-order store, and each contour one row of an
-(M+1, n_x) store. Both stores are marked read-only after the loop;
-``snapshots.data`` and ``contours`` are their transposed views, and the
-snapshot matrix adopts its view without a copy. A ``LevelSetField`` is built
-only for ``final_field``.
+``kernels.levelset_step``; ``extract_zero_contour``, the run and the
+surrogate's one rollout path, ``predict_contours`` (``predicted_contour`` at
+a single index), all take contours with ``zero_contour``. The y grid is
+fixed, so a run evaluates the row speeds and their Courant check once. It
+steps the field in column-major (Fortran) order, so the column-major
+flattening of a snapshot is the field's own memory: each of the first m
+steps is one contiguous row of a preallocated (m, n_x·n_y) C-order store,
+and each contour one row of an (M+1, n_x) store. Both stores are marked
+read-only after the loop; ``snapshots.data`` and ``contours`` are their
+transposed views, and the snapshot matrix adopts its view without a copy. A
+``LevelSetField`` is built only for ``final_field``.
 """
 
 from __future__ import annotations
@@ -37,10 +38,13 @@ from .errors import (
     NumericalFailure,
     RangeNotCovered,
 )
-from .dmd_rom import OBSERVABLE_LEVELSET, DmdModel, fit_dmd, predict
+from .dmd_rom import OBSERVABLE_LEVELSET, DmdModel, fit_dmd, predict_series
 from .hfm_eulerian import CFL_SLACK
 
 DEFAULT_MARGIN_FRAC = 0.1
+# Indices predicted per chunk by predict_contours (about 100 MB of fields at
+# full size).
+CONTOUR_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -65,11 +69,6 @@ class LevelSetField:
     def flattened(self) -> np.ndarray:
         # Column-major: x-block per column stacked, fixed layout for DMD.
         return self.values.ravel(order="F")
-
-
-def unflatten_field(vec: np.ndarray, x_grid: Grid1D, y_grid: Grid1D, time_index: int = 0) -> LevelSetField:
-    values = np.asarray(vec, dtype=float).reshape((len(y_grid), len(x_grid)), order="F")
-    return LevelSetField(x_grid, y_grid, values, time_index)
 
 
 def value_grid_for(u0_samples: np.ndarray, n_y: int, margin_frac: float = DEFAULT_MARGIN_FRAC) -> Grid1D:
@@ -123,15 +122,20 @@ def advance_levelset(field: LevelSetField, spec: ProblemSpec, dt: float) -> Leve
 
 def zero_contour(c: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per-column linear root in y of the (n_y, n_x) field ``c`` sampled at
-    rows ``y`` and columns ``x``; exact for fields affine in y."""
+    rows ``y`` and columns ``x``; exact for fields affine in y.
+
+    ``c`` may also hold k fields side by side, (n_y, n_x·k); an error names
+    the failing column's x node, ``col % n_x``.
+    """
     nonneg = c >= 0.0
     flips = np.sum(nonneg[1:, :] != nonneg[:-1, :], axis=0)
     if np.any(flips == 0):
-        col = int(np.argmax(flips == 0))
+        col = int(np.argmax(flips == 0)) % x.size
         raise NoSignChange(f"column {col} (x = {x[col]:.4g}) never crosses zero")
     if np.any(flips > 1):
-        col = int(np.argmax(flips > 1))
-        raise MultipleSignChanges(f"column {col} (x = {x[col]:.4g}) crosses zero {int(flips[col])} times")
+        j = int(np.argmax(flips > 1))
+        col = j % x.size
+        raise MultipleSignChanges(f"column {col} (x = {x[col]:.4g}) crosses zero {int(flips[j])} times")
     idx = np.argmax(nonneg[1:, :] != nonneg[:-1, :], axis=0)
     cols = np.arange(c.shape[1])
     c_lo = c[idx, cols]
@@ -207,7 +211,23 @@ def levelset_dmd(snapshots, epsilon: float = None, fixed_rank: int = None) -> Dm
     return fit_dmd(snapshots, epsilon=epsilon, fixed_rank=fixed_rank, observable_kind=OBSERVABLE_LEVELSET)
 
 
+def predict_contours(model: DmdModel, indices, x_grid: Grid1D, y_grid: Grid1D) -> np.ndarray:
+    """Zero contours (n_x, len(indices)) of the predicted fields at ``indices``.
+
+    Holds one ``predict_series`` chunk of ``CONTOUR_CHUNK`` fields at a time
+    and reads its column-major fields as one (n_y, n_x·k) view for a single
+    ``zero_contour`` call.
+    """
+    idx = np.asarray(indices, dtype=int)
+    x, y = x_grid.nodes, y_grid.nodes
+    contours = np.empty((x.size, idx.size))
+    for start in range(0, idx.size, CONTOUR_CHUNK):
+        chunk = idx[start : start + CONTOUR_CHUNK]
+        fields = predict_series(model, chunk).reshape((y.size, x.size * chunk.size), order="F")
+        contours[:, start : start + chunk.size] = zero_contour(fields, y, x).reshape((x.size, chunk.size), order="F")
+    return contours
+
+
 def predicted_contour(model: DmdModel, k: int, x_grid: Grid1D, y_grid: Grid1D) -> StateVector:
-    """Predict the field at index k, reshape, and extract its zero contour."""
-    field = unflatten_field(predict(model, k), x_grid, y_grid, k)
-    return extract_zero_contour(field)
+    """Zero contour of the predicted field at index k."""
+    return StateVector(predict_contours(model, [k], x_grid, y_grid)[:, 0], x_grid, k)

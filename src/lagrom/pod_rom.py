@@ -50,7 +50,7 @@ from .core import ProblemSpec, SnapshotMatrix
 from .errors import GridEntanglement, NewtonDivergence, NumericalFailure
 from .hfm_eulerian import DiffusionSystem, advected_state, run_diffusion_system, step_system
 from .hfm_lagrangian import diffuse_carried_values, speeds
-from .svd_core import reduced_svd, truncate, truncation_rank
+from .svd_core import check_rank_rule, reduced_svd, select_rank, truncate
 
 NEWTON_TOL = 1e-10
 NEWTON_CAP = 50
@@ -78,15 +78,10 @@ class PodBasis:
 
 def fit_pod(snapshots, epsilon: float = None, fixed_rank: int = None, frame: str = FRAME_EULERIAN) -> PodBasis:
     """Truncated left singular vectors of the snapshot matrix."""
-    if (epsilon is None) == (fixed_rank is None):
-        raise ValueError("provide exactly one of epsilon or fixed_rank")
+    check_rank_rule(epsilon, fixed_rank)
     svd = reduced_svd(snapshots)
-    if epsilon is not None:
-        r = truncation_rank(svd.singular_values, epsilon)
-    else:
-        r = min(int(fixed_rank), svd.rank)
-    svd_r = truncate(svd, r)
-    return PodBasis(svd_r.left_vectors.copy(), r, frame)
+    svd_r = truncate(svd, select_rank(svd, epsilon, fixed_rank))
+    return PodBasis(svd_r.left_vectors.copy(), svd_r.rank, frame)
 
 
 class StepResult(NamedTuple):

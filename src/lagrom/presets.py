@@ -19,6 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import DIRICHLET_ZERO, PERIODIC, ProblemSpec
+from .svd_core import check_rank_rule
 
 METHOD_EULERIAN_DMD = "eulerian-dmd"
 METHOD_EULERIAN_POD = "eulerian-pod"
@@ -113,6 +114,8 @@ class ExperimentConfig:
             raise ValueError("scale must be a positive integer")
         if not self.deterministic:
             raise ValueError("the pipeline is seed-free; deterministic must stay true")
+        if self.epsilon is not None or self.fixed_rank is not None:
+            check_rank_rule(self.epsilon, self.fixed_rank)
         if self.methods is not None:
             unknown = set(self.methods) - set(ALL_METHODS)
             if unknown:

@@ -85,6 +85,27 @@ def truncation_rank(singular_values: np.ndarray, epsilon: float) -> int:
     return max(int(np.sum(shares >= epsilon)), 1)
 
 
+def check_rank_rule(epsilon: float = None, fixed_rank: int = None) -> None:
+    """Reject a rank rule before any factoring: exactly one of ``epsilon``
+    (in (0, 1)) or ``fixed_rank`` (at least 1) must be given."""
+    if (epsilon is None) == (fixed_rank is None):
+        raise ValueError("provide exactly one of epsilon or fixed_rank")
+    if epsilon is not None and not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon {epsilon:g} must lie in (0, 1)")
+    if fixed_rank is not None and fixed_rank < 1:
+        raise RankOutOfRange(f"fixed_rank {fixed_rank} must be at least 1")
+
+
+def select_rank(svd: TruncatedSvd, epsilon: float = None, fixed_rank: int = None) -> int:
+    """The rank both fits keep under a rule that passed ``check_rank_rule``:
+    the share count at ``epsilon``, or ``fixed_rank`` clamped to the
+    numerical rank, whose trailing singular values carry no information and
+    whose inverses would poison a reduced operator."""
+    if epsilon is not None:
+        return truncation_rank(svd.singular_values, epsilon)
+    return min(int(fixed_rank), svd.rank)
+
+
 def truncate(svd: TruncatedSvd, r: int) -> TruncatedSvd:
     """Keep the leading r singular triplets."""
     if not 1 <= r <= svd.rank:

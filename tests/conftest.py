@@ -50,6 +50,17 @@ def make_spec(
     )
 
 
+def drifting_stacked(spec, count):
+    """Stacked [x; u] columns at indices 1..count: moving grids drifting and
+    stretching about the first node; the later periodic columns span more
+    than one period."""
+    nodes = spec.grid().nodes
+    k = np.arange(1, count + 1)
+    positions = nodes[0] + (nodes[:, None] - nodes[0]) * (1.0 + 0.002 * k) + 0.01 * k
+    values = np.sin(nodes[:, None] + 0.1 * k)
+    return np.vstack([positions, values])
+
+
 def burgers_characteristics(x, t):
     """Exact inviscid Burgers state for u0 = 1 + sin(x): solves u = 1 + sin(x - u t).
 

@@ -8,19 +8,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lagrom import bench
+from lagrom import bench, cli
 from lagrom.bench import (
-    GRID_BLOCK_COLUMNS,
     _Reference,
     _score,
-    _states_on_reference_grid,
     load_timing,
     run_experiment,
     timing_table,
     validate_run_dir,
 )
 from lagrom.cli import main
-from lagrom.core import DIRICHLET_ZERO, PERIODIC, stacked_to_grid
+from lagrom.core import PERIODIC, stacked_to_grid
 from lagrom.dmd_rom import fit_dmd
 from lagrom.error_analysis import estimate_eps_m, relative_l2, truncation_error
 from lagrom.errors import GridEntanglement
@@ -28,7 +26,7 @@ from lagrom.hfm_eulerian import run_eulerian_hfm
 from lagrom.hfm_lagrangian import run_lagrangian_hfm
 from lagrom.presets import ExperimentConfig, parse_config_file, resolve
 
-from conftest import make_spec
+from conftest import drifting_stacked, make_spec
 
 
 TINY = dict(n_cells=40, n_steps=20, n_snapshots=5)
@@ -187,42 +185,6 @@ class TestRunExperiment:
         assert record.methods["lagrangian-pod"].failure is None
 
 
-class TestStatesOnReferenceGrid:
-    """The moving-to-fixed reconstruction equals per-column stacked_to_grid."""
-
-    COUNT = 2 * GRID_BLOCK_COLUMNS + 6  # a partial last block
-
-    @staticmethod
-    def stacked(spec, count):
-        # Moving grids drifting and stretching about the first node; the later
-        # periodic columns span more than one period.
-        nodes = spec.grid().nodes
-        k = np.arange(1, count + 1)
-        positions = nodes[0] + (nodes[:, None] - nodes[0]) * (1.0 + 0.002 * k) + 0.01 * k
-        values = np.sin(nodes[:, None] + 0.1 * k)
-        return np.vstack([positions, values])
-
-    @pytest.mark.parametrize("speed, bc", [("burgers", PERIODIC), ("const", DIRICHLET_ZERO)])
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_bit_identical_to_per_column(self, speed, bc, order):
-        spec = make_spec(speed=speed, n=50, m_steps=self.COUNT, bc=bc)
-        columns = np.asarray(self.stacked(spec, self.COUNT), order=order)
-        rule = {"bc": "periodic", "period": spec.domain_length} if spec.periodic else {"bc": "clamp"}
-        expected = np.column_stack([stacked_to_grid(col, spec.grid(), **rule)[2] for col in columns.T])
-        got = _states_on_reference_grid(columns, spec.grid(), spec)
-        assert np.array_equal(got, expected)
-        assert got.flags.f_contiguous
-
-    def test_first_tangled_column_reports_its_time_index(self):
-        spec = make_spec(speed="burgers", n=50, m_steps=self.COUNT, bc=PERIODIC)
-        columns = self.stacked(spec, self.COUNT)
-        for col in (GRID_BLOCK_COLUMNS + 8, 2 * GRID_BLOCK_COLUMNS + 1):
-            columns[[5, 6], col] = columns[[6, 5], col]
-        with pytest.raises(GridEntanglement, match=f"time index {GRID_BLOCK_COLUMNS + 9}$") as exc:
-            _states_on_reference_grid(columns, spec.grid(), spec)
-        assert exc.value.time_index == GRID_BLOCK_COLUMNS + 9
-
-
 class TestScore:
     """The blocked scorer against whole-array arithmetic on the same data."""
 
@@ -237,7 +199,7 @@ class TestScore:
     @staticmethod
     def reference(spec, count):
         """A reference over indices 0..count: fixed-grid states and a moving frame."""
-        stacked = TestStatesOnReferenceGrid.stacked(spec, count + 1)
+        stacked = drifting_stacked(spec, count + 1)
         n = spec.n_cells
         euler = SimpleNamespace(grid=spec.grid(), trajectory=np.cos(stacked[n:] + 0.3))
         return _Reference.of(euler, SimpleNamespace(stacked=stacked))
@@ -266,7 +228,7 @@ class TestScore:
         observed = self.perturbed(np.array(ref.stacked))
         report, states = _score(ref, observed, spec, keep_states=True)
         assert states.flags.f_contiguous
-        assert np.array_equal(states, _states_on_reference_grid(observed, spec.grid(), spec))
+        assert np.array_equal(states, stacked_to_grid(observed, spec.grid(), spec.bc, spec.domain_length)[2])
         assert np.array_equal(report.error_state, relative_l2(ref.states, states))
         assert _score(ref, observed, spec)[1] is None
 
@@ -392,6 +354,23 @@ class TestCli:
     def test_run_rejects_epsilon_with_rank(self):
         with pytest.raises(SystemExit):
             main(["run", "test1", "--epsilon", "1e-8", "--rank", "5"])
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--epsilon", "2"], "epsilon 2 must lie in (0, 1)"),
+            (["--epsilon", "0"], "epsilon 0 must lie in (0, 1)"),
+            (["--rank", "0"], "fixed_rank 0 must be at least 1"),
+            (["--config", "both.cfg"], "provide exactly one of epsilon or fixed_rank"),
+        ],
+    )
+    def test_run_rejects_bad_rank_rule_before_solving(self, flags, message, tmp_path, monkeypatch, capsys):
+        (tmp_path / "both.cfg").write_text("preset = test4\nepsilon = 1e-8\nfixed_rank = 5\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("solvers ran"))
+        assert main(["run", "test4", "--scale", "20", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == f"lagrom run: error: {message}\n"
 
     def test_run_from_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

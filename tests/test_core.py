@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagrom.core import (
+    DIRICHLET_ZERO,
     PERIODIC,
     Grid1D,
     SnapshotMatrix,
@@ -18,10 +19,10 @@ from lagrom.core import (
     uniform_grid,
 )
 from lagrom import core
-from lagrom.errors import DimensionMismatch, NonMonotonicGrid, NumericalFailure
+from lagrom.errors import DimensionMismatch, GridEntanglement, NonMonotonicGrid, NumericalFailure
 from lagrom.presets import PRESET_NAMES, ExperimentConfig, resolve
 
-from conftest import make_spec
+from conftest import drifting_stacked, make_spec
 
 
 class TestGrid:
@@ -278,6 +279,37 @@ class TestStackedToGrid:
         grid = uniform_grid(0.0, 1.0, 2, periodic=True)
         with pytest.raises(ValueError):
             stacked_to_grid(np.array([0.0, 0.5, 1.0, 1.0]), grid, bc="periodic")
+
+
+class TestStackedBlock:
+    """A block of stacked columns equals its columns taken one at a time."""
+
+    COUNT = 70
+
+    @pytest.mark.parametrize("speed, bc", [("burgers", PERIODIC), ("const", DIRICHLET_ZERO)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_block_equals_columns(self, speed, bc, order):
+        spec = make_spec(speed=speed, n=50, m_steps=self.COUNT, bc=bc)
+        columns = np.asarray(drifting_stacked(spec, self.COUNT), order=order)
+        rule = {"bc": bc, "period": spec.domain_length}
+        expected = np.column_stack([stacked_to_grid(col, spec.grid(), **rule)[2] for col in columns.T])
+        positions, values, got = stacked_to_grid(columns, spec.grid(), **rule)
+        assert np.array_equal(got, expected)
+        assert got.flags.f_contiguous
+        assert np.array_equal(np.vstack([positions, values]), columns)
+
+    def test_first_tangled_column_reports_its_time_index(self):
+        spec = make_spec(speed="burgers", n=50, m_steps=self.COUNT, bc=PERIODIC)
+        columns = drifting_stacked(spec, self.COUNT)
+        for col in (40, 65):
+            columns[[5, 6], col] = columns[[6, 5], col]
+        rule = {"bc": PERIODIC, "period": spec.domain_length}
+        with pytest.raises(GridEntanglement, match="time index 51$") as exc:
+            stacked_to_grid(columns, spec.grid(), first_index=11, **rule)
+        assert exc.value.time_index == 51
+        with pytest.raises(GridEntanglement) as exc:
+            stacked_to_grid(columns[:, 40], spec.grid(), **rule)
+        assert exc.value.time_index is None
 
 
 class TestAssembly:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lagrom.core import PERIODIC, Grid1D, uniform_grid
-from lagrom.dmd_rom import predict
+from lagrom import levelset
+from lagrom.dmd_rom import predict_series
 from lagrom.errors import (
     CflViolation,
     MultipleSignChanges,
@@ -17,10 +18,11 @@ from lagrom.levelset import (
     embed_initial,
     extract_zero_contour,
     levelset_dmd,
+    predict_contours,
     predicted_contour,
     run_levelset_hfm,
-    unflatten_field,
     value_grid_for,
+    zero_contour,
 )
 from lagrom.presets import one_plus_sin
 
@@ -202,8 +204,7 @@ class TestLevelsetDmd:
         field = LevelSetField(xg, yg, values, 4)
         flat = field.flattened()
         assert np.array_equal(flat, np.array([0.0, 3.0, 1.0, 4.0, 2.0, 5.0]))
-        back = unflatten_field(flat, xg, yg, 4)
-        assert np.array_equal(back.values, values)
+        assert np.array_equal(flat.reshape((2, 3), order="F"), values)
 
     def test_predicted_contours_track_hfm(self, burgers_spec):
         run = run_levelset_hfm(burgers_spec, 25)
@@ -212,6 +213,43 @@ class TestLevelsetDmd:
             contour = predicted_contour(model, k, run.x_grid, run.y_grid)
             rel = np.linalg.norm(contour.values - run.contours[:, k]) / np.linalg.norm(run.contours[:, k])
             assert rel <= 1e-2
+
+    def test_chunked_contours_equal_per_index_extraction(self, burgers_spec):
+        run = run_levelset_hfm(burgers_spec, 25)
+        model = levelset_dmd(run.snapshots, epsilon=1e-8)
+        x, y = run.x_grid.nodes, run.y_grid.nodes
+        chunk = levelset.CONTOUR_CHUNK
+        indices = np.arange(1, 2 * chunk + 7)  # a partial last chunk
+        expected = np.empty((x.size, indices.size))
+        for start in range(0, indices.size, chunk):
+            fields = predict_series(model, indices[start : start + chunk])
+            for j in range(fields.shape[1]):
+                expected[:, start + j] = zero_contour(fields[:, j].reshape((y.size, x.size), order="F"), y, x)
+        got = predict_contours(model, indices, run.x_grid, run.y_grid)
+        assert np.array_equal(got, expected)
+        single = predicted_contour(model, 40, run.x_grid, run.y_grid)
+        assert np.array_equal(single.values, predict_contours(model, [40], run.x_grid, run.y_grid)[:, 0])
+        assert single.time_index == 40
+
+    def test_no_sign_change_in_a_later_chunk_names_its_x_column(self, monkeypatch):
+        xg = uniform_grid(0.0, 1.0, 10)
+        yg = Grid1D(np.linspace(-1.0, 2.0, 6))
+        chunk = levelset.CONTOUR_CHUNK
+        bad_index, bad_column = 2 * chunk + 3, 7
+
+        def fields_with_one_dry_column(model, indices):
+            fields = np.empty((yg.nodes.size * xg.nodes.size, len(indices)), order="F")
+            for j, k in enumerate(indices):
+                c = yg.nodes[:, None] - np.sin(xg.nodes)[None, :] - 0.001 * k
+                if k == bad_index:
+                    c[:, bad_column] = 1.0
+                fields[:, j] = c.ravel(order="F")
+            return fields
+
+        monkeypatch.setattr(levelset, "predict_series", fields_with_one_dry_column)
+        x_bad = f"{xg.nodes[bad_column]:.4g}"
+        with pytest.raises(NoSignChange, match=rf"^column {bad_column} \(x = {x_bad}\) never crosses zero$"):
+            predict_contours(None, np.arange(1, 2 * chunk + 7), xg, yg)
 
     def test_column_monotonicity_preserved_pre_shock(self, burgers_spec):
         run = run_levelset_hfm(burgers_spec, 5)

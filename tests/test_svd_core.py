@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagrom import dmd_rom, pod_rom
+from lagrom.dmd_rom import fit_dmd
 from lagrom.errors import EmptySpectrum, RankOutOfRange
-from lagrom.svd_core import reduced_svd, truncate, truncation_rank
+from lagrom.pod_rom import fit_pod
+from lagrom.svd_core import reduced_svd, select_rank, truncate, truncation_rank
 
 
 class TestReducedSvd:
@@ -122,3 +125,34 @@ class TestTruncate:
         twice = truncate(truncate(svd, 5), 2)
         assert np.array_equal(once.singular_values, twice.singular_values)
         assert np.array_equal(once.left_vectors, twice.left_vectors)
+
+
+class TestRankRule:
+    """One rank rule for both fits, checked before any factoring."""
+
+    def test_select_rank_by_share_or_clamped_fixed_rank(self):
+        svd = reduced_svd(np.diag([3.0, 2.0, 1e-6]))
+        assert select_rank(svd, epsilon=1e-3) == 2
+        assert select_rank(svd, fixed_rank=2) == 2
+        assert select_rank(svd, fixed_rank=9) == 3
+
+    @pytest.mark.parametrize(
+        "rule, error",
+        [
+            (dict(fixed_rank=0), RankOutOfRange),
+            (dict(fixed_rank=-2), RankOutOfRange),
+            (dict(epsilon=2.0), ValueError),
+            (dict(epsilon=0.0), ValueError),
+            (dict(epsilon=1e-8, fixed_rank=3), ValueError),
+            (dict(), ValueError),
+        ],
+    )
+    @pytest.mark.parametrize("fit", [fit_pod, fit_dmd])
+    def test_both_fits_reject_a_bad_rule_before_the_svd(self, fit, rule, error, monkeypatch):
+        def no_svd(matrix):
+            raise AssertionError("factored before checking the rank rule")
+
+        monkeypatch.setattr(dmd_rom, "reduced_svd", no_svd)
+        monkeypatch.setattr(pod_rom, "reduced_svd", no_svd)
+        with pytest.raises(error):
+            fit(np.eye(4), **rule)
