@@ -68,7 +68,7 @@ from .pod_rom import (
 )
 from .presets import ExperimentConfig, parse_config_file, resolve
 from .bench import RunRecord, run_experiment, timing_table, validate_run_dir
-from .svd_core import TruncatedSvd, reduced_svd, select_rank, truncate, truncation_rank
+from .svd_core import TruncatedSvd, WindowFactor, reduced_svd, select_rank, truncate, truncation_rank
 from . import errors
 
 __version__ = "0.1.0"

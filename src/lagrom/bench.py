@@ -24,7 +24,9 @@ snapshots, rolls it out over the whole horizon and scores it. It branches
 only where the methods differ: POD steps its Galerkin rollout, DMD predicts
 its observable with ``predict_series``, the level set predicts contours with
 ``levelset.predict_contours``, and only the Eulerian and Lagrangian DMD
-carry the bound.
+carry the bound. Each training window is factored once (its QR,
+``svd_core.reduced_svd``) and the factor is handed to both fits of that
+window, so the second fit's ``fit_seconds`` excludes the shared QR.
 
 Scoring: every method is scored by ``_score`` against one reference built
 per run. The solvers keep their runs in time-major read-only stores, so the
@@ -49,6 +51,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -82,6 +85,7 @@ from .presets import (
     ResolvedExperiment,
     resolve,
 )
+from .svd_core import WindowFactor, reduced_svd
 
 OUTPUT_ROOT_ENV = "LAGROM_OUT_ROOT"
 # Cells per column block of _score, so each scoring temporary holds at most
@@ -214,27 +218,59 @@ def _score(ref, observed, spec, model=None, keep_states=False):
     return report, states
 
 
-def _run_method(method, resolved, euler_run, lagr_run, level_run, ref, keep_states):
+class _WindowFactors:
+    """Each training window's QR, made by its first fit and dropped after its
+    last: the two fits of a window share it, and the full-size level-set
+    window's takes 800 MB."""
+
+    WINDOWS = {
+        METHOD_EULERIAN_DMD: "eulerian",
+        METHOD_EULERIAN_POD: "eulerian",
+        METHOD_LAGRANGIAN_DMD: "lagrangian",
+        METHOD_LAGRANGIAN_POD: "lagrangian",
+        METHOD_LEVELSET_DMD: "levelset",
+    }
+
+    def __init__(self, methods):
+        self.pending = Counter(self.WINDOWS[method] for method in methods)
+        self.factors = {}
+
+    def take(self, method, snapshots) -> WindowFactor:
+        window = self.WINDOWS[method]
+        self.pending[window] -= 1
+        factor = self.factors.pop(window, None)
+        if factor is None:
+            factor = reduced_svd(snapshots)
+        if self.pending[window]:
+            self.factors[window] = factor
+        return factor
+
+
+def _run_method(method, resolved, euler_run, lagr_run, level_run, ref, keep_states, factors):
     """Fit one method on its training snapshots, roll it out over the whole
-    horizon, and score it; only the rollout and the bound differ by method."""
+    horizon, and score it; only the rollout and the bound differ by method.
+    The first fit of a window times its QR; the second reuses it."""
     spec = resolved.spec
     rule = dict(epsilon=resolved.epsilon, fixed_rank=resolved.fixed_rank)
-    started = time.perf_counter()
-    if method == METHOD_EULERIAN_DMD:
-        model = fit_dmd(euler_run.snapshots, **rule)
-    elif method == METHOD_EULERIAN_POD:
-        model = fit_pod(euler_run.snapshots, frame=FRAME_EULERIAN, **rule)
-    elif method == METHOD_LAGRANGIAN_DMD:
-        # Fitted on a row-major copy of the column-major snapshot view. On the
-        # exact-transport presets (test1, test3) the errors are rounding noise
-        # and the bound multiplies it by ||pinv(modes)||_F (7e5 to 6e6 at desk
-        # size); fitting the view, whose BLAS path differs by layout alone,
-        # moved their emitted bounds by up to 2e-3 relative.
-        model = fit_lagrangian_dmd(np.ascontiguousarray(lagr_run.snapshots.data), **rule)
-    elif method == METHOD_LAGRANGIAN_POD:
-        model = fit_pod(lagr_run.snapshots, frame=FRAME_LAGRANGIAN, **rule)
+    if method in (METHOD_EULERIAN_DMD, METHOD_EULERIAN_POD):
+        snapshots = euler_run.snapshots
+    elif method in (METHOD_LAGRANGIAN_DMD, METHOD_LAGRANGIAN_POD):
+        snapshots = lagr_run.snapshots
     else:
-        model = levelset_dmd(level_run.snapshots, **rule)
+        snapshots = level_run.snapshots
+    started = time.perf_counter()
+    factor = factors.take(method, snapshots)
+    if method == METHOD_EULERIAN_DMD:
+        model = fit_dmd(snapshots, factor=factor, **rule)
+    elif method == METHOD_EULERIAN_POD:
+        model = fit_pod(snapshots, frame=FRAME_EULERIAN, factor=factor, **rule)
+    elif method == METHOD_LAGRANGIAN_DMD:
+        model = fit_lagrangian_dmd(snapshots, factor=factor, **rule)
+    elif method == METHOD_LAGRANGIAN_POD:
+        model = fit_pod(snapshots, frame=FRAME_LAGRANGIAN, factor=factor, **rule)
+    else:
+        model = levelset_dmd(snapshots, factor=factor, **rule)
+    del factor  # not held through the rollout
     fitted = time.perf_counter()
     indices = np.arange(1, spec.n_steps + 1)
     newton = None
@@ -295,9 +331,12 @@ def run_experiment(config: ExperimentConfig, keep_states: bool = False, emit: bo
         record.hfm_levelset_seconds = level_run.wall_seconds
 
     ref = _Reference.of(euler_run, lagr_run)
+    factors = _WindowFactors(resolved.methods)
     for method in resolved.methods:
         try:
-            record.methods[method] = _run_method(method, resolved, euler_run, lagr_run, level_run, ref, keep_states)
+            record.methods[method] = _run_method(
+                method, resolved, euler_run, lagr_run, level_run, ref, keep_states, factors
+            )
         except LagromError as exc:
             record.methods[method] = MethodResult(method=method, failure=f"{type(exc).__name__}: {exc}")
 

@@ -16,7 +16,7 @@ import json
 import sys
 
 from .bench import load_timing, run_experiment, timing_table, validate_run_dir
-from .presets import PRESET_NAMES, ExperimentConfig, parse_config_file
+from .presets import PRESET_NAMES, ExperimentConfig, parse_config_file, resolve
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,7 +53,7 @@ def _config_from_args(args) -> ExperimentConfig:
     else:
         raise SystemExit("run requires a preset name or --config file")
     if args.epsilon is not None and args.rank is not None:
-        raise SystemExit("--epsilon and --rank are mutually exclusive")
+        raise ValueError("--epsilon and --rank are mutually exclusive")
     updates = {}
     if args.scale is not None:
         updates["scale"] = args.scale
@@ -82,6 +82,7 @@ def _config_from_args(args) -> ExperimentConfig:
 def _cmd_run(args) -> int:
     try:
         config = _config_from_args(args)
+        resolve(config)  # rejects a training window that does not precede the horizon
     except ValueError as exc:
         print(f"lagrom run: error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,15 @@ state growing linearly in time) the eigenvector basis is ill-conditioned,
 and a superposition of modes would cancel about half of its floating-point
 digits.
 
+The fit works from the window's QR X = QR (``svd_core.reduced_svd``), which
+it may share with the POD fit of the same window. It takes the SVD of
+``R[:, :m-1]`` and forms U = Q·[U_R; 0] for the kept rank only; everything
+else it computes from the window stays in R coordinates: the reduced
+operator K = U_R^T R[:, 1:m] V S^-1, the projected anchor U_R^T R[:, 0], and
+the training residual, the largest column norm of
+R[:, 1:m] - U_R K U_R^T R[:, :m-1]. When the QR is shared, the fit's
+``fit_seconds`` in ``lagrom run`` excludes it if the POD fit ran first.
+
 The complex modes, eigenvalues, amplitudes and mode pseudoinverse are kept
 on the model for the error bound, the emitted mode shapes and diagnostics.
 """
@@ -31,7 +40,7 @@ import numpy as np
 
 from .core import NUMBER_FORMAT, Grid1D, SnapshotMatrix, stacked_to_grid, write_number_table
 from .errors import DimensionMismatch, NumericalFailure, TooFewSnapshots
-from .svd_core import check_rank_rule, reduced_svd, select_rank, truncate
+from .svd_core import WindowFactor, check_rank_rule, fit_svd, window_factor
 
 OBSERVABLE_STATE = "state"
 OBSERVABLE_STACKED = "lagrangian-stacked"
@@ -95,24 +104,30 @@ def fit_dmd(
     fixed_rank: int = None,
     observable_kind: str = OBSERVABLE_STATE,
     base_time_index: int = None,
+    factor: WindowFactor = None,
 ) -> DmdModel:
     """Fit a DMD model on consecutive snapshot columns.
 
     Exactly one of ``epsilon`` (share-based rank selection) or ``fixed_rank``
     must be given; ``svd_core.select_rank`` applies the rule to the first
-    data block, clamping a fixed rank to its numerical rank.
+    data block, clamping a fixed rank to its numerical rank. ``factor`` is
+    the window's QR (``svd_core.reduced_svd``), which a POD fit of the same
+    window may share; without one the fit factors the window itself.
     """
     check_rank_rule(epsilon, fixed_rank)
     data, base = _resolve_training(snapshots, base_time_index)
-    y1, y2 = split_pairs(data)
+    split_pairs(data)  # rejects a window of fewer than two columns
     m = data.shape[1]
+    factor = window_factor(data, factor)
 
-    svd = reduced_svd(y1)
-    svd_r = truncate(svd, select_rank(svd, epsilon, fixed_rank))
-    r = svd_r.rank
+    svd = fit_svd(factor, m - 1, epsilon, fixed_rank)
+    r = svd.rank
 
-    u, s, v = svd_r.left_vectors, svd_r.singular_values, svd_r.right_vectors
-    k_tilde = (u.T @ y2 @ v) / s[None, :]
+    # With X = QR and U = Q [U_R; 0], U^T maps a window column X[:, j] to
+    # U_R^T R[:, j]: the window algebra below runs on R's columns.
+    u, u_r, s, v = svd.left_vectors, svd.r_left_vectors, svd.singular_values, svd.right_vectors
+    r1, r2 = factor.r[:, :-1], factor.r[:, 1:]
+    k_tilde = (u_r.T @ r2 @ v) / s[None, :]
     eigvals, w = np.linalg.eig(k_tilde)
     modes = u @ w
     pinv = np.linalg.pinv(modes)
@@ -120,13 +135,15 @@ def fit_dmd(
     if np.max(np.abs(ident - np.eye(r))) > 1e-8:
         raise NumericalFailure("mode pseudoinverse lost left-inverse property")
     amplitudes = pinv @ data[:, 0]
-    anchor_proj = u.T @ data[:, 0]
+    anchor_proj = u_r.T @ factor.r[:, 0]
 
-    # One-step training residual: a fit diagnostic kept on the model and
-    # saved with it. The error bound does not read it; its slope comes from
-    # error_analysis.estimate_eps_m on the data the caller scores against.
-    stepped = u @ (k_tilde @ (u.T @ y1))
-    resid = float(np.max(np.linalg.norm(y2 - stepped, axis=0)))
+    # One-step training residual max_j ||Y2_j - U K U^T Y1_j||, a fit
+    # diagnostic kept on the model and saved with it; Q keeps column norms,
+    # so it is taken on R's columns. The error bound does not read it; its
+    # slope comes from error_analysis.estimate_eps_m on the data the caller
+    # scores against.
+    stepped = u_r @ (k_tilde @ (u_r.T @ r1))
+    resid = float(np.max(np.linalg.norm(r2 - stepped, axis=0)))
 
     return DmdModel(
         modes=modes,
@@ -145,12 +162,16 @@ def fit_dmd(
     )
 
 
-def fit_lagrangian_dmd(stacked_snapshots, epsilon: float = None, fixed_rank: int = None) -> DmdModel:
+def fit_lagrangian_dmd(
+    stacked_snapshots, epsilon: float = None, fixed_rank: int = None, factor: WindowFactor = None
+) -> DmdModel:
     """DMD on the stacked [positions; values] observable (rows must be 2N)."""
     data = stacked_snapshots.data if isinstance(stacked_snapshots, SnapshotMatrix) else np.asarray(stacked_snapshots)
     if data.shape[0] % 2:
         raise DimensionMismatch("stacked observable matrix must have an even row count")
-    return fit_dmd(stacked_snapshots, epsilon=epsilon, fixed_rank=fixed_rank, observable_kind=OBSERVABLE_STACKED)
+    return fit_dmd(
+        stacked_snapshots, epsilon=epsilon, fixed_rank=fixed_rank, observable_kind=OBSERVABLE_STACKED, factor=factor
+    )
 
 
 def one_step_map(model: DmdModel, columns: np.ndarray) -> np.ndarray:

@@ -40,6 +40,7 @@ from .errors import (
 )
 from .dmd_rom import OBSERVABLE_LEVELSET, DmdModel, fit_dmd, predict_series
 from .hfm_eulerian import CFL_SLACK
+from .svd_core import WindowFactor
 
 DEFAULT_MARGIN_FRAC = 0.1
 # Indices predicted per chunk by predict_contours (about 100 MB of fields at
@@ -206,9 +207,9 @@ def run_levelset_hfm(
     return LevelSetRun(snaps, contours.T, x_grid, y_grid, final_field, elapsed)
 
 
-def levelset_dmd(snapshots, epsilon: float = None, fixed_rank: int = None) -> DmdModel:
+def levelset_dmd(snapshots, epsilon: float = None, fixed_rank: int = None, factor: WindowFactor = None) -> DmdModel:
     """DMD on flattened field snapshots."""
-    return fit_dmd(snapshots, epsilon=epsilon, fixed_rank=fixed_rank, observable_kind=OBSERVABLE_LEVELSET)
+    return fit_dmd(snapshots, epsilon=epsilon, fixed_rank=fixed_rank, observable_kind=OBSERVABLE_LEVELSET, factor=factor)
 
 
 def predict_contours(model: DmdModel, indices, x_grid: Grid1D, y_grid: Grid1D) -> np.ndarray:

@@ -50,7 +50,7 @@ from .core import ProblemSpec, SnapshotMatrix
 from .errors import GridEntanglement, NewtonDivergence, NumericalFailure
 from .hfm_eulerian import DiffusionSystem, advected_state, run_diffusion_system, step_system
 from .hfm_lagrangian import diffuse_carried_values, speeds
-from .svd_core import check_rank_rule, reduced_svd, select_rank, truncate
+from .svd_core import WindowFactor, check_rank_rule, fit_svd, window_factor
 
 NEWTON_TOL = 1e-10
 NEWTON_CAP = 50
@@ -76,12 +76,21 @@ class PodBasis:
         return self.basis @ reduced
 
 
-def fit_pod(snapshots, epsilon: float = None, fixed_rank: int = None, frame: str = FRAME_EULERIAN) -> PodBasis:
-    """Truncated left singular vectors of the snapshot matrix."""
+def fit_pod(
+    snapshots,
+    epsilon: float = None,
+    fixed_rank: int = None,
+    frame: str = FRAME_EULERIAN,
+    factor: WindowFactor = None,
+) -> PodBasis:
+    """Truncated left singular vectors of the snapshot matrix, from the SVD
+    of all columns of its QR ``factor`` (``svd_core.reduced_svd``), which a
+    DMD fit of the same window may share; without one the fit factors the
+    window itself."""
     check_rank_rule(epsilon, fixed_rank)
-    svd = reduced_svd(snapshots)
-    svd_r = truncate(svd, select_rank(svd, epsilon, fixed_rank))
-    return PodBasis(svd_r.left_vectors.copy(), svd_r.rank, frame)
+    factor = window_factor(snapshots, factor)
+    svd = fit_svd(factor, factor.n_cols, epsilon, fixed_rank)
+    return PodBasis(svd.left_vectors, svd.rank, frame)
 
 
 class StepResult(NamedTuple):

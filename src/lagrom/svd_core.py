@@ -1,75 +1,152 @@
-"""Reduced SVD and share-based rank truncation shared by the POD and DMD fits."""
+"""One factorization per training window, and the share-based rank rule
+shared by the POD and DMD fits.
+
+A training window X (n rows, m snapshot columns) is factored once by a
+Householder QR, X = QR (LAPACK ``dgeqrf``), with Q kept implicit as its
+reflectors. The R of the first k columns is ``R[:, :k]``, so one QR serves
+every leading column block: the POD fit takes the SVD of ``R[:, :m]`` and the
+DMD fit that of ``R[:, :m-1]`` (Demmel, Grigori, Hoemmen & Langou, SISC
+2012). A fit applies the numerical-rank cut and its rank rule to that small
+spectrum, and only then forms its r kept left vectors, U = Q·[U_R; 0], with
+one ``dormqr``; U is orthonormal to rounding. The cheaper U = X V Σ⁻¹ is not
+used: it lost orthonormality to 1.3e-8 at rank 34 on the full-size test4
+window. Nor is the Gram route (method of snapshots): the rank cut sits at
+shares near 1e-8, where squaring the condition number loses the last kept σ.
+
+``bench.run_experiment`` factors each window once and passes the factor to
+both of its fits, so the second fit's ``fit_seconds`` excludes the shared
+QR. A fit given no factor factors its own window with ``reduced_svd``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs, qr
 
 from .core import SnapshotMatrix
-from .errors import EmptySpectrum, NumericalFailure, RankOutOfRange
+from .errors import DimensionMismatch, EmptySpectrum, NumericalFailure, RankOutOfRange
 
 
 @dataclass(frozen=True)
 class TruncatedSvd:
-    """Factors U, sigma, V with orthonormal columns and descending sigma.
+    """Factors U, sigma, V of a leading column block of a factored window,
+    with orthonormal columns and descending sigma.
 
+    ``r_left_vectors`` are the left vectors in the coordinates of the
+    window's R, so that U = Q·[U_R; 0]. ``left_vectors`` is U itself, which
+    ``WindowFactor.lift`` forms for the kept rank only; it is None before.
     ``full_singular_values`` keeps the complete computed spectrum for
     diagnostics such as projection-error bounds.
     """
 
-    left_vectors: np.ndarray
+    r_left_vectors: np.ndarray
     singular_values: np.ndarray
     right_vectors: np.ndarray
     full_singular_values: np.ndarray
     rank: int
+    left_vectors: Optional[np.ndarray] = None
 
     def validate(self, tol: float = 1e-10) -> None:
         r = self.rank
-        u, s, v = self.left_vectors, self.singular_values, self.right_vectors
-        if np.max(np.abs(u.T @ u - np.eye(r))) > tol:
-            raise NumericalFailure("left vectors lost orthonormality")
-        if np.max(np.abs(v.T @ v - np.eye(r))) > tol:
-            raise NumericalFailure("right vectors lost orthonormality")
+        s, v = self.singular_values, self.right_vectors
+        for name, vectors in (("left", self.left_vectors), ("R-coordinate left", self.r_left_vectors), ("right", v)):
+            if vectors is not None and np.max(np.abs(vectors.T @ vectors - np.eye(r))) > tol:
+                raise NumericalFailure(f"{name} vectors lost orthonormality")
         if np.any(s <= 0) or np.any(np.diff(s) > 0):
             raise NumericalFailure("singular values must be positive and descending")
 
 
-def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
-    """Make the leading significant entry of each left vector nonnegative.
+@dataclass(frozen=True)
+class WindowFactor:
+    """Householder QR X = QR of one training window.
 
-    Keeps factors reproducible across LAPACK builds; the compensating flip is
-    applied to the right vectors so the product is unchanged.
+    ``reflectors`` and ``tau`` are ``dgeqrf``'s output, Q in implicit form;
+    ``r`` is the upper-trapezoidal R with min(n, m) rows and m columns.
     """
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        cutoff = 1e-12 * np.max(np.abs(col))
-        idx = np.argmax(np.abs(col) > cutoff)
-        if col[idx] < 0:
-            u[:, k] = -col
-            v[:, k] = -v[:, k]
+
+    reflectors: np.ndarray
+    tau: np.ndarray
+    r: np.ndarray
+
+    @property
+    def n_rows(self) -> int:
+        return self.reflectors.shape[0]
+
+    @property
+    def n_cols(self) -> int:
+        return self.r.shape[1]
+
+    def svd(self, columns: int = None) -> TruncatedSvd:
+        """SVD of the window's first ``columns`` columns (all by default), in
+        R coordinates, keeping the numerically nonzero part of the spectrum."""
+        columns = self.n_cols if columns is None else columns
+        try:
+            u_r, s, vh = np.linalg.svd(self.r[:, :columns], full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"SVD failed to converge: {exc}") from exc
+        if s[0] == 0.0:
+            raise EmptySpectrum("matrix is identically zero")
+        cutoff = max(self.n_rows, columns) * s[0] * np.finfo(float).eps
+        rank = max(int(np.sum(s > cutoff)), 1)
+        return TruncatedSvd(u_r[:, :rank], s[:rank], vh[:rank].T, s, rank)
+
+    def lift(self, svd: TruncatedSvd) -> TruncatedSvd:
+        """``svd`` with its left vectors formed as U = Q·[U_R; 0] by one
+        ``dormqr``, and each kept triplet's sign fixed so that the leading
+        significant entry of its left vector is nonnegative. The sign keeps
+        the factors reproducible across LAPACK builds; U_R and V take the
+        same flip, so every product is unchanged."""
+        u_r = svd.r_left_vectors
+        padded = np.zeros((self.n_rows, svd.rank), order="F")
+        padded[: u_r.shape[0]] = u_r
+        apply_q = get_lapack_funcs("ormqr", (self.reflectors, padded))
+        reflectors = self.reflectors[:, : self.tau.size]
+        lwork = int(apply_q("L", "N", reflectors, self.tau, padded, -1)[1][0])
+        u, _, info = apply_q("L", "N", reflectors, self.tau, padded, lwork, overwrite_c=1)
+        if info != 0:
+            raise NumericalFailure(f"applying the implicit Q failed (dormqr info {info})")
+        magnitudes = np.abs(u)
+        lead = np.argmax(magnitudes > 1e-12 * magnitudes.max(axis=0), axis=0)
+        signs = np.where(u[lead, np.arange(svd.rank)] < 0, -1.0, 1.0)
+        # U is returned row-major: products with it round by its layout, and
+        # a model reloaded from disk predicts bit-identically only if its
+        # row-major factors match the fitted ones.
+        u = np.multiply(u, signs, order="C")
+        return replace(svd, r_left_vectors=u_r * signs, right_vectors=svd.right_vectors * signs, left_vectors=u)
 
 
-def reduced_svd(matrix) -> TruncatedSvd:
-    """SVD keeping the numerically nonzero part of the spectrum."""
+def reduced_svd(matrix) -> WindowFactor:
+    """The one factorization of a training window: its Householder QR, from
+    which ``WindowFactor.svd`` takes the SVD of any leading column block."""
     x = matrix.data if isinstance(matrix, SnapshotMatrix) else np.asarray(matrix, dtype=float)
     if x.size == 0:
         raise EmptySpectrum("cannot factor an empty matrix")
     if not np.all(np.isfinite(x)):
         raise NumericalFailure("matrix contains NaN or Inf")
-    try:
-        u, s, vh = np.linalg.svd(x, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD failed to converge: {exc}") from exc
-    if s.size == 0 or s[0] == 0.0:
-        raise EmptySpectrum("matrix is identically zero")
-    cutoff = max(x.shape) * s[0] * np.finfo(float).eps
-    rank = int(np.sum(s > cutoff))
-    rank = max(rank, 1)
-    u = u[:, :rank].copy()
-    v = vh[:rank].T.copy()
-    _fix_signs(u, v)
-    return TruncatedSvd(u, s[:rank].copy(), v, s.copy(), rank)
+    (reflectors, tau), r = qr(x, mode="raw", check_finite=False)
+    return WindowFactor(reflectors, tau, r)
+
+
+def window_factor(matrix, factor: WindowFactor = None) -> WindowFactor:
+    """The QR a fit works from: ``factor``, shared with the other fit of the
+    same window, or else ``reduced_svd(matrix)``."""
+    if factor is None:
+        return reduced_svd(matrix)
+    shape = (matrix.data if isinstance(matrix, SnapshotMatrix) else np.asarray(matrix)).shape
+    if shape != (factor.n_rows, factor.n_cols):
+        raise DimensionMismatch(f"factor of a {factor.n_rows} x {factor.n_cols} window given for a {shape} window")
+    return factor
+
+
+def fit_svd(factor: WindowFactor, columns: int, epsilon: float = None, fixed_rank: int = None) -> TruncatedSvd:
+    """The SVD a fit keeps of the window's first ``columns`` columns: the
+    spectrum of ``R[:, :columns]``, cut by a rule that passed
+    ``check_rank_rule``, with only the kept left vectors formed."""
+    svd = factor.svd(columns)
+    return factor.lift(truncate(svd, select_rank(svd, epsilon, fixed_rank)))
 
 
 def truncation_rank(singular_values: np.ndarray, epsilon: float) -> int:
@@ -113,9 +190,10 @@ def truncate(svd: TruncatedSvd, r: int) -> TruncatedSvd:
     if r == svd.rank:
         return svd
     return TruncatedSvd(
-        svd.left_vectors[:, :r],
+        svd.r_left_vectors[:, :r],
         svd.singular_values[:r],
         svd.right_vectors[:, :r],
         svd.full_singular_values,
         r,
+        None if svd.left_vectors is None else svd.left_vectors[:, :r],
     )

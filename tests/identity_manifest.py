@@ -17,6 +17,10 @@ thread and summarises the run directories:
   root of the row count, for the sum times the row count;
 * each method's rank from ``timing.json``, exactly.
 
+A mismatched column is reported with what failed first and with its worst
+sampled difference in units of its stored scale, so the size of a move is
+read from this script's output.
+
 The stored manifest is ``tests/data/identity_scale10.json``. A change that
 moves these outputs on purpose regenerates it with ``--write`` and says why.
 Rounding-noise columns, such as the errors of the exact-transport presets
@@ -108,6 +112,16 @@ def _column_mismatch(want: dict, got: dict, rows: int) -> str:
     return ""
 
 
+def _worst_sample(want: dict, got: dict) -> str:
+    """The largest difference among the sampled rows, in units of the stored
+    column scale."""
+    diffs = [abs(g - w) for w, g in zip(want["samples"], got["samples"]) if w is not None and g is not None]
+    worst = max(diffs, default=0.0)
+    if want["scale"] == 0.0:
+        return f"worst sampled difference {worst:.2g} (scale 0)"
+    return f"worst sampled difference {worst / want['scale']:.2g} of scale"
+
+
 def compare(want: dict, got: dict) -> list:
     """Every difference between a stored manifest and a fresh summary."""
     bad = []
@@ -125,7 +139,7 @@ def compare(want: dict, got: dict) -> list:
             for name, wc, gc in zip(w["header"], w["columns"], g["columns"]):
                 why = _column_mismatch(wc, gc, w["rows"])
                 if why:
-                    bad.append(f"{key} column {name}: {why}")
+                    bad.append(f"{key} column {name}: {why}; {_worst_sample(wc, gc)}")
     return bad
 
 

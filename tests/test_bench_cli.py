@@ -1,6 +1,7 @@
 """Experiment runner emissions, determinism, validation, CLI plumbing."""
 
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lagrom import bench, cli
+from lagrom import bench, cli, svd_core
 from lagrom.bench import (
     _Reference,
     _score,
@@ -184,6 +185,23 @@ class TestRunExperiment:
         assert "TooFewSnapshots" in record.methods["lagrangian-dmd"].failure
         assert record.methods["lagrangian-pod"].failure is None
 
+    @pytest.mark.parametrize("preset, windows", [("test4", 1), ("test0-diffusion", 1), ("levelset", 1)])
+    def test_one_factorization_per_training_window(self, preset, windows, monkeypatch):
+        original = svd_core.reduced_svd
+        factored = []
+
+        def counted(matrix):
+            factored.append(matrix)
+            return original(matrix)
+
+        for module in [m for name, m in sys.modules.items() if name == "lagrom" or name.startswith("lagrom.")]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+        record = run_experiment(ExperimentConfig(preset=preset, scale=10), emit=False)
+        assert not any(result.failure for result in record.methods.values())
+        assert len(factored) == windows
+
 
 class TestScore:
     """The blocked scorer against whole-array arithmetic on the same data."""
@@ -351,9 +369,16 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["run"])
 
-    def test_run_rejects_epsilon_with_rank(self):
-        with pytest.raises(SystemExit):
-            main(["run", "test1", "--epsilon", "1e-8", "--rank", "5"])
+    def test_run_rejects_epsilon_with_rank(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("solvers ran"))
+        assert main(["run", "test1", "--epsilon", "1e-8", "--rank", "5"]) == 2
+        assert capsys.readouterr().err == "lagrom run: error: --epsilon and --rank are mutually exclusive\n"
+
+    def test_run_rejects_training_window_past_horizon(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("solvers ran"))
+        assert main(["run", "test1", "--steps", "20", "--snapshots", "30"]) == 2
+        err = capsys.readouterr().err
+        assert err == "lagrom run: error: training snapshots m = 30 must be fewer than steps M = 20\n"
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -51,7 +51,7 @@ class TestFit:
     def test_projection_optimality(self):
         rng = np.random.default_rng(1)
         data = rng.standard_normal((40, 12))
-        svd = reduced_svd(data)
+        svd = reduced_svd(data).svd()
         basis = fit_pod(data, fixed_rank=5)
         for k in range(data.shape[1]):
             y = data[:, k]

@@ -1,4 +1,4 @@
-"""Reduced SVD factors and the share-based truncation rule."""
+"""The window QR, the SVDs taken from it, and the share-based truncation rule."""
 
 import numpy as np
 import pytest
@@ -9,24 +9,30 @@ from lagrom import dmd_rom, pod_rom
 from lagrom.dmd_rom import fit_dmd
 from lagrom.errors import EmptySpectrum, RankOutOfRange
 from lagrom.pod_rom import fit_pod
-from lagrom.svd_core import reduced_svd, select_rank, truncate, truncation_rank
+from lagrom.svd_core import fit_svd, reduced_svd, select_rank, truncate, truncation_rank
+
+
+def full_svd(x):
+    """Every numerically nonzero triplet of x, with the left vectors formed."""
+    factor = reduced_svd(x)
+    return factor.lift(factor.svd())
 
 
 class TestReducedSvd:
     def test_identity_spectrum(self):
-        svd = reduced_svd(np.eye(3))
+        svd = reduced_svd(np.eye(3)).svd()
         assert np.allclose(svd.singular_values, [1.0, 1.0, 1.0])
         assert svd.rank == 3
 
     def test_rank_one_outer_product(self):
         a = np.array([1.0, -2.0, 2.0])
         b = np.array([3.0, 4.0])
-        svd = reduced_svd(np.outer(a, b))
+        svd = reduced_svd(np.outer(a, b)).svd()
         assert svd.rank == 1
         assert np.isclose(svd.singular_values[0], np.linalg.norm(a) * np.linalg.norm(b))
 
     def test_diagonal_matrix(self):
-        svd = reduced_svd(np.diag([3.0, 2.0, 1.0]))
+        svd = full_svd(np.diag([3.0, 2.0, 1.0]))
         assert np.allclose(svd.singular_values, [3.0, 2.0, 1.0])
         # factors are signed permutations of the identity
         assert np.allclose(np.abs(svd.left_vectors), np.eye(3), atol=1e-12)
@@ -34,7 +40,7 @@ class TestReducedSvd:
     def test_factorization_reconstructs(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((20, 8))
-        svd = reduced_svd(x)
+        svd = full_svd(x)
         recon = svd.left_vectors @ np.diag(svd.singular_values) @ svd.right_vectors.T
         assert np.allclose(recon, x, atol=1e-12)
         svd.validate()
@@ -42,7 +48,7 @@ class TestReducedSvd:
     def test_eckart_young_consistency(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((30, 12))
-        svd = reduced_svd(x)
+        svd = full_svd(x)
         for r in (1, 4, 9):
             t = truncate(svd, r)
             recon = t.left_vectors @ np.diag(t.singular_values) @ t.right_vectors.T
@@ -53,7 +59,7 @@ class TestReducedSvd:
     def test_sign_convention_deterministic(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((15, 6))
-        svd = reduced_svd(x)
+        svd = full_svd(x)
         for k in range(svd.rank):
             col = svd.left_vectors[:, k]
             lead = col[np.argmax(np.abs(col) > 1e-12 * np.max(np.abs(col)))]
@@ -61,7 +67,61 @@ class TestReducedSvd:
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(EmptySpectrum):
-            reduced_svd(np.zeros((4, 3)))
+            reduced_svd(np.zeros((4, 3))).svd()
+
+
+def graded(rows, cols, seed=0):
+    """Random singular vectors under singular values graded from 1 down to
+    1e-15, so the shares reach about 1e-15."""
+    rng = np.random.default_rng(seed)
+    k = min(rows, cols)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, k)))
+    return (u * np.logspace(0, -15, k)) @ v.T
+
+
+# A tall window and a wide one (rows < columns, like the DMD unit tests' windows).
+QR_SHAPES = [(300, 40), (12, 40)]
+
+
+@pytest.mark.parametrize("shape", QR_SHAPES)
+class TestQrRoute:
+    """One QR serves the POD block (all columns) and the DMD block (all but
+    the last) as a direct SVD of each block would."""
+
+    def test_spectrum_and_rank_match_a_direct_svd(self, shape):
+        x = graded(*shape)
+        factor = reduced_svd(x)
+        for columns in (shape[1], shape[1] - 1):
+            direct = np.linalg.svd(x[:, :columns], compute_uv=False)
+            svd = factor.svd(columns)
+            assert np.max(np.abs(svd.full_singular_values - direct)) <= 1e-13 * direct[0]
+            numerical = int(np.sum(direct > max(shape[0], columns) * direct[0] * np.finfo(float).eps))
+            assert svd.rank == numerical
+            for eps in (1e-4, 1e-8, 1e-12):
+                assert select_rank(svd, epsilon=eps) == truncation_rank(direct[:numerical], eps)
+            for fixed in (3, 30, 100):
+                assert select_rank(svd, fixed_rank=fixed) == min(fixed, numerical)
+
+    def test_left_vectors_orthonormal(self, shape):
+        x = graded(*shape)
+        factor = reduced_svd(x)
+        for columns in (shape[1], shape[1] - 1):
+            kept = fit_svd(factor, columns, fixed_rank=columns)
+            u = kept.left_vectors
+            assert u.shape == (shape[0], kept.rank)
+            assert np.max(np.abs(u.T @ u - np.eye(kept.rank))) <= 1e-12
+            recon = (u * kept.singular_values) @ kept.right_vectors.T
+            assert np.max(np.abs(recon - x[:, :columns])) <= 1e-13
+
+    @pytest.mark.parametrize("rule", [dict(fixed_rank=5), dict(epsilon=1e-4)])
+    def test_r_space_train_residual_equals_full_dimension_formula(self, shape, rule):
+        x = graded(*shape)
+        model = fit_dmd(x, **rule)
+        u, k_tilde = model.projector, model.reduced_operator
+        y1, y2 = x[:, :-1], x[:, 1:]
+        full = np.max(np.linalg.norm(y2 - u @ (k_tilde @ (u.T @ y1)), axis=0))
+        assert abs(model.train_residual - full) <= 1e-12 * full
 
 
 class TestTruncationRank:
@@ -104,23 +164,23 @@ class TestTruncationRank:
 
 class TestTruncate:
     def test_full_rank_is_identity(self):
-        svd = reduced_svd(np.diag([3.0, 2.0, 1.0]))
+        svd = full_svd(np.diag([3.0, 2.0, 1.0]))
         assert truncate(svd, svd.rank) is svd
 
     def test_leading_triplet(self):
-        svd = truncate(reduced_svd(np.diag([3.0, 2.0, 1.0])), 1)
+        svd = truncate(full_svd(np.diag([3.0, 2.0, 1.0])), 1)
         assert np.allclose(svd.singular_values, [3.0])
         assert svd.left_vectors.shape == (3, 1)
 
     def test_out_of_range(self):
-        svd = reduced_svd(np.diag([3.0, 2.0, 1.0]))
+        svd = full_svd(np.diag([3.0, 2.0, 1.0]))
         for r in (0, 4, -1):
             with pytest.raises(RankOutOfRange):
                 truncate(svd, r)
 
     def test_composition_collapses(self):
         rng = np.random.default_rng(3)
-        svd = reduced_svd(rng.standard_normal((10, 6)))
+        svd = full_svd(rng.standard_normal((10, 6)))
         once = truncate(svd, 2)
         twice = truncate(truncate(svd, 5), 2)
         assert np.array_equal(once.singular_values, twice.singular_values)
@@ -131,7 +191,7 @@ class TestRankRule:
     """One rank rule for both fits, checked before any factoring."""
 
     def test_select_rank_by_share_or_clamped_fixed_rank(self):
-        svd = reduced_svd(np.diag([3.0, 2.0, 1e-6]))
+        svd = reduced_svd(np.diag([3.0, 2.0, 1e-6])).svd()
         assert select_rank(svd, epsilon=1e-3) == 2
         assert select_rank(svd, fixed_rank=2) == 2
         assert select_rank(svd, fixed_rank=9) == 3
@@ -149,10 +209,14 @@ class TestRankRule:
     )
     @pytest.mark.parametrize("fit", [fit_pod, fit_dmd])
     def test_both_fits_reject_a_bad_rule_before_the_svd(self, fit, rule, error, monkeypatch):
-        def no_svd(matrix):
+        def no_factoring(*args):
             raise AssertionError("factored before checking the rank rule")
 
-        monkeypatch.setattr(dmd_rom, "reduced_svd", no_svd)
-        monkeypatch.setattr(pod_rom, "reduced_svd", no_svd)
+        for module in (dmd_rom, pod_rom):
+            monkeypatch.setattr(module, "window_factor", no_factoring)
+            monkeypatch.setattr(module, "fit_svd", no_factoring)
         with pytest.raises(error):
             fit(np.eye(4), **rule)
+        # a good rule reaches the stubs: they are what the fits factor through
+        with pytest.raises(AssertionError, match="factored"):
+            fit(np.eye(4), fixed_rank=1)
