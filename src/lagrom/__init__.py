@@ -24,6 +24,7 @@ from .dmd_rom import (
     load_dmd_model,
     predict,
     predict_series,
+    prediction_blocks,
     reconstruct_state,
     save_dmd_model,
     split_pairs,
@@ -52,6 +53,7 @@ from .hfm_lagrangian import (
 from .levelset import (
     LevelSetField,
     advance_levelset,
+    contour_blocks,
     embed_initial,
     extract_zero_contour,
     levelset_dmd,
@@ -64,6 +66,7 @@ from .pod_rom import (
     fit_pod,
     pod_step_eulerian,
     pod_step_lagrangian,
+    pod_steps,
     run_pod_rom,
 )
 from .presets import ExperimentConfig, parse_config_file, resolve

@@ -21,29 +21,34 @@ error CSV, whose state and bound cells may be blank, formats cell by cell:
 
 Methods: one runner, ``_run_method``, fits every method on its training
 snapshots, rolls it out over the whole horizon and scores it. It branches
-only where the methods differ: POD steps its Galerkin rollout, DMD predicts
-its observable with ``predict_series``, the level set predicts contours with
-``levelset.predict_contours``, and only the Eulerian and Lagrangian DMD
+only where the methods differ: POD streams its Galerkin steps
+(``pod_rom.pod_steps``), DMD its observable (``dmd_rom.prediction_blocks``,
+the blocks of ``predict_series``), the level set its contours
+(``levelset.contour_blocks``), and only the Eulerian and Lagrangian DMD
 carry the bound. Each training window is factored once (its QR,
 ``svd_core.reduced_svd``) and the factor is handed to both fits of that
 window, so the second fit's ``fit_seconds`` excludes the shared QR.
+``rollout_seconds`` is the time spent producing the rollout's blocks, not
+scoring them.
 
 Scoring: every method is scored by ``_score`` against one reference built
 per run. The solvers keep their runs in time-major read-only stores, so the
 reference holds only views of them: the fixed-grid states, and the stacked
 [x; u] moving-frame columns, of which the scorer reads one block of columns
-at a time without a copy. The scorer walks the method's whole-horizon
-prediction in column blocks of at most ``SCORE_BLOCK_CELLS`` cells (16
-columns of the full-size stacked observable); per block it computes the
-observable error, takes stacked moving-frame columns to the fixed grid with
-``core.stacked_to_grid`` (tangle check, then interpolation), the relative
-state error, and for DMD the one-step residual behind the bound. No
-temporary grows with the horizon, and the fixed-grid states are kept only
-when the caller asks for them. DMD observables are still predicted once over
-the whole horizon: predicting per chunk restarts the ``K^gap`` walk at each
-chunk, which moved the full-size test4 L-DMD error columns by up to 6e-8
-relative. The level set, which carries no bound, predicts its fields in
-chunks, so one chunk of fields is held at a time.
+at a time without a copy. The rollout is a stream of column blocks in time
+order, and the scorer consumes it in its own blocks of at most
+``SCORE_BLOCK_CELLS`` cells (16 columns of the full-size stacked
+observable, where each 64-index DMD lift block passes as four views). Per
+block it computes the observable error, takes stacked moving-frame columns
+to the fixed grid with ``core.stacked_to_grid`` (tangle check, then
+interpolation), the relative state error, and for DMD the one-step residual
+behind the bound. Neither the observable nor a scoring temporary grows with
+the horizon, and the fixed-grid states are kept only when the caller asks
+for them. A DMD observable stream comes from one ``K^gap`` walk over every
+index, so the scored observable is ``predict_series``'s bit for bit;
+restarting the walk per chunk moved the full-size test4 L-DMD error columns
+by up to 6e-8 relative. The level set, scored on contours without a bound,
+still walks each 32-index chunk from the anchor.
 """
 
 from __future__ import annotations
@@ -59,8 +64,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .core import Grid1D, stacked_to_grid, write_number_table
-from .dmd_rom import fit_dmd, fit_lagrangian_dmd, predict_series
-from .errors import LagromError
+from .dmd_rom import fit_dmd, fit_lagrangian_dmd, prediction_blocks
+from .errors import DimensionMismatch, LagromError
 from .error_analysis import (
     ErrorReport,
     error_bound_series,
@@ -73,8 +78,8 @@ from .error_analysis import (
 )
 from .hfm_eulerian import run_eulerian_hfm
 from .hfm_lagrangian import run_lagrangian_hfm
-from .levelset import levelset_dmd, predict_contours, run_levelset_hfm
-from .pod_rom import FRAME_EULERIAN, FRAME_LAGRANGIAN, PodBasis, fit_pod, run_pod_rom
+from .levelset import contour_blocks, levelset_dmd, run_levelset_hfm
+from .pod_rom import FRAME_EULERIAN, FRAME_LAGRANGIAN, PodBasis, fit_pod, pod_steps
 from .presets import (
     METHOD_EULERIAN_DMD,
     METHOD_EULERIAN_POD,
@@ -160,17 +165,83 @@ class _Reference:
         return (self.stacked if stacked else self.states)[:, cols]
 
 
-def _score(ref, observed, spec, model=None, keep_states=False):
-    """Error report of one method whose observables at indices 1..h are the
-    columns of ``observed``; returns (report, fixed-grid states or None).
+def _scoring_blocks(blocks, horizon):
+    """Regroup a stream of column blocks, in time order, into the scorer's
+    blocks of ``SCORE_BLOCK_CELLS // rows`` columns, or of the whole
+    ``horizon`` if that is narrower (the last may be narrower still); yields
+    (first column, block).
+
+    Columns pass through as views where one stream block covers a scoring
+    block, and are gathered into one reused buffer otherwise. The buffer
+    takes the stream's memory layout, so the column norms of a scoring block
+    sum in the same order as over the whole horizon stored that way.
+    """
+    width = filled = start = 0
+    buffer = None
+    for block in blocks:
+        if not width:
+            width = max(1, min(SCORE_BLOCK_CELLS // block.shape[0], horizon))
+        at = 0
+        while at < block.shape[1]:
+            if not filled and block.shape[1] - at >= width:
+                yield start, block[:, at : at + width]
+                start, at = start + width, at + width
+                continue
+            if buffer is None:
+                row_major = not block.flags.f_contiguous and block.strides[0] > block.strides[1]
+                buffer = np.empty((block.shape[0], width), order="C" if row_major else "F")
+            take = min(width - filled, block.shape[1] - at)
+            buffer[:, filled : filled + take] = block[:, at : at + take]
+            filled, at = filled + take, at + take
+            if filled == width:
+                yield start, buffer
+                start, filled = start + width, 0
+    if filled:
+        yield start, buffer[:, :filled]
+
+
+class _Timed:
+    """Iterates ``blocks``, adding up the seconds spent producing them."""
+
+    def __init__(self, blocks):
+        self.blocks = iter(blocks)
+        self.seconds = 0.0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        started = time.perf_counter()
+        try:
+            return next(self.blocks)
+        finally:
+            self.seconds += time.perf_counter() - started
+
+
+def _pod_columns(steps, newton):
+    """The reconstructions of a ``pod_steps`` stream past its initial
+    projection, as one-column blocks; appends each step's Newton iterations
+    to ``newton``."""
+    next(steps)
+    for step in steps:
+        newton.append(step.iterations)
+        yield step.full[:, None]
+
+
+def _score(ref, blocks, spec, model=None, keep_states=False):
+    """Error report of one method whose observables at indices 1..h arrive as
+    ``blocks``, column blocks in time order that cover the reference's h
+    indices; returns (report, fixed-grid states or None).
 
     The columns are fixed-grid states (N rows), or stacked [x; u]
     moving-frame states (2N rows), which are taken to the reference grid.
-    One pass over column blocks of at most ``SCORE_BLOCK_CELLS`` cells
-    computes the observable error, the tangle check and interpolation of
-    stacked columns, and the relative state error, so the scoring
-    temporaries stay bounded whatever the horizon. Fixed-grid states are
-    returned only with ``keep_states`` (column-contiguous).
+    One pass over scoring blocks of at most ``SCORE_BLOCK_CELLS`` cells
+    (``_scoring_blocks``) computes the observable error, the tangle check
+    and interpolation of stacked columns, and the relative state error, so
+    neither the observable nor a scoring temporary grows with the horizon.
+    Fixed-grid states are kept only with ``keep_states`` (column-contiguous).
+    The stream is read only as far as the block being scored, so a failure,
+    in the rollout or in the scoring, ends both there.
 
     With a DMD ``model`` the report carries the affine bound past the
     training window. Its slope eps_m is the worst one-step residual of the
@@ -180,28 +251,28 @@ def _score(ref, observed, spec, model=None, keep_states=False):
     understates how far an extrapolated trajectory leaves the learned
     subspace and would not stay above the measured error.
     """
-    horizon = observed.shape[1]
-    stacked = observed.shape[0] != len(ref.grid)
+    horizon = ref.states.shape[1]
     err_obs = np.empty(horizon)
     rel_state = np.empty(horizon)
-    states = None
-    if keep_states:
-        states = np.empty((len(ref.grid), horizon), order="F") if stacked else observed
+    states = np.empty((len(ref.grid), horizon), order="F") if keep_states else None
     eps_m = 0.0
-    step = max(1, SCORE_BLOCK_CELLS // observed.shape[0])
-    for start in range(0, horizon, step):
-        cols = slice(start, start + step)
-        block = observed[:, cols]
+    scored = 0
+    for start, block in _scoring_blocks(blocks, horizon):
         width = block.shape[1]
+        cols = slice(start, start + width)
+        stacked = block.shape[0] != len(ref.grid)
         reference = ref.observables(slice(start, start + width + 1), stacked)
         err_obs[cols] = truncation_error(reference[:, :width], block)
         if model is not None:
             eps_m = max(eps_m, estimate_eps_m(model, reference))
         if stacked:
             block = stacked_to_grid(block, ref.grid, spec.bc, spec.domain_length, first_index=start + 1)[2]
-            if states is not None:
-                states[:, cols] = block
+        if states is not None:
+            states[:, cols] = block
         rel_state[cols] = relative_l2(ref.states[:, cols], block, scale=ref.state_norms[cols])
+        scored = start + width
+    if scored != horizon:
+        raise DimensionMismatch(f"scored {scored} columns of a {horizon}-index horizon")
 
     times = np.arange(1, horizon + 1)
     bound_terms = {}
@@ -276,19 +347,19 @@ def _run_method(method, resolved, euler_run, lagr_run, level_run, ref, keep_stat
     newton = None
     if isinstance(model, PodBasis):
         initial = (euler_run.trajectory if method == METHOD_EULERIAN_POD else lagr_run.stacked)[:, 0]
-        rollout = run_pod_rom(model, initial, spec, spec.n_steps)
-        observed, newton, modes = rollout.snapshots.data, rollout.newton_iterations, model.basis
+        newton = []
+        blocks, modes = _pod_columns(pod_steps(model, initial, spec, spec.n_steps), newton), model.basis
     elif method == METHOD_LEVELSET_DMD:
-        observed, modes = predict_contours(model, indices, level_run.x_grid, level_run.y_grid), model.modes
+        blocks, modes = contour_blocks(model, indices, level_run.x_grid, level_run.y_grid), model.modes
     else:
-        observed, modes = predict_series(model, indices), model.modes
-    rolled = time.perf_counter()
+        blocks, modes = prediction_blocks(model, indices), model.modes
+    rollout = _Timed(blocks)
     # The bound belongs to a DMD propagator on the observable it was fitted
     # to; the level set is scored on contours, which it does not propagate.
     bound_model = model if method in (METHOD_EULERIAN_DMD, METHOD_LAGRANGIAN_DMD) else None
-    report, states = _score(ref, observed, spec, model=bound_model, keep_states=keep_states)
+    report, states = _score(ref, rollout, spec, model=bound_model, keep_states=keep_states)
     return MethodResult(
-        method, model.rank, fitted - started, rolled - fitted, newton, report=report, states=states, modes=modes[:, :3]
+        method, model.rank, fitted - started, rollout.seconds, newton, report=report, states=states, modes=modes[:, :3]
     )
 
 

@@ -51,7 +51,7 @@ def _config_from_args(args) -> ExperimentConfig:
     elif args.preset:
         base = ExperimentConfig(preset=args.preset)
     else:
-        raise SystemExit("run requires a preset name or --config file")
+        raise ValueError("run requires a preset name or --config file")
     if args.epsilon is not None and args.rank is not None:
         raise ValueError("--epsilon and --rank are mutually exclusive")
     updates = {}

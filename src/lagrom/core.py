@@ -303,6 +303,17 @@ def split_stacked(data, n: int = None):
     return mat[:n], mat[n:]
 
 
+def side_by_side(blocks, rows: int, count: int, order: str = "C") -> np.ndarray:
+    """The column blocks of a stream, placed side by side in one (rows,
+    count) array of the given memory order."""
+    out = np.empty((rows, count), order=order)
+    start = 0
+    for block in blocks:
+        out[:, start : start + block.shape[1]] = block
+        start += block.shape[1]
+    return out
+
+
 def stacked_to_grid(stacked, grid, bc: str = "clamp", period: float = None, first_index: int = None):
     """Take one stacked [x; u] column (1-D), or a block of them (2-D) at time
     indices ``first_index`` onwards, back to ``grid``.

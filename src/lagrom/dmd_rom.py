@@ -5,13 +5,19 @@ values.
 A fitted model holds the orthonormal data basis U, the reduced one-step
 operator K and the projected anchor snapshot U^T y_base. Prediction at a
 future index k is ``U @ K^k @ (U^T y_base)`` (the projector form of exact
-DMD; no time stepping in the full dimension). ``predict_series`` is the one
-prediction path: over h indices it walks them in sorted order and advances
-the reduced vector by K^gap, one r x r matvec per adjacent index, then
-applies U once as an n x r by r x h product (n observable rows): per index
-it costs an r x r matvec plus a 1/h share of that product. ``predict`` is
-that path at one index, where the walk is one r x r matrix power (about
-log2 k products) and the product one n x r matvec, whatever the horizon.
+DMD; no time stepping in the full dimension). ``prediction_blocks`` is the
+one prediction path: over h indices it walks them in sorted order and
+advances the reduced vector by K^gap, one r x r matvec per adjacent index,
+then lifts the reduced rows by U in blocks of ``LIFT_COLUMNS`` indices, each
+an n x r by r x 64 product (n observable rows), checked as it is made.
+``predict_series`` puts the blocks side by side; ``bench`` scores them as
+they come, so a whole-horizon observable exists only when a caller asks for
+one. The lift width is load-bearing. Blocks of 4 to 128 rows gave the
+single n x r by r x h product bit for bit on every preset; blocks of 1 or 3
+did not. At full size, 16-row blocks took 1.8 times as long as the single
+product, and 64-row blocks about as long. ``predict`` is ``predict_series`` at one index, where the walk is
+one r x r matrix power (about log2 k products) and the lift one n x r
+matvec, whatever the horizon.
 The form keeps every intermediate at the scale of the data: for
 snapshot data whose one-step operator is nearly defective (for example a
 state growing linearly in time) the eigenvector basis is ill-conditioned,
@@ -34,11 +40,11 @@ on the model for the error bound, the emitted mode shapes and diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .core import NUMBER_FORMAT, Grid1D, SnapshotMatrix, stacked_to_grid, write_number_table
+from .core import NUMBER_FORMAT, Grid1D, SnapshotMatrix, side_by_side, stacked_to_grid, write_number_table
 from .errors import DimensionMismatch, NumericalFailure, TooFewSnapshots
 from .svd_core import WindowFactor, check_rank_rule, fit_svd, window_factor
 
@@ -47,6 +53,9 @@ OBSERVABLE_STACKED = "lagrangian-stacked"
 OBSERVABLE_LEVELSET = "levelset-field"
 
 _IMAG_TOL = 1e-6
+# Indices lifted per block by prediction_blocks (2 MB of the full-size
+# stacked observable). Load-bearing, see above.
+LIFT_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -182,30 +191,28 @@ def one_step_map(model: DmdModel, columns: np.ndarray) -> np.ndarray:
 
 
 def _checked_real(result: np.ndarray, model: DmdModel, indices) -> np.ndarray:
-    """Real part of a prediction block whose columns belong to ``indices``.
+    """Real part of a prediction block (n x k) whose columns belong to
+    ``indices``.
 
-    Raises when a prediction overflowed or, for real input, when the
-    imaginary part of any column is not negligible against that column.
+    Raises at the block's first failing column: one that overflowed or, for
+    real input, one whose imaginary part is not negligible against it.
     """
-    finite = np.isfinite(result)
-    if not finite.all():
-        bad_columns = ~finite.reshape(result.shape[0], -1).all(axis=0)
-        first = int(np.ravel(indices)[np.argmax(bad_columns)])
-        raise NumericalFailure(f"prediction at time index {first} is not finite", time_index=first)
-    real = result.real
+    overflowed = failing = ~np.isfinite(result).all(axis=0)
     if model.real_input and np.iscomplexobj(result):
-        imag_norms = np.ravel(np.linalg.norm(result.imag, axis=0))
-        scales = np.maximum(np.ravel(np.linalg.norm(real, axis=0)), 1e-300)
-        excess = imag_norms > _IMAG_TOL * scales
-        if excess.any():
-            j = int(np.argmax(excess))
-            first = int(np.ravel(indices)[j])
-            raise NumericalFailure(
-                f"prediction imaginary part {imag_norms[j]:.3e} at time index {first} exceeds "
-                f"{_IMAG_TOL:g} of magnitude {scales[j]:.3e}",
-                time_index=first,
-            )
-    return real
+        imag_norms = np.linalg.norm(result.imag, axis=0)
+        scales = np.maximum(np.linalg.norm(result.real, axis=0), 1e-300)
+        failing = overflowed | (imag_norms > _IMAG_TOL * scales)
+    if failing.any():
+        j = int(np.argmax(failing))
+        first = int(indices[j])
+        if overflowed[j]:
+            raise NumericalFailure(f"prediction at time index {first} is not finite", time_index=first)
+        raise NumericalFailure(
+            f"prediction imaginary part {imag_norms[j]:.3e} at time index {first} exceeds "
+            f"{_IMAG_TOL:g} of magnitude {scales[j]:.3e}",
+            time_index=first,
+        )
+    return result.real
 
 
 def predict(model: DmdModel, k: int) -> np.ndarray:
@@ -213,13 +220,17 @@ def predict(model: DmdModel, k: int) -> np.ndarray:
     return predict_series(model, [k])[:, 0]
 
 
-def predict_series(model: DmdModel, indices) -> np.ndarray:
-    """Column-stacked predictions for many indices, in the caller's order.
+def prediction_blocks(model: DmdModel, indices) -> Iterator[np.ndarray]:
+    """The columns of ``predict_series(model, indices)``, in the caller's
+    order, as column-contiguous blocks of ``LIFT_COLUMNS`` (the last may be
+    narrower).
 
-    The indices are visited in sorted order: the projected anchor advances by
-    ``K^gap`` between consecutive distinct indices (one r x r matvec when they
-    are adjacent), and ``U`` is applied to all reduced columns in one product.
-    The result is column-contiguous (Fortran order).
+    The indices are visited once, in sorted order: the projected anchor
+    advances by ``K^gap`` between consecutive distinct indices (one r x r
+    matvec when they are adjacent), which gives every r-wide reduced row
+    before the first block is lifted. Each block is then one product of its
+    reduced rows with ``U``, checked for overflow and imaginary parts, so no
+    full-horizon observable exists unless a caller collects one.
     """
     idx = np.asarray(indices, dtype=int)
     if np.any(idx < model.base_time_index):
@@ -236,7 +247,18 @@ def predict_series(model: DmdModel, indices) -> np.ndarray:
             current = np.linalg.matrix_power(op, gap) @ current
         power += gap
         reduced_t[j] = current
-    return np.asfortranarray(_checked_real((reduced_t @ model.projector.T).T, model, idx))
+    lift = model.projector.T
+    for start in range(0, idx.size, LIFT_COLUMNS):
+        cols = slice(start, start + LIFT_COLUMNS)
+        yield _checked_real((reduced_t[cols] @ lift).T, model, idx[cols])
+
+
+def predict_series(model: DmdModel, indices) -> np.ndarray:
+    """Column-stacked predictions for many indices, in the caller's order:
+    the blocks of ``prediction_blocks`` side by side, column-contiguous
+    (Fortran order)."""
+    idx = np.asarray(indices, dtype=int)
+    return side_by_side(prediction_blocks(model, idx), model.n_rows, idx.size, order="F")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ snapshot matrix adopts without a copy.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -113,13 +113,26 @@ def check_cfl(u: np.ndarray, spec: ProblemSpec, time_index: int = None) -> float
 @dataclass
 class DiffusionSystem:
     """(I - dt D2) on a fixed grid: face coefficients and the LU factors,
-    with the periodic corner couplings inside the factorization."""
+    with the periodic corner couplings inside the factorization.
+
+    The operator's diagonal band, its off-diagonal products mu·D_{j+1/2}
+    and its corner products are formed once, at construction, for
+    ``apply``."""
 
     factor: Union[kernels.TridiagonalFactor, kernels.CyclicFactor]
     periodic: bool
     mu: float
     d_faces: np.ndarray
     bc_values: tuple
+    diagonal: np.ndarray = field(init=False, repr=False)
+    off_diagonal: np.ndarray = field(init=False, repr=False)
+    corners: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        mu, df = self.mu, self.d_faces
+        self.diagonal = 1.0 + mu * (df[:-1] + df[1:])
+        self.off_diagonal = mu * df[1:-1]
+        self.corners = (mu * df[0], mu * df[-1])
 
     def with_boundary_terms(self, rhs: np.ndarray) -> np.ndarray:
         """``rhs`` plus the known Dirichlet ghost terms of the first and last rows."""
@@ -139,19 +152,22 @@ class DiffusionSystem:
         """(I - dt D2) with zero ghost values, on a vector or on each column
         of a block; periodic corners included. Independent of the
         elimination path, so it checks ``solve``."""
-        mu = self.mu
-        df = self.d_faces.reshape((-1,) + (1,) * (columns.ndim - 1))
-        out = columns * (1.0 + mu * (df[:-1] + df[1:]))
-        out[1:] -= mu * df[1:-1] * columns[:-1]
-        out[:-1] -= mu * df[1:-1] * columns[1:]
+        shape = (-1,) + (1,) * (columns.ndim - 1)
+        off = self.off_diagonal.reshape(shape)
+        out = columns * self.diagonal.reshape(shape)
+        out[1:] -= off * columns[:-1]
+        out[:-1] -= off * columns[1:]
         if self.periodic:
-            out[0] -= mu * df[0] * columns[-1]
-            out[-1] -= mu * df[-1] * columns[0]
+            top, bottom = self.corners
+            out[0] -= top * columns[-1]
+            out[-1] -= bottom * columns[0]
         return out
 
     def residual(self, solution: np.ndarray, rhs: np.ndarray) -> float:
         """Largest entry of apply(solution) - with_boundary_terms(rhs)."""
-        return float(np.max(np.abs(self.apply(solution) - self.with_boundary_terms(rhs))))
+        resid = self.apply(solution)
+        resid -= self.with_boundary_terms(rhs)
+        return float(np.max(np.abs(resid, out=resid)))
 
 
 def diffusion_system_for(spec: ProblemSpec, x: np.ndarray, t: float, u: np.ndarray) -> DiffusionSystem:

@@ -142,7 +142,8 @@ def cyclic_thomas_solve(factor: CyclicFactor, rhs):
     if factor.z is None:
         return y
     correction = (y[0] + factor.corner_top * y[-1] / factor.gamma) / factor.denom
-    return y - correction * factor.z
+    y -= correction * factor.z  # y is the solve's own output, never the caller's rhs
+    return y
 
 
 def interp_clamped(src, vals, dst):

@@ -10,9 +10,11 @@ approximate the nonlinear solution.
 One step path: ``advance_levelset`` and ``run_levelset_hfm`` both check the
 row speeds with ``row_speeds`` and step the raw field with
 ``kernels.levelset_step``; ``extract_zero_contour``, the run and the
-surrogate's one rollout path, ``predict_contours`` (``predicted_contour`` at
-a single index), all take contours with ``zero_contour``. The y grid is
-fixed, so a run evaluates the row speeds and their Courant check once. It
+surrogate's one rollout path, ``contour_blocks`` (one block of contours per
+chunk of ``CONTOUR_CHUNK`` indices; ``predict_contours`` collects them and
+``predicted_contour`` takes one index), all take contours with
+``zero_contour``. The y grid is fixed, so a run evaluates the row speeds and
+their Courant check once. It
 steps the field in column-major (Fortran) order, so the column-major
 flattening of a snapshot is the field's own memory: each of the first m
 steps is one contiguous row of a preallocated (m, n_x·n_y) C-order store,
@@ -26,11 +28,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from . import kernels
-from .core import Grid1D, ProblemSpec, SnapshotMatrix, StateVector
+from .core import Grid1D, ProblemSpec, SnapshotMatrix, StateVector, side_by_side
 from .errors import (
     CflViolation,
     MultipleSignChanges,
@@ -38,12 +41,12 @@ from .errors import (
     NumericalFailure,
     RangeNotCovered,
 )
-from .dmd_rom import OBSERVABLE_LEVELSET, DmdModel, fit_dmd, predict_series
+from .dmd_rom import OBSERVABLE_LEVELSET, DmdModel, fit_dmd, prediction_blocks
 from .hfm_eulerian import CFL_SLACK
 from .svd_core import WindowFactor
 
 DEFAULT_MARGIN_FRAC = 0.1
-# Indices predicted per chunk by predict_contours (about 100 MB of fields at
+# Indices predicted per chunk by contour_blocks (about 100 MB of fields at
 # full size).
 CONTOUR_CHUNK = 32
 
@@ -212,21 +215,30 @@ def levelset_dmd(snapshots, epsilon: float = None, fixed_rank: int = None, facto
     return fit_dmd(snapshots, epsilon=epsilon, fixed_rank=fixed_rank, observable_kind=OBSERVABLE_LEVELSET, factor=factor)
 
 
-def predict_contours(model: DmdModel, indices, x_grid: Grid1D, y_grid: Grid1D) -> np.ndarray:
-    """Zero contours (n_x, len(indices)) of the predicted fields at ``indices``.
+def contour_blocks(model: DmdModel, indices, x_grid: Grid1D, y_grid: Grid1D) -> Iterator[np.ndarray]:
+    """The columns of ``predict_contours``, one (n_x, k) block per
+    ``prediction_blocks`` lift block of a ``CONTOUR_CHUNK``-index chunk
+    (one lift block while the chunk is no wider than ``LIFT_COLUMNS``).
+    The blocks are row-major, like the collected contours: the scorer sums
+    their column norms in that layout's order.
 
-    Holds one ``predict_series`` chunk of ``CONTOUR_CHUNK`` fields at a time
-    and reads its column-major fields as one (n_y, n_x·k) view for a single
-    ``zero_contour`` call.
+    Holds one block of fields at a time and reads its column-major fields as
+    one (n_y, n_x·k) view for a single ``zero_contour`` call.
     """
     idx = np.asarray(indices, dtype=int)
     x, y = x_grid.nodes, y_grid.nodes
-    contours = np.empty((x.size, idx.size))
     for start in range(0, idx.size, CONTOUR_CHUNK):
-        chunk = idx[start : start + CONTOUR_CHUNK]
-        fields = predict_series(model, chunk).reshape((y.size, x.size * chunk.size), order="F")
-        contours[:, start : start + chunk.size] = zero_contour(fields, y, x).reshape((x.size, chunk.size), order="F")
-    return contours
+        for fields in prediction_blocks(model, idx[start : start + CONTOUR_CHUNK]):
+            k = fields.shape[1]
+            roots = zero_contour(fields.reshape((y.size, x.size * k), order="F"), y, x)
+            yield np.ascontiguousarray(roots.reshape((x.size, k), order="F"))
+
+
+def predict_contours(model: DmdModel, indices, x_grid: Grid1D, y_grid: Grid1D) -> np.ndarray:
+    """Zero contours (n_x, len(indices)) of the predicted fields at ``indices``:
+    the blocks of ``contour_blocks`` side by side."""
+    idx = np.asarray(indices, dtype=int)
+    return side_by_side(contour_blocks(model, idx, x_grid, y_grid), x_grid.nodes.size, idx.size)
 
 
 def predicted_contour(model: DmdModel, k: int, x_grid: Grid1D, y_grid: Grid1D) -> StateVector:

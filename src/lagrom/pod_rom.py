@@ -16,7 +16,11 @@ rollout cost scales with the grid like the solvers do. A prepared
 ``PodStepContext`` holds what is constant over a rollout, so the step loop
 repeats only per-step work: the grid nodes and basis splits; the factored
 diffusion system when D is a number; and the reduced Jacobian with its LU
-factors when it does not change over the run.
+factors when it does not change over the run. A rollout is one stream,
+``pod_steps``, which yields each state as it is stepped and stores none:
+``run_pod_rom`` collects it into a (horizon x n) time-major store, and
+``bench`` scores the reconstructions block by block as they come, so that
+store exists only when a caller asks ``run_pod_rom`` for it.
 
 * Fixed grid: the Jacobian Phi^T (I - dt D2) Phi is constant when D is a
   number or absent, and is factored once per run.
@@ -41,7 +45,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -341,6 +345,36 @@ def _lagrangian_newton(context: PodStepContext, z_hat, z_prev, spec: ProblemSpec
     raise NewtonDivergence(f"no convergence in {NEWTON_CAP} iterations", iterations=NEWTON_CAP)
 
 
+class PodStep(NamedTuple):
+    """One state of a rollout: its reduced coordinates, the Newton iterations
+    that reached them (0 for the projected initial state) and their
+    full-dimensional reconstruction."""
+
+    reduced: np.ndarray
+    iterations: int
+    full: np.ndarray
+
+
+def pod_steps(basis: PodBasis, initial_full: np.ndarray, spec: ProblemSpec, horizon: int) -> Iterator[PodStep]:
+    """The rollout from ``initial_full`` as a stream: its projection onto the
+    basis (index 0), then one step per index 1..horizon. Nothing is stored,
+    so a consumer that reads the steps as they come holds one state at a
+    time; ``run_pod_rom`` collects them."""
+    z0 = np.asarray(initial_full, dtype=float)
+    context = PodStepContext.for_basis(basis, spec, z0)
+    z_hat = basis.project(z0)
+    recon = context.basis_matrix @ z_hat
+    yield PodStep(z_hat, 0, recon)
+    lagrangian = basis.frame == FRAME_LAGRANGIAN
+    for k in range(horizon):
+        if lagrangian:
+            z_hat, used, recon = _lagrangian_newton(context, z_hat, recon, spec, k)
+        else:
+            z_hat, used = pod_step_eulerian(basis, z_hat, spec, k, context, u_prev_full=recon)
+            recon = context.basis_matrix @ z_hat
+        yield PodStep(z_hat, used, recon)
+
+
 @dataclass
 class PodRomRun:
     """Reduced-space rollout with full-dimensional reconstructions."""
@@ -353,32 +387,25 @@ class PodRomRun:
 
 
 def run_pod_rom(basis: PodBasis, initial_full: np.ndarray, spec: ProblemSpec, horizon: int) -> PodRomRun:
-    """Project the initial state, step to the horizon, reconstruct each state.
+    """Collect ``pod_steps``: the initial projection error, and each step's
+    reduced coordinates, Newton iterations and reconstruction.
 
     States are stored time-major, one contiguous row per step, and returned
     as column-ordered transposes; the store is marked read-only so the
     snapshot matrix adopts it without a copy.
     """
     started = time.perf_counter()
-    z0 = np.asarray(initial_full, dtype=float)
-    context = PodStepContext.for_basis(basis, spec, z0)
-    z_hat = basis.project(z0)
-    recon = context.basis_matrix @ z_hat
-    proj_err = float(np.linalg.norm(z0 - recon))
+    steps = pod_steps(basis, initial_full, spec, horizon)
+    initial = next(steps)
+    proj_err = float(np.linalg.norm(np.asarray(initial_full, dtype=float) - initial.full))
     reduced = np.empty((horizon + 1, basis.rank))
-    reduced[0] = z_hat
+    reduced[0] = initial.reduced
     full = np.empty((horizon, basis.basis.shape[0]))
     iters: List[int] = []
-    lagrangian = basis.frame == FRAME_LAGRANGIAN
-    for k in range(horizon):
-        if lagrangian:
-            z_hat, used, recon = _lagrangian_newton(context, z_hat, recon, spec, k)
-        else:
-            z_hat, used = pod_step_eulerian(basis, z_hat, spec, k, context, u_prev_full=recon)
-            recon = context.basis_matrix @ z_hat
-        iters.append(used)
-        reduced[k + 1] = z_hat
-        full[k] = recon
+    for k, step in enumerate(steps):
+        iters.append(step.iterations)
+        reduced[k + 1] = step.reduced
+        full[k] = step.full
     full.setflags(write=False)
     snaps = SnapshotMatrix(full.T, np.arange(1, horizon + 1))
     elapsed = time.perf_counter() - started

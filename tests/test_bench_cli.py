@@ -22,7 +22,7 @@ from lagrom.cli import main
 from lagrom.core import PERIODIC, stacked_to_grid
 from lagrom.dmd_rom import fit_dmd
 from lagrom.error_analysis import estimate_eps_m, relative_l2, truncation_error
-from lagrom.errors import GridEntanglement
+from lagrom.errors import DimensionMismatch, GridEntanglement
 from lagrom.hfm_eulerian import run_eulerian_hfm
 from lagrom.hfm_lagrangian import run_lagrangian_hfm
 from lagrom.presets import ExperimentConfig, parse_config_file, resolve
@@ -216,11 +216,18 @@ class TestScore:
 
     @staticmethod
     def reference(spec, count):
-        """A reference over indices 0..count: fixed-grid states and a moving frame."""
-        stacked = drifting_stacked(spec, count + 1)
+        """A reference over indices 0..count: fixed-grid states and a moving
+        frame, column-major like the solvers' transposed time-major stores."""
+        stacked = np.asfortranarray(drifting_stacked(spec, count + 1))
         n = spec.n_cells
         euler = SimpleNamespace(grid=spec.grid(), trajectory=np.cos(stacked[n:] + 0.3))
         return _Reference.of(euler, SimpleNamespace(stacked=stacked))
+
+    @staticmethod
+    def streamed(columns, width=7):
+        """The columns as a stream of blocks of a width that divides neither
+        the scoring blocks nor the horizon."""
+        return (columns[:, start : start + width] for start in range(0, columns.shape[1], width))
 
     @staticmethod
     def perturbed(columns):
@@ -236,7 +243,7 @@ class TestScore:
             observed = np.array(ref.stacked)
             observed[[5, 6], col] = observed[[6, 5], col]
             with pytest.raises(GridEntanglement, match=f"time index {col + 1}$") as exc:
-                _score(ref, observed, spec)
+                _score(ref, self.streamed(observed), spec)
             assert exc.value.time_index == col + 1
 
     def test_kept_states_equal_whole_array_reconstruction(self, blocks_of):
@@ -244,22 +251,42 @@ class TestScore:
         ref = self.reference(spec, self.COUNT)
         blocks_of(100)
         observed = self.perturbed(np.array(ref.stacked))
-        report, states = _score(ref, observed, spec, keep_states=True)
+        report, states = _score(ref, self.streamed(observed), spec, keep_states=True)
         assert states.flags.f_contiguous
         assert np.array_equal(states, stacked_to_grid(observed, spec.grid(), spec.bc, spec.domain_length)[2])
         assert np.array_equal(report.error_state, relative_l2(ref.states, states))
-        assert _score(ref, observed, spec)[1] is None
+        assert _score(ref, self.streamed(observed), spec)[1] is None
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_observable_errors_equal_whole_array_errors(self, stacked, blocks_of):
         spec = make_spec(speed="burgers", n=50, m_steps=self.COUNT, bc=PERIODIC)
         ref = self.reference(spec, self.COUNT)
-        whole = np.array(ref.stacked) if stacked else np.ascontiguousarray(ref.states)
+        whole = np.array(ref.stacked if stacked else ref.states, order="F")
         blocks_of(whole.shape[0])
         observed = self.perturbed(whole)
-        report, _ = _score(ref, observed, spec)
+        report, _ = _score(ref, self.streamed(observed), spec)
         assert np.array_equal(report.error_observable, truncation_error(whole, observed))
         assert report.bound is None and report.eps_m is None
+
+    @pytest.mark.parametrize("width", [1, WIDTH, 2 * WIDTH + 6])
+    def test_row_major_stream_scores_as_its_whole_array(self, width, blocks_of):
+        # Column norms of a row-major array sum in another order than those
+        # of a column-major one; gathered blocks keep the stream's layout.
+        spec = make_spec(speed="burgers", n=50, m_steps=self.COUNT, bc=PERIODIC)
+        ref = self.reference(spec, self.COUNT)
+        blocks_of(spec.n_cells)
+        observed = np.ascontiguousarray(self.perturbed(ref.states))
+        report, states = _score(ref, self.streamed(observed, width), spec, keep_states=True)
+        assert np.array_equal(report.error_observable, truncation_error(ref.states, observed))
+        assert np.array_equal(report.error_state, relative_l2(ref.states, observed))
+        assert np.array_equal(states, observed)
+
+    def test_stream_must_cover_the_horizon(self, blocks_of):
+        spec = make_spec(speed="burgers", n=50, m_steps=self.COUNT, bc=PERIODIC)
+        ref = self.reference(spec, self.COUNT)
+        blocks_of(spec.n_cells)
+        with pytest.raises(DimensionMismatch, match=f"scored {self.COUNT - 1} columns"):
+            _score(ref, self.streamed(np.array(ref.states[:, 1:])), spec)
 
     def test_reference_blocks_are_views_of_the_solver_stores(self):
         spec = make_spec(speed="burgers", diffusion=0.05, n=50, m_steps=40, bc=PERIODIC)
@@ -286,19 +313,67 @@ class TestScore:
         data[4, self.WIDTH + 1] = 0.5
         ref = _Reference.of(SimpleNamespace(grid=spec.grid(), trajectory=data), None)
         blocks_of(6)
-        report, _ = _score(ref, self.perturbed(ref.states), spec, model=model)
+        report, _ = _score(ref, self.streamed(self.perturbed(ref.states)), spec, model=model)
         assert report.eps_m == pytest.approx(0.5, rel=1e-12)
         assert report.eps_m == pytest.approx(estimate_eps_m(model, ref.states), rel=1e-12)
 
 
 class TestMemory:
+    @pytest.fixture(scope="class")
+    def full_size_test4(self):
+        """Full-size test4 solver runs and the QR of their training window."""
+        resolved = resolve(ExperimentConfig(preset="test4"))
+        euler = run_eulerian_hfm(resolved.spec, resolved.n_snapshots)
+        lagr = run_lagrangian_hfm(resolved.spec, resolved.n_snapshots)
+        return resolved, euler, lagr, svd_core.reduced_svd(lagr.snapshots)
+
+    @pytest.mark.parametrize(
+        "method, fit_name", [("lagrangian-dmd", "fit_lagrangian_dmd"), ("lagrangian-pod", "fit_pod")]
+    )
+    def test_rollout_and_scoring_hold_no_horizon_array(self, method, fit_name, full_size_test4, monkeypatch):
+        # What rolling a fitted model out and scoring it allocates above the
+        # level held after the fit, in stacked-horizon arrays (2N x M float64,
+        # 32 MB here). The rollout streams column blocks into the scorer, so
+        # this stays at one DMD lift block (64 columns) or the per-run POD
+        # maps, plus a few scoring blocks. Measured: 0.15 (L-DMD) and 0.12
+        # (L-POD); 1.13 and 1.21 while the whole horizon was predicted or
+        # stored before it was scored. Full size, because at --scale 4 one
+        # scoring block (65 columns of 1000 rows) is itself 0.26 of the
+        # horizon array.
+        resolved, euler, lagr, factor = full_size_test4
+        stacked_horizon = 2 * resolved.spec.n_cells * resolved.spec.n_steps * 8
+        # The test holds the factor, so dropping it after the fit frees nothing.
+        factors = SimpleNamespace(take=lambda method, snapshots: factor)
+        fit, level = getattr(bench, fit_name), []
+
+        def fit_then_mark(*args, **kwargs):
+            model = fit(*args, **kwargs)
+            tracemalloc.reset_peak()
+            level.append(tracemalloc.get_traced_memory()[0])
+            return model
+
+        monkeypatch.setattr(bench, fit_name, fit_then_mark)
+        ref = _Reference.of(euler, lagr)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            result = bench._run_method(method, resolved, euler, lagr, None, ref, False, factors)
+            peak = tracemalloc.get_traced_memory()[1] - level[0]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert result.failure is None and result.report.error_observable.shape == (resolved.spec.n_steps,)
+        assert peak <= 0.25 * stacked_horizon, f"peak {peak / stacked_horizon:.3f} stacked-horizon arrays"
+
     def test_scoring_peak_stays_under_five_stacked_horizons(self):
         # One stacked-horizon array is the 2N x M float64 observable of the
         # whole horizon. Predictions, the L-POD reconstructions and the solver
         # stores need about three of them; the reference is views of the
         # stores, and the scorer's temporaries are bounded column blocks.
-        # Measured: 4.54 (5.17 while the solvers copied their snapshot
-        # windows and the scorer stacked each reference block).
+        # Measured: 4.58 since the rollouts stream into the scorer (4.81
+        # while they held whole-horizon arrays; 5.17 while the solvers copied
+        # their snapshot windows and the scorer stacked each reference block).
         config = ExperimentConfig(preset="test4", scale=4)
         spec = resolve(config).spec
         stacked_horizon = 2 * spec.n_cells * spec.n_steps * 8
@@ -365,9 +440,10 @@ class TestCli:
         assert main(["table", str(out), "--json", str(json_out)]) == 0
         assert json.loads(json_out.read_text())["rank"]["test2"] >= 1
 
-    def test_run_requires_preset_or_config(self):
-        with pytest.raises(SystemExit):
-            main(["run"])
+    def test_run_requires_preset_or_config(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("solvers ran"))
+        assert main(["run"]) == 2
+        assert capsys.readouterr().err == "lagrom run: error: run requires a preset name or --config file\n"
 
     def test_run_rejects_epsilon_with_rank(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("solvers ran"))

@@ -9,16 +9,20 @@ from hypothesis import strategies as st
 
 from lagrom.core import SnapshotMatrix, uniform_grid
 from lagrom.dmd_rom import (
+    LIFT_COLUMNS,
     fit_dmd,
     fit_lagrangian_dmd,
     load_dmd_model,
     predict,
     predict_series,
+    prediction_blocks,
     reconstruct_state,
     save_dmd_model,
     split_pairs,
 )
 from lagrom.errors import DimensionMismatch, GridEntanglement, NumericalFailure, TooFewSnapshots
+from lagrom.hfm_lagrangian import run_lagrangian_hfm
+from lagrom.presets import ExperimentConfig, resolve
 
 
 def linear_trajectory(a, y0, count):
@@ -300,6 +304,63 @@ class TestImaginaryGuard:
         with pytest.raises(NumericalFailure) as excinfo:
             predict(broken, base + 10)
         assert excinfo.value.time_index == base + 10
+
+
+class TestPredictionBlocks:
+    """``predict_series`` is its blocks side by side, and lifting the reduced
+    rows block by block gives the single whole-horizon product's bits."""
+
+    @staticmethod
+    def preset_model(preset):
+        resolved = resolve(ExperimentConfig(preset=preset, scale=10))
+        run = run_lagrangian_hfm(resolved.spec, resolved.n_snapshots)
+        return fit_lagrangian_dmd(run.snapshots, epsilon=resolved.epsilon), resolved.spec.n_steps
+
+    @pytest.mark.parametrize("preset", ["test2", "test4"])
+    def test_series_is_its_blocks_side_by_side(self, preset):
+        model, horizon = self.preset_model(preset)
+        indices = np.arange(1, horizon + 1)
+        widths = [min(LIFT_COLUMNS, horizon - start) for start in range(0, horizon, LIFT_COLUMNS)]
+        for order in (indices, indices[::-1]):
+            blocks = list(prediction_blocks(model, order))
+            assert [block.shape[1] for block in blocks] == widths
+            assert all(block.flags.f_contiguous for block in blocks)
+            assert np.array_equal(np.hstack(blocks), predict_series(model, order))
+
+    @pytest.mark.parametrize("preset", ["test2", "test4"])
+    def test_blocked_lift_equals_one_whole_horizon_product(self, preset):
+        model, horizon = self.preset_model(preset)
+        reduced = np.empty((horizon, model.rank))
+        reduced[0] = model.projected_anchor
+        for k in range(1, horizon):
+            reduced[k] = model.reduced_operator @ reduced[k - 1]
+        whole = (reduced @ model.projector.T).T
+        assert np.array_equal(predict_series(model, np.arange(1, horizon + 1)), whole)
+
+    def test_earliest_failing_index_is_reported(self):
+        import dataclasses
+
+        # Column k is [1, 1e-120j (1e27)^k]: its imaginary part passes the
+        # tolerance up to k = 4 and fails it from k = 5; from k = 16 it
+        # overflows, in the same lift block. A check of the whole array for
+        # overflow first named 16.
+        model = fit_dmd(np.column_stack([np.array([1.0, -2.0])] * 5), epsilon=1e-8)
+        broken = dataclasses.replace(
+            model,
+            projector=np.eye(2),
+            reduced_operator=np.diag([1.0, 1e27]).astype(complex),
+            projected_anchor=np.array([1.0, 1e-120j]),
+        )
+        base = broken.base_time_index
+        with np.errstate(over="ignore", invalid="ignore"):
+            predict_series(broken, base + np.arange(1, 5))
+            for count in (16, 48):
+                with pytest.raises(NumericalFailure, match="imaginary part") as excinfo:
+                    predict_series(broken, base + np.arange(1, count + 1))
+                assert excinfo.value.time_index == base + 5
+            with pytest.raises(NumericalFailure, match="not finite") as excinfo:
+                predict_series(broken, [base + 16])
+            assert excinfo.value.time_index == base + 16
 
 
 class TestReconstructState:

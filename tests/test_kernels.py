@@ -160,6 +160,34 @@ def test_diffusion_bands_match_dense_operator():
         assert system.apply(block[:, 1]).tolist() == system.apply(block)[:, 1].tolist()
 
 
+@pytest.mark.parametrize("periodic", [True, False])
+def test_diffusion_system_leaves_its_inputs_alone(periodic):
+    # apply, residual and the periodic solve reuse the bands formed at
+    # construction and work in place on their own outputs only.
+    rng = np.random.default_rng(12)
+    d_nodes = 0.01 + rng.random(40)
+    mu = 0.7
+    d_faces, lower, diag, upper = kernels.diffusion_bands(d_nodes, mu, periodic)
+    if periodic:
+        factor = kernels.factor_cyclic(lower, diag, upper, -mu * d_faces[0], -mu * d_faces[-1])
+    else:
+        factor = kernels.factor_tridiagonal(lower, diag, upper)
+    system = DiffusionSystem(factor, periodic, mu, d_faces, (0.3, -0.2))
+    dense = dense_diffusion_operator(d_nodes, mu, periodic)
+    rhs = rng.standard_normal(40)
+    kept = rhs.copy()
+    solution = system.solve(rhs)
+    assert np.array_equal(rhs, kept)
+    assert np.allclose(dense @ solution, system.with_boundary_terms(rhs), atol=1e-12)
+    solution_kept = solution.copy()
+    expected = float(np.max(np.abs(system.apply(solution) - system.with_boundary_terms(rhs))))
+    assert system.residual(solution, rhs) == expected
+    assert np.array_equal(rhs, kept) and np.array_equal(solution, solution_kept)
+    if periodic:
+        again = kernels.cyclic_thomas_solve(factor, rhs)
+        assert np.array_equal(rhs, kept) and np.array_equal(again, solution)
+
+
 def test_solve_small_matches_lapack():
     rng = np.random.default_rng(6)
     for n in (1, 2, 5, 12):

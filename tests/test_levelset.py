@@ -15,6 +15,7 @@ from lagrom.errors import (
 from lagrom.levelset import (
     LevelSetField,
     advance_levelset,
+    contour_blocks,
     embed_initial,
     extract_zero_contour,
     levelset_dmd,
@@ -231,6 +232,16 @@ class TestLevelsetDmd:
         assert np.array_equal(single.values, predict_contours(model, [40], run.x_grid, run.y_grid)[:, 0])
         assert single.time_index == 40
 
+    def test_contours_are_their_blocks_side_by_side(self, burgers_spec):
+        run = run_levelset_hfm(burgers_spec, 25)
+        model = levelset_dmd(run.snapshots, epsilon=1e-8)
+        chunk = levelset.CONTOUR_CHUNK
+        indices = np.arange(1, 2 * chunk + 7)
+        blocks = list(contour_blocks(model, indices, run.x_grid, run.y_grid))
+        assert [block.shape[1] for block in blocks] == [chunk, chunk, 6]
+        assert all(block.flags.c_contiguous for block in blocks)
+        assert np.array_equal(np.hstack(blocks), predict_contours(model, indices, run.x_grid, run.y_grid))
+
     def test_no_sign_change_in_a_later_chunk_names_its_x_column(self, monkeypatch):
         xg = uniform_grid(0.0, 1.0, 10)
         yg = Grid1D(np.linspace(-1.0, 2.0, 6))
@@ -244,9 +255,9 @@ class TestLevelsetDmd:
                 if k == bad_index:
                     c[:, bad_column] = 1.0
                 fields[:, j] = c.ravel(order="F")
-            return fields
+            yield fields
 
-        monkeypatch.setattr(levelset, "predict_series", fields_with_one_dry_column)
+        monkeypatch.setattr(levelset, "prediction_blocks", fields_with_one_dry_column)
         x_bad = f"{xg.nodes[bad_column]:.4g}"
         with pytest.raises(NoSignChange, match=rf"^column {bad_column} \(x = {x_bad}\) never crosses zero$"):
             predict_contours(None, np.arange(1, 2 * chunk + 7), xg, yg)

@@ -16,6 +16,7 @@ from lagrom.pod_rom import (
     fit_pod,
     pod_step_eulerian,
     pod_step_lagrangian,
+    pod_steps,
     run_pod_rom,
 )
 from lagrom.svd_core import reduced_svd
@@ -170,6 +171,24 @@ class TestRollout:
         assert rom.snapshots.data.shape == (100, 0)
         expected = np.linalg.norm(z0 - basis.basis @ (basis.basis.T @ z0))
         assert np.isclose(rom.initial_projection_error, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("frame", [FRAME_EULERIAN, FRAME_LAGRANGIAN])
+    def test_run_collects_its_step_stream(self, frame):
+        spec = make_spec(speed="burgers", diffusion=0.05, bc=PERIODIC, n=60, m_steps=30)
+        if frame == FRAME_EULERIAN:
+            run = run_eulerian_hfm(spec, 10)
+            z0 = run.trajectory[:, 0]
+        else:
+            run = run_lagrangian_hfm(spec, 10)
+            z0 = run.stacked[:, 0]
+        basis = fit_pod(run.snapshots, epsilon=1e-8, frame=frame)
+        rom = run_pod_rom(basis, z0, spec, spec.n_steps)
+        steps = list(pod_steps(basis, z0, spec, spec.n_steps))
+        assert len(steps) == spec.n_steps + 1 and steps[0].iterations == 0
+        assert np.array_equal(rom.reduced_trajectory, np.column_stack([step.reduced for step in steps]))
+        assert rom.newton_iterations == [step.iterations for step in steps[1:]]
+        assert np.array_equal(rom.snapshots.data, np.column_stack([step.full for step in steps[1:]]))
+        assert rom.initial_projection_error == np.linalg.norm(z0 - steps[0].full)
 
     def test_pure_advection_rollout_is_machine_precise(self):
         spec = make_spec(speed="const", c=1.0, n=200, m_steps=100)
