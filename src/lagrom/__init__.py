@@ -25,7 +25,6 @@ from .dmd_rom import (
     predict,
     predict_series,
     prediction_blocks,
-    reconstruct_state,
     save_dmd_model,
     split_pairs,
 )

@@ -353,13 +353,14 @@ def _run_method(method, resolved, euler_run, lagr_run, level_run, ref, keep_stat
         blocks, modes = contour_blocks(model, indices, level_run.x_grid, level_run.y_grid), model.modes
     else:
         blocks, modes = prediction_blocks(model, indices), model.modes
+    modes = modes[:, :3].copy()  # the leading three alone, not a view of them all
     rollout = _Timed(blocks)
     # The bound belongs to a DMD propagator on the observable it was fitted
     # to; the level set is scored on contours, which it does not propagate.
     bound_model = model if method in (METHOD_EULERIAN_DMD, METHOD_LAGRANGIAN_DMD) else None
     report, states = _score(ref, rollout, spec, model=bound_model, keep_states=keep_states)
     return MethodResult(
-        method, model.rank, fitted - started, rollout.seconds, newton, report=report, states=states, modes=modes[:, :3]
+        method, model.rank, fitted - started, rollout.seconds, newton, report=report, states=states, modes=modes
     )
 
 

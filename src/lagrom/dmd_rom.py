@@ -33,8 +33,11 @@ the training residual, the largest column norm of
 R[:, 1:m] - U_R K U_R^T R[:, :m-1]. When the QR is shared, the fit's
 ``fit_seconds`` in ``lagrom run`` excludes it if the POD fit ran first.
 
-The complex modes, eigenvalues, amplitudes and mode pseudoinverse are kept
-on the model for the error bound, the emitted mode shapes and diagnostics.
+The model also keeps K's eigenvalues and its r x r eigenvectors W
+(K W = W diag(eigenvalues)). The DMD modes are the projected modes U W
+(Schmid, JFM 2010), formed only when ``DmdModel.modes`` is read; since U has
+orthonormal columns, pinv(U W) = W^-1 U^T, so the fit's left-inverse check
+and the error bound's ||pinv(modes)||_F need only W.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .core import NUMBER_FORMAT, Grid1D, SnapshotMatrix, side_by_side, stacked_to_grid, write_number_table
+from .core import NUMBER_FORMAT, SnapshotMatrix, side_by_side, write_number_table
 from .errors import DimensionMismatch, NumericalFailure, TooFewSnapshots
 from .svd_core import WindowFactor, check_rank_rule, fit_svd, window_factor
 
@@ -60,10 +63,9 @@ LIFT_COLUMNS = 64
 
 @dataclass(frozen=True)
 class DmdModel:
-    modes: np.ndarray
     eigenvalues: np.ndarray
-    amplitudes: np.ndarray
-    mode_pseudoinverse: np.ndarray
+    # Eigenvectors W of the reduced operator, one per column (r x r).
+    eigenvectors: np.ndarray
     observable_kind: str
     base_time_index: int
     training_count: int
@@ -82,7 +84,12 @@ class DmdModel:
 
     @property
     def n_rows(self) -> int:
-        return self.modes.shape[0]
+        return self.projector.shape[0]
+
+    @property
+    def modes(self) -> np.ndarray:
+        """The projected DMD modes U W (n x r), formed on each read."""
+        return self.projector @ self.eigenvectors
 
 
 def split_pairs(snapshots) -> Tuple[np.ndarray, np.ndarray]:
@@ -138,12 +145,13 @@ def fit_dmd(
     r1, r2 = factor.r[:, :-1], factor.r[:, 1:]
     k_tilde = (u_r.T @ r2 @ v) / s[None, :]
     eigvals, w = np.linalg.eig(k_tilde)
-    modes = u @ w
-    pinv = np.linalg.pinv(modes)
-    ident = pinv @ modes
-    if np.max(np.abs(ident - np.eye(r))) > 1e-8:
+    # pinv(U W) = W^-1 U^T, so the modes' left inverse is checked on W alone.
+    # As in np.linalg.pinv of the modes, W is singular from cond(W) = 1/(n eps):
+    # an exact LU can invert a W far past that, as for a nilpotent K.
+    if np.linalg.cond(w) * data.shape[0] * np.finfo(float).eps >= 1 or (
+        np.max(np.abs(np.linalg.inv(w) @ w - np.eye(r))) > 1e-8
+    ):
         raise NumericalFailure("mode pseudoinverse lost left-inverse property")
-    amplitudes = pinv @ data[:, 0]
     anchor_proj = u_r.T @ factor.r[:, 0]
 
     # One-step training residual max_j ||Y2_j - U K U^T Y1_j||, a fit
@@ -155,10 +163,8 @@ def fit_dmd(
     resid = float(np.max(np.linalg.norm(r2 - stepped, axis=0)))
 
     return DmdModel(
-        modes=modes,
         eigenvalues=eigvals,
-        amplitudes=amplitudes,
-        mode_pseudoinverse=pinv,
+        eigenvectors=w,
         observable_kind=observable_kind,
         base_time_index=base,
         training_count=m,
@@ -195,12 +201,17 @@ def _checked_real(result: np.ndarray, model: DmdModel, indices) -> np.ndarray:
     ``indices``.
 
     Raises at the block's first failing column: one that overflowed or, for
-    real input, one whose imaginary part is not negligible against it.
+    real input, one whose imaginary part is not negligible against it. The
+    two parts' norms are compared on each column divided by the power of two
+    of its largest absolute entry, which leaves their ratio exact and keeps
+    their squares from overflowing (``np.linalg.norm`` of a column with
+    entries above about 1e154 is inf).
     """
     overflowed = failing = ~np.isfinite(result).all(axis=0)
     if model.real_input and np.iscomplexobj(result):
-        imag_norms = np.linalg.norm(result.imag, axis=0)
-        scales = np.maximum(np.linalg.norm(result.real, axis=0), 1e-300)
+        exps = np.frexp(np.maximum(np.abs(result.real).max(axis=0), np.abs(result.imag).max(axis=0)))[1]
+        imag_norms = np.linalg.norm(np.ldexp(result.imag, -exps), axis=0)
+        scales = np.maximum(np.linalg.norm(np.ldexp(result.real, -exps), axis=0), 1e-300)
         failing = overflowed | (imag_norms > _IMAG_TOL * scales)
     if failing.any():
         j = int(np.argmax(failing))
@@ -208,8 +219,8 @@ def _checked_real(result: np.ndarray, model: DmdModel, indices) -> np.ndarray:
         if overflowed[j]:
             raise NumericalFailure(f"prediction at time index {first} is not finite", time_index=first)
         raise NumericalFailure(
-            f"prediction imaginary part {imag_norms[j]:.3e} at time index {first} exceeds "
-            f"{_IMAG_TOL:g} of magnitude {scales[j]:.3e}",
+            f"prediction imaginary part {np.ldexp(imag_norms[j], exps[j]):.3e} at time index {first} exceeds "
+            f"{_IMAG_TOL:g} of magnitude {np.ldexp(scales[j], exps[j]):.3e}",
             time_index=first,
         )
     return result.real
@@ -261,36 +272,6 @@ def predict_series(model: DmdModel, indices) -> np.ndarray:
     return side_by_side(prediction_blocks(model, idx), model.n_rows, idx.size, order="F")
 
 
-@dataclass(frozen=True)
-class ReconstructedState:
-    """State-space view of one predicted observable."""
-
-    values_eulerian: np.ndarray
-    positions: Optional[np.ndarray] = None
-    values_moving: Optional[np.ndarray] = None
-
-
-def reconstruct_state(
-    model: DmdModel,
-    prediction: np.ndarray,
-    eulerian_grid: Grid1D,
-    bc: str = "clamp",
-    period: float = None,
-) -> ReconstructedState:
-    """Map a predicted observable back to values on the reference grid.
-
-    For stacked observables the position block must be strictly increasing;
-    crossings mean the predicted moving grid is unusable.
-    """
-    pred = np.asarray(prediction, dtype=float)
-    if model.observable_kind == OBSERVABLE_STACKED:
-        positions, values, on_euler = stacked_to_grid(pred, eulerian_grid, bc=bc, period=period)
-        return ReconstructedState(on_euler, positions, values)
-    if pred.size != len(eulerian_grid):
-        raise DimensionMismatch("prediction length must match the grid")
-    return ReconstructedState(pred)
-
-
 def save_dmd_model(model: DmdModel, path) -> None:
     """Plain-text serialization: header lines then CSV blocks of the factors.
 
@@ -299,8 +280,7 @@ def save_dmd_model(model: DmdModel, path) -> None:
     """
     blocks = (
         ("eigenvalues", model.eigenvalues[None, :]),
-        ("amplitudes", model.amplitudes[None, :]),
-        ("modes", model.modes),
+        ("eigenvectors", model.eigenvectors),
         ("projector", model.projector),
         ("reduced_operator", model.reduced_operator),
         ("projected_anchor", model.projected_anchor[None, :]),
@@ -308,7 +288,7 @@ def save_dmd_model(model: DmdModel, path) -> None:
     with open(path, "wb") as fh:
         fh.write(
             (
-                "lagrom-dmd-v1\n"
+                "lagrom-dmd-v2\n"
                 f"kind={model.observable_kind}\n"
                 f"base_time_index={model.base_time_index}\n"
                 f"training_count={model.training_count}\n"
@@ -329,13 +309,14 @@ def save_dmd_model(model: DmdModel, path) -> None:
 def load_dmd_model(path) -> DmdModel:
     """Read a model written by ``save_dmd_model``.
 
-    Raises ValueError for a file that is not a complete ``lagrom-dmd-v1``
-    model: unknown format, a missing factor block, or block shapes that
-    disagree with the header's ``rows`` and ``rank``.
+    Raises ValueError for a file that is not a complete ``lagrom-dmd-v2``
+    model: unknown format (``lagrom-dmd-v1`` included), a missing factor
+    block, or block shapes that disagree with the header's ``rows`` and
+    ``rank``.
     """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != "lagrom-dmd-v1":
+    if not lines or lines[0] != "lagrom-dmd-v2":
         raise ValueError("not a recognized model file")
     header = {}
     i = 1
@@ -358,33 +339,32 @@ def load_dmd_model(path) -> DmdModel:
         raise ValueError(f"model header lacks a valid rows/rank entry: {exc}") from exc
 
     def complex_block(name, shape):
-        parts = []
-        for label in (f"{name}_re", f"{name}_im"):
+        # Assigned part by part: ``re + 1j * im`` would turn an imaginary -0 into +0.
+        out = np.empty(shape, dtype=complex)
+        for label, part in ((f"{name}_re", out.real), (f"{name}_im", out.imag)):
             if not blocks.get(label):
                 raise ValueError(f"model file lacks the [{label}] block")
-            parts.append(np.array(blocks[label]))  # ragged rows raise ValueError here
-            if parts[-1].shape != shape:
+            values = np.array(blocks[label])  # ragged rows raise ValueError here
+            if values.shape != shape:
                 raise ValueError(f"[{label}] block does not have shape {shape} (rows={rows}, rank={rank})")
-        return parts[0] + 1j * parts[1]
+            part[...] = values
+        return out
 
     eigvals = complex_block("eigenvalues", (1, rank))[0]
-    amps = complex_block("amplitudes", (1, rank))[0]
-    modes = complex_block("modes", (rows, rank))
+    eigvecs = complex_block("eigenvectors", (rank, rank))
     projector = complex_block("projector", (rows, rank))
     reduced_op = complex_block("reduced_operator", (rank, rank))
     anchor = complex_block("projected_anchor", (1, rank))[0]
     real_input = bool(int(header.get("real_input", "1")))
     if real_input and not eigvals.imag.any():
         # np.linalg.eig returns real factors for a real operator's real spectrum
-        eigvals, amps, modes = (np.ascontiguousarray(a.real) for a in (eigvals, amps, modes))
+        eigvals, eigvecs = (np.ascontiguousarray(a.real) for a in (eigvals, eigvecs))
     if real_input and np.allclose(projector.imag, 0.0):
         projector, reduced_op, anchor = (np.ascontiguousarray(a.real) for a in (projector, reduced_op, anchor))
     req = header.get("requested_rank", "")
     return DmdModel(
-        modes=modes,
         eigenvalues=eigvals,
-        amplitudes=amps,
-        mode_pseudoinverse=np.linalg.pinv(modes),
+        eigenvectors=eigvecs,
         observable_kind=header["kind"],
         base_time_index=int(header["base_time_index"]),
         training_count=int(header["training_count"]),

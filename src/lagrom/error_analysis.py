@@ -11,6 +11,10 @@ reference trajectory (indices 1..M, past the training window too), so the
 bound is not a-posteriori in the strict sense: its slope sees data the fit
 did not. Validity (bound >= measured error) is the asserted property;
 tightness is not.
+
+The modes are U W with U's columns orthonormal (``dmd_rom``), so
+pinv(modes) = W^-1 U^T and ||pinv(modes)||_F is evaluated as ||W^-1||_F,
+from r x r algebra alone.
 """
 
 from __future__ import annotations
@@ -65,7 +69,8 @@ def estimate_eps_m(model: DmdModel, training) -> float:
 
 
 def phi_pinv_fnorm(model: DmdModel) -> float:
-    return float(np.linalg.norm(model.mode_pseudoinverse, "fro"))
+    """||pinv(modes)||_F, evaluated as ||W^-1||_F (see the module docstring)."""
+    return float(np.linalg.norm(np.linalg.inv(model.eigenvectors), "fro"))
 
 
 def error_bound_series(model: DmdModel, indices, anchor_error: float, eps_m: float) -> np.ndarray:

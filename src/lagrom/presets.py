@@ -102,9 +102,6 @@ class ExperimentConfig:
     methods: Optional[Tuple[str, ...]] = None
     output_dir: Optional[str] = None
     n_y: Optional[int] = None
-    # No randomness exists anywhere in the pipeline; kept explicit so run
-    # manifests can assert it.
-    deterministic: bool = True
     custom: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -112,8 +109,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown preset {self.preset!r}; choose from {PRESET_NAMES}")
         if self.scale < 1:
             raise ValueError("scale must be a positive integer")
-        if not self.deterministic:
-            raise ValueError("the pipeline is seed-free; deterministic must stay true")
         if self.epsilon is not None or self.fixed_rank is not None:
             check_rank_rule(self.epsilon, self.fixed_rank)
         if self.methods is not None:

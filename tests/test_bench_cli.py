@@ -47,10 +47,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(preset="test1", methods=("warp-drive",))
 
-    def test_determinism_flag_is_pinned(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(preset="test1", deterministic=False)
-
     def test_training_window_must_precede_horizon(self):
         with pytest.raises(ValueError):
             resolve(ExperimentConfig(preset="test1", n_steps=10, n_snapshots=10))
@@ -183,6 +179,14 @@ class TestRunExperiment:
         monkeypatch.setattr(bench_mod, "fit_lagrangian_dmd", broken_fit)
         record = run_experiment(tiny_config(output_dir=str(tmp_path / "out")))
         assert "TooFewSnapshots" in record.methods["lagrangian-dmd"].failure
+        assert record.methods["lagrangian-pod"].failure is None
+
+    def test_nearly_defective_fit_fails_its_left_inverse_check(self):
+        # test1 at --scale 20 fits two unit eigenvalues whose eigenvectors W
+        # have cond(W) of about 3e14: max|W^-1 W - I| is about 8e-3.
+        record = run_experiment(ExperimentConfig(preset="test1", scale=20), emit=False)
+        result = record.methods["lagrangian-dmd"]
+        assert result.failure == "NumericalFailure: mode pseudoinverse lost left-inverse property"
         assert record.methods["lagrangian-pod"].failure is None
 
     @pytest.mark.parametrize("preset, windows", [("test4", 1), ("test0-diffusion", 1), ("levelset", 1)])

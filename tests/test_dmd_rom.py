@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagrom.core import SnapshotMatrix, uniform_grid
+from lagrom.core import SnapshotMatrix, stacked_to_grid, uniform_grid
 from lagrom.dmd_rom import (
     LIFT_COLUMNS,
     fit_dmd,
@@ -16,7 +16,6 @@ from lagrom.dmd_rom import (
     predict,
     predict_series,
     prediction_blocks,
-    reconstruct_state,
     save_dmd_model,
     split_pairs,
 )
@@ -127,11 +126,31 @@ class TestFit:
             fit_dmd(snaps, epsilon=1e-8)
 
     def test_pseudoinverse_left_identity(self):
+        # The modes are U W, so W^-1 U^T is their left inverse when W^-1 W = I.
         rng = np.random.default_rng(8)
         data = linear_trajectory(rng.standard_normal((6, 6)) * 0.3, rng.standard_normal(6), 10)
         model = fit_dmd(data, epsilon=1e-12)
-        ident = model.mode_pseudoinverse @ model.modes
-        assert np.max(np.abs(ident - np.eye(model.rank))) <= 1e-8
+        w = model.eigenvectors
+        assert w.shape == (model.rank, model.rank)
+        assert np.allclose(model.reduced_operator @ w, w * model.eigenvalues, atol=1e-12)
+        assert np.max(np.abs(np.linalg.inv(w) @ w - np.eye(model.rank))) <= 1e-8
+        left = np.linalg.inv(w) @ model.projector.T
+        assert np.max(np.abs(left @ model.modes - np.eye(model.rank))) <= 1e-8
+
+    def test_numerically_singular_eigenvectors_rejected(self):
+        # y -> [y_2, 0]: K is a nilpotent Jordan block, whose two computed
+        # eigenvectors are parallel to working precision (cond(W) = inf). LU
+        # inverts that W exactly, so only the conditioning check rejects it.
+        data = np.column_stack([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(NumericalFailure, match="left-inverse"):
+            fit_dmd(data, epsilon=1e-12)
+
+    def test_modes_are_projected_eigenvectors(self):
+        rng = np.random.default_rng(8)
+        data = linear_trajectory(rng.standard_normal((6, 6)) * 0.3, rng.standard_normal(6), 10)
+        model = fit_dmd(data, epsilon=1e-12)
+        assert np.array_equal(model.modes, model.projector @ model.eigenvectors)
+        assert model.n_rows == 6
 
 
 class TestPredict:
@@ -141,8 +160,9 @@ class TestPredict:
         data = linear_trajectory(a, y0, 6)
         model = fit_dmd(data, epsilon=1e-10)
         assert np.allclose(predict(model, model.base_time_index), y0, atol=1e-9)
-        # the superposition of modes at their amplitudes is the same anchor
-        assert np.allclose((model.modes @ model.amplitudes).real, y0, atol=1e-9)
+        # the superposition of modes at their amplitudes W^-1 U^T y0 is the same anchor
+        amplitudes = np.linalg.solve(model.eigenvectors, model.projected_anchor)
+        assert np.allclose((model.modes @ amplitudes).real, y0, atol=1e-9)
 
     def test_closed_form_power(self):
         a = np.diag([0.9, 0.5])
@@ -306,6 +326,27 @@ class TestImaginaryGuard:
         assert excinfo.value.time_index == base + 10
 
 
+    def test_columns_past_the_square_root_of_the_largest_double(self):
+        import dataclasses
+
+        # Column k is [1e30^k, 1e-9j (2e30)^k]: its imaginary share 1.024e-6
+        # at k = 10 ([1e300, 1.024e294j]) fails the tolerance while both norms
+        # of the unscaled column are inf, and k = 11 overflows.
+        model = fit_dmd(np.column_stack([np.array([1.0, -2.0])] * 5), epsilon=1e-8)
+        broken = dataclasses.replace(
+            model,
+            projector=np.eye(2),
+            reduced_operator=np.diag([1e30, 2e30]).astype(complex),
+            projected_anchor=np.array([1.0, 1e-9j]),
+            base_time_index=0,
+        )
+        predict_series(broken, np.arange(1, 10))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailure, match="imaginary part 1.024e\\+294 .* magnitude 1.000e\\+300") as exc:
+                predict_series(broken, np.arange(1, 13))
+        assert exc.value.time_index == 10
+
+
 class TestPredictionBlocks:
     """``predict_series`` is its blocks side by side, and lifting the reduced
     rows block by block gives the single whole-horizon product's bits."""
@@ -364,32 +405,28 @@ class TestPredictionBlocks:
 
 
 class TestReconstructState:
+    """A predicted stacked observable [x; u] back on the reference grid."""
+
     def test_identity_grid_returns_values(self):
         grid = uniform_grid(0.0, 1.0, 8)
         u = np.sin(grid.nodes)
-        data = np.column_stack([np.concatenate([grid.nodes, u * (0.9**k)]) for k in range(4)])
-        model = fit_lagrangian_dmd(data, epsilon=1e-8)
-        rec = reconstruct_state(model, np.concatenate([grid.nodes, u]), grid)
-        assert np.allclose(rec.values_eulerian, u, atol=1e-12)
-        assert np.array_equal(rec.positions, grid.nodes)
+        positions, _, on_grid = stacked_to_grid(np.concatenate([grid.nodes, u]), grid)
+        assert np.allclose(on_grid, u, atol=1e-12)
+        assert np.array_equal(positions, grid.nodes)
 
     def test_shifted_grid_moves_peak(self):
         grid = uniform_grid(0.0, 2.0, 101)
         u = np.exp(-(((grid.nodes - 0.5) / 0.1) ** 2))
-        data = np.column_stack([np.concatenate([grid.nodes, u])] * 4)
-        model = fit_lagrangian_dmd(data, epsilon=1e-8)
         shift = 0.6
-        rec = reconstruct_state(model, np.concatenate([grid.nodes + shift, u]), grid)
-        peak = grid.nodes[np.argmax(rec.values_eulerian)]
+        _, _, on_grid = stacked_to_grid(np.concatenate([grid.nodes + shift, u]), grid)
+        peak = grid.nodes[np.argmax(on_grid)]
         assert abs(peak - 1.1) < 0.03
 
     def test_tangled_prediction_rejected(self):
         grid = uniform_grid(0.0, 1.0, 4)
-        data = np.column_stack([np.concatenate([grid.nodes, np.ones(4)])] * 3)
-        model = fit_lagrangian_dmd(data, epsilon=1e-8)
         bad = np.concatenate([[0.0, 0.5, 0.4, 1.0], np.ones(4)])
         with pytest.raises(GridEntanglement):
-            reconstruct_state(model, bad, grid)
+            stacked_to_grid(bad, grid)
 
 
 class TestPersistence:
@@ -411,6 +448,16 @@ class TestPersistence:
         path = tmp_path / "junk.txt"
         path.write_text("not a model\n")
         with pytest.raises(ValueError):
+            load_dmd_model(path)
+
+    def test_saves_factors_only_and_rejects_v1(self, tmp_path):
+        path, lines = self._saved_model_lines(tmp_path)
+        assert lines[0] == "lagrom-dmd-v2"
+        names = ("eigenvalues", "eigenvectors", "projector", "reduced_operator", "projected_anchor")
+        assert [ln for ln in lines if ln.startswith("[")] == [f"[{n}_{p}]" for n in names for p in ("re", "im")]
+        lines[0] = "lagrom-dmd-v1"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="not a recognized model file"):
             load_dmd_model(path)
 
     def _saved_model_lines(self, tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lagrom.dmd_rom import fit_dmd
+from lagrom.dmd_rom import fit_dmd, fit_lagrangian_dmd
 from lagrom.error_analysis import (
     ErrorReport,
     error_bound_series,
@@ -15,6 +15,8 @@ from lagrom.error_analysis import (
     write_error_csv,
 )
 from lagrom.errors import DimensionMismatch, IndexBeforeAnchor
+from lagrom.hfm_lagrangian import run_lagrangian_hfm
+from lagrom.presets import ExperimentConfig, resolve
 
 
 def linear_data(a, y0, count):
@@ -80,6 +82,24 @@ class TestBound:
         m_last = last_training_index(model)
         value = error_bound_series(model, [m_last], anchor_error=0.5, eps_m=0.1)[0]
         assert np.isclose(value, phi_pinv_fnorm(model) * 0.5)
+
+    def test_pinv_norm_of_well_conditioned_fit(self):
+        rng = np.random.default_rng(21)
+        model = fit_dmd(linear_data(rng.standard_normal((6, 6)) * 0.3, rng.standard_normal(6), 10), epsilon=1e-12)
+        assert np.linalg.cond(model.eigenvectors) < 1e3
+        oracle = np.linalg.norm(np.linalg.pinv(model.modes), "fro")
+        assert abs(phi_pinv_fnorm(model) - oracle) <= 1e-9 * oracle
+
+    @pytest.mark.parametrize("preset", ["test1", "test3"])
+    def test_pinv_norm_of_nearly_parallel_modes(self, preset):
+        # The exact-transport presets fit two unit eigenvalues whose modes are
+        # nearly parallel: cond(W) is about 6e6 (test1) and 1e6 (test3).
+        resolved = resolve(ExperimentConfig(preset=preset, scale=10))
+        run = run_lagrangian_hfm(resolved.spec, resolved.n_snapshots)
+        model = fit_lagrangian_dmd(run.snapshots, epsilon=resolved.epsilon)
+        assert np.linalg.cond(model.eigenvectors) > 1e5
+        oracle = np.linalg.norm(np.linalg.pinv(model.modes), "fro")
+        assert abs(phi_pinv_fnorm(model) - oracle) <= 1e-9 * oracle
 
     def test_constant_when_eps_zero(self, linear_model):
         model, _ = linear_model

@@ -202,15 +202,14 @@ def reference_modes_csv(path, coords, modes):
 def reference_save_dmd_model(model, path):
     blocks = (
         ("eigenvalues", model.eigenvalues[None, :]),
-        ("amplitudes", model.amplitudes[None, :]),
-        ("modes", model.modes),
+        ("eigenvectors", model.eigenvectors),
         ("projector", model.projector),
         ("reduced_operator", model.reduced_operator),
         ("projected_anchor", model.projected_anchor[None, :]),
     )
     with open(path, "w") as fh:
         fh.write(
-            "lagrom-dmd-v1\n"
+            "lagrom-dmd-v2\n"
             f"kind={model.observable_kind}\n"
             f"base_time_index={model.base_time_index}\n"
             f"training_count={model.training_count}\n"
@@ -272,9 +271,8 @@ class TestWritersByteIdentity:
 
         model = dataclasses.replace(
             model,
-            modes=awkward_complex(rng, model.modes.shape),
             eigenvalues=awkward_complex(rng, model.eigenvalues.shape),
-            amplitudes=awkward_complex(rng, model.amplitudes.shape),
+            eigenvectors=awkward_complex(rng, model.eigenvectors.shape),
             projector=awkward_values(rng, model.projector.shape),
             reduced_operator=awkward_values(rng, model.reduced_operator.shape),
             projected_anchor=awkward_values(rng, model.projected_anchor.shape),
