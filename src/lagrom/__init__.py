@@ -38,8 +38,10 @@ from .error_analysis import (
 )
 from .hfm_eulerian import (
     EulerianRun,
+    EulerianStep,
     EulerianStepWorkspace,
     advance_eulerian,
+    eulerian_steps,
     run_eulerian_hfm,
 )
 from .hfm_lagrangian import (
@@ -47,6 +49,7 @@ from .hfm_lagrangian import (
     LagrangianState,
     advance_lagrangian,
     initial_lagrangian_state,
+    lagrangian_steps,
     run_lagrangian_hfm,
 )
 from .levelset import (

@@ -19,8 +19,19 @@ error CSV, whose state and bound cells may be blank, formats cell by cell:
 * ``manifest.json``          resolved configuration and file inventory
 * ``plot.py``                standalone matplotlib script rendering the figures
 
-Methods: one runner, ``_run_method``, fits every method on its training
-snapshots, rolls it out over the whole horizon and scores it. It branches
+Solvers: the fixed-grid and moving-grid solvers run as step streams
+(``hfm_eulerian.eulerian_steps``, ``hfm_lagrangian.lagrangian_steps``),
+each read through a ``_Frame``: its first m+1 states, the training window,
+are kept for the fits, the POD initial states and the solver CSVs, and
+later states pass through one reused buffer as the scoring asks for them.
+No (M+1)-row solver store exists. What the scoring did not reach runs after
+it, so a solver failure propagates with its time index (possibly later than
+a whole-run solve would raise it) and is never recorded as a method's.
+``hfm_*_seconds`` is the time spent in the streams. The level-set solver
+keeps only its window and its contours, and runs whole.
+
+Methods: ``_fit_method`` fits every method on its training snapshots and
+sets up the scorer of its rollout, before any rollout starts. It branches
 only where the methods differ: POD streams its Galerkin steps
 (``pod_rom.pod_steps``), DMD its observable (``dmd_rom.prediction_blocks``,
 the blocks of ``predict_series``), the level set its contours
@@ -31,24 +42,20 @@ window, so the second fit's ``fit_seconds`` excludes the shared QR.
 ``rollout_seconds`` is the time spent producing the rollout's blocks, not
 scoring them.
 
-Scoring: every method is scored by ``_score`` against one reference built
-per run. The solvers keep their runs in time-major read-only stores, so the
-reference holds only views of them: the fixed-grid states, and the stacked
-[x; u] moving-frame columns, of which the scorer reads one block of columns
-at a time without a copy. The rollout is a stream of column blocks in time
-order, and the scorer consumes it in its own blocks of at most
+Scoring: ``_score_all`` scores every fitted method, one ``_Scorer`` each,
+in one pass over the horizon: the method scored least so far scores its
+next block, so the solvers run only as far as the leading method needs. A
+scorer pulls its rollout up to that block, in blocks of at most
 ``SCORE_BLOCK_CELLS`` cells (16 columns of the full-size stacked
-observable, where each 64-index DMD lift block passes as four views). Per
-block it computes the observable error, takes stacked moving-frame columns
-to the fixed grid with ``core.stacked_to_grid`` (tangle check, then
-interpolation), the relative state error, and for DMD the one-step residual
-behind the bound. Neither the observable nor a scoring temporary grows with
-the horizon, and the fixed-grid states are kept only when the caller asks
-for them. A DMD observable stream comes from one ``K^gap`` walk over every
-index, so the scored observable is ``predict_series``'s bit for bit;
-restarting the walk per chunk moved the full-size test4 L-DMD error columns
-by up to 6e-8 relative. The level set, scored on contours without a bound,
-still walks each 32-index chunk from the anchor.
+observable, where each 64-index DMD lift block passes as four views), and
+scores it against a view of its frame with one overlap column for the
+bound's residual. The views have the column layout of a whole-run store,
+so every error sums as it did over one. A method's ``LagromError`` ends
+that method alone. A DMD observable stream comes from one ``K^gap`` walk
+over every index, so the scored observable is ``predict_series``'s bit for
+bit; restarting the walk per chunk moved the full-size test4 L-DMD error
+columns by up to 6e-8 relative. The level set, scored on contours without a
+bound, still walks each 32-index chunk from the anchor.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import Grid1D, stacked_to_grid, write_number_table
+from .core import SnapshotMatrix, split_stacked, stacked_to_grid, write_number_table
 from .dmd_rom import fit_dmd, fit_lagrangian_dmd, prediction_blocks
 from .errors import DimensionMismatch, LagromError
 from .error_analysis import (
@@ -76,8 +83,8 @@ from .error_analysis import (
     truncation_error,
     write_error_csv,
 )
-from .hfm_eulerian import run_eulerian_hfm
-from .hfm_lagrangian import run_lagrangian_hfm
+from .hfm_eulerian import eulerian_steps
+from .hfm_lagrangian import lagrangian_steps
 from .levelset import contour_blocks, levelset_dmd, run_levelset_hfm
 from .pod_rom import FRAME_EULERIAN, FRAME_LAGRANGIAN, PodBasis, fit_pod, pod_steps
 from .presets import (
@@ -93,10 +100,10 @@ from .presets import (
 from .svd_core import WindowFactor, reduced_svd
 
 OUTPUT_ROOT_ENV = "LAGROM_OUT_ROOT"
-# Cells per column block of _score, so each scoring temporary holds at most
-# 512 KiB of float64: 16 columns of the full-size stacked 2N = 4000 rows, and
-# one block for the whole horizon at desk size, where per-block calls would
-# cost more than the memory they save.
+# Cells per column block of a method's scoring, so each scoring temporary
+# holds at most 512 KiB of float64: 16 columns of the full-size stacked
+# 2N = 4000 rows, and one block for the whole horizon at desk size, where
+# per-block calls would cost more than the memory they save.
 SCORE_BLOCK_CELLS = 1 << 16
 
 
@@ -140,66 +147,6 @@ class RunRecord:
     output_dir: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class _Reference:
-    """What every method of one run is scored against, built once per run.
-
-    Holds views of the solver stores, never a copy: a method scored in the
-    moving frame reads its stacked [x; u] reference one block of columns at
-    a time.
-    """
-
-    grid: Grid1D  # the fixed grid of the Eulerian solver
-    states: np.ndarray  # fixed-grid solver states at indices 1..M
-    state_norms: np.ndarray  # their column 2-norms, the relative_l2 scale
-    stacked: Optional[np.ndarray]  # moving-frame [x; u] columns at 1..M
-
-    @classmethod
-    def of(cls, euler_run, lagr_run) -> "_Reference":
-        states = euler_run.trajectory[:, 1:]
-        stacked = None if lagr_run is None else lagr_run.stacked[:, 1:]
-        return cls(euler_run.grid, states, np.linalg.norm(states, axis=0), stacked)
-
-    def observables(self, cols: slice, stacked: bool) -> np.ndarray:
-        """Reference observable columns: fixed-grid states, or stacked [x; u]."""
-        return (self.stacked if stacked else self.states)[:, cols]
-
-
-def _scoring_blocks(blocks, horizon):
-    """Regroup a stream of column blocks, in time order, into the scorer's
-    blocks of ``SCORE_BLOCK_CELLS // rows`` columns, or of the whole
-    ``horizon`` if that is narrower (the last may be narrower still); yields
-    (first column, block).
-
-    Columns pass through as views where one stream block covers a scoring
-    block, and are gathered into one reused buffer otherwise. The buffer
-    takes the stream's memory layout, so the column norms of a scoring block
-    sum in the same order as over the whole horizon stored that way.
-    """
-    width = filled = start = 0
-    buffer = None
-    for block in blocks:
-        if not width:
-            width = max(1, min(SCORE_BLOCK_CELLS // block.shape[0], horizon))
-        at = 0
-        while at < block.shape[1]:
-            if not filled and block.shape[1] - at >= width:
-                yield start, block[:, at : at + width]
-                start, at = start + width, at + width
-                continue
-            if buffer is None:
-                row_major = not block.flags.f_contiguous and block.strides[0] > block.strides[1]
-                buffer = np.empty((block.shape[0], width), order="C" if row_major else "F")
-            take = min(width - filled, block.shape[1] - at)
-            buffer[:, filled : filled + take] = block[:, at : at + take]
-            filled, at = filled + take, at + take
-            if filled == width:
-                yield start, buffer
-                start, filled = start + width, 0
-    if filled:
-        yield start, buffer[:, :filled]
-
-
 class _Timed:
     """Iterates ``blocks``, adding up the seconds spent producing them."""
 
@@ -218,6 +165,202 @@ class _Timed:
             self.seconds += time.perf_counter() - started
 
 
+class _Frame:
+    """One solver's states at time indices 0..M, read as column blocks
+    while the solver streams them.
+
+    ``rows`` is the solver's step stream, one 1-D state per index (timed).
+    Rows 0..m are kept in the read-only time-major ``window``, whose rows
+    1..m are ``snapshots``. ``columns(lo, hi)`` is the column-contiguous
+    (rows, hi - lo) view of indices lo..hi-1: of the window when hi <= m + 1,
+    else of one reused time-major buffer, which copies in the window's rows
+    it needs and pulls later ones from the stream. Requests come with
+    non-decreasing ``lo``; a request past the buffer's end drops the rows
+    before it. The buffer holds the widest request so far, and methods of
+    one block width ask for the same blocks in turn, so a shift keeps only
+    the overlap row.
+    """
+
+    def __init__(self, rows, n_store: int):
+        self.rows = _Timed(rows)
+        first = next(self.rows)
+        self.window = np.empty((n_store + 1, first.size))
+        self.window[0] = first
+        for index in range(1, n_store + 1):
+            self.window[index] = next(self.rows)
+        self.window.setflags(write=False)
+        self.snapshots = SnapshotMatrix(self.window[1:].T, np.arange(1, n_store + 1))
+        self.buffer = None
+        self.base = self.end = 0  # indices of buffer row 0 and one past its last
+
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        window = self.window
+        if hi <= len(window):
+            return window[lo:hi].T
+        if self.buffer is None:
+            self.buffer = np.empty((hi - lo, window.shape[1]))
+            self.base = self.end = lo
+        elif hi - self.base > len(self.buffer):
+            kept = self.buffer[lo - self.base : self.end - self.base]
+            if hi - lo > len(self.buffer):
+                self.buffer = np.empty((hi - lo, window.shape[1]))
+            self.buffer[: len(kept)] = kept
+            self.base = lo
+        for index in range(self.end, hi):
+            self.buffer[index - self.base] = window[index] if index < len(window) else next(self.rows)
+        self.end = max(self.end, hi)
+        return self.buffer[lo - self.base : hi - self.base].T
+
+    def drain(self) -> None:
+        """Run the solver to its last step, so a failure past the scored
+        indices still surfaces and the stream's seconds cover the run."""
+        for _ in self.rows:
+            pass
+
+
+def _scoring_blocks(blocks, width):
+    """Regroup a stream of column blocks, in time order, into blocks of
+    ``width`` columns (the last may be narrower); yields (first column, block).
+
+    Columns pass through as views where one stream block covers a scoring
+    block, and are gathered into one reused buffer otherwise. The buffer
+    takes the stream's memory layout, so the column norms of a scoring block
+    sum in the same order as over the whole horizon stored that way.
+    """
+    filled = start = 0
+    buffer = None
+    for block in blocks:
+        at = 0
+        while at < block.shape[1]:
+            if not filled and block.shape[1] - at >= width:
+                yield start, block[:, at : at + width]
+                start, at = start + width, at + width
+                continue
+            if buffer is None:
+                row_major = not block.flags.f_contiguous and block.strides[0] > block.strides[1]
+                buffer = np.empty((block.shape[0], width), order="C" if row_major else "F")
+            take = min(width - filled, block.shape[1] - at)
+            buffer[:, filled : filled + take] = block[:, at : at + take]
+            filled, at = filled + take, at + take
+            if filled == width:
+                yield start, buffer
+                start, filled = start + width, 0
+        del block  # not held while the stream makes the next one
+    if filled:
+        yield start, buffer[:, :filled]
+
+
+class _Scorer:
+    """One method's error report, built one scoring block at a time.
+
+    ``blocks`` is the method's rollout: its observables at indices 1..M as
+    column blocks in time order, fixed-grid states (N rows) or, when
+    ``stacked``, moving-frame [x; u] states (2N rows), which are taken to
+    the fixed grid. Each ``score`` pulls the rollout (timed in ``rollout``)
+    up to its next block of ``width`` columns (``_scoring_blocks``) and
+    scores it: the observable error, the tangle check and interpolation of
+    stacked columns, and the relative state error. Neither the observable
+    nor a scoring temporary grows with the horizon. Fixed-grid states are
+    kept only with ``keep_states`` (column-contiguous). A failure, in the
+    rollout or in the scoring, ends the method at the block where it shows.
+
+    With a DMD ``model`` the report carries the affine bound past the
+    training window. Its slope eps_m is the worst one-step residual of the
+    fitted propagator over the whole reference trajectory (not just the
+    training window), taken over reference blocks that overlap by one column
+    so every consecutive pair is seen: the training-window residual alone
+    understates how far an extrapolated trajectory leaves the learned
+    subspace and would not stay above the measured error.
+    """
+
+    def __init__(self, blocks, stacked: bool, spec, model=None, keep_states: bool = False):
+        self.spec = spec
+        self.grid = spec.grid()
+        self.horizon = spec.n_steps
+        self.stacked = stacked
+        self.model = model
+        rows = len(self.grid) * (2 if stacked else 1)
+        self.width = max(1, min(SCORE_BLOCK_CELLS // rows, self.horizon))
+        self.rollout = _Timed(blocks)
+        self.blocks = _scoring_blocks(self.rollout, self.width)
+        self.err_obs = np.empty(self.horizon)
+        self.rel_state = np.empty(self.horizon)
+        self.states = np.empty((len(self.grid), self.horizon), order="F") if keep_states else None
+        self.eps_m = 0.0
+        self.scored = 0
+        self.failure = None
+
+    def score(self, reference: np.ndarray, states: np.ndarray) -> None:
+        """Score the next block. ``reference`` holds the reference
+        observables at its indices and at the one after it (when there is
+        one), ``states`` the fixed-grid reference states at its indices."""
+        try:
+            start, block = next(self.blocks)
+        except StopIteration:
+            raise DimensionMismatch(f"scored {self.scored} columns of a {self.horizon}-index horizon") from None
+        width = block.shape[1]
+        cols = slice(start, start + width)
+        self.err_obs[cols] = truncation_error(reference[:, :width], block)
+        if self.model is not None:
+            self.eps_m = max(self.eps_m, estimate_eps_m(self.model, reference[:, : width + 1]))
+        if self.stacked:
+            spec = self.spec
+            block = stacked_to_grid(block, self.grid, spec.bc, spec.domain_length, first_index=start + 1)[2]
+        if self.states is not None:
+            self.states[:, cols] = block
+        self.rel_state[cols] = relative_l2(states[:, :width], block)
+        self.scored = start + width
+
+    def report(self) -> ErrorReport:
+        times = np.arange(1, self.horizon + 1)
+        bound_terms = {}
+        model = self.model
+        if model is not None:
+            m_last = last_training_index(model)
+            anchor = float(self.err_obs[m_last - 1])
+            bound = np.full(self.horizon, np.nan)
+            tail = times >= m_last
+            bound[tail] = error_bound_series(model, times[tail], anchor, self.eps_m)
+            bound_terms = dict(
+                bound=bound,
+                phi_pinv_fnorm=phi_pinv_fnorm(model),
+                eps_m=self.eps_m,
+                anchor_error=anchor,
+                anchor_index=m_last,
+            )
+        return ErrorReport(times, times * self.spec.dt, self.rel_state, self.err_obs, **bound_terms)
+
+
+def _score_all(scorers, euler: _Frame, lagr: Optional[_Frame]) -> None:
+    """Score every method in one pass over the horizon.
+
+    The method scored least so far scores its next block, against columns of
+    the Eulerian frame, or of the Lagrangian frame for a stacked observable
+    (its fixed-grid states still come from the Eulerian frame). So the
+    frames are asked for blocks with non-decreasing first indices and pull
+    the solvers no farther than the leading method needs. A method's
+    ``LagromError`` ends that method alone (``failure``); a solver's
+    propagates.
+    """
+    live = list(scorers)
+    while live:
+        scorer = min(live, key=lambda s: s.scored)
+        if scorer.scored == scorer.horizon:
+            return
+        lo = scorer.scored + 1
+        width = min(scorer.width, scorer.horizon - scorer.scored)
+        hi = min(lo + width + 1, scorer.horizon + 1)
+        if scorer.stacked:
+            reference, states = lagr.columns(lo, hi), euler.columns(lo, lo + width)
+        else:
+            reference = states = euler.columns(lo, hi)
+        try:
+            scorer.score(reference, states)
+        except LagromError as exc:
+            scorer.failure = exc
+            live.remove(scorer)
+
+
 def _pod_columns(steps, newton):
     """The reconstructions of a ``pod_steps`` stream past its initial
     projection, as one-column blocks; appends each step's Newton iterations
@@ -226,67 +369,6 @@ def _pod_columns(steps, newton):
     for step in steps:
         newton.append(step.iterations)
         yield step.full[:, None]
-
-
-def _score(ref, blocks, spec, model=None, keep_states=False):
-    """Error report of one method whose observables at indices 1..h arrive as
-    ``blocks``, column blocks in time order that cover the reference's h
-    indices; returns (report, fixed-grid states or None).
-
-    The columns are fixed-grid states (N rows), or stacked [x; u]
-    moving-frame states (2N rows), which are taken to the reference grid.
-    One pass over scoring blocks of at most ``SCORE_BLOCK_CELLS`` cells
-    (``_scoring_blocks``) computes the observable error, the tangle check
-    and interpolation of stacked columns, and the relative state error, so
-    neither the observable nor a scoring temporary grows with the horizon.
-    Fixed-grid states are kept only with ``keep_states`` (column-contiguous).
-    The stream is read only as far as the block being scored, so a failure,
-    in the rollout or in the scoring, ends both there.
-
-    With a DMD ``model`` the report carries the affine bound past the
-    training window. Its slope eps_m is the worst one-step residual of the
-    fitted propagator over the whole retained reference trajectory (not just
-    the training window), taken over blocks that overlap by one column so
-    every consecutive pair is seen: the training-window residual alone
-    understates how far an extrapolated trajectory leaves the learned
-    subspace and would not stay above the measured error.
-    """
-    horizon = ref.states.shape[1]
-    err_obs = np.empty(horizon)
-    rel_state = np.empty(horizon)
-    states = np.empty((len(ref.grid), horizon), order="F") if keep_states else None
-    eps_m = 0.0
-    scored = 0
-    for start, block in _scoring_blocks(blocks, horizon):
-        width = block.shape[1]
-        cols = slice(start, start + width)
-        stacked = block.shape[0] != len(ref.grid)
-        reference = ref.observables(slice(start, start + width + 1), stacked)
-        err_obs[cols] = truncation_error(reference[:, :width], block)
-        if model is not None:
-            eps_m = max(eps_m, estimate_eps_m(model, reference))
-        if stacked:
-            block = stacked_to_grid(block, ref.grid, spec.bc, spec.domain_length, first_index=start + 1)[2]
-        if states is not None:
-            states[:, cols] = block
-        rel_state[cols] = relative_l2(ref.states[:, cols], block, scale=ref.state_norms[cols])
-        scored = start + width
-    if scored != horizon:
-        raise DimensionMismatch(f"scored {scored} columns of a {horizon}-index horizon")
-
-    times = np.arange(1, horizon + 1)
-    bound_terms = {}
-    if model is not None:
-        m_last = last_training_index(model)
-        anchor = float(err_obs[m_last - 1])
-        bound = np.full(horizon, np.nan)
-        tail = times >= m_last
-        bound[tail] = error_bound_series(model, times[tail], anchor, eps_m)
-        bound_terms = dict(
-            bound=bound, phi_pinv_fnorm=phi_pinv_fnorm(model), eps_m=eps_m, anchor_error=anchor, anchor_index=m_last
-        )
-    report = ErrorReport(times, times * spec.dt, rel_state, err_obs, **bound_terms)
-    return report, states
 
 
 class _WindowFactors:
@@ -317,16 +399,18 @@ class _WindowFactors:
         return factor
 
 
-def _run_method(method, resolved, euler_run, lagr_run, level_run, ref, keep_states, factors):
-    """Fit one method on its training snapshots, roll it out over the whole
-    horizon, and score it; only the rollout and the bound differ by method.
-    The first fit of a window times its QR; the second reuses it."""
+def _fit_method(method, resolved, euler, lagr, level_run, factors, keep_states):
+    """Fit one method on its training snapshots and set up the scorer of its
+    rollout over the whole horizon; returns (result so far, scorer). Only
+    the rollout and the bound differ by method. The first fit of a window
+    times its QR; the second reuses it."""
     spec = resolved.spec
     rule = dict(epsilon=resolved.epsilon, fixed_rank=resolved.fixed_rank)
+    stacked = method in (METHOD_LAGRANGIAN_DMD, METHOD_LAGRANGIAN_POD)
     if method in (METHOD_EULERIAN_DMD, METHOD_EULERIAN_POD):
-        snapshots = euler_run.snapshots
-    elif method in (METHOD_LAGRANGIAN_DMD, METHOD_LAGRANGIAN_POD):
-        snapshots = lagr_run.snapshots
+        snapshots = euler.snapshots
+    elif stacked:
+        snapshots = lagr.snapshots
     else:
         snapshots = level_run.snapshots
     started = time.perf_counter()
@@ -346,7 +430,7 @@ def _run_method(method, resolved, euler_run, lagr_run, level_run, ref, keep_stat
     indices = np.arange(1, spec.n_steps + 1)
     newton = None
     if isinstance(model, PodBasis):
-        initial = (euler_run.trajectory if method == METHOD_EULERIAN_POD else lagr_run.stacked)[:, 0]
+        initial = (lagr if stacked else euler).window[0]
         newton = []
         blocks, modes = _pod_columns(pod_steps(model, initial, spec, spec.n_steps), newton), model.basis
     elif method == METHOD_LEVELSET_DMD:
@@ -354,14 +438,15 @@ def _run_method(method, resolved, euler_run, lagr_run, level_run, ref, keep_stat
     else:
         blocks, modes = prediction_blocks(model, indices), model.modes
     modes = modes[:, :3].copy()  # the leading three alone, not a view of them all
-    rollout = _Timed(blocks)
     # The bound belongs to a DMD propagator on the observable it was fitted
     # to; the level set is scored on contours, which it does not propagate.
     bound_model = model if method in (METHOD_EULERIAN_DMD, METHOD_LAGRANGIAN_DMD) else None
-    report, states = _score(ref, rollout, spec, model=bound_model, keep_states=keep_states)
-    return MethodResult(
-        method, model.rank, fitted - started, rollout.seconds, newton, report=report, states=states, modes=modes
-    )
+    scorer = _Scorer(blocks, stacked, spec, model=bound_model, keep_states=keep_states)
+    return MethodResult(method, model.rank, fitted - started, newton_iterations=newton, modes=modes), scorer
+
+
+def _failed(method, exc) -> MethodResult:
+    return MethodResult(method=method, failure=f"{type(exc).__name__}: {exc}")
 
 
 def default_output_dir(label: str) -> Path:
@@ -373,7 +458,9 @@ def run_experiment(config: ExperimentConfig, keep_states: bool = False, emit: bo
     """Run the requested high-fidelity solves and reduced models.
 
     Per-method failures are captured in the record instead of aborting the
-    experiment; a reduced model falling apart is a reportable outcome.
+    experiment; a reduced model falling apart is a reportable outcome. A
+    solver failure is not a method's: it propagates, possibly from the
+    scoring pass, which runs the solvers past the training window.
     """
     resolved = resolve(config)
     spec = resolved.spec
@@ -389,33 +476,45 @@ def run_experiment(config: ExperimentConfig, keep_states: bool = False, emit: bo
         fixed_rank=resolved.fixed_rank,
     )
 
-    euler_run = run_eulerian_hfm(spec, resolved.n_snapshots)
-    record.hfm_eulerian_seconds = euler_run.wall_seconds
-
-    lagr_run = None
+    m = resolved.n_snapshots
+    euler = _Frame((step.values for step in eulerian_steps(spec)), m)
+    lagr = None
     if {METHOD_LAGRANGIAN_DMD, METHOD_LAGRANGIAN_POD} & set(resolved.methods):
-        lagr_run = run_lagrangian_hfm(spec, resolved.n_snapshots)
-        record.hfm_lagrangian_seconds = lagr_run.wall_seconds
+        lagr = _Frame(lagrangian_steps(spec), m)
 
     level_run = None
     if METHOD_LEVELSET_DMD in resolved.methods:
-        level_run = run_levelset_hfm(spec, resolved.n_snapshots, n_y=resolved.n_y)
+        level_run = run_levelset_hfm(spec, m, n_y=resolved.n_y)
         record.hfm_levelset_seconds = level_run.wall_seconds
 
-    ref = _Reference.of(euler_run, lagr_run)
     factors = _WindowFactors(resolved.methods)
+    scorers = {}
     for method in resolved.methods:
         try:
-            record.methods[method] = _run_method(
-                method, resolved, euler_run, lagr_run, level_run, ref, keep_states, factors
+            record.methods[method], scorers[method] = _fit_method(
+                method, resolved, euler, lagr, level_run, factors, keep_states
             )
         except LagromError as exc:
-            record.methods[method] = MethodResult(method=method, failure=f"{type(exc).__name__}: {exc}")
+            record.methods[method] = _failed(method, exc)
+    _score_all(scorers.values(), euler, lagr)
+    for method, scorer in scorers.items():
+        if scorer.failure is not None:
+            record.methods[method] = _failed(method, scorer.failure)
+            continue
+        result = record.methods[method]
+        result.rollout_seconds = scorer.rollout.seconds
+        result.report, result.states = scorer.report(), scorer.states
+    for frame in (euler, lagr):
+        if frame is not None:
+            frame.drain()
+    record.hfm_eulerian_seconds = euler.rows.seconds
+    if lagr is not None:
+        record.hfm_lagrangian_seconds = lagr.rows.seconds
 
     if emit:
         out_dir = Path(config.output_dir) if config.output_dir else default_output_dir(resolved.label)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _emit_outputs(out_dir, resolved, record, euler_run, lagr_run, level_run)
+        _emit_outputs(out_dir, resolved, record, euler, lagr, level_run)
         record.output_dir = str(out_dir)
     return record
 
@@ -441,21 +540,24 @@ def _write_modes_csv(path, coords, modes):
         write_number_table(fh, *cols)
 
 
-def _emit_outputs(out_dir: Path, resolved: ResolvedExperiment, record: RunRecord, euler_run, lagr_run, level_run=None):
+def _emit_outputs(out_dir: Path, resolved: ResolvedExperiment, record: RunRecord, euler, lagr, level_run=None):
+    """Write the run directory; ``euler`` and ``lagr`` are the solvers'
+    frames, whose training windows are the solver CSVs."""
     started = time.perf_counter()
     spec = resolved.spec
     m = resolved.n_snapshots
     dt = spec.dt
     snap_times = np.arange(1, m + 1) * dt
 
-    _write_snapshot_csv(out_dir / "snapshots.csv", snap_times, euler_run.snapshots.data)
-    if lagr_run is not None:
-        _write_snapshot_csv(out_dir / "lagrangian_positions.csv", snap_times, lagr_run.positions[:, 1 : m + 1])
-        _write_snapshot_csv(out_dir / "lagrangian_values.csv", snap_times, lagr_run.values[:, 1 : m + 1])
+    _write_snapshot_csv(out_dir / "snapshots.csv", snap_times, euler.snapshots.data)
+    if lagr is not None:
+        positions, values = split_stacked(lagr.snapshots)
+        _write_snapshot_csv(out_dir / "lagrangian_positions.csv", snap_times, positions)
+        _write_snapshot_csv(out_dir / "lagrangian_values.csv", snap_times, values)
 
-    euler_coords = euler_run.grid.nodes
+    euler_coords = spec.grid().nodes
     files = ["snapshots.csv"]
-    if lagr_run is not None:
+    if lagr is not None:
         files += ["lagrangian_positions.csv", "lagrangian_values.csv"]
     if level_run is not None:
         # flattened 2-D fields reuse the snapshot schema with the grid shape
@@ -674,15 +776,21 @@ def validate_run_dir(run_dir) -> List[tuple]:
 
     snap_path = run_dir / "snapshots.csv"
     if snap_path.exists():
-        body = np.genfromtxt(snap_path, delimiter=",", skip_header=1)
-        body = np.atleast_2d(body)
-        add("snapshots finite", np.all(np.isfinite(body)))
-        add(
-            "snapshot width matches n_cells",
-            body.shape[1] == manifest["n_cells"] + 1,
-            f"{body.shape[1] - 1} columns vs n_cells {manifest['n_cells']}",
-        )
-        add("snapshot times increasing", np.all(np.diff(body[:, 0]) > 0) if body.shape[0] > 1 else True)
+        # loadtxt, not genfromtxt: a tenth of genfromtxt's transient memory
+        # on the full-size table, which validation would otherwise peak at.
+        # It rejects a cell that is not a number, where genfromtxt read nan.
+        try:
+            body = np.loadtxt(snap_path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            add("snapshots finite", False, f"unreadable: {exc}")
+        else:
+            add("snapshots finite", np.all(np.isfinite(body)))
+            add(
+                "snapshot width matches n_cells",
+                body.shape[1] == manifest["n_cells"] + 1,
+                f"{body.shape[1] - 1} columns vs n_cells {manifest['n_cells']}",
+            )
+            add("snapshot times increasing", np.all(np.diff(body[:, 0]) > 0) if body.shape[0] > 1 else True)
     else:
         add("snapshots exist", False)
 

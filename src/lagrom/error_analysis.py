@@ -33,13 +33,23 @@ def _as_array(data) -> np.ndarray:
     return data.data if isinstance(data, SnapshotMatrix) else np.asarray(data, dtype=float)
 
 
+def _column_norms(columns: np.ndarray) -> np.ndarray:
+    """Column 2-norms of an array the caller made and gives up: a real one
+    is squared in place, which sums the products ``np.linalg.norm(columns,
+    axis=0)`` sums, in the same layout, without its two temporaries."""
+    if np.iscomplexobj(columns):
+        return np.linalg.norm(columns, axis=0)
+    np.multiply(columns, columns, out=columns)
+    return np.sqrt(np.add.reduce(columns, axis=0))
+
+
 def truncation_error(reference, rom) -> np.ndarray:
     """Per-column 2-norm differences between matching trajectories."""
     ref = _as_array(reference)
     approx = _as_array(rom)
     if ref.shape != approx.shape:
         raise DimensionMismatch(f"shape mismatch {ref.shape} vs {approx.shape}")
-    return np.linalg.norm(ref - approx, axis=0)
+    return _column_norms(ref - approx)
 
 
 def relative_l2(reference, rom, floor: float = 1e-300, scale: np.ndarray = None) -> np.ndarray:
@@ -64,8 +74,9 @@ def estimate_eps_m(model: DmdModel, training) -> float:
     y = _as_array(training)
     if y.shape[1] < 2:
         return 0.0
-    stepped = one_step_map(model, y[:, :-1])
-    return float(np.max(np.linalg.norm(y[:, 1:] - stepped, axis=0)))
+    residuals = one_step_map(model, y[:, :-1])
+    np.subtract(y[:, 1:], residuals, out=residuals)
+    return float(np.max(_column_norms(residuals)))
 
 
 def phi_pinv_fnorm(model: DmdModel) -> float:

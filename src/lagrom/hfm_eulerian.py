@@ -23,8 +23,11 @@ solver step checks its residual ``apply(u_new) - with_boundary_terms(u*)``,
 its Courant number and the finiteness of the new state.
 
 One step path: ``eulerian_step`` advances a raw value array, and both
-``advance_eulerian`` (one ``StateVector`` to the next) and the run loop call
-it. ``run_eulerian_hfm`` keeps its states time-major: a preallocated
+``advance_eulerian`` (one ``StateVector`` to the next) and the run's one
+loop, the step stream ``eulerian_steps``, call it. The stream yields u^0 and
+then each u^n with its step's residual and Courant number, and stores
+nothing: ``bench.run_experiment`` keeps only the training window of it.
+``run_eulerian_hfm`` collects the stream time-major: a preallocated
 (M+1, N) C-order store whose row n is u^n, written as one contiguous row per
 step and marked read-only after the loop. ``trajectory`` is its (N, M+1)
 transposed view and ``snapshots.data`` the view of rows 1..m, which the
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -234,6 +237,30 @@ def advance_eulerian(state: StateVector, spec: ProblemSpec, workspace: EulerianS
     return StateVector(u_new, state.grid, index)
 
 
+class EulerianStep(NamedTuple):
+    """One state of a run: u^n, read-only, and the residual and Courant
+    number of the step that reached it (0 for the initial state)."""
+
+    values: np.ndarray
+    residual: float
+    courant: float
+
+
+def eulerian_steps(spec: ProblemSpec) -> Iterator[EulerianStep]:
+    """The run as a stream: u^0, then one step per index 1..M. Nothing is
+    stored, so a consumer that reads the steps as they come holds one state
+    at a time; ``run_eulerian_hfm`` collects them."""
+    state = spec.initial_state()
+    nodes = state.grid.nodes
+    workspace = EulerianStepWorkspace.for_spec(spec)
+    u = state.values
+    yield EulerianStep(u, 0.0, 0.0)
+    for step in range(spec.n_steps):
+        u = eulerian_step(u, spec, workspace, nodes, step + 1)
+        u.setflags(write=False)  # the next step reads it
+        yield EulerianStep(u, workspace.last_residual, workspace.last_courant)
+
+
 @dataclass
 class EulerianRun:
     """Snapshots plus the retained full trajectory and timing of one run.
@@ -251,23 +278,21 @@ class EulerianRun:
 
 
 def run_eulerian_hfm(spec: ProblemSpec, n_store: int) -> EulerianRun:
-    """Integrate n_steps steps, storing the first n_store post-initial states."""
+    """Collect ``eulerian_steps`` over n_steps steps; the snapshots are the
+    first n_store post-initial states."""
     if n_store > spec.n_steps:
         raise ValueError("n_store cannot exceed the number of steps")
     started = time.perf_counter()
-    state = spec.initial_state()
-    nodes = state.grid.nodes
-    workspace = EulerianStepWorkspace.for_spec(spec)
-    store = np.empty((spec.n_steps + 1, nodes.size))
-    store[0] = state.values
+    grid = spec.grid()
+    store = np.empty((spec.n_steps + 1, len(grid)))
     max_res = 0.0
     max_cfl = 0.0
-    for step in range(spec.n_steps):
-        store[step + 1] = eulerian_step(store[step], spec, workspace, nodes, step + 1)
-        max_res = max(max_res, workspace.last_residual)
-        max_cfl = max(max_cfl, workspace.last_courant)
+    for index, step in enumerate(eulerian_steps(spec)):
+        store[index] = step.values
+        max_res = max(max_res, step.residual)
+        max_cfl = max(max_cfl, step.courant)
     store.setflags(write=False)
     trajectory = store.T
     snaps = SnapshotMatrix(trajectory[:, 1 : n_store + 1], np.arange(1, n_store + 1))
     elapsed = time.perf_counter() - started
-    return EulerianRun(snaps, trajectory, state.grid, elapsed, max_res, max_cfl)
+    return EulerianRun(snaps, trajectory, grid, elapsed, max_res, max_cfl)

@@ -24,19 +24,22 @@ stays a plain monotonicity test.
 
 One step path: ``lagrangian_step`` advances raw position and value arrays
 (and hands back f(u^{n+1}), which the next step reuses as its f(u^n)); both
-``advance_lagrangian`` and the run loop call it. ``run_lagrangian_hfm``
-writes each step as one contiguous row [x^n; u^n] of a preallocated
-(M+1, 2N) C-order store, marked read-only after the loop. ``stacked`` is its
-(2N, M+1) transposed view, ``positions`` and ``values`` are that view's two
-halves, and ``snapshots.data`` is the view of columns 1..m, which the
-snapshot matrix adopts without a copy.
+``advance_lagrangian`` and the run's one loop, the step stream
+``lagrangian_steps``, call it. The stream yields each stacked row
+[x^n; u^n], n = 0..M, and stores nothing: ``bench.run_experiment`` keeps
+only the training window of it. ``run_lagrangian_hfm`` collects the stream
+into a preallocated (M+1, 2N) C-order store, one contiguous row per step,
+marked read-only after the loop. ``stacked`` is its (2N, M+1) transposed
+view, ``positions`` and ``values`` are that view's two halves, and
+``snapshots.data`` is the view of columns 1..m, which the snapshot matrix
+adopts without a copy.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -147,6 +150,26 @@ def advance_lagrangian(
     return LagrangianState(Grid1D(x_new), u_new, state.eulerian_grid, index)
 
 
+def lagrangian_steps(spec: ProblemSpec) -> Iterator[np.ndarray]:
+    """The run from the uniform grid as a stream of read-only stacked rows
+    [x^n; u^n]: the initial row, then one step per index 1..M. Nothing is
+    stored, so a consumer that reads the rows as they come holds one at a
+    time; ``run_lagrangian_hfm`` collects them."""
+    state = initial_lagrangian_state(spec)
+    system = run_diffusion_system(spec)
+    nodes = state.eulerian_grid.nodes
+    n = state.n
+    row = np.concatenate([state.positions.nodes, state.values])
+    f_u = speeds(spec, state.values)
+    for step in range(spec.n_steps):
+        row.setflags(write=False)  # the next step reads it
+        yield row
+        x_new, u_new, f_u = lagrangian_step(spec, system, nodes, row[:n], row[n:], f_u, step + 1)
+        row = np.concatenate([x_new, u_new])
+    row.setflags(write=False)
+    yield row
+
+
 @dataclass
 class LagrangianRun:
     """Stacked snapshots plus retained position/value trajectories.
@@ -165,25 +188,18 @@ class LagrangianRun:
 
 
 def run_lagrangian_hfm(spec: ProblemSpec, n_store: int) -> LagrangianRun:
-    """Integrate from the uniform grid; snapshots are the 2N stacks [x^k; u^k]."""
+    """Collect ``lagrangian_steps``; snapshots are the 2N stacks [x^k; u^k]
+    of the first n_store post-initial steps."""
     if n_store > spec.n_steps:
         raise ValueError("n_store cannot exceed the number of steps")
     started = time.perf_counter()
-    state = initial_lagrangian_state(spec)
-    system = run_diffusion_system(spec)
-    nodes = state.eulerian_grid.nodes
-    n = state.n
+    grid = spec.grid()
+    n = len(grid)
     store = np.empty((spec.n_steps + 1, 2 * n))
-    store[0, :n] = state.positions.nodes
-    store[0, n:] = state.values
-    f_u = speeds(spec, state.values)
-    for step in range(spec.n_steps):
-        row = store[step]
-        x_new, u_new, f_u = lagrangian_step(spec, system, nodes, row[:n], row[n:], f_u, step + 1)
-        store[step + 1, :n] = x_new
-        store[step + 1, n:] = u_new
+    for index, row in enumerate(lagrangian_steps(spec)):
+        store[index] = row
     store.setflags(write=False)
     stacked = store.T
     snaps = SnapshotMatrix(stacked[:, 1 : n_store + 1], np.arange(1, n_store + 1))
     elapsed = time.perf_counter() - started
-    return LagrangianRun(snaps, stacked[:n], stacked[n:], state.eulerian_grid, elapsed, stacked)
+    return LagrangianRun(snaps, stacked[:n], stacked[n:], grid, elapsed, stacked)

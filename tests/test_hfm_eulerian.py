@@ -9,6 +9,7 @@ from lagrom.hfm_eulerian import (
     EulerianStepWorkspace,
     advance_eulerian,
     check_cfl,
+    eulerian_steps,
     face_fluxes,
     run_eulerian_hfm,
 )
@@ -241,3 +242,20 @@ class TestStore:
         for k in range(1, spec.n_steps + 1):
             state = advance_eulerian(state, spec, workspace)
             assert np.array_equal(state.values, run.trajectory[:, k])
+
+    @pytest.mark.parametrize(
+        "spec_args",
+        [SPEC, dict(SPEC, diffusion=None), dict(SPEC, diffusion=lambda x, t, u: 0.02 + 0.01 * u)],
+        ids=["constant-D", "no-D", "varying-D"],
+    )
+    def test_run_collects_its_step_stream(self, spec_args):
+        spec = make_spec(**spec_args)
+        run = run_eulerian_hfm(spec, 7)
+        steps = list(eulerian_steps(spec))
+        assert len(steps) == spec.n_steps + 1
+        for k, step in enumerate(steps):
+            assert np.array_equal(step.values, run.trajectory[:, k])
+            assert not step.values.flags.writeable
+        assert steps[0].residual == steps[0].courant == 0.0
+        assert run.max_residual == max(step.residual for step in steps)
+        assert run.max_courant == max(step.courant for step in steps) > 0.0

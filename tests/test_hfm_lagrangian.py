@@ -10,6 +10,7 @@ from lagrom.hfm_lagrangian import (
     LagrangianState,
     advance_lagrangian,
     initial_lagrangian_state,
+    lagrangian_steps,
     run_lagrangian_hfm,
 )
 from lagrom.presets import gaussian_pulse, one_plus_sin
@@ -153,3 +154,13 @@ class TestRun:
             state = advance_lagrangian(state, spec, system)
             assert np.array_equal(state.positions.nodes, run.positions[:, k])
             assert np.array_equal(state.values, run.values[:, k])
+
+    @pytest.mark.parametrize("diffusion", [None, 0.1])
+    def test_run_collects_its_step_stream(self, diffusion):
+        spec = make_spec(speed="burgers", diffusion=diffusion, n=100, m_steps=20, t_final=0.4, bc=PERIODIC)
+        run = run_lagrangian_hfm(spec, 5)
+        rows = list(lagrangian_steps(spec))
+        assert len(rows) == spec.n_steps + 1
+        for k, row in enumerate(rows):
+            assert np.array_equal(row, run.stacked[:, k])
+            assert not row.flags.writeable
