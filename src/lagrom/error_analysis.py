@@ -6,11 +6,11 @@ The bound at index n >= m (m = last training index) is
 
 where eps_m is the worst one-step residual of the fitted propagator over the
 consecutive column pairs of whatever trajectory the caller passes to
-``estimate_eps_m``. ``bench.run_experiment`` passes the whole retained
-reference trajectory (indices 1..M, past the training window too), so the
-bound is not a-posteriori in the strict sense: its slope sees data the fit
-did not. Validity (bound >= measured error) is the asserted property;
-tightness is not.
+``estimate_eps_m``. ``bench.run_experiment`` passes the whole reference
+trajectory (indices 1..M, past the training window too), in blocks that
+overlap by one column, so the bound is not a-posteriori in the strict
+sense: its slope sees data the fit did not. Validity (bound >= measured
+error) is the asserted property; tightness is not.
 
 The modes are U W with U's columns orthonormal (``dmd_rom``), so
 pinv(modes) = W^-1 U^T and ||pinv(modes)||_F is evaluated as ||W^-1||_F,

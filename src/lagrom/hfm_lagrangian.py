@@ -160,14 +160,14 @@ def lagrangian_steps(spec: ProblemSpec) -> Iterator[np.ndarray]:
     nodes = state.eulerian_grid.nodes
     n = state.n
     row = np.concatenate([state.positions.nodes, state.values])
+    row.setflags(write=False)
     f_u = speeds(spec, state.values)
+    yield row
     for step in range(spec.n_steps):
-        row.setflags(write=False)  # the next step reads it
-        yield row
         x_new, u_new, f_u = lagrangian_step(spec, system, nodes, row[:n], row[n:], f_u, step + 1)
         row = np.concatenate([x_new, u_new])
-    row.setflags(write=False)
-    yield row
+        row.setflags(write=False)  # the next step reads it
+        yield row
 
 
 @dataclass
