@@ -22,13 +22,24 @@ error CSV, whose state and bound cells may be blank, formats cell by cell:
 Solvers: the fixed-grid and moving-grid solvers run as step streams
 (``hfm_eulerian.eulerian_steps``, ``hfm_lagrangian.lagrangian_steps``),
 each read through a ``_Frame``: its first m+1 states, the training window,
-are kept for the fits, the POD initial states and the solver CSVs, and
-later states pass through one reused buffer as the scoring asks for them.
-No (M+1)-row solver store exists. What the scoring did not reach runs after
-it, so a solver failure propagates with its time index (possibly later than
-a whole-run solve would raise it) and is never recorded as a method's.
-``hfm_*_seconds`` is the time spent in the streams. The level-set solver
-keeps only its window and its contours, and runs whole.
+are kept read-only for the fits, the POD initial states, the scoring and
+the solver CSVs, and later states pass through one reused buffer as the
+scoring asks for them. No (M+1)-row solver store exists. What the scoring
+did not reach runs after it, so a solver failure propagates with its time
+index (possibly later than a whole-run solve would raise it) and is never
+recorded as a method's. ``hfm_*_seconds`` is the time spent in the streams.
+The level-set solver keeps only its window and its contours, and runs
+whole.
+
+Window lifecycle: each solver's window is built just before its own fits,
+in the order the methods are listed, and its QR is dropped after its last
+fit, so no two windows' QRs are alive at once. A window that has no fit,
+the fixed-grid one in the Lagrangian and level-set presets, is built last,
+before scoring. The level-set window alone is given to its QR
+(``LevelSetRun.hand_over_window``), which overwrites it in place: when
+emitting, ``levelset_snapshots.csv`` is written right after the level-set
+solver, before that fit. The record, the manifest and the scoring keep the
+listed method order.
 
 Methods: ``_fit_method`` fits every method on its training snapshots and
 sets up the scorer of its rollout, before any rollout starts. It branches
@@ -373,8 +384,8 @@ def _pod_columns(steps, newton):
 
 class _WindowFactors:
     """Each training window's QR, made by its first fit and dropped after its
-    last: the two fits of a window share it, and the full-size level-set
-    window's takes 800 MB."""
+    last: the two fits of a window share it. The level-set window's QR lives
+    in the window's own memory (800 MB at full size)."""
 
     WINDOWS = {
         METHOD_EULERIAN_DMD: "eulerian",
@@ -408,13 +419,13 @@ def _fit_method(method, resolved, euler, lagr, level_run, factors, keep_states):
     rule = dict(epsilon=resolved.epsilon, fixed_rank=resolved.fixed_rank)
     stacked = method in (METHOD_LAGRANGIAN_DMD, METHOD_LAGRANGIAN_POD)
     if method in (METHOD_EULERIAN_DMD, METHOD_EULERIAN_POD):
-        snapshots = euler.snapshots
+        snapshots = window = euler.snapshots
     elif stacked:
-        snapshots = lagr.snapshots
+        snapshots = window = lagr.snapshots
     else:
-        snapshots = level_run.snapshots
+        snapshots, window = level_run.snapshots, level_run.hand_over_window()
     started = time.perf_counter()
-    factor = factors.take(method, snapshots)
+    factor = factors.take(method, window)
     if method == METHOD_EULERIAN_DMD:
         model = fit_dmd(snapshots, factor=factor, **rule)
     elif method == METHOD_EULERIAN_POD:
@@ -477,25 +488,43 @@ def run_experiment(config: ExperimentConfig, keep_states: bool = False, emit: bo
     )
 
     m = resolved.n_snapshots
-    euler = _Frame((step.values for step in eulerian_steps(spec)), m)
-    lagr = None
-    if {METHOD_LAGRANGIAN_DMD, METHOD_LAGRANGIAN_POD} & set(resolved.methods):
-        lagr = _Frame(lagrangian_steps(spec), m)
+    out_dir = None
+    if emit:
+        out_dir = Path(config.output_dir) if config.output_dir else default_output_dir(resolved.label)
 
-    level_run = None
-    if METHOD_LEVELSET_DMD in resolved.methods:
-        level_run = run_levelset_hfm(spec, m, n_y=resolved.n_y)
-        record.hfm_levelset_seconds = level_run.wall_seconds
-
-    factors = _WindowFactors(resolved.methods)
-    scorers = {}
+    # One window at a time: each is built just before its own fits (see the
+    # module docstring). The fixed-grid window, the scoring reference, is
+    # built last when it has no fit.
+    by_window = {}
     for method in resolved.methods:
-        try:
-            record.methods[method], scorers[method] = _fit_method(
-                method, resolved, euler, lagr, level_run, factors, keep_states
-            )
-        except LagromError as exc:
-            record.methods[method] = _failed(method, exc)
+        by_window.setdefault(_WindowFactors.WINDOWS[method], []).append(method)
+    by_window.setdefault("eulerian", [])
+    factors = _WindowFactors(resolved.methods)
+    euler = lagr = level_run = None
+    results, scorers = {}, {}
+    for window, methods in by_window.items():
+        if window == "eulerian":
+            euler = _Frame((step.values for step in eulerian_steps(spec)), m)
+        elif window == "lagrangian":
+            lagr = _Frame(lagrangian_steps(spec), m)
+        else:
+            level_run = run_levelset_hfm(spec, m, n_y=resolved.n_y)
+            record.hfm_levelset_seconds = level_run.wall_seconds
+            if emit:
+                started = time.perf_counter()
+                _write_levelset_csv(out_dir, resolved, level_run)
+                record.emit_seconds = time.perf_counter() - started
+        for method in methods:
+            try:
+                results[method], scorers[method] = _fit_method(
+                    method, resolved, euler, lagr, level_run, factors, keep_states
+                )
+            except LagromError as exc:
+                results[method] = _failed(method, exc)
+        if window == "levelset":
+            level_run.snapshots = None  # its data is now the QR's reflectors
+    record.methods = {method: results[method] for method in resolved.methods}
+    scorers = {method: scorers[method] for method in resolved.methods if method in scorers}
     _score_all(scorers.values(), euler, lagr)
     for method, scorer in scorers.items():
         if scorer.failure is not None:
@@ -512,7 +541,6 @@ def run_experiment(config: ExperimentConfig, keep_states: bool = False, emit: bo
         record.hfm_lagrangian_seconds = lagr.rows.seconds
 
     if emit:
-        out_dir = Path(config.output_dir) if config.output_dir else default_output_dir(resolved.label)
         out_dir.mkdir(parents=True, exist_ok=True)
         _emit_outputs(out_dir, resolved, record, euler, lagr, level_run)
         record.output_dir = str(out_dir)
@@ -530,6 +558,20 @@ def _write_snapshot_csv(path, times_dt, data, preamble=None):
         write_number_table(fh, times_dt[: data.shape[1]], data.T)
 
 
+def _snapshot_times(resolved: ResolvedExperiment) -> np.ndarray:
+    return np.arange(1, resolved.n_snapshots + 1) * resolved.spec.dt
+
+
+def _write_levelset_csv(out_dir: Path, resolved: ResolvedExperiment, level_run) -> None:
+    """Write ``levelset_snapshots.csv``, the level-set window, before its QR
+    overwrites it. The flattened 2-D fields reuse the snapshot schema with
+    the grid shape declared up front so readers can reshape."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    dims = f"# n_x={len(level_run.x_grid)},n_y={len(level_run.y_grid)},order=column-major"
+    path = out_dir / "levelset_snapshots.csv"
+    _write_snapshot_csv(path, _snapshot_times(resolved), level_run.snapshots.data, preamble=dims)
+
+
 def _write_modes_csv(path, coords, modes):
     names, cols = ["coord"], [coords]
     for j in range(modes.shape[1]):
@@ -542,12 +584,13 @@ def _write_modes_csv(path, coords, modes):
 
 def _emit_outputs(out_dir: Path, resolved: ResolvedExperiment, record: RunRecord, euler, lagr, level_run=None):
     """Write the run directory; ``euler`` and ``lagr`` are the solvers'
-    frames, whose training windows are the solver CSVs."""
+    frames, whose training windows are the solver CSVs. The level-set
+    window's CSV was written before its fit (``_write_levelset_csv``), and
+    ``emit_seconds`` adds up both."""
     started = time.perf_counter()
     spec = resolved.spec
-    m = resolved.n_snapshots
     dt = spec.dt
-    snap_times = np.arange(1, m + 1) * dt
+    snap_times = _snapshot_times(resolved)
 
     _write_snapshot_csv(out_dir / "snapshots.csv", snap_times, euler.snapshots.data)
     if lagr is not None:
@@ -560,10 +603,6 @@ def _emit_outputs(out_dir: Path, resolved: ResolvedExperiment, record: RunRecord
     if lagr is not None:
         files += ["lagrangian_positions.csv", "lagrangian_values.csv"]
     if level_run is not None:
-        # flattened 2-D fields reuse the snapshot schema with the grid shape
-        # declared up front so readers can reshape
-        dims = f"# n_x={len(level_run.x_grid)},n_y={len(level_run.y_grid)},order=column-major"
-        _write_snapshot_csv(out_dir / "levelset_snapshots.csv", snap_times, level_run.snapshots.data, preamble=dims)
         files.append("levelset_snapshots.csv")
     for name, result in record.methods.items():
         if result.report is not None:
@@ -575,7 +614,7 @@ def _emit_outputs(out_dir: Path, resolved: ResolvedExperiment, record: RunRecord
             modes_path = out_dir / f"{name}_modes.csv"
             _write_modes_csv(modes_path, coords, result.modes)
             files.append(modes_path.name)
-    record.emit_seconds = time.perf_counter() - started
+    record.emit_seconds = (record.emit_seconds or 0.0) + time.perf_counter() - started
 
     timing = {
         "hfm_eulerian_seconds": record.hfm_eulerian_seconds,

@@ -22,6 +22,15 @@ and each contour one row of an (M+1, n_x) store. Both stores are marked
 read-only after the loop; ``snapshots.data`` and ``contours`` are their
 transposed views, and the snapshot matrix adopts its view without a copy. A
 ``LevelSetField`` is built only for ``final_field``.
+
+The window's store is read-only until its owner gives it away:
+``LevelSetRun.hand_over_window`` makes it writable and wraps its transpose,
+already the Fortran-order window, for ``svd_core.reduced_svd``, whose QR then
+overwrites it with its reflectors (at full size the window is 800 MB, and a
+copy of it was most of the run's peak). ``bench`` does this once the
+window's other reader, the emission of ``levelset_snapshots.csv``, is done,
+and drops the run's ``snapshots`` after the fit. The contours stay
+read-only.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from .errors import (
 )
 from .dmd_rom import OBSERVABLE_LEVELSET, DmdModel, fit_dmd, prediction_blocks
 from .hfm_eulerian import CFL_SLACK
-from .svd_core import WindowFactor
+from .svd_core import HandedOverWindow, WindowFactor
 
 DEFAULT_MARGIN_FRAC = 0.1
 # Indices predicted per chunk by contour_blocks (about 100 MB of fields at
@@ -168,6 +177,14 @@ class LevelSetRun:
     y_grid: Grid1D
     final_field: LevelSetField
     wall_seconds: float
+
+    def hand_over_window(self) -> HandedOverWindow:
+        """The window's store, made writable, for ``reduced_svd`` to factor
+        in place. After that QR ``snapshots.data`` reads its reflectors: the
+        caller may use ``snapshots`` for the fit's shape and times only."""
+        store = self.snapshots.data.base  # the (m, n_x·n_y) store it adopted
+        store.setflags(write=True)
+        return HandedOverWindow(store.T)
 
 
 def run_levelset_hfm(

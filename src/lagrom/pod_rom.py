@@ -146,8 +146,7 @@ class PodStepContext:
         if basis.frame == FRAME_LAGRANGIAN:
             n = phi.shape[0] // 2
             pos, val = phi[:n], phi[n:]
-            pos_t = np.ascontiguousarray(pos.T)
-            val_t = np.ascontiguousarray(val.T)
+            pos_t, val_t = phi_t[:, :n], phi_t[:, n:]  # column views of basis_t, not copies
             affine = _affine_speed(spec, np.asarray(initial_full, dtype=float)[n:])
             if affine is not None:
                 slope, flux_at_zero = affine

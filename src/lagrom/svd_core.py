@@ -16,6 +16,16 @@ shares near 1e-8, where squaring the condition number loses the last kept σ.
 ``bench.run_experiment`` factors each window once and passes the factor to
 both of its fits, so the second fit's ``fit_seconds`` excludes the shared
 QR. A fit given no factor factors its own window with ``reduced_svd``.
+
+``reduced_svd`` calls ``dgeqrf`` directly: its workspace query and the
+factorization both run on one Fortran-order float64 array, with the optimal
+``lwork`` the query returns (as ``scipy.linalg.qr`` does; the blocked path
+rounds differently from the unblocked one, and the emitted CSVs depend on
+it). Any input, a ``SnapshotMatrix`` or a caller's array, writable or not,
+is copied into that array once and left as it was. Only a window wrapped in
+``HandedOverWindow`` is factored in its own memory: the reflectors
+overwrite it, and no copy of it is made. ``bench`` hands over the level-set
+window alone, whose full-size QR would otherwise copy 800 MB.
 """
 
 from __future__ import annotations
@@ -24,10 +34,14 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, qr
+from scipy.linalg import get_lapack_funcs
 
 from .core import SnapshotMatrix
 from .errors import DimensionMismatch, EmptySpectrum, NumericalFailure, RankOutOfRange
+
+# Cells of float64 per column block of reduced_svd's finiteness check, so
+# its boolean temporary stays at 1 MB whatever the window.
+FINITE_CHECK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -104,13 +118,15 @@ class WindowFactor:
         padded[: u_r.shape[0]] = u_r
         apply_q = get_lapack_funcs("ormqr", (self.reflectors, padded))
         reflectors = self.reflectors[:, : self.tau.size]
-        lwork = int(apply_q("L", "N", reflectors, self.tau, padded, -1)[1][0])
+        lwork = int(apply_q("L", "N", reflectors, self.tau, padded, -1, overwrite_c=1)[1][0])
         u, _, info = apply_q("L", "N", reflectors, self.tau, padded, lwork, overwrite_c=1)
         if info != 0:
             raise NumericalFailure(f"applying the implicit Q failed (dormqr info {info})")
-        magnitudes = np.abs(u)
-        lead = np.argmax(magnitudes > 1e-12 * magnitudes.max(axis=0), axis=0)
-        signs = np.where(u[lead, np.arange(svd.rank)] < 0, -1.0, 1.0)
+        signs = np.ones(svd.rank)
+        for j in range(svd.rank):
+            magnitudes = np.abs(u[:, j])
+            if u[np.argmax(magnitudes > 1e-12 * magnitudes.max()), j] < 0:
+                signs[j] = -1.0
         # U is returned row-major: products with it round by its layout, and
         # a model reloaded from disk predicts bit-identically only if its
         # row-major factors match the fitted ones.
@@ -118,16 +134,45 @@ class WindowFactor:
         return replace(svd, r_left_vectors=u_r * signs, right_vectors=svd.right_vectors * signs, left_vectors=u)
 
 
+@dataclass(frozen=True)
+class HandedOverWindow:
+    """A training window whose memory its owner gives to ``reduced_svd``.
+
+    ``data`` is factored in place when it is a writable Fortran-order float64
+    array (else it is copied like any input): the QR's reflectors overwrite
+    it, so the owner must not read it as the window again.
+    """
+
+    data: np.ndarray
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    step = max(1, FINITE_CHECK_CELLS // max(x.shape[0], 1))
+    return all(np.isfinite(x[:, lo : lo + step]).all() for lo in range(0, x.shape[1], step))
+
+
 def reduced_svd(matrix) -> WindowFactor:
     """The one factorization of a training window: its Householder QR, from
-    which ``WindowFactor.svd`` takes the SVD of any leading column block."""
-    x = matrix.data if isinstance(matrix, SnapshotMatrix) else np.asarray(matrix, dtype=float)
+    which ``WindowFactor.svd`` takes the SVD of any leading column block.
+
+    ``matrix`` is a ``SnapshotMatrix``, an array, or a ``HandedOverWindow``;
+    only the last is overwritten (see the module docstring)."""
+    handed_over = isinstance(matrix, HandedOverWindow)
+    x = matrix.data if isinstance(matrix, (SnapshotMatrix, HandedOverWindow)) else np.asarray(matrix, dtype=float)
+    if x.ndim != 2:
+        raise DimensionMismatch(f"a training window must be 2-D, not {x.ndim}-D")
     if x.size == 0:
         raise EmptySpectrum("cannot factor an empty matrix")
-    if not np.all(np.isfinite(x)):
+    if not _all_finite(x):
         raise NumericalFailure("matrix contains NaN or Inf")
-    (reflectors, tau), r = qr(x, mode="raw", check_finite=False)
-    return WindowFactor(reflectors, tau, r)
+    if not (handed_over and x.dtype == np.float64 and x.flags.f_contiguous and x.flags.writeable):
+        x = np.array(x, dtype=float, order="F")
+    geqrf = get_lapack_funcs("geqrf", (x,))
+    lwork = int(geqrf(x, lwork=-1, overwrite_a=1)[2][0])
+    reflectors, tau, _, info = geqrf(x, lwork=lwork, overwrite_a=1)
+    if info != 0:
+        raise NumericalFailure(f"the window QR failed (dgeqrf info {info})")
+    return WindowFactor(reflectors, tau, np.triu(reflectors[: min(x.shape)]))
 
 
 def window_factor(matrix, factor: WindowFactor = None) -> WindowFactor:

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import qr
 
-from lagrom import dmd_rom, pod_rom
+from lagrom import dmd_rom, pod_rom, svd_core
+from lagrom.core import SnapshotMatrix
 from lagrom.dmd_rom import fit_dmd
-from lagrom.errors import EmptySpectrum, RankOutOfRange
+from lagrom.errors import EmptySpectrum, NumericalFailure, RankOutOfRange
 from lagrom.pod_rom import fit_pod
-from lagrom.svd_core import fit_svd, reduced_svd, select_rank, truncate, truncation_rank
+from lagrom.svd_core import HandedOverWindow, fit_svd, reduced_svd, select_rank, truncate, truncation_rank
 
 
 def full_svd(x):
@@ -122,6 +124,63 @@ class TestQrRoute:
         y1, y2 = x[:, :-1], x[:, 1:]
         full = np.max(np.linalg.norm(y2 - u @ (k_tilde @ (u.T @ y1)), axis=0))
         assert abs(model.train_residual - full) <= 1e-12 * full
+
+
+@pytest.mark.parametrize("shape", QR_SHAPES)
+class TestWindowHandOver:
+    """``reduced_svd`` factors a ``HandedOverWindow`` in its own memory and
+    copies every other input, with the same bits either way."""
+
+    def test_factor_equals_scipy_raw_qr_bit_for_bit(self, shape):
+        x = graded(*shape)
+        (reflectors, tau), r = qr(x, mode="raw")
+        factor = reduced_svd(x)
+        for ours, theirs in ((factor.reflectors, reflectors), (factor.tau, tau), (factor.r, r)):
+            assert ours.shape == theirs.shape and np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: x.copy(),  # writable, row-major
+            np.asfortranarray,  # writable, the layout dgeqrf works in
+            lambda x: SnapshotMatrix(x, np.arange(1, x.shape[1] + 1)),
+        ],
+        ids=["c-order", "fortran-order", "snapshot-matrix"],
+    )
+    def test_caller_window_left_untouched(self, shape, make):
+        x = graded(*shape)
+        window = make(x)
+        data = window.data if isinstance(window, SnapshotMatrix) else window
+        writable = data.flags.writeable
+        factor = reduced_svd(window)
+        assert np.array_equal(data, x) and data.flags.writeable == writable
+        assert not np.shares_memory(factor.reflectors, data)
+
+    def test_handed_over_window_holds_the_reflectors(self, shape):
+        x = graded(*shape)
+        window = np.asfortranarray(x)
+        factor = reduced_svd(HandedOverWindow(window))
+        assert np.shares_memory(factor.reflectors, window)
+        copied = reduced_svd(x)
+        for ours, theirs in ((factor.reflectors, copied.reflectors), (factor.tau, copied.tau), (factor.r, copied.r)):
+            assert np.array_equal(ours, theirs)
+
+    def test_handed_over_window_not_in_fortran_order_is_copied(self, shape):
+        x = graded(*shape)
+        window = x.copy()
+        factor = reduced_svd(HandedOverWindow(window))
+        assert np.array_equal(window, x) and not np.shares_memory(factor.reflectors, window)
+
+    def test_non_finite_cell_in_a_later_column_block_rejected(self, shape, monkeypatch):
+        # One column per block of the finiteness check: the NaN sits in the
+        # last; a handed-over window is left as it was.
+        monkeypatch.setattr(svd_core, "FINITE_CHECK_CELLS", shape[0])
+        window = np.asfortranarray(graded(*shape))
+        window[-1, -1] = np.nan
+        before = window.copy()
+        with pytest.raises(NumericalFailure, match="NaN or Inf"):
+            reduced_svd(HandedOverWindow(window))
+        assert np.array_equal(window, before, equal_nan=True)
 
 
 class TestTruncationRank:
