@@ -39,7 +39,6 @@ from .error_analysis import (
 from .hfm_eulerian import (
     EulerianRun,
     EulerianStep,
-    EulerianStepWorkspace,
     advance_eulerian,
     eulerian_steps,
     run_eulerian_hfm,
@@ -59,6 +58,8 @@ from .levelset import (
     embed_initial,
     extract_zero_contour,
     levelset_dmd,
+    levelset_grids,
+    levelset_steps,
     predict_contours,
     predicted_contour,
     run_levelset_hfm,

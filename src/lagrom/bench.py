@@ -19,27 +19,26 @@ error CSV, whose state and bound cells may be blank, formats cell by cell:
 * ``manifest.json``          resolved configuration and file inventory
 * ``plot.py``                standalone matplotlib script rendering the figures
 
-Solvers: the fixed-grid and moving-grid solvers run as step streams
-(``hfm_eulerian.eulerian_steps``, ``hfm_lagrangian.lagrangian_steps``),
-each read through a ``_Frame``: its first m+1 states, the training window,
-are kept read-only for the fits, the POD initial states, the scoring and
-the solver CSVs, and later states pass through one reused buffer as the
-scoring asks for them. No (M+1)-row solver store exists. What the scoring
-did not reach runs after it, so a solver failure propagates with its time
-index (possibly later than a whole-run solve would raise it) and is never
-recorded as a method's. ``hfm_*_seconds`` is the time spent in the streams.
-The level-set solver keeps only its window and its contours, and runs
-whole.
+Solvers: the three solvers run as step streams (``eulerian_steps``,
+``lagrangian_steps``, ``levelset_steps``), each read through a ``_Frame``:
+its first m+1 states, the training window, are kept for the fits, the POD
+initial states, the scoring and the solver CSVs. No (M+1)-row solver store
+exists. Later fixed-grid and moving-grid states pass through one reused
+buffer as the scoring asks for them; what the scoring did not reach runs
+after it, so a solver failure propagates with its time index (possibly
+later than a whole-run solve would raise it) and is never recorded as a
+method's. The level set is scored against the fixed-grid solver, so its
+frame pulls m steps and no more, and no solver contour is taken.
+``hfm_*_seconds`` is the time spent in the streams.
 
 Window lifecycle: each solver's window is built just before its own fits,
 in the order the methods are listed, and its QR is dropped after its last
 fit, so no two windows' QRs are alive at once. A window that has no fit,
 the fixed-grid one in the Lagrangian and level-set presets, is built last,
-before scoring. The level-set window alone is given to its QR
-(``LevelSetRun.hand_over_window``), which overwrites it in place: when
-emitting, ``levelset_snapshots.csv`` is written right after the level-set
-solver, before that fit. The record, the manifest and the scoring keep the
-listed method order.
+before scoring. The level-set window alone is handed to its QR
+(``svd_core.HandedOverWindow``), which overwrites rows 1..m in place: when
+emitting, ``levelset_snapshots.csv`` is written before that fit. The
+record, the manifest and the scoring keep the listed method order.
 
 Methods: ``_fit_method`` fits every method on its training snapshots and
 sets up the scorer of its rollout, before any rollout starts. It branches
@@ -65,8 +64,8 @@ so every error sums as it did over one. A method's ``LagromError`` ends
 that method alone. A DMD observable stream comes from one ``K^gap`` walk
 over every index, so the scored observable is ``predict_series``'s bit for
 bit; restarting the walk per chunk moved the full-size test4 L-DMD error
-columns by up to 6e-8 relative. The level set, scored on contours without a
-bound, still walks each 32-index chunk from the anchor.
+columns by up to 6e-8 relative. The level-set rollout, contours scored
+without a bound, still walks each 32-index chunk from the anchor.
 """
 
 from __future__ import annotations
@@ -96,7 +95,7 @@ from .error_analysis import (
 )
 from .hfm_eulerian import eulerian_steps
 from .hfm_lagrangian import lagrangian_steps
-from .levelset import contour_blocks, levelset_dmd, run_levelset_hfm
+from .levelset import contour_blocks, levelset_dmd, levelset_grids, levelset_steps
 from .pod_rom import FRAME_EULERIAN, FRAME_LAGRANGIAN, PodBasis, fit_pod, pod_steps
 from .presets import (
     METHOD_EULERIAN_DMD,
@@ -108,7 +107,7 @@ from .presets import (
     ResolvedExperiment,
     resolve,
 )
-from .svd_core import WindowFactor, reduced_svd
+from .svd_core import HandedOverWindow, WindowFactor, reduced_svd
 
 OUTPUT_ROOT_ENV = "LAGROM_OUT_ROOT"
 # Cells per column block of a method's scoring, so each scoring temporary
@@ -410,20 +409,18 @@ class _WindowFactors:
         return factor
 
 
-def _fit_method(method, resolved, euler, lagr, level_run, factors, keep_states):
-    """Fit one method on its training snapshots and set up the scorer of its
-    rollout over the whole horizon; returns (result so far, scorer). Only
-    the rollout and the bound differ by method. The first fit of a window
-    times its QR; the second reuses it."""
+def _fit_method(method, resolved, frame, factors, keep_states, level_grids=None):
+    """Fit one method on its solver ``frame``'s snapshots and set up the
+    scorer of its rollout over the whole horizon; returns (result so far,
+    scorer). Only the rollout and the bound differ by method. The first fit
+    of a window times its QR; the second reuses it."""
     spec = resolved.spec
     rule = dict(epsilon=resolved.epsilon, fixed_rank=resolved.fixed_rank)
     stacked = method in (METHOD_LAGRANGIAN_DMD, METHOD_LAGRANGIAN_POD)
-    if method in (METHOD_EULERIAN_DMD, METHOD_EULERIAN_POD):
-        snapshots = window = euler.snapshots
-    elif stacked:
-        snapshots = window = lagr.snapshots
-    else:
-        snapshots, window = level_run.snapshots, level_run.hand_over_window()
+    snapshots = window = frame.snapshots
+    if method == METHOD_LEVELSET_DMD:  # its QR overwrites rows 1..m in place
+        frame.window.setflags(write=True)
+        window = HandedOverWindow(frame.window[1:].T)
     started = time.perf_counter()
     factor = factors.take(method, window)
     if method == METHOD_EULERIAN_DMD:
@@ -441,11 +438,10 @@ def _fit_method(method, resolved, euler, lagr, level_run, factors, keep_states):
     indices = np.arange(1, spec.n_steps + 1)
     newton = None
     if isinstance(model, PodBasis):
-        initial = (lagr if stacked else euler).window[0]
         newton = []
-        blocks, modes = _pod_columns(pod_steps(model, initial, spec, spec.n_steps), newton), model.basis
+        blocks, modes = _pod_columns(pod_steps(model, frame.window[0], spec, spec.n_steps), newton), model.basis
     elif method == METHOD_LEVELSET_DMD:
-        blocks, modes = contour_blocks(model, indices, level_run.x_grid, level_run.y_grid), model.modes
+        blocks, modes = contour_blocks(model, indices, *level_grids), model.modes
     else:
         blocks, modes = prediction_blocks(model, indices), model.modes
     modes = modes[:, :3].copy()  # the leading three alone, not a view of them all
@@ -500,29 +496,32 @@ def run_experiment(config: ExperimentConfig, keep_states: bool = False, emit: bo
         by_window.setdefault(_WindowFactors.WINDOWS[method], []).append(method)
     by_window.setdefault("eulerian", [])
     factors = _WindowFactors(resolved.methods)
-    euler = lagr = level_run = None
+    frames, level_grids = {}, None
     results, scorers = {}, {}
     for window, methods in by_window.items():
         if window == "eulerian":
-            euler = _Frame((step.values for step in eulerian_steps(spec)), m)
+            frame = _Frame((step.values for step in eulerian_steps(spec)), m)
         elif window == "lagrangian":
-            lagr = _Frame(lagrangian_steps(spec), m)
+            frame = _Frame(lagrangian_steps(spec), m)
         else:
-            level_run = run_levelset_hfm(spec, m, n_y=resolved.n_y)
-            record.hfm_levelset_seconds = level_run.wall_seconds
+            level_grids = levelset_grids(spec, resolved.n_y)
+            frame = _Frame((c.ravel(order="F") for c in levelset_steps(spec, *level_grids)), m)
+            record.hfm_levelset_seconds = frame.rows.seconds
             if emit:
                 started = time.perf_counter()
-                _write_levelset_csv(out_dir, resolved, level_run)
+                _write_levelset_csv(out_dir, resolved, frame, level_grids)
                 record.emit_seconds = time.perf_counter() - started
+        frames[window] = frame
         for method in methods:
             try:
                 results[method], scorers[method] = _fit_method(
-                    method, resolved, euler, lagr, level_run, factors, keep_states
+                    method, resolved, frame, factors, keep_states, level_grids
                 )
             except LagromError as exc:
                 results[method] = _failed(method, exc)
         if window == "levelset":
-            level_run.snapshots = None  # its data is now the QR's reflectors
+            frame.window = frame.snapshots = None  # its rows are now the QR's reflectors
+    euler, lagr = frames["eulerian"], frames.get("lagrangian")
     record.methods = {method: results[method] for method in resolved.methods}
     scorers = {method: scorers[method] for method in resolved.methods if method in scorers}
     _score_all(scorers.values(), euler, lagr)
@@ -542,7 +541,7 @@ def run_experiment(config: ExperimentConfig, keep_states: bool = False, emit: bo
 
     if emit:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _emit_outputs(out_dir, resolved, record, euler, lagr, level_run)
+        _emit_outputs(out_dir, resolved, record, euler, lagr)
         record.output_dir = str(out_dir)
     return record
 
@@ -562,14 +561,14 @@ def _snapshot_times(resolved: ResolvedExperiment) -> np.ndarray:
     return np.arange(1, resolved.n_snapshots + 1) * resolved.spec.dt
 
 
-def _write_levelset_csv(out_dir: Path, resolved: ResolvedExperiment, level_run) -> None:
+def _write_levelset_csv(out_dir: Path, resolved: ResolvedExperiment, level: _Frame, grids) -> None:
     """Write ``levelset_snapshots.csv``, the level-set window, before its QR
-    overwrites it. The flattened 2-D fields reuse the snapshot schema with
-    the grid shape declared up front so readers can reshape."""
+    overwrites it. The flattened 2-D fields on ``grids`` (x, y) reuse the
+    snapshot schema with the grid shape declared up front to reshape by."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    dims = f"# n_x={len(level_run.x_grid)},n_y={len(level_run.y_grid)},order=column-major"
+    dims = f"# n_x={len(grids[0])},n_y={len(grids[1])},order=column-major"
     path = out_dir / "levelset_snapshots.csv"
-    _write_snapshot_csv(path, _snapshot_times(resolved), level_run.snapshots.data, preamble=dims)
+    _write_snapshot_csv(path, _snapshot_times(resolved), level.snapshots.data, preamble=dims)
 
 
 def _write_modes_csv(path, coords, modes):
@@ -582,7 +581,7 @@ def _write_modes_csv(path, coords, modes):
         write_number_table(fh, *cols)
 
 
-def _emit_outputs(out_dir: Path, resolved: ResolvedExperiment, record: RunRecord, euler, lagr, level_run=None):
+def _emit_outputs(out_dir: Path, resolved: ResolvedExperiment, record: RunRecord, euler, lagr):
     """Write the run directory; ``euler`` and ``lagr`` are the solvers'
     frames, whose training windows are the solver CSVs. The level-set
     window's CSV was written before its fit (``_write_levelset_csv``), and
@@ -602,7 +601,7 @@ def _emit_outputs(out_dir: Path, resolved: ResolvedExperiment, record: RunRecord
     files = ["snapshots.csv"]
     if lagr is not None:
         files += ["lagrangian_positions.csv", "lagrangian_values.csv"]
-    if level_run is not None:
+    if METHOD_LEVELSET_DMD in record.methods:
         files.append("levelset_snapshots.csv")
     for name, result in record.methods.items():
         if result.report is not None:

@@ -252,6 +252,20 @@ def _grid_nodes(grid) -> np.ndarray:
     return nodes
 
 
+def check_untangled(positions: np.ndarray, period: float = None, what: str = "moving grid", first_index: int = None) -> None:
+    """Raise ``GridEntanglement``, naming the time index, unless the moving
+    grid ``positions`` (or each row, at indices ``first_index`` on) increases
+    strictly and, given a ``period``, its last node has not passed the first
+    node's periodic image: such a grid overlaps itself across the seam."""
+    tangled = np.any(np.diff(positions, axis=-1) <= 0.0, axis=-1)
+    if period is not None:
+        tangled |= positions[..., -1] - positions[..., 0] >= period
+    if np.any(tangled):
+        k = None if first_index is None else first_index + int(np.argmax(tangled))
+        where = "" if k is None else f" at time index {k}"
+        raise GridEntanglement(f"{what} tangled{where}", time_index=k)
+
+
 def interp_unchecked(src: np.ndarray, vals: np.ndarray, dst: np.ndarray, periodic: bool, period: float = None) -> np.ndarray:
     """Interpolation core without input validation, for verified hot loops.
 
@@ -261,8 +275,6 @@ def interp_unchecked(src: np.ndarray, vals: np.ndarray, dst: np.ndarray, periodi
     less than one period but skips that routine's internal sort.
     """
     if periodic:
-        if src[-1] - src[0] >= period:
-            return np.interp(dst, src, vals, period=period)
         return kernels.interp_periodic(src, vals, dst, period)
     return kernels.interp_clamped(src, vals, dst)
 
@@ -272,7 +284,8 @@ def linear_interpolate(src_grid, src_values, dst_grid, bc: str = "clamp", period
 
     Destination nodes outside the source hull follow the boundary rule:
     ``bc="clamp"`` holds the edge sample (Dirichlet-type problems), while
-    ``bc="periodic"`` wraps coordinates by ``period`` before interpolating.
+    ``bc="periodic"`` wraps coordinates by ``period`` before interpolating,
+    through ``np.interp`` for a source spanning a whole period.
     """
     src = _grid_nodes(src_grid)
     dst = dst_grid.nodes if isinstance(dst_grid, Grid1D) else np.asarray(dst_grid, dtype=float)
@@ -281,12 +294,13 @@ def linear_interpolate(src_grid, src_values, dst_grid, bc: str = "clamp", period
     vals = np.asarray(src_values, dtype=float)
     if vals.shape != src.shape:
         raise DimensionMismatch("src_values length must match src_grid length")
-    if bc == "periodic":
-        if period is None:
-            raise ValueError("periodic interpolation requires the domain period")
-        out = interp_unchecked(src, vals, dst, True, period)
+    periodic = bc == "periodic"
+    if periodic and period is None:
+        raise ValueError("periodic interpolation requires the domain period")
+    if periodic and src[-1] - src[0] >= period:
+        out = np.interp(dst, src, vals, period=period)
     else:
-        out = interp_unchecked(src, vals, dst, False)
+        out = interp_unchecked(src, vals, dst, periodic, period)
     return out[0] if scalar else out
 
 
@@ -322,9 +336,10 @@ def stacked_to_grid(stacked, grid, bc: str = "clamp", period: float = None, firs
     grid nodes with the boundary rule ``bc`` (as in ``linear_interpolate``).
     Returns (positions, values, values_on_grid), the last column-contiguous.
     Crossed positions make a moving grid unusable: the first tangled column
-    raises ``GridEntanglement`` with its time index. That check is the only
-    one the positions need, so the contiguous time-major copy of the columns
-    is checked at once and interpolated unchecked row by row.
+    (``check_untangled``, the seam included when periodic) raises
+    ``GridEntanglement`` with its time index. That check is the only one the
+    positions need, so the contiguous time-major copy of the columns is
+    checked at once and interpolated unchecked row by row.
     """
     block = np.asarray(stacked, dtype=float)
     nodes = grid.nodes if isinstance(grid, Grid1D) else np.asarray(grid, dtype=float)
@@ -335,11 +350,7 @@ def stacked_to_grid(stacked, grid, bc: str = "clamp", period: float = None, firs
     if periodic and period is None:
         raise ValueError("periodic interpolation requires the domain period")
     rows = np.ascontiguousarray(np.atleast_2d(block.T))
-    tangled = np.any(np.diff(rows[:, :n], axis=1) <= 0.0, axis=1)
-    if tangled.any():
-        k = None if first_index is None else first_index + int(np.argmax(tangled))
-        where = "" if k is None else f" at time index {k}"
-        raise GridEntanglement(f"predicted positions tangled{where}", time_index=k)
+    check_untangled(rows[:, :n], period if periodic else None, "predicted positions", first_index)
     out = np.empty((rows.shape[0], n))
     for j, row in enumerate(rows):
         out[j] = interp_unchecked(row[:n], row[n:], nodes, periodic, period)

@@ -22,11 +22,12 @@ repeating them; this module calls only ``kernels`` and ``core``. Every
 solver step checks its residual ``apply(u_new) - with_boundary_terms(u*)``,
 its Courant number and the finiteness of the new state.
 
-One step path: ``eulerian_step`` advances a raw value array, and both
-``advance_eulerian`` (one ``StateVector`` to the next) and the run's one
-loop, the step stream ``eulerian_steps``, call it. The stream yields u^0 and
-then each u^n with its step's residual and Courant number, and stores
-nothing: ``bench.run_experiment`` keeps only the training window of it.
+One step path: ``eulerian_step`` advances a raw value array and returns it
+with the step's residual and Courant number, and both ``advance_eulerian``
+(one ``StateVector`` to the next) and the run's one loop, the step stream
+``eulerian_steps``, call it. The stream yields u^0 and then each u^n with
+those two numbers, and stores nothing: ``bench.run_experiment`` keeps only
+the training window of it.
 ``run_eulerian_hfm`` collects the stream time-major: a preallocated
 (M+1, N) C-order store whose row n is u^n, written as one contiguous row per
 step and marked read-only after the loop. ``trajectory`` is its (N, M+1)
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -48,24 +49,6 @@ from .errors import CflViolation, NumericalFailure
 
 CFL_SLACK = 1e-12
 RESIDUAL_TOL = 1e-10
-
-
-@dataclass
-class EulerianStepWorkspace:
-    """Per-run constants and last-step diagnostics reused across the steps
-    of a single run (not thread-safe).
-
-    ``system`` is the run's diffusion system when D is constant, else None
-    and each step builds its own.
-    """
-
-    system: Optional["DiffusionSystem"]
-    last_residual: float = 0.0
-    last_courant: float = 0.0
-
-    @classmethod
-    def for_spec(cls, spec: ProblemSpec) -> "EulerianStepWorkspace":
-        return cls(system=run_diffusion_system(spec))
 
 
 def _extend(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
@@ -203,37 +186,40 @@ def step_system(spec: ProblemSpec, run_system: Optional[DiffusionSystem], x: np.
 
 
 def eulerian_step(
-    u: np.ndarray, spec: ProblemSpec, workspace: EulerianStepWorkspace, nodes: np.ndarray, index: int
-) -> np.ndarray:
+    u: np.ndarray, spec: ProblemSpec, system: Optional[DiffusionSystem], nodes: np.ndarray, index: int
+) -> Tuple[np.ndarray, float, float]:
     """u at time index ``index`` from u at ``index - 1`` on the fixed ``nodes``:
     explicit upwind advection then implicit diffusion, with the step's
-    Courant, residual and finiteness checks."""
-    workspace.last_courant = check_cfl(u, spec, index)
+    Courant, residual and finiteness checks. ``system`` is the run's
+    diffusion system when D is constant (``step_system``). Returns
+    (u_new, residual, courant)."""
+    courant = check_cfl(u, spec, index)
     u_star = advected_state(u, spec)
     if spec.diffusion_D is None:
-        u_new = u_star
-        workspace.last_residual = 0.0
+        u_new, residual = u_star, 0.0
     else:
         # D is lagged at the advected intermediate to keep one linear solve.
-        system = step_system(spec, workspace.system, nodes, index * spec.dt, u_star)
+        system = step_system(spec, system, nodes, index * spec.dt, u_star)
         u_new = system.solve(u_star)
-        workspace.last_residual = system.residual(u_new, u_star)
-        if workspace.last_residual > RESIDUAL_TOL:
+        residual = system.residual(u_new, u_star)
+        if residual > RESIDUAL_TOL:
             raise NumericalFailure(
-                f"step residual {workspace.last_residual:.3e} exceeds {RESIDUAL_TOL:.0e} at time index {index}",
+                f"step residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} at time index {index}",
                 time_index=index,
             )
     if not np.all(np.isfinite(u_new)):
         raise NumericalFailure(f"non-finite state at time index {index}", time_index=index)
-    return u_new
+    return u_new, residual, courant
 
 
-def advance_eulerian(state: StateVector, spec: ProblemSpec, workspace: EulerianStepWorkspace = None) -> StateVector:
-    """One full step: explicit upwind advection then implicit diffusion."""
-    if workspace is None:
-        workspace = EulerianStepWorkspace.for_spec(spec)
+def advance_eulerian(state: StateVector, spec: ProblemSpec, system: Optional[DiffusionSystem] = None) -> StateVector:
+    """One full step: explicit upwind advection then implicit diffusion.
+
+    ``system`` is the run's diffusion system when D is constant; without it a
+    diffusive step builds its own.
+    """
     index = state.time_index + 1
-    u_new = eulerian_step(state.values, spec, workspace, state.grid.nodes, index)
+    u_new = eulerian_step(state.values, spec, system, state.grid.nodes, index)[0]
     return StateVector(u_new, state.grid, index)
 
 
@@ -252,13 +238,13 @@ def eulerian_steps(spec: ProblemSpec) -> Iterator[EulerianStep]:
     at a time; ``run_eulerian_hfm`` collects them."""
     state = spec.initial_state()
     nodes = state.grid.nodes
-    workspace = EulerianStepWorkspace.for_spec(spec)
+    system = run_diffusion_system(spec)
     u = state.values
     yield EulerianStep(u, 0.0, 0.0)
     for step in range(spec.n_steps):
-        u = eulerian_step(u, spec, workspace, nodes, step + 1)
+        u, residual, courant = eulerian_step(u, spec, system, nodes, step + 1)
         u.setflags(write=False)  # the next step reads it
-        yield EulerianStep(u, workspace.last_residual, workspace.last_courant)
+        yield EulerianStep(u, residual, courant)
 
 
 @dataclass

@@ -20,7 +20,8 @@ skipped and the carried values are transported bit-exactly. When it is a
 number, the run builds and factors the implicit system once and every step
 reuses it. Positions are kept unwrapped (monotone) for periodic problems;
 wrapping happens only inside the interpolation, so entanglement detection
-stays a plain monotonicity test.
+(``core.check_untangled``) is a monotonicity test plus, when periodic, the
+seam test x[-1] - x[0] < L.
 
 One step path: ``lagrangian_step`` advances raw position and value arrays
 (and hands back f(u^{n+1}), which the next step reuses as its f(u^n)); both
@@ -43,8 +44,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import Grid1D, ProblemSpec, SnapshotMatrix, interp_unchecked
-from .errors import DimensionMismatch, GridEntanglement, NumericalFailure
+from .core import Grid1D, ProblemSpec, SnapshotMatrix, check_untangled, interp_unchecked
+from .errors import DimensionMismatch, NumericalFailure
 from .hfm_eulerian import RESIDUAL_TOL, DiffusionSystem, run_diffusion_system, step_system
 
 
@@ -127,8 +128,7 @@ def lagrangian_step(
 
     x_new = x + 0.5 * spec.dt * (f_u + f_new)
 
-    if np.any(np.diff(x_new) <= 0.0):
-        raise GridEntanglement(f"moving grid tangled at time index {index}", time_index=index)
+    check_untangled(x_new, spec.domain_length if spec.periodic else None, first_index=index)
     if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(u_new))):
         raise NumericalFailure(f"non-finite state at time index {index}", time_index=index)
     return x_new, u_new, f_new

@@ -7,37 +7,33 @@ the (x, y) plane recovers u. The 2-D field is linear dynamics, so a DMD fit
 on flattened field snapshots gives an iteration-free surrogate whose contours
 approximate the nonlinear solution.
 
-One step path: ``advance_levelset`` and ``run_levelset_hfm`` both check the
-row speeds with ``row_speeds`` and step the raw field with
-``kernels.levelset_step``; ``extract_zero_contour``, the run and the
-surrogate's one rollout path, ``contour_blocks`` (one block of contours per
-chunk of ``CONTOUR_CHUNK`` indices; ``predict_contours`` collects them and
-``predicted_contour`` takes one index), all take contours with
-``zero_contour``. The y grid is fixed, so a run evaluates the row speeds and
-their Courant check once. It
-steps the field in column-major (Fortran) order, so the column-major
-flattening of a snapshot is the field's own memory: each of the first m
-steps is one contiguous row of a preallocated (m, n_x·n_y) C-order store,
-and each contour one row of an (M+1, n_x) store. Both stores are marked
-read-only after the loop; ``snapshots.data`` and ``contours`` are their
-transposed views, and the snapshot matrix adopts its view without a copy. A
-``LevelSetField`` is built only for ``final_field``.
+One step path: ``advance_levelset`` and the run's one loop, the step stream
+``levelset_steps``, check the row speeds with ``row_speeds`` and step the raw
+field with ``kernels.levelset_step``; ``extract_zero_contour``, the run and
+the surrogate's one rollout path, ``contour_blocks`` (one block of contours
+per chunk of ``CONTOUR_CHUNK`` indices; ``predict_contours`` collects them
+and ``predicted_contour`` takes one index), all take contours with
+``zero_contour``. The y grid is fixed (``levelset_grids``), so the stream
+checks the row Courant number once per run, and each field's finiteness.
+Under that check each upwind update is a convex combination of neighbours,
+so every field stays within the range of c^0.
 
-The window's store is read-only until its owner gives it away:
-``LevelSetRun.hand_over_window`` makes it writable and wraps its transpose,
-already the Fortran-order window, for ``svd_core.reduced_svd``, whose QR then
-overwrites it with its reflectors (at full size the window is 800 MB, and a
-copy of it was most of the run's peak). ``bench`` does this once the
-window's other reader, the emission of ``levelset_snapshots.csv``, is done,
-and drops the run's ``snapshots`` after the fit. The contours stay
-read-only.
+The stream steps the field in column-major (Fortran) order, so a field's
+column-major flattening is its own memory, and stores nothing:
+``bench.run_experiment`` keeps only its training window. ``run_levelset_hfm``
+collects it with one contour per step: each of the first m steps is one
+contiguous row of a preallocated (m, n_x·n_y) C-order store, and each
+contour one row of an (M+1, n_x) store, both read-only after the loop.
+``snapshots.data`` and ``contours`` are their transposed views, and the
+snapshot matrix adopts its view without a copy. A ``LevelSetField`` is
+built only for ``final_field``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -52,7 +48,7 @@ from .errors import (
 )
 from .dmd_rom import OBSERVABLE_LEVELSET, DmdModel, fit_dmd, prediction_blocks
 from .hfm_eulerian import CFL_SLACK
-from .svd_core import HandedOverWindow, WindowFactor
+from .svd_core import WindowFactor
 
 DEFAULT_MARGIN_FRAC = 0.1
 # Indices predicted per chunk by contour_blocks (about 100 MB of fields at
@@ -178,13 +174,31 @@ class LevelSetRun:
     final_field: LevelSetField
     wall_seconds: float
 
-    def hand_over_window(self) -> HandedOverWindow:
-        """The window's store, made writable, for ``reduced_svd`` to factor
-        in place. After that QR ``snapshots.data`` reads its reflectors: the
-        caller may use ``snapshots`` for the fit's shape and times only."""
-        store = self.snapshots.data.base  # the (m, n_x·n_y) store it adopted
-        store.setflags(write=True)
-        return HandedOverWindow(store.T)
+
+def levelset_grids(spec: ProblemSpec, n_y: int = None, margin_frac: float = DEFAULT_MARGIN_FRAC) -> Tuple[Grid1D, Grid1D]:
+    """The run's x grid and its y grid of ``n_y`` rows (by default a tenth
+    of the x nodes, at least 8) spanning u0's range plus the margin."""
+    x_grid = spec.grid()
+    if n_y is None:
+        n_y = max(len(x_grid) // 10, 8)
+    u0_samples = np.asarray(spec.initial_u0(x_grid.nodes), dtype=float)
+    return x_grid, value_grid_for(u0_samples, n_y, margin_frac)
+
+
+def levelset_steps(spec: ProblemSpec, x_grid: Grid1D, y_grid: Grid1D) -> Iterator[np.ndarray]:
+    """The embedded run as a stream of read-only column-major (n_y, n_x)
+    fields c^0..c^M. Nothing is stored, so a consumer that reads the fields
+    as they come holds one at a time; ``run_levelset_hfm`` collects them."""
+    dx = x_grid.spacing
+    speeds = row_speeds(spec, y_grid.nodes, spec.dt, dx, time_index=1)
+    c = np.asfortranarray(embed_initial(spec.initial_u0, x_grid, y_grid).values)
+    for index in range(spec.n_steps + 1):
+        if index:
+            c = kernels.levelset_step(c, speeds, spec.dt / dx, spec.periodic)
+        if not np.isfinite(c).all():
+            raise NumericalFailure(f"non-finite field at time index {index}", time_index=index)
+        c.setflags(write=False)  # the next step reads it
+        yield c
 
 
 def run_levelset_hfm(
@@ -193,32 +207,20 @@ def run_levelset_hfm(
     n_y: int = None,
     margin_frac: float = DEFAULT_MARGIN_FRAC,
 ) -> LevelSetRun:
-    """Integrate the embedded field over the problem's full time horizon."""
+    """Collect ``levelset_steps`` over the problem's full time horizon, with
+    one contour per field; the snapshots are the first n_store post-initial
+    fields."""
     if n_store > spec.n_steps:
         raise ValueError("n_store cannot exceed the number of steps")
     started = time.perf_counter()
-    x_grid = spec.grid()
-    if n_y is None:
-        n_y = max(len(x_grid) // 10, 8)
-    u0_samples = np.asarray(spec.initial_u0(x_grid.nodes), dtype=float)
-    y_grid = value_grid_for(u0_samples, n_y, margin_frac)
+    x_grid, y_grid = levelset_grids(spec, n_y, margin_frac)
     x, y = x_grid.nodes, y_grid.nodes
-    dx = x_grid.spacing
-    speeds = row_speeds(spec, y, spec.dt, dx, time_index=1)
-    # Column-major, so ravel(order="F") below is the field's own memory.
-    c = np.asfortranarray(embed_initial(spec.initial_u0, x_grid, y_grid).values)
-
     contours = np.empty((spec.n_steps + 1, x.size))
-    contours[0] = zero_contour(c, y, x)
-    store = np.empty((n_store, c.size))
-    for step in range(spec.n_steps):
-        c = kernels.levelset_step(c, speeds, spec.dt / dx, spec.periodic)
-        roots = zero_contour(c, y, x)
-        if not np.all(np.isfinite(roots)):
-            raise NumericalFailure(f"non-finite contour at time index {step + 1}", time_index=step + 1)
-        contours[step + 1] = roots
-        if step < n_store:
-            store[step] = c.ravel(order="F")
+    store = np.empty((n_store, x.size * y.size))
+    for index, c in enumerate(levelset_steps(spec, x_grid, y_grid)):
+        contours[index] = zero_contour(c, y, x)
+        if 1 <= index <= n_store:
+            store[index - 1] = c.ravel(order="F")
     contours.setflags(write=False)
     store.setflags(write=False)
     snaps = SnapshotMatrix(store.T, np.arange(1, n_store + 1))

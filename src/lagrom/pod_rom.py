@@ -50,8 +50,8 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import kernels
-from .core import ProblemSpec, SnapshotMatrix
-from .errors import GridEntanglement, NewtonDivergence, NumericalFailure
+from .core import ProblemSpec, SnapshotMatrix, check_untangled
+from .errors import NewtonDivergence, NumericalFailure
 from .hfm_eulerian import DiffusionSystem, advected_state, run_diffusion_system, step_system
 from .hfm_lagrangian import diffuse_carried_values, speeds
 from .svd_core import WindowFactor, check_rank_rule, fit_svd, window_factor
@@ -297,11 +297,7 @@ def _lagrangian_newton(context: PodStepContext, z_hat, z_prev, spec: ProblemSpec
     phi = context.basis_matrix
     n = context.pos_block.shape[0]
     x_prev, u_prev = z_prev[:n], z_prev[n:]
-    if np.any(np.diff(x_prev) <= 0.0):
-        raise GridEntanglement(
-            f"reconstructed positions tangled entering step {time_index + 1}",
-            time_index=time_index,
-        )
+    check_untangled(x_prev, spec.domain_length if spec.periodic else None, "reconstructed positions", time_index)
     t_next = (time_index + 1) * spec.dt
     dt_half = 0.5 * spec.dt
 

@@ -51,12 +51,12 @@ def make_spec(
 
 
 def drifting_stacked(spec, count):
-    """Stacked [x; u] columns at indices 1..count: moving grids drifting and
-    stretching about the first node; the later periodic columns span more
-    than one period."""
+    """Stacked [x; u] columns at indices 1..count (count < 500): moving grids
+    drifting and contracting about the first node, so every periodic column
+    spans less than one period, as an untangled periodic grid must."""
     nodes = spec.grid().nodes
     k = np.arange(1, count + 1)
-    positions = nodes[0] + (nodes[:, None] - nodes[0]) * (1.0 + 0.002 * k) + 0.01 * k
+    positions = nodes[0] + (nodes[:, None] - nodes[0]) * (1.0 - 0.002 * k) + 0.01 * k
     values = np.sin(nodes[:, None] + 0.1 * k)
     return np.vstack([positions, values])
 

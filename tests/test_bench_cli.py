@@ -26,7 +26,7 @@ from lagrom.error_analysis import estimate_eps_m, relative_l2, truncation_error
 from lagrom.errors import DimensionMismatch, GridEntanglement, NumericalFailure, TooFewSnapshots
 from lagrom.hfm_eulerian import eulerian_steps, run_eulerian_hfm
 from lagrom.hfm_lagrangian import lagrangian_steps, run_lagrangian_hfm
-from lagrom.levelset import run_levelset_hfm
+from lagrom.levelset import levelset_grids, run_levelset_hfm
 from lagrom.presets import ExperimentConfig, parse_config_file, resolve
 
 from conftest import drifting_stacked, make_spec
@@ -175,29 +175,34 @@ class TestRunExperiment:
         assert np.array_equal(body[:, 1:], window.T)
 
     def test_levelset_window_is_factored_in_place(self, monkeypatch):
-        # The level-set QR takes the run's store: its reflectors share that
-        # memory, the run drops its snapshot view, and the factor equals the
-        # QR of a copy of the window bit for bit.
-        runs, factors = [], []
-        run_levelset, factor_window = bench.run_levelset_hfm, bench.reduced_svd
+        # The level-set QR takes rows 1..m of its frame's window: its
+        # reflectors share that memory, the frame drops its window and
+        # snapshots after the fit, and the factor equals the QR of a copy of
+        # the window bit for bit. The fixed-grid frame, built after it, keeps
+        # its window.
+        frames, factors = [], []
+        factor_window = bench.reduced_svd
 
-        def run_and_keep(*args, **kwargs):
-            run = run_levelset(*args, **kwargs)
-            runs.append((run, run.snapshots.data, run.snapshots.data.copy()))
-            return run
+        class KeptFrame(bench._Frame):
+            def __init__(self, *args):
+                super().__init__(*args)
+                frames.append((self, self.window, self.snapshots.data.copy()))
 
         def factor_and_keep(window):
             factors.append(factor_window(window))
             return factors[-1]
 
-        monkeypatch.setattr(bench, "run_levelset_hfm", run_and_keep)
+        monkeypatch.setattr(bench, "_Frame", KeptFrame)
         monkeypatch.setattr(bench, "reduced_svd", factor_and_keep)
         config = tiny_config(preset="levelset", n_cells=80, n_steps=40, n_snapshots=8)
         record = run_experiment(config, emit=False)
         assert record.methods["levelset-dmd"].failure is None
-        [(run, store, window)], [factor] = runs, factors
-        assert np.shares_memory(factor.reflectors, store)
-        assert run.snapshots is None
+        [(level, store, window), (euler, _, _)], [factor] = frames, factors
+        resolved = resolve(config)
+        assert window.shape == (80 * len(levelset_grids(resolved.spec, resolved.n_y)[1]), 8)
+        assert np.shares_memory(factor.reflectors, store[1:])
+        assert level.window is None and level.snapshots is None
+        assert euler.snapshots is not None
         copied = svd_core.reduced_svd(window)
         for ours, theirs in ((factor.reflectors, copied.reflectors), (factor.tau, copied.tau), (factor.r, copied.r)):
             assert np.array_equal(ours, theirs)
@@ -564,7 +569,7 @@ class TestMemory:
         if not tracing:
             tracemalloc.start()
         try:
-            _, scorer = bench._fit_method(method, resolved, euler, lagr, None, factors, False)
+            _, scorer = bench._fit_method(method, resolved, lagr, factors, False)
             _score_all([scorer], euler, lagr)
             peak = tracemalloc.get_traced_memory()[1] - level[0]
         finally:
@@ -607,11 +612,13 @@ class TestMemory:
     def test_levelset_run_peaks_near_one_window(self):
         # In units of the level-set training window (n_x·n_y·m float64,
         # 12.4 MB at --scale 4). Its QR overwrites the window in place, so
-        # the window's memory is counted once. Measured: 1.58; the bound
-        # leaves 5%. 3.12 while the QR copied the window twice.
+        # the window's memory is counted once; the frame's extra row c^0 is
+        # 1/m of it. Measured: 1.52 with the solver streamed to m steps,
+        # 1.58 while it ran whole; the bound leaves 5% over the latter.
+        # 3.12 while the QR copied the window twice.
         config = ExperimentConfig(preset="levelset", scale=4)
         resolved = resolve(config)
-        n_y = resolved.n_y or max(resolved.spec.n_cells // 10, 8)  # run_levelset_hfm's default
+        n_y = len(levelset_grids(resolved.spec, resolved.n_y)[1])
         window = resolved.spec.n_cells * n_y * resolved.n_snapshots * 8
         peak = _run_peak(config)
         assert peak <= 1.66 * window, f"peak {peak / window:.2f} windows"

@@ -60,6 +60,12 @@ TRACED_CALLS = {
         "kernels.thomas_solve": 150,
         "kernels.cyclic_thomas_solve": 0,
     },
+    # The level-set frame pulls the training window (m = 12 steps) and no
+    # more; the collector, which stepped all M = 50, is not called.
+    "levelset": {
+        "kernels.levelset_step": 12,
+        "levelset.run_levelset_hfm": 0,
+    },
     "test0-advection": {
         "hfm_eulerian.face_fluxes": 100,
         "hfm_eulerian.diffusion_system_for": 2,

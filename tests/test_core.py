@@ -311,6 +311,19 @@ class TestStackedBlock:
             stacked_to_grid(columns[:, 40], spec.grid(), **rule)
         assert exc.value.time_index is None
 
+    def test_column_crossing_the_seam_is_tangled(self):
+        # A periodic column whose positions increase but span a whole period
+        # overlaps itself across the seam; a clamped one only overhangs.
+        spec = make_spec(speed="burgers", n=50, m_steps=self.COUNT, bc=PERIODIC)
+        columns = drifting_stacked(spec, self.COUNT)
+        n = spec.n_cells
+        columns[:n, 30] = np.linspace(0.0, spec.domain_length, n)
+        rule = {"bc": PERIODIC, "period": spec.domain_length}
+        with pytest.raises(GridEntanglement, match="time index 41$") as exc:
+            stacked_to_grid(columns, spec.grid(), first_index=11, **rule)
+        assert exc.value.time_index == 41
+        stacked_to_grid(columns, spec.grid(), bc="clamp")
+
 
 class TestAssembly:
     """Stacked [grid; state] columns split back at the midpoint row."""

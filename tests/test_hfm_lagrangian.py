@@ -57,6 +57,16 @@ class TestSingleStep:
             advance_lagrangian(state, spec)
         assert err.value.time_index == 1
 
+    def test_periodic_grid_crossing_its_seam_detected(self):
+        # u0 = x/L carries the last node at speed about 1 and the first at 0:
+        # the last node passes the first node's periodic image x[0] + L while
+        # every node still moves right of its left neighbour.
+        spec = make_spec(speed="burgers", bc=PERIODIC, n=200, m_steps=100, ic=lambda x: x / (2.0 * np.pi))
+        with pytest.raises(GridEntanglement, match="time index 4$") as err:
+            for _ in lagrangian_steps(spec):
+                pass
+        assert err.value.time_index == 4
+
 
 class TestDiffusionSubsteps:
     def test_constant_advection_with_diffusion_matches_split_oracle(self):

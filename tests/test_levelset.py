@@ -10,6 +10,7 @@ from lagrom.errors import (
     CflViolation,
     MultipleSignChanges,
     NoSignChange,
+    NumericalFailure,
     RangeNotCovered,
 )
 from lagrom.levelset import (
@@ -19,6 +20,8 @@ from lagrom.levelset import (
     embed_initial,
     extract_zero_contour,
     levelset_dmd,
+    levelset_grids,
+    levelset_steps,
     predict_contours,
     predicted_contour,
     run_levelset_hfm,
@@ -291,3 +294,41 @@ class TestStore:
             if k <= 6:
                 assert np.array_equal(field.flattened(), run.snapshots.data[:, k - 1])
         assert np.array_equal(field.values, run.final_field.values)
+
+
+class TestStream:
+    """``levelset_steps`` is the run's one loop; the run collects it."""
+
+    def test_stream_yields_the_collected_run_bit_for_bit(self, burgers_spec):
+        run = run_levelset_hfm(burgers_spec, 6, n_y=20)
+        for grid, run_grid in zip(levelset_grids(burgers_spec, 20), (run.x_grid, run.y_grid)):
+            assert np.array_equal(grid.nodes, run_grid.nodes)
+        x, y = run.x_grid.nodes, run.y_grid.nodes
+        fields = list(levelset_steps(burgers_spec, run.x_grid, run.y_grid))
+        assert len(fields) == burgers_spec.n_steps + 1
+        for k, c in enumerate(fields):
+            assert c.flags.f_contiguous and not c.flags.writeable
+            assert np.array_equal(zero_contour(c, y, x), run.contours[:, k])
+            if 1 <= k <= 6:
+                assert np.array_equal(c.ravel(order="F"), run.snapshots.data[:, k - 1])
+        assert np.array_equal(fields[-1], run.final_field.values)
+
+    def test_stream_checks_the_row_courant_number_at_index_one(self):
+        spec = make_spec(speed="burgers", n=200, m_steps=5, bc=PERIODIC)
+        with pytest.raises(CflViolation) as err:
+            next(levelset_steps(spec, *levelset_grids(spec, 20)))
+        assert err.value.time_index == 1
+
+    def test_stream_names_the_first_non_finite_field(self, burgers_spec, monkeypatch):
+        step, calls = levelset.kernels.levelset_step, []
+
+        def blows_up_at_three(*args):
+            calls.append(None)
+            out = step(*args)
+            return out * np.inf if len(calls) == 3 else out
+
+        monkeypatch.setattr(levelset.kernels, "levelset_step", blows_up_at_three)
+        with pytest.raises(NumericalFailure, match="time index 3$") as err:
+            for _ in levelset_steps(burgers_spec, *levelset_grids(burgers_spec, 20)):
+                pass
+        assert err.value.time_index == 3

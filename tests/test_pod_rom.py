@@ -160,6 +160,19 @@ class TestNewtonBehavior:
         with pytest.raises(GridEntanglement):
             pod_step_lagrangian(basis, z_hat, spec, 0)
 
+    def test_reconstruction_crossing_the_seam_rejected(self):
+        # Strictly increasing, but the last node lies past the first node's
+        # periodic image x[0] + L: the grid overlaps itself across the seam.
+        from lagrom.errors import GridEntanglement
+
+        spec = make_spec(speed="burgers", bc=PERIODIC, n=8, m_steps=10)
+        basis = identity_basis(16, FRAME_LAGRANGIAN)
+        positions = np.linspace(0.0, spec.domain_length + 0.1, 8)
+        z_hat = basis.project(np.concatenate([positions, np.ones(8)]))
+        with pytest.raises(GridEntanglement, match="time index 3$") as err:
+            pod_step_lagrangian(basis, z_hat, spec, 3)
+        assert err.value.time_index == 3
+
 
 class TestRollout:
     def test_zero_horizon_reports_projection_error(self):
