@@ -34,7 +34,6 @@ from .error_analysis import (
     estimate_eps_m,
     relative_l2,
     truncation_error,
-    write_error_csv,
 )
 from .hfm_eulerian import (
     EulerianRun,
@@ -73,7 +72,8 @@ from .pod_rom import (
     run_pod_rom,
 )
 from .presets import ExperimentConfig, parse_config_file, resolve
-from .bench import RunRecord, run_experiment, timing_table, validate_run_dir
+from .bench import run_experiment
+from .rundir import RunRecord, timing_table, validate_run_dir, write_error_csv
 from .svd_core import TruncatedSvd, WindowFactor, reduced_svd, select_rank, truncate, truncation_rank
 from . import errors
 

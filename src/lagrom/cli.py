@@ -15,7 +15,8 @@ import dataclasses
 import json
 import sys
 
-from .bench import load_timing, run_experiment, timing_table, validate_run_dir
+from .bench import run_experiment
+from .rundir import load_timing, timing_table, validate_run_dir
 from .presets import PRESET_NAMES, ExperimentConfig, parse_config_file, resolve
 
 

@@ -163,18 +163,17 @@ class ProblemSpec:
             return np.full(x.shape, float(d))
         return d
 
-    def validate_flux_consistency(self, u_samples=None, tol: float = 1e-6) -> float:
-        """Check f = dF/du and f' = df/du by centered differences on sampled states.
+    def validate_flux_consistency(self) -> float:
+        """Check f = dF/du and f' = df/du by centered differences at 33 states
+        spanning u0's range padded by half its width (at least 0.5 each side).
 
-        Returns the worst absolute deviation; raises ValueError beyond ``tol``.
+        Returns the worst absolute deviation; raises ValueError beyond 1e-6.
         Run once per problem definition, not inside step loops.
         """
-        if u_samples is None:
-            u0 = np.asarray(self.initial_u0(self.grid().nodes), dtype=float)
-            lo, hi = float(np.min(u0)), float(np.max(u0))
-            pad = 0.5 * max(hi - lo, 1.0)
-            u_samples = np.linspace(lo - pad, hi + pad, 33)
-        u_samples = np.asarray(u_samples, dtype=float)
+        u0 = np.asarray(self.initial_u0(self.grid().nodes), dtype=float)
+        lo, hi = float(np.min(u0)), float(np.max(u0))
+        pad = 0.5 * max(hi - lo, 1.0)
+        u_samples = np.linspace(lo - pad, hi + pad, 33)
         h = 1e-4 * np.maximum(1.0, np.abs(u_samples))
 
         def worst_deviation(antiderivative, derivative):
@@ -182,10 +181,10 @@ class ProblemSpec:
             return float(np.max(np.abs(approx - np.asarray(derivative(u_samples)))))
 
         worst_f = worst_deviation(self.flux_F, self.flux_f)
-        if worst_f > tol:
+        if worst_f > 1e-6:
             raise ValueError(f"flux_f and flux_F are inconsistent (max deviation {worst_f:.3e})")
         worst_df = worst_deviation(self.flux_f, self.flux_df)
-        if worst_df > tol:
+        if worst_df > 1e-6:
             raise ValueError(f"flux_df and flux_f are inconsistent (max deviation {worst_df:.3e})")
         return max(worst_f, worst_df)
 

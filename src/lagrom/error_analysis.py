@@ -15,6 +15,8 @@ error) is the asserted property; tightness is not.
 The modes are U W with U's columns orthonormal (``dmd_rom``), so
 pinv(modes) = W^-1 U^T and ||pinv(modes)||_F is evaluated as ||W^-1||_F,
 from r x r algebra alone.
+
+This module writes no file: ``rundir`` writes an ``ErrorReport`` and checks it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import NUMBER_FORMAT, SnapshotMatrix
+from .core import SnapshotMatrix
 from .dmd_rom import DmdModel, one_step_map
 from .errors import DimensionMismatch, IndexBeforeAnchor
 
@@ -52,16 +54,10 @@ def truncation_error(reference, rom) -> np.ndarray:
     return _column_norms(ref - approx)
 
 
-def relative_l2(reference, rom, floor: float = 1e-300, scale: np.ndarray = None) -> np.ndarray:
-    """Column-wise ||ref - rom|| / ||ref||, falling back to absolute on zero columns.
-
-    ``scale`` may carry the reference's column norms when several
-    approximations are scored against one reference.
-    """
+def relative_l2(reference, rom) -> np.ndarray:
+    """Column-wise ||ref - rom|| / ||ref||, falling back to absolute on zero columns."""
     diff = truncation_error(reference, rom)
-    if scale is None:
-        scale = np.linalg.norm(_as_array(reference), axis=0)
-    return diff / np.maximum(scale, floor)
+    return diff / np.maximum(np.linalg.norm(_as_array(reference), axis=0), 1e-300)
 
 
 def last_training_index(model: DmdModel) -> int:
@@ -113,15 +109,3 @@ class ErrorReport:
         mask = ~np.isnan(self.bound)
         return bool(np.all(self.bound[mask] + 1e-12 >= self.error_observable[mask]))
 
-
-def write_error_csv(report: ErrorReport, path) -> None:
-    """Columns: n, t, error_state, error_observable, bound (blank where absent)."""
-    with open(path, "w") as fh:
-        fh.write("n,t,error_state,error_observable,bound\n")
-        for i, n in enumerate(report.times):
-            state = "" if report.error_state is None else NUMBER_FORMAT % report.error_state[i]
-            bound = ""
-            if report.bound is not None and not np.isnan(report.bound[i]):
-                bound = NUMBER_FORMAT % report.bound[i]
-            t, err = NUMBER_FORMAT % report.t_values[i], NUMBER_FORMAT % report.error_observable[i]
-            fh.write(f"{int(n)},{t},{state},{err},{bound}\n")

@@ -80,10 +80,10 @@ class LevelSetField:
         return self.values.ravel(order="F")
 
 
-def value_grid_for(u0_samples: np.ndarray, n_y: int, margin_frac: float = DEFAULT_MARGIN_FRAC) -> Grid1D:
+def value_grid_for(u0_samples: np.ndarray, n_y: int) -> Grid1D:
     """y nodes spanning the sampled data range plus a safety margin."""
     lo, hi = float(np.min(u0_samples)), float(np.max(u0_samples))
-    margin = margin_frac * max(hi - lo, 1e-12)
+    margin = DEFAULT_MARGIN_FRAC * max(hi - lo, 1e-12)
     if hi == lo:
         margin = max(margin, 0.1 * max(abs(hi), 1.0))
     return Grid1D(np.linspace(lo - margin, hi + margin, n_y), uniform=True)
@@ -175,14 +175,14 @@ class LevelSetRun:
     wall_seconds: float
 
 
-def levelset_grids(spec: ProblemSpec, n_y: int = None, margin_frac: float = DEFAULT_MARGIN_FRAC) -> Tuple[Grid1D, Grid1D]:
+def levelset_grids(spec: ProblemSpec, n_y: int = None) -> Tuple[Grid1D, Grid1D]:
     """The run's x grid and its y grid of ``n_y`` rows (by default a tenth
     of the x nodes, at least 8) spanning u0's range plus the margin."""
     x_grid = spec.grid()
     if n_y is None:
         n_y = max(len(x_grid) // 10, 8)
     u0_samples = np.asarray(spec.initial_u0(x_grid.nodes), dtype=float)
-    return x_grid, value_grid_for(u0_samples, n_y, margin_frac)
+    return x_grid, value_grid_for(u0_samples, n_y)
 
 
 def levelset_steps(spec: ProblemSpec, x_grid: Grid1D, y_grid: Grid1D) -> Iterator[np.ndarray]:
@@ -201,19 +201,14 @@ def levelset_steps(spec: ProblemSpec, x_grid: Grid1D, y_grid: Grid1D) -> Iterato
         yield c
 
 
-def run_levelset_hfm(
-    spec: ProblemSpec,
-    n_store: int,
-    n_y: int = None,
-    margin_frac: float = DEFAULT_MARGIN_FRAC,
-) -> LevelSetRun:
+def run_levelset_hfm(spec: ProblemSpec, n_store: int, n_y: int = None) -> LevelSetRun:
     """Collect ``levelset_steps`` over the problem's full time horizon, with
     one contour per field; the snapshots are the first n_store post-initial
     fields."""
     if n_store > spec.n_steps:
         raise ValueError("n_store cannot exceed the number of steps")
     started = time.perf_counter()
-    x_grid, y_grid = levelset_grids(spec, n_y, margin_frac)
+    x_grid, y_grid = levelset_grids(spec, n_y)
     x, y = x_grid.nodes, y_grid.nodes
     contours = np.empty((spec.n_steps + 1, x.size))
     store = np.empty((n_store, x.size * y.size))

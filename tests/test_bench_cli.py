@@ -4,21 +4,12 @@ import json
 import sys
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lagrom import bench, cli, hfm_eulerian, hfm_lagrangian, svd_core
-from lagrom.bench import (
-    _Frame,
-    _Scorer,
-    _score_all,
-    load_timing,
-    run_experiment,
-    timing_table,
-    validate_run_dir,
-)
+from lagrom.bench import _Frame, _Scorer, _block_width, _score_all, run_experiment
 from lagrom.cli import main
 from lagrom.core import PERIODIC, stacked_to_grid
 from lagrom.dmd_rom import fit_dmd
@@ -28,6 +19,7 @@ from lagrom.hfm_eulerian import eulerian_steps, run_eulerian_hfm
 from lagrom.hfm_lagrangian import lagrangian_steps, run_lagrangian_hfm
 from lagrom.levelset import levelset_grids, run_levelset_hfm
 from lagrom.presets import ExperimentConfig, parse_config_file, resolve
+from lagrom.rundir import load_timing, timing_table, validate_run_dir
 
 from conftest import drifting_stacked, make_spec
 
@@ -256,8 +248,17 @@ class TestRunExperiment:
         assert result.failure == "NumericalFailure: mode pseudoinverse lost left-inverse property"
         assert record.methods["lagrangian-pod"].failure is None
 
-    @pytest.mark.parametrize("preset, windows", [("test4", 1), ("test0-diffusion", 1), ("levelset", 1)])
-    def test_one_factorization_per_training_window(self, preset, windows, monkeypatch):
+    @pytest.mark.parametrize(
+        "preset, scale, windows, failed",
+        [
+            ("test4", 10, 1, set()),
+            ("test0-diffusion", 10, 1, set()),
+            ("levelset", 10, 1, set()),
+            # L-DMD fails its left-inverse check after its QR; L-POD reuses that QR.
+            ("test1", 20, 1, {"lagrangian-dmd"}),
+        ],
+    )
+    def test_one_factorization_per_training_window(self, preset, scale, windows, failed, monkeypatch):
         original = svd_core.reduced_svd
         factored = []
 
@@ -269,22 +270,17 @@ class TestRunExperiment:
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
-        record = run_experiment(ExperimentConfig(preset=preset, scale=10), emit=False)
-        assert not any(result.failure for result in record.methods.values())
+        record = run_experiment(ExperimentConfig(preset=preset, scale=scale), emit=False)
+        assert {method for method, result in record.methods.items() if result.failure} == failed
         assert len(factored) == windows
 
 
 class TestScore:
     """The one-pass scorer against whole-array arithmetic on the same data."""
 
-    WIDTH = 32  # columns per block, set through the cell budget
+    WIDTH = 32  # columns per scoring block
     COUNT = 2 * WIDTH + 6  # a partial last block
     WINDOW = 10  # the frames' training window: the first block runs past it
-
-    @pytest.fixture
-    def blocks_of(self, monkeypatch):
-        """Make the scorer's blocks WIDTH columns of an observable with this many rows."""
-        return lambda rows: monkeypatch.setattr(bench, "SCORE_BLOCK_CELLS", self.WIDTH * rows)
 
     @classmethod
     def reference(cls, spec, count):
@@ -305,11 +301,12 @@ class TestScore:
 
     @classmethod
     def score(cls, frames, columns, spec, model=None, keep_states=False, width=7):
-        """One method's pass over ``columns`` streamed in blocks of ``width``;
-        returns (report, kept states) or raises the method's failure."""
+        """One method's pass over ``columns`` streamed in blocks of ``width``
+        and scored in blocks of WIDTH; returns (report, kept states) or
+        raises the method's failure."""
         stacked = columns.shape[0] != spec.n_cells
-        scorer = _Scorer(cls.streamed(columns, width), stacked, spec, model=model, keep_states=keep_states)
-        _score_all([scorer], *frames)
+        scorer = _Scorer(cls.streamed(columns, width), stacked, spec, cls.WIDTH, model=model, keep_states=keep_states)
+        _score_all([scorer], cls.WIDTH, *frames)
         if scorer.failure is not None:
             raise scorer.failure
         return scorer.report(), scorer.states
@@ -320,9 +317,8 @@ class TestScore:
         k = np.arange(columns.shape[1])
         return np.asfortranarray(columns + 1e-3 * np.sin(0.7 * k + np.arange(columns.shape[0])[:, None]))
 
-    def test_tangled_column_raises_with_global_time_index(self, blocks_of):
+    def test_tangled_column_raises_with_global_time_index(self):
         spec = make_spec(speed="burgers", n=50, m_steps=self.COUNT, bc=PERIODIC)
-        blocks_of(100)
         for col in (self.WIDTH + 8, 2 * self.WIDTH + 1):
             frames, _, stacked = self.reference(spec, self.COUNT)
             observed = np.array(stacked)
@@ -331,10 +327,9 @@ class TestScore:
                 self.score(frames, observed, spec)
             assert exc.value.time_index == col + 1
 
-    def test_kept_states_equal_whole_array_reconstruction(self, blocks_of):
+    def test_kept_states_equal_whole_array_reconstruction(self):
         spec = make_spec(speed="burgers", n=50, m_steps=self.COUNT, bc=PERIODIC)
         frames, states, stacked = self.reference(spec, self.COUNT)
-        blocks_of(100)
         observed = self.perturbed(stacked)
         report, kept = self.score(frames, observed, spec, keep_states=True)
         assert kept.flags.f_contiguous
@@ -344,40 +339,40 @@ class TestScore:
         assert self.score(frames, observed, spec)[1] is None
 
     @pytest.mark.parametrize("stacked", [False, True])
-    def test_observable_errors_equal_whole_array_errors(self, stacked, blocks_of):
+    def test_observable_errors_equal_whole_array_errors(self, stacked):
         spec = make_spec(speed="burgers", n=50, m_steps=self.COUNT, bc=PERIODIC)
         frames, states, stacked_states = self.reference(spec, self.COUNT)
         whole = stacked_states if stacked else states
-        blocks_of(whole.shape[0])
         observed = self.perturbed(whole)
         report, _ = self.score(frames, observed, spec)
         assert np.array_equal(report.error_observable, truncation_error(whole, observed))
         assert report.bound is None and report.eps_m is None
 
     @pytest.mark.parametrize("width", [1, WIDTH, 2 * WIDTH + 6])
-    def test_row_major_stream_scores_as_its_whole_array(self, width, blocks_of):
+    def test_row_major_stream_scores_as_its_whole_array(self, width):
         # Column norms of a row-major array sum in another order than those
         # of a column-major one; gathered blocks keep the stream's layout.
         spec = make_spec(speed="burgers", n=50, m_steps=self.COUNT, bc=PERIODIC)
         frames, states, _ = self.reference(spec, self.COUNT)
-        blocks_of(spec.n_cells)
         observed = np.ascontiguousarray(self.perturbed(states))
         report, kept = self.score(frames, observed, spec, keep_states=True, width=width)
         assert np.array_equal(report.error_observable, truncation_error(states, observed))
         assert np.array_equal(report.error_state, relative_l2(states, observed))
         assert np.array_equal(kept, observed)
 
-    def test_stream_must_cover_the_horizon(self, blocks_of):
+    @pytest.mark.parametrize("missing", [1, COUNT - 2 * WIDTH])  # inside the last block; all of it
+    def test_stream_must_cover_the_horizon(self, missing):
         spec = make_spec(speed="burgers", n=50, m_steps=self.COUNT, bc=PERIODIC)
         frames, states, _ = self.reference(spec, self.COUNT)
-        blocks_of(spec.n_cells)
-        with pytest.raises(DimensionMismatch, match=f"scored {self.COUNT - 1} columns"):
-            self.score(frames, np.array(states[:, 1:]), spec)
+        with pytest.raises(DimensionMismatch, match=f"scored {self.COUNT - missing} columns"):
+            self.score(frames, np.array(states[:, missing:]), spec)
 
     def test_reference_blocks_are_views_of_the_solver_stores(self):
-        # Columns inside the training window are views of its store, later
-        # ones views of the frame's one buffer, which a request past its end
-        # shifts (keeping the rows from the request's first index) or widens.
+        # Blocks of 7 indices and the overlap column, each sharing one column
+        # with the one before, as the scoring asks for them. Those inside the
+        # training window are views of its store; later ones are views of
+        # the frame's one buffer, sized by the first request past the window,
+        # which keeps the shared row and pulls the rest from the solver.
         spec = make_spec(speed="burgers", diffusion=0.05, n=50, m_steps=40, bc=PERIODIC)
         euler_run, lagr_run = run_eulerian_hfm(spec, 10), run_lagrangian_hfm(spec, 10)
         frames = (
@@ -385,18 +380,26 @@ class TestScore:
             (_Frame(lagrangian_steps(spec), 10), lagr_run.stacked),
         )
         for frame, whole in frames:
-            inside = frame.columns(4, 10)
+            inside = frame.columns(1, 9)
             assert np.shares_memory(inside, frame.window)
-            assert np.array_equal(inside, whole[:, 4:10])
-            for lo, hi in ((9, 15), (12, 20), (19, 28), (27, 36), (35, 41)):
+            assert np.array_equal(inside, whole[:, 1:9])
+            for lo, hi in ((8, 16), (15, 23), (22, 30), (29, 37), (36, 41)):
                 block = frame.columns(lo, hi)
                 assert np.shares_memory(block, frame.buffer) and block.flags.f_contiguous
                 assert np.array_equal(block, whole[:, lo:hi])
-            assert len(frame.buffer) == 9  # the widest request
+            assert len(frame.buffer) == 8  # the first request past the window
             frame.drain()
             assert frame.rows.seconds > 0
 
-    def test_eps_m_sees_pairs_across_block_boundaries(self, blocks_of):
+    def test_block_width_follows_the_widest_listed_observable(self):
+        # 2^16 cells: 16 columns of the full-size stacked 2N = 4000 rows, 32
+        # of the fixed-grid N; one block for the whole horizon at desk size.
+        spec = resolve(ExperimentConfig(preset="test4")).spec
+        assert _block_width(spec, ("eulerian-dmd", "lagrangian-pod")) == 16
+        assert _block_width(spec, ("eulerian-dmd", "levelset-dmd")) == 32
+        assert _block_width(resolve(ExperimentConfig(preset="test4", scale=10)).spec, ("lagrangian-dmd",)) == 100
+
+    def test_eps_m_sees_pairs_across_block_boundaries(self):
         # Linear data in the first three coordinates; the fitted projector
         # spans exactly those. A kick orthogonal to it at the first column of
         # the second block shows only in the pair that ends there, which
@@ -408,7 +411,6 @@ class TestScore:
             data[:3, k + 1] = np.array([0.99, 0.97, 0.95]) * data[:3, k]
         model = fit_dmd(data[:, 1:20], epsilon=1e-12)
         data[4, self.WIDTH + 1] = 0.5
-        blocks_of(6)
         frames = (_Frame(iter(data.T), self.WINDOW), None)
         report, _ = self.score(frames, self.perturbed(data[:, 1:]), spec, model=model)
         assert report.eps_m == pytest.approx(0.5, rel=1e-12)
@@ -423,8 +425,8 @@ class TestOnePass:
 
     @pytest.fixture(autouse=True)
     def narrow_blocks(self, monkeypatch):
-        # 5 stacked or 10 fixed-grid columns per scoring block, so the
-        # methods take turns over many blocks and the buffers shift.
+        # 5 columns (of the stacked 2N = 400 rows) per scoring block, so the
+        # pass runs over many blocks and the frames' buffers shift.
         monkeypatch.setattr(bench, "SCORE_BLOCK_CELLS", 2000)
 
     def test_failing_rollout_drops_only_its_method(self, tmp_path, monkeypatch):
@@ -555,7 +557,7 @@ class TestMemory:
         euler = _Frame(iter(euler_run.trajectory.T), resolved.n_snapshots)
         lagr = _Frame(iter(lagr_run.stacked.T), resolved.n_snapshots)
         # The test holds the factor, so dropping it after the fit frees nothing.
-        factors = SimpleNamespace(take=lambda method, snapshots: factor)
+        width = _block_width(resolved.spec, resolved.methods)
         fit, level = getattr(bench, fit_name), []
 
         def fit_then_mark(*args, **kwargs):
@@ -569,8 +571,8 @@ class TestMemory:
         if not tracing:
             tracemalloc.start()
         try:
-            _, scorer = bench._fit_method(method, resolved, lagr, factors, False)
-            _score_all([scorer], euler, lagr)
+            _, scorer = bench._fit_method(method, resolved, lagr, [factor], width)
+            _score_all([scorer], width, euler, lagr)
             peak = tracemalloc.get_traced_memory()[1] - level[0]
         finally:
             if not tracing:
@@ -754,3 +756,16 @@ class TestCli:
         snapshots.write_text("\n".join(lines) + "\n")
         failed = [check for check in validate_run_dir(record.output_dir) if not check[1]]
         assert [check[0] for check in failed] == ["snapshots finite"], failed
+
+    def test_validate_flags_an_error_above_its_bound(self, tmp_path):
+        # An observable error past its bound fails the domination check
+        # alone (ErrorReport.bound_is_valid); the bound stays affine.
+        record = run_experiment(tiny_config(output_dir=str(tmp_path / "out")))
+        errors = Path(record.output_dir) / "lagrangian-dmd_errors.csv"
+        lines = errors.read_text().splitlines()
+        parts = lines[-1].split(",")
+        parts[3] = repr(2 * float(parts[4]) + 1.0)
+        lines[-1] = ",".join(parts)
+        errors.write_text("\n".join(lines) + "\n")
+        failed = [check[0] for check in validate_run_dir(record.output_dir) if not check[1]]
+        assert failed == ["lagrangian-dmd bound dominates error"]

@@ -92,3 +92,19 @@ def test_traced_call_counts(preset):
     table = tracer.layer_table()
     calls = {layer: table.get(layer, {}).get("calls", 0) for layer in TRACED_CALLS[preset]}
     assert calls == TRACED_CALLS[preset]
+
+
+def test_emitting_run_records_one_emit_span(tmp_path):
+    # The tracer wraps the emitter by name; a run that writes its directory
+    # through some other function would leave ``bench.emit`` without a span.
+    import lagrom
+    from lagrom.presets import ExperimentConfig
+
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        lagrom.bench.run_experiment(ExperimentConfig(preset="test4", scale=20, output_dir=str(tmp_path / "out")))
+    finally:
+        tracer.uninstall()
+    assert tracer.layer_table().get("bench.emit", {}).get("calls", 0) == 1
+    assert (tmp_path / "out" / "manifest.json").exists()

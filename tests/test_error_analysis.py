@@ -12,11 +12,11 @@ from lagrom.error_analysis import (
     phi_pinv_fnorm,
     relative_l2,
     truncation_error,
-    write_error_csv,
 )
 from lagrom.errors import DimensionMismatch, IndexBeforeAnchor
 from lagrom.hfm_lagrangian import run_lagrangian_hfm
 from lagrom.presets import ExperimentConfig, resolve
+from lagrom.rundir import write_error_csv
 
 
 def linear_data(a, y0, count):

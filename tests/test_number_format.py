@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from lagrom import core
-from lagrom.bench import _write_modes_csv, _write_snapshot_csv
 from lagrom.core import NUMBER_FORMAT, write_number_table
 from lagrom.dmd_rom import fit_dmd, fit_lagrangian_dmd, save_dmd_model
 from lagrom.levelset import levelset_dmd, run_levelset_hfm
 from lagrom.presets import ExperimentConfig, resolve
 from lagrom.hfm_eulerian import run_eulerian_hfm
 from lagrom.hfm_lagrangian import run_lagrangian_hfm
+from lagrom.rundir import RunDirectory, mode_columns, snapshot_names
 
 
 def reference_table(table) -> bytes:
@@ -227,6 +227,12 @@ def reference_save_dmd_model(model, path):
                     fh.write(reference_format_row(row) + "\n")
 
 
+def write_modes_csv(path, coords, modes):
+    """A modes CSV as ``rundir.write_run`` writes it."""
+    names, cols = mode_columns(coords, modes)
+    RunDirectory(path.parent).table(path.name, names, *cols)
+
+
 def assert_same_file(tmp_path, write, reference):
     """``write`` and ``reference`` each take the path to write."""
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
@@ -243,7 +249,9 @@ class TestWritersByteIdentity:
         times = np.arange(1, 41) * 0.025
         assert_same_file(
             tmp_path,
-            lambda path: _write_snapshot_csv(path, times, data, preamble),
+            lambda path: RunDirectory(path.parent).table(
+                path.name, snapshot_names(len(data)), times, data.T, preamble=preamble
+            ),
             lambda path: reference_snapshot_csv(path, times, data, preamble),
         )
 
@@ -253,7 +261,7 @@ class TestWritersByteIdentity:
         coords = np.linspace(0.0, 2.0 * np.pi, 250)
         assert_same_file(
             tmp_path,
-            lambda path: _write_modes_csv(path, coords, modes),
+            lambda path: write_modes_csv(path, coords, modes),
             lambda path: reference_modes_csv(path, coords, modes),
         )
 
@@ -261,7 +269,7 @@ class TestWritersByteIdentity:
         modes, coords = awkward_values(np.random.default_rng(43), (120, 2)), np.arange(120, dtype=float)
         assert_same_file(
             tmp_path,
-            lambda path: _write_modes_csv(path, coords, modes),
+            lambda path: write_modes_csv(path, coords, modes),
             lambda path: reference_modes_csv(path, coords, modes),
         )
 
