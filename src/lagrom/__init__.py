@@ -38,21 +38,16 @@ from .error_analysis import (
 from .hfm_eulerian import (
     EulerianRun,
     EulerianStep,
-    advance_eulerian,
     eulerian_steps,
     run_eulerian_hfm,
 )
 from .hfm_lagrangian import (
     LagrangianRun,
-    LagrangianState,
-    advance_lagrangian,
-    initial_lagrangian_state,
     lagrangian_steps,
     run_lagrangian_hfm,
 )
 from .levelset import (
     LevelSetField,
-    advance_levelset,
     contour_blocks,
     embed_initial,
     extract_zero_contour,
@@ -66,8 +61,6 @@ from .levelset import (
 from .pod_rom import (
     PodBasis,
     fit_pod,
-    pod_step_eulerian,
-    pod_step_lagrangian,
     pod_steps,
     run_pod_rom,
 )

@@ -30,15 +30,18 @@ Lagrangian DMD carry the bound. ``rollout_seconds`` is the time spent
 producing the rollout's blocks, not scoring them.
 
 Scoring: a run has one block width (``_block_width``), ``SCORE_BLOCK_CELLS``
-cells of its widest observable. ``_score_all`` walks the horizon in blocks
+cells of its widest observable, cut to a divisor of ``dmd_rom.LIFT_COLUMNS``
+in a run with a DMD method. ``_score_all`` walks the horizon in blocks
 of that width: each reads the fixed-grid frame once, and the moving frame
 while a moving-frame method is live, with one overlap column for the bound's
 residual, and every live method (one ``_Scorer`` each) scores it. The views
 have the column layout of a whole-run store, so every error sums as it did
-over one. A method's ``LagromError`` ends that method alone. A DMD
-observable stream is one ``K^gap`` walk over every index, so the scored
-observable is ``predict_series``'s bit for bit (restarting the walk per
-chunk moved the full-size test4 L-DMD errors by up to 6e-8 relative).
+over one. Only eps_m depends on where the blocks start: the one-step map's
+matrix product rounds by block width. A method's ``LagromError`` ends that
+method alone. A DMD observable stream is one ``K^gap`` walk over every
+index, so the scored observable is ``predict_series``'s bit for bit
+(restarting the walk per chunk moved the full-size test4 L-DMD errors by up
+to 6e-8 relative).
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from .core import SnapshotMatrix, stacked_to_grid
-from .dmd_rom import fit_dmd, fit_lagrangian_dmd, prediction_blocks
+from .dmd_rom import LIFT_COLUMNS, fit_dmd, fit_lagrangian_dmd, prediction_blocks
 from .errors import DimensionMismatch, LagromError
 from .error_analysis import (
     ErrorReport,
@@ -82,6 +85,8 @@ from .svd_core import HandedOverWindow, reduced_svd
 # rows, and one block for the whole horizon at desk size, where per-block
 # calls would cost more than the memory they save.
 SCORE_BLOCK_CELLS = 1 << 16
+# The methods whose rollout comes in ``prediction_blocks`` lift blocks.
+_DMD_METHODS = (METHOD_EULERIAN_DMD, METHOD_LAGRANGIAN_DMD, METHOD_LEVELSET_DMD)
 # The solver window each method is fitted on.
 _WINDOW = {
     METHOD_EULERIAN_DMD: "eulerian", METHOD_EULERIAN_POD: "eulerian",
@@ -270,9 +275,15 @@ class _Scorer:
 def _block_width(spec, methods) -> int:
     """The run's scoring block width: ``SCORE_BLOCK_CELLS`` over the rows of
     its widest observable (2N when a moving-frame method is listed), at
-    least one column and at most the horizon."""
+    least one column and at most the horizon. Below the horizon, a run with
+    a DMD method takes the largest divisor of ``LIFT_COLUMNS`` not above
+    that, so each DMD scoring block is a view of one lift block rather than
+    a copy gathered across two."""
     rows = spec.n_cells * (2 if any(_WINDOW[method] == "lagrangian" for method in methods) else 1)
-    return max(1, min(SCORE_BLOCK_CELLS // rows, spec.n_steps))
+    width = max(1, min(SCORE_BLOCK_CELLS // rows, spec.n_steps))
+    if width < spec.n_steps and any(method in _DMD_METHODS for method in methods):
+        width = max(d for d in range(1, width + 1) if LIFT_COLUMNS % d == 0)
+    return width
 
 
 def _score_all(scorers, width: int, euler: _Frame, lagr: Optional[_Frame]) -> None:

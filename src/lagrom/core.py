@@ -151,10 +151,6 @@ class ProblemSpec:
     def grid(self) -> Grid1D:
         return uniform_grid(self.domain_lo, self.domain_hi, self.n_cells, self.periodic)
 
-    def initial_state(self) -> "StateVector":
-        grid = self.grid()
-        return StateVector(np.asarray(self.initial_u0(grid.nodes), dtype=float), grid, 0)
-
     def diffusion_at(self, x: np.ndarray, t: float, u: np.ndarray) -> np.ndarray:
         """Evaluate D on the given nodes, broadcasting scalar coefficients."""
         d = self.diffusion_D

@@ -22,12 +22,11 @@ repeating them; this module calls only ``kernels`` and ``core``. Every
 solver step checks its residual ``apply(u_new) - with_boundary_terms(u*)``,
 its Courant number and the finiteness of the new state.
 
-One step path: ``eulerian_step`` advances a raw value array and returns it
-with the step's residual and Courant number, and both ``advance_eulerian``
-(one ``StateVector`` to the next) and the run's one loop, the step stream
-``eulerian_steps``, call it. The stream yields u^0 and then each u^n with
-those two numbers, and stores nothing: ``bench.run_experiment`` keeps only
-the training window of it.
+One step path: the step stream ``eulerian_steps`` calls ``eulerian_step``,
+which advances a raw value array and returns it with the step's residual and
+Courant number. The stream yields u^0 and then each u^n with those two
+numbers, and stores nothing: ``bench.run_experiment`` keeps only the
+training window of it.
 ``run_eulerian_hfm`` collects the stream time-major: a preallocated
 (M+1, N) C-order store whose row n is u^n, written as one contiguous row per
 step and marked read-only after the loop. ``trajectory`` is its (N, M+1)
@@ -212,17 +211,6 @@ def eulerian_step(
     return u_new, residual, courant
 
 
-def advance_eulerian(state: StateVector, spec: ProblemSpec, system: Optional[DiffusionSystem] = None) -> StateVector:
-    """One full step: explicit upwind advection then implicit diffusion.
-
-    ``system`` is the run's diffusion system when D is constant; without it a
-    diffusive step builds its own.
-    """
-    index = state.time_index + 1
-    u_new = eulerian_step(state.values, spec, system, state.grid.nodes, index)[0]
-    return StateVector(u_new, state.grid, index)
-
-
 class EulerianStep(NamedTuple):
     """One state of a run: u^n, read-only, and the residual and Courant
     number of the step that reached it (0 for the initial state)."""
@@ -235,11 +223,12 @@ class EulerianStep(NamedTuple):
 def eulerian_steps(spec: ProblemSpec) -> Iterator[EulerianStep]:
     """The run as a stream: u^0, then one step per index 1..M. Nothing is
     stored, so a consumer that reads the steps as they come holds one state
-    at a time; ``run_eulerian_hfm`` collects them."""
-    state = spec.initial_state()
-    nodes = state.grid.nodes
+    at a time; ``run_eulerian_hfm`` collects them. A non-finite u^0 raises
+    ``NumericalFailure`` before the first yield."""
+    grid = spec.grid()
+    nodes = grid.nodes
     system = run_diffusion_system(spec)
-    u = state.values
+    u = StateVector(np.asarray(spec.initial_u0(nodes), dtype=float), grid).values
     yield EulerianStep(u, 0.0, 0.0)
     for step in range(spec.n_steps):
         u, residual, courant = eulerian_step(u, spec, system, nodes, step + 1)

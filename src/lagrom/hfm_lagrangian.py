@@ -23,17 +23,16 @@ wrapping happens only inside the interpolation, so entanglement detection
 (``core.check_untangled``) is a monotonicity test plus, when periodic, the
 seam test x[-1] - x[0] < L.
 
-One step path: ``lagrangian_step`` advances raw position and value arrays
-(and hands back f(u^{n+1}), which the next step reuses as its f(u^n)); both
-``advance_lagrangian`` and the run's one loop, the step stream
-``lagrangian_steps``, call it. The stream yields each stacked row
-[x^n; u^n], n = 0..M, and stores nothing: ``bench.run_experiment`` keeps
-only the training window of it. ``run_lagrangian_hfm`` collects the stream
-into a preallocated (M+1, 2N) C-order store, one contiguous row per step,
-marked read-only after the loop. ``stacked`` is its (2N, M+1) transposed
-view, ``positions`` and ``values`` are that view's two halves, and
-``snapshots.data`` is the view of columns 1..m, which the snapshot matrix
-adopts without a copy.
+One step path: the step stream ``lagrangian_steps`` calls
+``lagrangian_step``, which advances raw position and value arrays (and hands
+back f(u^{n+1}), which the next step reuses as its f(u^n)). The stream
+yields each stacked row [x^n; u^n], n = 0..M, and stores nothing:
+``bench.run_experiment`` keeps only the training window of it.
+``run_lagrangian_hfm`` collects the stream into a preallocated (M+1, 2N)
+C-order store, one contiguous row per step, marked read-only after the
+loop. ``stacked`` is its (2N, M+1) transposed view, ``positions`` and
+``values`` are that view's two halves, and ``snapshots.data`` is the view
+of columns 1..m, which the snapshot matrix adopts without a copy.
 """
 
 from __future__ import annotations
@@ -47,33 +46,6 @@ import numpy as np
 from .core import Grid1D, ProblemSpec, SnapshotMatrix, check_untangled, interp_unchecked
 from .errors import DimensionMismatch, NumericalFailure
 from .hfm_eulerian import RESIDUAL_TOL, DiffusionSystem, run_diffusion_system, step_system
-
-
-@dataclass(frozen=True)
-class LagrangianState:
-    """Moving-grid positions and carried values at one time level."""
-
-    positions: Grid1D
-    values: np.ndarray
-    eulerian_grid: Grid1D
-    time_index: int = 0
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        if values.shape != (len(self.positions),):
-            raise DimensionMismatch("positions and values must have equal length")
-
-    @property
-    def n(self) -> int:
-        return len(self.positions)
-
-
-def initial_lagrangian_state(spec: ProblemSpec) -> LagrangianState:
-    grid = spec.grid()
-    u0 = np.asarray(spec.initial_u0(grid.nodes), dtype=float)
-    return LagrangianState(grid, u0, grid, 0)
 
 
 def speeds(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
@@ -134,34 +106,20 @@ def lagrangian_step(
     return x_new, u_new, f_new
 
 
-def advance_lagrangian(
-    state: LagrangianState, spec: ProblemSpec, system: Optional[DiffusionSystem] = None
-) -> LagrangianState:
-    """One semi-Lagrangian step; raises GridEntanglement when characteristics cross.
-
-    ``system`` is the run's diffusion system when D is constant; without it a
-    diffusive step builds its own.
-    """
-    u = state.values
-    index = state.time_index + 1
-    x_new, u_new, _ = lagrangian_step(
-        spec, system, state.eulerian_grid.nodes, state.positions.nodes, u, speeds(spec, u), index
-    )
-    return LagrangianState(Grid1D(x_new), u_new, state.eulerian_grid, index)
-
-
 def lagrangian_steps(spec: ProblemSpec) -> Iterator[np.ndarray]:
     """The run from the uniform grid as a stream of read-only stacked rows
     [x^n; u^n]: the initial row, then one step per index 1..M. Nothing is
     stored, so a consumer that reads the rows as they come holds one at a
     time; ``run_lagrangian_hfm`` collects them."""
-    state = initial_lagrangian_state(spec)
+    nodes = spec.grid().nodes
     system = run_diffusion_system(spec)
-    nodes = state.eulerian_grid.nodes
-    n = state.n
-    row = np.concatenate([state.positions.nodes, state.values])
+    n = nodes.size
+    u0 = np.asarray(spec.initial_u0(nodes), dtype=float)
+    if u0.shape != nodes.shape:
+        raise DimensionMismatch("positions and values must have equal length")
+    row = np.concatenate([nodes, u0])
     row.setflags(write=False)
-    f_u = speeds(spec, state.values)
+    f_u = speeds(spec, row[n:])
     yield row
     for step in range(spec.n_steps):
         x_new, u_new, f_u = lagrangian_step(spec, system, nodes, row[:n], row[n:], f_u, step + 1)

@@ -7,16 +7,16 @@ the (x, y) plane recovers u. The 2-D field is linear dynamics, so a DMD fit
 on flattened field snapshots gives an iteration-free surrogate whose contours
 approximate the nonlinear solution.
 
-One step path: ``advance_levelset`` and the run's one loop, the step stream
-``levelset_steps``, check the row speeds with ``row_speeds`` and step the raw
-field with ``kernels.levelset_step``; ``extract_zero_contour``, the run and
-the surrogate's one rollout path, ``contour_blocks`` (one block of contours
-per chunk of ``CONTOUR_CHUNK`` indices; ``predict_contours`` collects them
-and ``predicted_contour`` takes one index), all take contours with
-``zero_contour``. The y grid is fixed (``levelset_grids``), so the stream
-checks the row Courant number once per run, and each field's finiteness.
-Under that check each upwind update is a convex combination of neighbours,
-so every field stays within the range of c^0.
+One step path: the step stream ``levelset_steps`` checks the row speeds
+with ``row_speeds`` and steps the raw field with ``kernels.levelset_step``.
+``extract_zero_contour``, the run and the surrogate's one rollout path,
+``contour_blocks`` (one block of contours per chunk of ``CONTOUR_CHUNK``
+indices; ``predict_contours`` collects them and ``predicted_contour`` takes
+one index), all take contours with ``zero_contour``. The y grid is fixed
+(``levelset_grids``), so the stream checks the row Courant number once per
+run, and each field's finiteness. Under that check each upwind update is a
+convex combination of neighbours, so every field stays within the range of
+c^0.
 
 The stream steps the field in column-major (Fortran) order, so a field's
 column-major flattening is its own memory, and stores nothing:
@@ -75,10 +75,6 @@ class LevelSetField:
                 f"({len(self.y_grid)}, {len(self.x_grid)})"
             )
 
-    def flattened(self) -> np.ndarray:
-        # Column-major: x-block per column stacked, fixed layout for DMD.
-        return self.values.ravel(order="F")
-
 
 def value_grid_for(u0_samples: np.ndarray, n_y: int) -> Grid1D:
     """y nodes spanning the sampled data range plus a safety margin."""
@@ -118,15 +114,6 @@ def row_speeds(spec: ProblemSpec, y_nodes: np.ndarray, dt: float, dx: float, tim
             time_index=time_index,
         )
     return speeds
-
-
-def advance_levelset(field: LevelSetField, spec: ProblemSpec, dt: float) -> LevelSetField:
-    """Advance every row by sign-aware upwind at its own constant speed f(y)."""
-    dx = field.x_grid.spacing
-    index = field.time_index + 1
-    speeds = row_speeds(spec, field.y_grid.nodes, dt, dx, index)
-    out = kernels.levelset_step(np.asarray(field.values), speeds, dt / dx, spec.periodic)
-    return LevelSetField(field.x_grid, field.y_grid, out, index)
 
 
 def zero_contour(c: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:

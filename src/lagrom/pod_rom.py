@@ -16,11 +16,7 @@ rollout cost scales with the grid like the solvers do. A prepared
 ``PodStepContext`` holds what is constant over a rollout, so the step loop
 repeats only per-step work: the grid nodes and basis splits; the factored
 diffusion system when D is a number; and the reduced Jacobian with its LU
-factors when it does not change over the run. A rollout is one stream,
-``pod_steps``, which yields each state as it is stepped and stores none:
-``run_pod_rom`` collects it into a (horizon x n) time-major store, and
-``bench`` scores the reconstructions block by block as they come, so that
-store exists only when a caller asks ``run_pod_rom`` for it.
+factors when it does not change over the run.
 
 * Fixed grid: the Jacobian Phi^T (I - dt D2) Phi is constant when D is a
   number or absent, and is factored once per run.
@@ -38,6 +34,13 @@ store exists only when a caller asks ``run_pod_rom`` for it.
 * Moving frame with an array-valued f': f has no reduced form, so every
   Newton iteration evaluates the residual at full dimension and solves its
   Jacobian I - (dt/2) P^T diag(f'(u)) V afresh.
+
+One step path: the stream ``pod_steps`` calls ``_eulerian_newton`` or
+``_lagrangian_newton``, which advance raw reduced coordinates one step. It
+yields each state as it is stepped and stores none: ``run_pod_rom``
+collects it into a (horizon x n) time-major store, and ``bench`` scores the
+reconstructions block by block as they come, so that store exists only when
+a caller asks ``run_pod_rom`` for it.
 """
 
 from __future__ import annotations
@@ -76,9 +79,6 @@ class PodBasis:
     def project(self, full: np.ndarray) -> np.ndarray:
         return self.basis.T @ full
 
-    def reconstruct(self, reduced: np.ndarray) -> np.ndarray:
-        return self.basis @ reduced
-
 
 def fit_pod(
     snapshots,
@@ -95,11 +95,6 @@ def fit_pod(
     factor = window_factor(snapshots, factor)
     svd = fit_svd(factor, factor.n_cols, epsilon, fixed_rank)
     return PodBasis(svd.left_vectors, svd.rank, frame)
-
-
-class StepResult(NamedTuple):
-    reduced: np.ndarray
-    iterations: int
 
 
 @dataclass
@@ -232,27 +227,15 @@ def _reduced_newton(jac: np.ndarray, factor, z_hat: np.ndarray, target: np.ndarr
     raise NewtonDivergence(f"no convergence in {NEWTON_CAP} iterations", iterations=NEWTON_CAP)
 
 
-def pod_step_eulerian(
-    basis: PodBasis,
-    u_hat: np.ndarray,
-    spec: ProblemSpec,
-    time_index: int,
-    context: PodStepContext = None,
-    u_prev_full: np.ndarray = None,
-) -> StepResult:
-    """Advance reduced coordinates by projecting the fixed-grid step residual.
+def _eulerian_newton(context: PodStepContext, u_hat, u_prev, spec: ProblemSpec, time_index: int):
+    """The reduced coordinates after the fixed-grid step from index
+    ``time_index`` (reconstruction ``u_prev``), by projecting the step
+    residual, with the Newton iterations they took.
 
     The advective flux is explicit in the previous state, so the projected
     residual is affine in the unknown and Newton lands in one iteration; the
-    loop form covers state-dependent diffusion coefficients. ``u_prev_full``
-    may carry the already reconstructed previous state.
+    loop form covers state-dependent diffusion coefficients.
     """
-    if basis.frame != FRAME_EULERIAN:
-        raise ValueError("basis frame must be eulerian")
-    phi = basis.basis
-    u_prev = phi @ u_hat if u_prev_full is None else u_prev_full
-    if context is None:
-        context = PodStepContext.for_basis(basis, spec, u_prev)
     t_next = (time_index + 1) * spec.dt
 
     u_star = advected_state(u_prev, spec)
@@ -264,36 +247,15 @@ def pod_step_eulerian(
     target = context.basis_t @ rhs_known
     jac = context.jacobian
     if jac is None:
-        jac = context.basis_t @ system.apply(phi)
-    return StepResult(*_reduced_newton(jac, context.jacobian_factor, u_hat, target))
-
-
-def pod_step_lagrangian(
-    basis: PodBasis,
-    z_hat: np.ndarray,
-    spec: ProblemSpec,
-    time_index: int,
-    context: PodStepContext = None,
-    z_prev_full: np.ndarray = None,
-) -> StepResult:
-    """Advance stacked [positions; values] reduced coordinates one step.
-
-    ``z_prev_full`` may carry the already reconstructed previous state
-    ``basis.basis @ z_hat`` to avoid a redundant basis multiplication inside
-    rollout loops.
-    """
-    if basis.frame != FRAME_LAGRANGIAN:
-        raise ValueError("basis frame must be lagrangian")
-    z_prev = basis.basis @ z_hat if z_prev_full is None else z_prev_full
-    if context is None:
-        context = PodStepContext.for_basis(basis, spec, z_prev)
-    z_next_hat, iterations, _ = _lagrangian_newton(context, z_hat, z_prev, spec, time_index)
-    return StepResult(z_next_hat, iterations)
+        jac = context.basis_t @ system.apply(context.basis_matrix)
+    return _reduced_newton(jac, context.jacobian_factor, u_hat, target)
 
 
 def _lagrangian_newton(context: PodStepContext, z_hat, z_prev, spec: ProblemSpec, time_index: int):
-    """Body of ``pod_step_lagrangian``; also returns the reconstruction of the
-    new state, which the next step starts from."""
+    """The stacked [positions; values] reduced coordinates after the
+    moving-frame step from index ``time_index`` (reconstruction ``z_prev``),
+    with the Newton iterations they took and their reconstruction, which the
+    next step starts from."""
     phi = context.basis_matrix
     n = context.pos_block.shape[0]
     x_prev, u_prev = z_prev[:n], z_prev[n:]
@@ -365,7 +327,7 @@ def pod_steps(basis: PodBasis, initial_full: np.ndarray, spec: ProblemSpec, hori
         if lagrangian:
             z_hat, used, recon = _lagrangian_newton(context, z_hat, recon, spec, k)
         else:
-            z_hat, used = pod_step_eulerian(basis, z_hat, spec, k, context, u_prev_full=recon)
+            z_hat, used = _eulerian_newton(context, z_hat, recon, spec, k)
             recon = context.basis_matrix @ z_hat
         yield PodStep(z_hat, used, recon)
 

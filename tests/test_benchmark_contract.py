@@ -2,21 +2,24 @@
 and the call counts its tracer sees.
 
 ``perfbench/tracing.py`` wraps each ``(module, function)`` in ``TARGETS`` with
-``getattr`` and ``perfbench/run.py`` records ``kernels.NUMBA_ENABLED``; a
-rename in the library would break the benchmark without failing any other
+``getattr``, ``perfbench/run.py`` records ``kernels.NUMBA_ENABLED``, and the
+``perfbench`` scripts import names from ``lagrom`` modules; a rename or
+removal in the library would break the benchmark without failing any other
 test. A refactor that routes a step through a different function, or calls a
 kernel one time more or less per step, shows in the traced layers' call
 counts. ``tracing.py`` imports only the standard library, so it loads here
 from its path without putting ``perfbench`` on the import path.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tracing():
@@ -30,6 +33,31 @@ def _tracing():
 def test_traced_target_is_module_level_callable(module_name, func_name):
     module = importlib.import_module(f"lagrom.{module_name}")
     assert callable(getattr(module, func_name, None)), f"lagrom.{module_name}.{func_name}"
+
+
+def _library_imports():
+    """(script, module, name) for every ``from lagrom... import name`` in the
+    ``perfbench`` scripts, function-local imports included, and (script,
+    module, None) for every ``import lagrom...``."""
+    found = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "lagrom":
+                found += [(path.name, node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                found += [(path.name, alias.name, None) for alias in node.names if alias.name.split(".")[0] == "lagrom"]
+    return sorted(set(found), key=str)
+
+
+def test_perfbench_scripts_import_library_names():
+    assert any(name for _, _, name in _library_imports())
+
+
+@pytest.mark.parametrize("script,module_name,name", _library_imports())
+def test_perfbench_library_import_resolves(script, module_name, name):
+    module = importlib.import_module(module_name)
+    if name is not None and not hasattr(module, name):  # else a submodule not yet loaded
+        assert importlib.util.find_spec(f"{module_name}.{name}"), f"{script}: from {module_name} import {name}"
 
 
 def test_environment_record_fields_exist():

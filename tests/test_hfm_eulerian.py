@@ -1,13 +1,15 @@
 """Eulerian solver: flux algebra, step properties, conservation, stability."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
-from lagrom.core import PERIODIC, ProblemSpec, StateVector
-from lagrom.errors import CflViolation
+from lagrom.core import PERIODIC, ProblemSpec
+from lagrom.errors import CflViolation, NumericalFailure
 from lagrom.hfm_eulerian import (
-    advance_eulerian,
     check_cfl,
+    eulerian_step,
     eulerian_steps,
     face_fluxes,
     run_diffusion_system,
@@ -16,6 +18,11 @@ from lagrom.hfm_eulerian import (
 from lagrom.presets import gaussian_pulse
 
 from conftest import make_spec
+
+
+def first_states(spec, count):
+    """u^0..u^count of the spec's step stream."""
+    return [step.values for step in islice(eulerian_steps(spec), count + 1)]
 
 
 class TestNumericalFlux:
@@ -49,28 +56,25 @@ class TestNumericalFlux:
 
 class TestAdvance:
     def test_constant_state_is_fixed_point(self):
-        spec = make_spec(speed="burgers", bc=PERIODIC, n=32, m_steps=100)
-        grid = spec.grid()
-        state = StateVector(np.full(32, 0.7), grid)
-        out = advance_eulerian(state, spec)
-        assert np.allclose(out.values, 0.7, atol=1e-15)
-        assert out.time_index == 1
+        spec = make_spec(speed="burgers", bc=PERIODIC, n=32, m_steps=100, ic=lambda x: np.full_like(x, 0.7))
+        index, out = list(enumerate(first_states(spec, 1)))[-1]
+        assert np.allclose(out, 0.7, atol=1e-15)
+        assert index == 1
 
     def test_unit_courant_is_exact_shift(self):
         # dt = dx exactly: the update telescopes to the left neighbor.
-        spec = make_spec(speed="const", c=1.0, n=50, m_steps=50, t_final=2.0, bc=PERIODIC)
+        spec = make_spec(
+            speed="const", c=1.0, n=50, m_steps=50, t_final=2.0, bc=PERIODIC,
+            ic=lambda x: gaussian_pulse(x) + 0.1 * np.sin(3 * x),
+        )
         assert np.isclose(spec.dt, spec.dx)
-        grid = spec.grid()
-        u = gaussian_pulse(grid.nodes) + 0.1 * np.sin(3 * grid.nodes)
-        out = advance_eulerian(StateVector(u, grid), spec)
-        assert np.allclose(out.values, np.roll(u, 1), atol=1e-13)
+        u, out = first_states(spec, 1)
+        assert np.allclose(out, np.roll(u, 1), atol=1e-13)
 
     def test_cfl_violation_reported(self):
         spec = make_spec(speed="const", c=5.0, n=100, m_steps=10)
-        grid = spec.grid()
-        state = StateVector(gaussian_pulse(grid.nodes), grid)
         with pytest.raises(CflViolation) as err:
-            advance_eulerian(state, spec)
+            first_states(spec, 1)
         assert err.value.max_speed == pytest.approx(5.0)
 
     def test_courant_exactly_one_accepted(self):
@@ -85,23 +89,19 @@ class TestDiffusion:
         self.grid = self.spec.grid()
 
     def test_mass_decays_and_no_new_interior_maximum(self):
-        u = gaussian_pulse(self.grid.nodes)
-        state = StateVector(u, self.grid)
-        masses = [np.sum(u) * self.spec.dx]
-        peaks = [np.max(u)]
-        for _ in range(20):
-            state = advance_eulerian(state, self.spec)
-            masses.append(np.sum(state.values) * self.spec.dx)
-            peaks.append(np.max(state.values))
+        states = first_states(self.spec, 20)  # from the Gaussian pulse
+        assert np.array_equal(states[0], gaussian_pulse(self.grid.nodes))
+        masses = [np.sum(u) * self.spec.dx for u in states]
+        peaks = [np.max(u) for u in states]
         assert np.all(np.diff(masses) <= 1e-14)
         assert np.all(np.diff(peaks) <= 1e-14)
 
     def test_unconditional_stability_in_max_norm(self):
         rng = np.random.default_rng(1)
         u = np.abs(rng.standard_normal(101))
-        state = StateVector(u, self.grid)
-        out = advance_eulerian(state, self.spec)
-        assert np.max(np.abs(out.values)) <= np.max(np.abs(u)) + 1e-14
+        spec = make_spec(speed="const", c=0.0, diffusion=0.05, n=101, m_steps=200, ic=lambda x: u)
+        out = first_states(spec, 1)[1]
+        assert np.max(np.abs(out)) <= np.max(np.abs(u)) + 1e-14
 
 
 class TestExactSolutionConvergence:
@@ -161,13 +161,11 @@ class TestVariableDiffusion:
 
 class TestConservationAndResidual:
     def test_periodic_conservation_per_step(self):
-        spec = make_spec(speed="burgers", bc=PERIODIC, n=128, m_steps=400)
-        grid = spec.grid()
-        state = StateVector(1.0 + np.sin(grid.nodes), grid)
-        total = np.sum(state.values)
-        for _ in range(25):
-            state = advance_eulerian(state, spec)
-            assert np.isclose(np.sum(state.values), total, rtol=1e-12)
+        spec = make_spec(speed="burgers", bc=PERIODIC, n=128, m_steps=400)  # u0 = 1 + sin(x)
+        states = first_states(spec, 25)
+        total = np.sum(states[0])
+        for u in states[1:]:
+            assert np.isclose(np.sum(u), total, rtol=1e-12)
 
     def test_residual_below_tolerance_every_step(self):
         spec = make_spec(speed="const", c=1.0, diffusion=0.01, n=150, m_steps=200)
@@ -214,8 +212,14 @@ class TestRun:
         assert str(err.value) == f"Courant number {courant:.6f} exceeds 1 (max |f(u)| = 5) (time index 1)"
         grid = spec.grid()
         with pytest.raises(CflViolation, match=r"\(time index 5\)$") as err:
-            advance_eulerian(StateVector(gaussian_pulse(grid.nodes), grid, 4), spec)
+            eulerian_step(gaussian_pulse(grid.nodes), spec, None, grid.nodes, 5)
         assert err.value.time_index == 5
+
+    def test_non_finite_initial_profile_rejected_before_the_first_state(self):
+        spec = make_spec(n=20, m_steps=5, ic=lambda x: np.where(x > 1.0, np.nan, 0.0))
+        steps = eulerian_steps(spec)
+        with pytest.raises(NumericalFailure, match="NaN or Inf"):
+            next(steps)
 
 
 class TestStore:
@@ -231,14 +235,15 @@ class TestStore:
             with pytest.raises(ValueError):
                 arr[0, 0] = 0.0
 
-    def test_run_equals_advance_bit_for_bit(self):
+    def test_run_equals_raw_steps_bit_for_bit(self):
         spec = make_spec(**self.SPEC)
         run = run_eulerian_hfm(spec, 7)
-        state = spec.initial_state()
+        nodes = spec.grid().nodes
+        u = spec.initial_u0(nodes)
         system = run_diffusion_system(spec)
         for k in range(1, spec.n_steps + 1):
-            state = advance_eulerian(state, spec, system)
-            assert np.array_equal(state.values, run.trajectory[:, k])
+            u = eulerian_step(u, spec, system, nodes, k)[0]
+            assert np.array_equal(u, run.trajectory[:, k])
 
     @pytest.mark.parametrize(
         "spec_args",

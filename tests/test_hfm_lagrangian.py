@@ -1,60 +1,66 @@
 """Semi-Lagrangian solver: exact transport, trapezoid update, entanglement."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
 from lagrom.core import PERIODIC
-from lagrom.errors import GridEntanglement
+from lagrom.errors import DimensionMismatch, GridEntanglement, NumericalFailure
 from lagrom.hfm_eulerian import run_diffusion_system, run_eulerian_hfm
 from lagrom.hfm_lagrangian import (
-    LagrangianState,
-    advance_lagrangian,
-    initial_lagrangian_state,
+    lagrangian_step,
     lagrangian_steps,
     run_lagrangian_hfm,
+    speeds,
 )
 from lagrom.presets import gaussian_pulse, one_plus_sin
 
 from conftest import make_spec
 
 
+def first_states(spec, count):
+    """(x^n, u^n) for n = 0..count of the spec's step stream."""
+    n = spec.n_cells
+    return [(row[:n], row[n:]) for row in islice(lagrangian_steps(spec), count + 1)]
+
+
 class TestSingleStep:
     def test_constant_speed_shifts_positions_and_freezes_values(self):
         spec = make_spec(speed="const", c=0.8, n=64, m_steps=50)
-        state = initial_lagrangian_state(spec)
-        out = advance_lagrangian(state, spec)
-        assert np.array_equal(out.values, state.values)  # transported bit-exactly
-        assert np.allclose(out.positions.nodes, state.positions.nodes + 0.8 * spec.dt, atol=1e-15)
+        (x0, u0), (x1, u1) = first_states(spec, 1)
+        assert np.array_equal(u1, u0)  # transported bit-exactly
+        assert np.allclose(x1, x0 + 0.8 * spec.dt, atol=1e-15)
 
     def test_burgers_first_step_increment(self):
         # Without diffusion the carried values are frozen, so the trapezoidal
         # update degenerates to dt * f(u0).
         spec = make_spec(speed="burgers", bc=PERIODIC, n=128, m_steps=100)
-        state = initial_lagrangian_state(spec)
-        out = advance_lagrangian(state, spec)
-        expected = state.positions.nodes + spec.dt * one_plus_sin(state.positions.nodes)
-        assert np.allclose(out.positions.nodes, expected, atol=1e-15)
+        (x0, _), (x1, _) = first_states(spec, 1)
+        expected = x0 + spec.dt * one_plus_sin(x0)
+        assert np.allclose(x1, expected, atol=1e-15)
 
     def test_trapezoid_consistency(self):
         spec = make_spec(speed="burgers", diffusion=0.1, bc=PERIODIC, n=100, m_steps=100)
-        state = initial_lagrangian_state(spec)
-        for _ in range(5):
-            new = advance_lagrangian(state, spec)
-            f_old = state.values  # f(u) = u for Burgers
-            f_new = new.values
-            recon = state.positions.nodes + 0.5 * spec.dt * (f_old + f_new)
-            assert np.max(np.abs(new.positions.nodes - recon)) <= 1e-12
-            state = new
+        states = first_states(spec, 5)
+        for (x_old, f_old), (x_new, f_new) in zip(states, states[1:]):  # f(u) = u for Burgers
+            recon = x_old + 0.5 * spec.dt * (f_old + f_new)
+            assert np.max(np.abs(x_new - recon)) <= 1e-12
 
     def test_entanglement_detected_with_time_index(self):
         # A steep decreasing velocity profile crosses characteristics within
         # one step of this size.
-        spec = make_spec(speed="burgers", bc=PERIODIC, n=16, m_steps=2, t_final=1.0)
-        grid = spec.grid()
-        u = -3.0 * np.sin(grid.nodes)
-        state = LagrangianState(grid, u, grid, 0)
+        spec = make_spec(speed="burgers", bc=PERIODIC, n=16, m_steps=2, t_final=1.0, ic=lambda x: -3.0 * np.sin(x))
         with pytest.raises(GridEntanglement) as err:
-            advance_lagrangian(state, spec)
+            first_states(spec, 1)
+        assert err.value.time_index == 1
+
+    def test_non_finite_initial_profile_fails_at_the_first_step(self):
+        # u^0 is yielded unchecked; the first step's finiteness check names
+        # index 1.
+        spec = make_spec(speed="const", c=1.0, n=20, m_steps=5, ic=lambda x: np.where(x > 1.0, np.inf, 0.0))
+        with pytest.raises(NumericalFailure, match="time index 1$") as err:
+            first_states(spec, 1)
         assert err.value.time_index == 1
 
     def test_periodic_grid_crossing_its_seam_detected(self):
@@ -67,6 +73,12 @@ class TestSingleStep:
                 pass
         assert err.value.time_index == 4
 
+    @pytest.mark.parametrize("ic", [lambda x: np.zeros(x.size + 2), lambda x: 0.5], ids=["long", "scalar"])
+    def test_initial_profile_of_the_wrong_shape_rejected(self, ic):
+        with pytest.raises(DimensionMismatch):
+            next(lagrangian_steps(make_spec(n=10, m_steps=3, ic=ic)))
+
+
 
 class TestDiffusionSubsteps:
     def test_constant_advection_with_diffusion_matches_split_oracle(self):
@@ -77,15 +89,13 @@ class TestDiffusionSubsteps:
         n, steps = 400, 20
         lagr_spec = make_spec(speed="const", c=1.0, diffusion=0.01, n=n, m_steps=100)
         diff_spec = make_spec(speed="const", c=0.0, diffusion=0.01, n=n, m_steps=100)
-        state = initial_lagrangian_state(lagr_spec)
-        for _ in range(steps):
-            state = advance_lagrangian(state, lagr_spec)
+        values = first_states(lagr_spec, steps)[-1][1]
         oracle = run_eulerian_hfm(diff_spec, steps).trajectory[:, steps]
         dx = lagr_spec.dx
-        u0 = gaussian_pulse(state.eulerian_grid.nodes)
+        u0 = gaussian_pulse(lagr_spec.grid().nodes)
         curvature = np.max(np.abs(np.diff(u0, 2))) / dx**2
         tol = steps * (dx**2 / 8.0) * curvature + 5e-4
-        assert np.max(np.abs(state.values - oracle)) <= tol
+        assert np.max(np.abs(values - oracle)) <= tol
 
     def test_explicit_zero_diffusion_round_trip_order(self):
         # Passing an explicit zero coefficient forces the interpolation round
@@ -93,21 +103,15 @@ class TestDiffusionSubsteps:
         errors = {}
         for n in (100, 200):
             spec = make_spec(speed="const", c=1.0, diffusion=0.0, n=n, m_steps=100)
-            state = initial_lagrangian_state(spec)
-            u0 = state.values.copy()
-            for _ in range(10):
-                state = advance_lagrangian(state, spec)
-            errors[n] = np.max(np.abs(state.values - u0))
+            states = first_states(spec, 10)
+            errors[n] = np.max(np.abs(states[-1][1] - states[0][1]))
         order = np.log2(errors[100] / errors[200])
         assert order >= 1.8
 
     def test_none_diffusion_skips_round_trip_entirely(self):
         spec = make_spec(speed="const", c=1.0, n=100, m_steps=100)
-        state = initial_lagrangian_state(spec)
-        u0 = state.values
-        for _ in range(10):
-            state = advance_lagrangian(state, spec)
-        assert np.array_equal(state.values, u0)
+        states = first_states(spec, 10)
+        assert np.array_equal(states[-1][1], states[0][1])
 
 
 class TestRun:
@@ -155,15 +159,17 @@ class TestRun:
                 arr[0, 0] = 0.0
 
     @pytest.mark.parametrize("diffusion", [None, 0.1])
-    def test_run_equals_advance_bit_for_bit(self, diffusion):
+    def test_run_equals_raw_steps_bit_for_bit(self, diffusion):
         spec = make_spec(speed="burgers", diffusion=diffusion, n=100, m_steps=20, t_final=0.4, bc=PERIODIC)
         run = run_lagrangian_hfm(spec, 5)
-        state = initial_lagrangian_state(spec)
+        nodes = spec.grid().nodes
+        x, u = nodes, spec.initial_u0(nodes)
+        f_u = speeds(spec, u)
         system = run_diffusion_system(spec)
         for k in range(1, spec.n_steps + 1):
-            state = advance_lagrangian(state, spec, system)
-            assert np.array_equal(state.positions.nodes, run.positions[:, k])
-            assert np.array_equal(state.values, run.values[:, k])
+            x, u, f_u = lagrangian_step(spec, system, nodes, x, u, f_u, k)
+            assert np.array_equal(x, run.positions[:, k])
+            assert np.array_equal(u, run.values[:, k])
 
     @pytest.mark.parametrize("diffusion", [None, 0.1])
     def test_run_collects_its_step_stream(self, diffusion):

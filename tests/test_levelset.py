@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lagrom.core import PERIODIC, Grid1D, uniform_grid
-from lagrom import levelset
+from lagrom import kernels, levelset
 from lagrom.dmd_rom import predict_series
 from lagrom.errors import (
     CflViolation,
@@ -15,7 +15,6 @@ from lagrom.errors import (
 )
 from lagrom.levelset import (
     LevelSetField,
-    advance_levelset,
     contour_blocks,
     embed_initial,
     extract_zero_contour,
@@ -24,6 +23,7 @@ from lagrom.levelset import (
     levelset_steps,
     predict_contours,
     predicted_contour,
+    row_speeds,
     run_levelset_hfm,
     value_grid_for,
     zero_contour,
@@ -94,6 +94,14 @@ class TestAdvance:
         yg = Grid1D(np.linspace(-0.25, 2.25, n_y))
         return embed_initial(one_plus_sin, xg, yg)
 
+    @staticmethod
+    def step(field, spec, dt):
+        """The field one upwind step of ``dt`` later, through the stream's
+        own pieces: the row speed check, then the kernel."""
+        dx = field.x_grid.spacing
+        speeds = row_speeds(spec, field.y_grid.nodes, dt, dx, time_index=1)
+        return kernels.levelset_step(field.values, speeds, dt / dx, spec.periodic)
+
     def test_zero_speed_row_unchanged(self, burgers_spec):
         field = self.make_field()
         i_zero = int(np.argmin(np.abs(field.y_grid.nodes)))
@@ -102,8 +110,8 @@ class TestAdvance:
         nodes[i_zero] = 0.0
         values = nodes[:, None] - one_plus_sin(field.x_grid.nodes)[None, :]
         field = LevelSetField(field.x_grid, Grid1D(nodes), values, 0)
-        out = advance_levelset(field, burgers_spec, burgers_spec.dt)
-        assert np.array_equal(out.values[i_zero], field.values[i_zero])
+        out = self.step(field, burgers_spec, burgers_spec.dt)
+        assert np.array_equal(out[i_zero], field.values[i_zero])
 
     def test_unit_courant_row_shift(self, burgers_spec):
         field = self.make_field()
@@ -111,14 +119,14 @@ class TestAdvance:
         speeds = field.y_grid.nodes
         fastest = np.argmax(np.abs(speeds))
         dt = dx / abs(speeds[fastest])
-        out = advance_levelset(field, burgers_spec, dt)
+        out = self.step(field, burgers_spec, dt)
         direction = 1 if speeds[fastest] > 0 else -1
-        assert np.allclose(out.values[fastest], np.roll(field.values[fastest], direction), atol=1e-12)
+        assert np.allclose(out[fastest], np.roll(field.values[fastest], direction), atol=1e-12)
 
     def test_cfl_violation(self, burgers_spec):
         field = self.make_field()
         with pytest.raises(CflViolation) as err:
-            advance_levelset(field, burgers_spec, 10.0)
+            self.step(field, burgers_spec, 10.0)
         assert err.value.time_index == 1
 
     def test_run_cfl_violation_names_its_time_index(self):
@@ -133,8 +141,9 @@ class TestAdvance:
     def test_row_conservation_periodic(self, burgers_spec):
         field = self.make_field()
         sums = field.values.sum(axis=1)
-        for _ in range(5):
-            field = advance_levelset(field, burgers_spec, burgers_spec.dt)
+        for k in range(1, 6):
+            values = self.step(field, burgers_spec, burgers_spec.dt)
+            field = LevelSetField(field.x_grid, field.y_grid, values, k)
             assert np.allclose(field.values.sum(axis=1), sums, rtol=1e-12)
 
     def test_contour_matches_characteristics_oracle(self, burgers_spec):
@@ -202,13 +211,15 @@ class TestLevelsetDmd:
         assert np.isclose(model.eigenvalues[0].real, 1.0, atol=1e-12)
 
     def test_flatten_round_trip_is_column_major(self):
-        xg = uniform_grid(0.0, 1.0, 3)
-        yg = Grid1D(np.linspace(0.0, 1.0, 2))
-        values = np.arange(6.0).reshape(2, 3)
-        field = LevelSetField(xg, yg, values, 4)
-        flat = field.flattened()
-        assert np.array_equal(flat, np.array([0.0, 3.0, 1.0, 4.0, 2.0, 5.0]))
-        assert np.array_equal(flat.reshape((2, 3), order="F"), values)
+        # A snapshot column is its field's column-major flattening, x-block
+        # by x-block, which is how the stream stores each field.
+        spec = make_spec(speed="burgers", n=3, m_steps=10, bc=PERIODIC)
+        run = run_levelset_hfm(spec, 1, n_y=2)
+        c = list(levelset_steps(spec, run.x_grid, run.y_grid))[1]
+        flat = run.snapshots.data[:, 0]
+        assert np.array_equal(flat, np.array([c[0, 0], c[1, 0], c[0, 1], c[1, 1], c[0, 2], c[1, 2]]))
+        assert np.array_equal(flat.reshape((2, 3), order="F"), c)
+        assert np.shares_memory(c.ravel(order="F"), c)
 
     def test_predicted_contours_track_hfm(self, burgers_spec):
         run = run_levelset_hfm(burgers_spec, 25)
@@ -284,15 +295,19 @@ class TestStore:
             with pytest.raises(ValueError):
                 arr[0, 0] = 0.0
 
-    def test_run_equals_advance_bit_for_bit(self, burgers_spec):
+    def test_run_equals_raw_steps_bit_for_bit(self, burgers_spec):
+        # Stepped in C order here; the run steps column-major fields.
         run = run_levelset_hfm(burgers_spec, 6, n_y=20)
         field = embed_initial(burgers_spec.initial_u0, run.x_grid, run.y_grid)
+        speeds = row_speeds(burgers_spec, run.y_grid.nodes, burgers_spec.dt, run.x_grid.spacing)
+        courant = burgers_spec.dt / run.x_grid.spacing
         assert np.array_equal(extract_zero_contour(field).values, run.contours[:, 0])
         for k in range(1, burgers_spec.n_steps + 1):
-            field = advance_levelset(field, burgers_spec, burgers_spec.dt)
+            values = kernels.levelset_step(field.values, speeds, courant, burgers_spec.periodic)
+            field = LevelSetField(run.x_grid, run.y_grid, values, k)
             assert np.array_equal(extract_zero_contour(field).values, run.contours[:, k])
             if k <= 6:
-                assert np.array_equal(field.flattened(), run.snapshots.data[:, k - 1])
+                assert np.array_equal(field.values.ravel(order="F"), run.snapshots.data[:, k - 1])
         assert np.array_equal(field.values, run.final_field.values)
 
 

@@ -14,8 +14,6 @@ from lagrom.pod_rom import (
     FRAME_LAGRANGIAN,
     PodBasis,
     fit_pod,
-    pod_step_eulerian,
-    pod_step_lagrangian,
     pod_steps,
     run_pod_rom,
 )
@@ -121,7 +119,7 @@ class TestNewtonBehavior:
     def test_zero_state_is_fixed_point(self):
         spec = make_spec(speed="burgers", diffusion=0.05, bc=PERIODIC, n=30, m_steps=30, ic=lambda x: np.zeros_like(x))
         basis = identity_basis(30, FRAME_EULERIAN)
-        out, iters = pod_step_eulerian(basis, np.zeros(30), spec, 0)
+        out, iters, _ = list(pod_steps(basis, np.zeros(30), spec, 1))[1]
         assert np.allclose(out, 0.0, atol=1e-14)
         assert iters == 0
 
@@ -142,13 +140,7 @@ class TestNewtonBehavior:
         )
         basis = identity_basis(40, FRAME_LAGRANGIAN)
         with pytest.raises(NewtonDivergence):
-            pod_step_lagrangian(basis, basis.project(np.concatenate([spec.grid().nodes, np.ones(20)])), bad, 0)
-
-    def test_frame_mismatch_rejected(self):
-        spec = make_spec(n=10, m_steps=10)
-        basis = identity_basis(10, FRAME_EULERIAN)
-        with pytest.raises(ValueError):
-            pod_step_lagrangian(basis, np.zeros(10), spec, 0)
+            list(pod_steps(basis, np.concatenate([spec.grid().nodes, np.ones(20)]), bad, 1))
 
     def test_tangled_reconstruction_rejected(self):
         from lagrom.errors import GridEntanglement
@@ -156,9 +148,8 @@ class TestNewtonBehavior:
         spec = make_spec(speed="burgers", bc=PERIODIC, n=8, m_steps=10)
         basis = identity_basis(16, FRAME_LAGRANGIAN)
         positions = np.array([0.0, 1.0, 0.9, 2.0, 3.0, 4.0, 5.0, 6.0])
-        z_hat = basis.project(np.concatenate([positions, np.ones(8)]))
         with pytest.raises(GridEntanglement):
-            pod_step_lagrangian(basis, z_hat, spec, 0)
+            list(pod_steps(basis, np.concatenate([positions, np.ones(8)]), spec, 1))
 
     def test_reconstruction_crossing_the_seam_rejected(self):
         # Strictly increasing, but the last node lies past the first node's
@@ -168,10 +159,9 @@ class TestNewtonBehavior:
         spec = make_spec(speed="burgers", bc=PERIODIC, n=8, m_steps=10)
         basis = identity_basis(16, FRAME_LAGRANGIAN)
         positions = np.linspace(0.0, spec.domain_length + 0.1, 8)
-        z_hat = basis.project(np.concatenate([positions, np.ones(8)]))
-        with pytest.raises(GridEntanglement, match="time index 3$") as err:
-            pod_step_lagrangian(basis, z_hat, spec, 3)
-        assert err.value.time_index == 3
+        with pytest.raises(GridEntanglement, match="time index 0$") as err:
+            list(pod_steps(basis, np.concatenate([positions, np.ones(8)]), spec, 1))
+        assert err.value.time_index == 0
 
 
 class TestRollout:
