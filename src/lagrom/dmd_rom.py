@@ -196,33 +196,17 @@ def one_step_map(model: DmdModel, columns: np.ndarray) -> np.ndarray:
     return out.real if model.real_input else out
 
 
-def _checked_real(result: np.ndarray, model: DmdModel, indices) -> np.ndarray:
+def _checked_finite(result: np.ndarray, indices) -> np.ndarray:
     """Real part of a prediction block (n x k) whose columns belong to
-    ``indices``.
+    ``indices``; raises at the block's first column that overflowed.
 
-    Raises at the block's first failing column: one that overflowed or, for
-    real input, one whose imaginary part is not negligible against it. The
-    two parts' norms are compared on each column divided by the power of two
-    of its largest absolute entry, which leaves their ratio exact and keeps
-    their squares from overflowing (``np.linalg.norm`` of a column with
-    entries above about 1e154 is inf).
+    A real-input model's factors are real (a fit makes them so, and
+    ``load_dmd_model`` checks a file's), so its blocks are real already.
     """
-    overflowed = failing = ~np.isfinite(result).all(axis=0)
-    if model.real_input and np.iscomplexobj(result):
-        exps = np.frexp(np.maximum(np.abs(result.real).max(axis=0), np.abs(result.imag).max(axis=0)))[1]
-        imag_norms = np.linalg.norm(np.ldexp(result.imag, -exps), axis=0)
-        scales = np.maximum(np.linalg.norm(np.ldexp(result.real, -exps), axis=0), 1e-300)
-        failing = overflowed | (imag_norms > _IMAG_TOL * scales)
+    failing = ~np.isfinite(result).all(axis=0)
     if failing.any():
-        j = int(np.argmax(failing))
-        first = int(indices[j])
-        if overflowed[j]:
-            raise NumericalFailure(f"prediction at time index {first} is not finite", time_index=first)
-        raise NumericalFailure(
-            f"prediction imaginary part {np.ldexp(imag_norms[j], exps[j]):.3e} at time index {first} exceeds "
-            f"{_IMAG_TOL:g} of magnitude {np.ldexp(scales[j], exps[j]):.3e}",
-            time_index=first,
-        )
+        first = int(indices[int(np.argmax(failing))])
+        raise NumericalFailure(f"prediction at time index {first} is not finite", time_index=first)
     return result.real
 
 
@@ -240,8 +224,8 @@ def prediction_blocks(model: DmdModel, indices) -> Iterator[np.ndarray]:
     advances by ``K^gap`` between consecutive distinct indices (one r x r
     matvec when they are adjacent), which gives every r-wide reduced row
     before the first block is lifted. Each block is then one product of its
-    reduced rows with ``U``, checked for overflow and imaginary parts, so no
-    full-horizon observable exists unless a caller collects one.
+    reduced rows with ``U``, checked for overflow, so no full-horizon
+    observable exists unless a caller collects one.
     """
     idx = np.asarray(indices, dtype=int)
     if np.any(idx < model.base_time_index):
@@ -261,7 +245,7 @@ def prediction_blocks(model: DmdModel, indices) -> Iterator[np.ndarray]:
     lift = model.projector.T
     for start in range(0, idx.size, LIFT_COLUMNS):
         cols = slice(start, start + LIFT_COLUMNS)
-        yield _checked_real((reduced_t[cols] @ lift).T, model, idx[cols])
+        yield _checked_finite((reduced_t[cols] @ lift).T, idx[cols])
 
 
 def predict_series(model: DmdModel, indices) -> np.ndarray:
@@ -306,13 +290,30 @@ def save_dmd_model(model: DmdModel, path) -> None:
                 write_number_table(fh, values)
 
 
+def _real_factor(name: str, values: np.ndarray) -> np.ndarray:
+    """The real part of a real-input model's factor read from a file.
+
+    Raises ValueError when the factor's largest imaginary magnitude exceeds
+    ``_IMAG_TOL`` of its largest real one. Largest magnitudes, not norms, so
+    entries past the square root of the largest double compare exactly.
+    """
+    imag = float(np.max(np.abs(values.imag), initial=0.0))
+    scale = float(np.max(np.abs(values.real), initial=0.0))
+    if not imag <= _IMAG_TOL * scale:
+        raise ValueError(
+            f"[{name}_im] of a real-input model: imaginary part {imag:.3e} exceeds {_IMAG_TOL:g} of magnitude {scale:.3e}"
+        )
+    return np.ascontiguousarray(values.real)
+
+
 def load_dmd_model(path) -> DmdModel:
     """Read a model written by ``save_dmd_model``.
 
     Raises ValueError for a file that is not a complete ``lagrom-dmd-v2``
     model: unknown format (``lagrom-dmd-v1`` included), a missing factor
-    block, or block shapes that disagree with the header's ``rows`` and
-    ``rank``.
+    block, block shapes that disagree with the header's ``rows`` and
+    ``rank``, or, for a real-input model, a factor whose imaginary part is
+    not negligible (``_real_factor``).
     """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -359,8 +360,11 @@ def load_dmd_model(path) -> DmdModel:
     if real_input and not eigvals.imag.any():
         # np.linalg.eig returns real factors for a real operator's real spectrum
         eigvals, eigvecs = (np.ascontiguousarray(a.real) for a in (eigvals, eigvecs))
-    if real_input and np.allclose(projector.imag, 0.0):
-        projector, reduced_op, anchor = (np.ascontiguousarray(a.real) for a in (projector, reduced_op, anchor))
+    if real_input:
+        projector, reduced_op, anchor = (
+            _real_factor(name, values)
+            for name, values in (("projector", projector), ("reduced_operator", reduced_op), ("projected_anchor", anchor))
+        )
     req = header.get("requested_rank", "")
     return DmdModel(
         eigenvalues=eigvals,

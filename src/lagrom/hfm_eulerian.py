@@ -104,7 +104,7 @@ class DiffusionSystem:
     and its corner products are formed once, at construction, for
     ``apply``."""
 
-    factor: Union[kernels.TridiagonalFactor, kernels.CyclicFactor]
+    factor: Union[kernels.TridiagonalLU, kernels.CyclicFactor]
     periodic: bool
     mu: float
     d_faces: np.ndarray

@@ -110,13 +110,16 @@ def lagrangian_steps(spec: ProblemSpec) -> Iterator[np.ndarray]:
     """The run from the uniform grid as a stream of read-only stacked rows
     [x^n; u^n]: the initial row, then one step per index 1..M. Nothing is
     stored, so a consumer that reads the rows as they come holds one at a
-    time; ``run_lagrangian_hfm`` collects them."""
+    time; ``run_lagrangian_hfm`` collects them. A non-finite u^0 raises
+    ``NumericalFailure`` for time index 0 before the first yield."""
     nodes = spec.grid().nodes
     system = run_diffusion_system(spec)
     n = nodes.size
     u0 = np.asarray(spec.initial_u0(nodes), dtype=float)
     if u0.shape != nodes.shape:
         raise DimensionMismatch("positions and values must have equal length")
+    if not np.isfinite(u0).all():
+        raise NumericalFailure("non-finite state at time index 0", time_index=0)
     row = np.concatenate([nodes, u0])
     row.setflags(write=False)
     f_u = speeds(spec, row[n:])

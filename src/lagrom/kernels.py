@@ -1,20 +1,22 @@
-"""Hot numerical kernels, written once against numpy/scipy.
+"""Hot numerical kernels, written once against numpy and LAPACK.
 
 The time steppers spend most of their cycles in a handful of routines: the
 tridiagonal solves behind the implicit diffusion steps, piecewise-linear
 interpolation, the diffusion band assembly, the row-wise upwind sweep of the
 level-set field, and the small dense Newton solves. Each is one whole-array
 numpy or LAPACK call, so there is nothing to compile and nothing to warm up.
+LAPACK is reached through ``lapack``, which binds the OpenBLAS that numpy
+already loads.
 
 The tridiagonal systems are factored apart from their solves: ``factor_*``
-runs the LU elimination (LAPACK ``gttrf``) once, and ``thomas_solve`` /
+runs the LU elimination (LAPACK ``dgttrf``) once, and ``thomas_solve`` /
 ``cyclic_thomas_solve`` reuse that factorization for each right-hand side
-(one ``gttrs`` each). A periodic system stores its Sherman-Morrison vector
-and denominator with the factorization, so a periodic solve is one ``gttrs``
+(one ``dgttrs`` each). A periodic system stores its Sherman-Morrison vector
+and denominator with the factorization, so a periodic solve is one ``dgttrs``
 plus an O(1) correction. A run whose diffusion coefficient is constant
 factors once and solves once per step. The small dense Newton systems follow
-the same split: ``factor_small`` (``getrf``) once per run when the reduced
-Jacobian is constant, ``small_factor_solve`` (``getrs``) per iteration, and
+the same split: ``factor_small`` (``dgetrf``) once per run when the reduced
+Jacobian is constant, ``small_factor_solve`` (``dgetrs``) per iteration, and
 ``solve_small`` for a Jacobian that changes at every step.
 """
 
@@ -23,9 +25,9 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs, dgttrf, dgttrs
 
 from .errors import NumericalFailure, SingularTridiagonal
+from .lapack import DenseLU, TridiagonalLU
 
 # No compiled backend exists; the constant stays for readers of the
 # environment record.
@@ -36,29 +38,6 @@ NUMBA_ENABLED = False
 # pivots sit at O(1).
 _PIVOT_TINY = 1e-300
 
-# scipy's gttrf/gttrs wrappers reject systems of fewer than three rows;
-# smaller ones are padded with decoupled identity rows, which leaves the
-# elimination of the leading block unchanged.
-_LAPACK_MIN_ROWS = 3
-
-
-class TridiagonalFactor(NamedTuple):
-    """LU factors of a tridiagonal matrix as LAPACK ``gttrf`` returns them."""
-
-    dl: np.ndarray
-    d: np.ndarray
-    du: np.ndarray
-    du2: np.ndarray
-    ipiv: np.ndarray
-    n: int
-
-
-class SmallFactor(NamedTuple):
-    """LU factors of a small dense matrix as LAPACK ``getrf`` returns them."""
-
-    lu: np.ndarray
-    piv: np.ndarray
-
 
 class CyclicFactor(NamedTuple):
     """A periodic tridiagonal matrix as a factored tridiagonal part plus the
@@ -67,40 +46,29 @@ class CyclicFactor(NamedTuple):
     ``z`` is None when the corners were folded into the bands (n < 3).
     """
 
-    tridiagonal: TridiagonalFactor
+    tridiagonal: TridiagonalLU
     z: Optional[np.ndarray]
     gamma: float
     corner_top: float
     denom: float
 
 
-def factor_tridiagonal(lower, diag, upper) -> TridiagonalFactor:
+def factor_tridiagonal(lower, diag, upper) -> TridiagonalLU:
     """LU-factor a tridiagonal matrix once for any number of later solves.
 
     ``lower[i]`` multiplies x[i-1] in row i (lower[0] unused);
     ``upper[i]`` multiplies x[i+1] in row i (upper[-1] unused).
     Raises ``SingularTridiagonal`` on an exactly zero pivot.
     """
-    n = diag.shape[0]
-    dl = np.zeros(max(n, _LAPACK_MIN_ROWS) - 1)
-    d = np.ones(max(n, _LAPACK_MIN_ROWS))
-    du = np.zeros_like(dl)
-    dl[: n - 1] = lower[1:]
-    d[:n] = diag
-    du[: n - 1] = upper[:-1]
-    dl, d, du, du2, ipiv, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-    if info > 0:
-        raise SingularTridiagonal(f"zero pivot in row {info - 1} of a {n}x{n} system")
-    return TridiagonalFactor(dl, d, du, du2, ipiv, n)
+    factor = TridiagonalLU(lower[1:], diag, upper[:-1])
+    if factor.info > 0:
+        raise SingularTridiagonal(f"zero pivot in row {factor.info - 1} of a {factor.n}x{factor.n} system")
+    return factor
 
 
-def thomas_solve(factor: TridiagonalFactor, rhs):
+def thomas_solve(factor: TridiagonalLU, rhs):
     """Solve a factored tridiagonal system for one right-hand side."""
-    n = factor.n
-    if n < _LAPACK_MIN_ROWS:
-        rhs = np.concatenate([rhs, np.zeros(_LAPACK_MIN_ROWS - n)])
-    x, _ = dgttrs(factor.dl, factor.d, factor.du, factor.du2, factor.ipiv, rhs)
-    return x[:n]
+    return factor.solve(rhs)
 
 
 def factor_cyclic(lower, diag, upper, corner_top, corner_bottom) -> CyclicFactor:
@@ -199,23 +167,20 @@ def diffusion_bands(d_nodes, mu, periodic):
     return d_faces, lower, diag, upper
 
 
-def factor_small(a) -> SmallFactor:
+def factor_small(a) -> DenseLU:
     """LU-factor a small dense matrix once for any number of later solves.
 
-    Raises ``NumericalFailure`` on an exactly zero pivot, which
-    ``scipy.linalg.lu_factor`` would only warn about.
+    Raises ``NumericalFailure`` on an exactly zero pivot.
     """
-    lu, piv, info = dgetrf(a)
-    if info > 0:
-        n = a.shape[0]
-        raise NumericalFailure(f"zero pivot in row {info - 1} of a {n}x{n} system")
-    return SmallFactor(lu, piv)
+    factor = DenseLU(a)
+    if factor.info > 0:
+        raise NumericalFailure(f"zero pivot in row {factor.info - 1} of a {factor.n}x{factor.n} system")
+    return factor
 
 
-def small_factor_solve(factor: SmallFactor, rhs):
+def small_factor_solve(factor: DenseLU, rhs):
     """Solve a factored small dense system for one right-hand side."""
-    x, _ = dgetrs(factor.lu, factor.piv, rhs)
-    return x
+    return factor.solve(rhs)
 
 
 def solve_small(a, b):

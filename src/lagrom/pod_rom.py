@@ -120,7 +120,7 @@ class PodStepContext:
     identity_r: np.ndarray
     system: Optional[DiffusionSystem]
     jacobian: Optional[np.ndarray]
-    jacobian_factor: Optional[kernels.SmallFactor]
+    jacobian_factor: Optional[kernels.DenseLU]
     target_map: Optional[np.ndarray]
     target_offset: Optional[np.ndarray]
 

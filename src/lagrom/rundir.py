@@ -18,7 +18,9 @@ error CSV, whose state and bound cells may be blank, formats cell by cell:
 * ``<method>_modes.csv``     leading three fitted modes (real and imaginary parts)
 * ``timing.json``            wall-clock seconds per phase (``TIMING_FIELDS``), including
                              ``emit_seconds`` for writing the CSVs (excluded from determinism)
-* ``manifest.json``          resolved configuration and the files this run wrote
+* ``manifest.json``          resolved configuration, the environment the run computed
+                             in (numpy version, the OpenBLAS build that ran LAPACK
+                             and its thread count) and the files this run wrote
 * ``plot.py``                standalone matplotlib script rendering the figures
 """
 
@@ -34,6 +36,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from . import lapack
 from .core import NUMBER_FORMAT, ProblemSpec, split_stacked, write_number_table
 from .error_analysis import ErrorReport
 
@@ -191,6 +194,8 @@ def write_run(out: RunDirectory, spec: ProblemSpec, record: RunRecord, snapshots
         "dx": spec.dx,
         "bc": spec.bc,
         "methods": list(record.methods),
+        # The CSVs reproduce bit for bit only under the same BLAS build and thread count.
+        "environment": {"numpy": np.__version__, "lapack": lapack.build(), "blas_threads": lapack.threads()},
         "figures": {
             "profiles": "solution profiles from snapshots.csv and method states",
             "errors": "error curves and bounds from <method>_errors.csv",
@@ -341,6 +346,17 @@ def validate_run_dir(run_dir) -> List[tuple]:
     manifest = json.loads(manifest_path.read_text())
     add("manifest exists", True)
     add("deterministic flag", manifest.get("deterministic") is True)
+    env = manifest.get("environment")
+    env = env if isinstance(env, dict) else {}
+    threads = env.get("blas_threads")
+    add(
+        "manifest environment",
+        all(isinstance(env.get(key), str) and env[key] for key in ("numpy", "lapack"))
+        and isinstance(threads, int)
+        and not isinstance(threads, bool)
+        and threads >= 1,
+        f"environment {manifest.get('environment')!r}",
+    )
 
     snap_path = run_dir / "snapshots.csv"
     if snap_path.exists():

@@ -17,12 +17,14 @@ shares near 1e-8, where squaring the condition number loses the last kept σ.
 both of its fits, so the second fit's ``fit_seconds`` excludes the shared
 QR. A fit given no factor factors its own window with ``reduced_svd``.
 
-``reduced_svd`` calls ``dgeqrf`` directly: its workspace query and the
-factorization both run on one Fortran-order float64 array, with the optimal
-``lwork`` the query returns (as ``scipy.linalg.qr`` does; the blocked path
-rounds differently from the unblocked one, and the emitted CSVs depend on
-it). Any input, a ``SnapshotMatrix`` or a caller's array, writable or not,
-is copied into that array once and left as it was. Only a window wrapped in
+``reduced_svd`` calls ``dgeqrf`` through ``lapack``, on the OpenBLAS that
+numpy loads, and ``WindowFactor.lift`` calls ``dormqr`` the same way. The
+QR's workspace query and factorization both run on one Fortran-order
+float64 array, with the optimal ``lwork`` the query returns (the blocked
+path rounds differently from the unblocked one, and the emitted CSVs depend
+on it; ``scipy.linalg.qr`` chooses the same ``lwork``, and the tests compare
+the two bit for bit). Any input, a ``SnapshotMatrix`` or a caller's array,
+writable or not, is copied into that array once and left as it was. Only a window wrapped in
 ``HandedOverWindow`` is factored in its own memory: the reflectors
 overwrite it, and no copy of it is made. ``bench`` hands over the level-set
 window alone, whose full-size QR would otherwise copy 800 MB.
@@ -34,8 +36,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
+from . import lapack
 from .core import SnapshotMatrix
 from .errors import DimensionMismatch, EmptySpectrum, NumericalFailure, RankOutOfRange
 
@@ -114,12 +116,9 @@ class WindowFactor:
         the factors reproducible across LAPACK builds; U_R and V take the
         same flip, so every product is unchanged."""
         u_r = svd.r_left_vectors
-        padded = np.zeros((self.n_rows, svd.rank), order="F")
-        padded[: u_r.shape[0]] = u_r
-        apply_q = get_lapack_funcs("ormqr", (self.reflectors, padded))
-        reflectors = self.reflectors[:, : self.tau.size]
-        lwork = int(apply_q("L", "N", reflectors, self.tau, padded, -1, overwrite_c=1)[1][0])
-        u, _, info = apply_q("L", "N", reflectors, self.tau, padded, lwork, overwrite_c=1)
+        u = np.zeros((self.n_rows, svd.rank), order="F")
+        u[: u_r.shape[0]] = u_r  # [U_R; 0], which dormqr overwrites with U
+        info = lapack.ormqr(self.reflectors, self.tau, u)
         if info != 0:
             raise NumericalFailure(f"applying the implicit Q failed (dormqr info {info})")
         signs = np.ones(svd.rank)
@@ -167,12 +166,10 @@ def reduced_svd(matrix) -> WindowFactor:
         raise NumericalFailure("matrix contains NaN or Inf")
     if not (handed_over and x.dtype == np.float64 and x.flags.f_contiguous and x.flags.writeable):
         x = np.array(x, dtype=float, order="F")
-    geqrf = get_lapack_funcs("geqrf", (x,))
-    lwork = int(geqrf(x, lwork=-1, overwrite_a=1)[2][0])
-    reflectors, tau, _, info = geqrf(x, lwork=lwork, overwrite_a=1)
+    tau, info = lapack.geqrf(x)
     if info != 0:
         raise NumericalFailure(f"the window QR failed (dgeqrf info {info})")
-    return WindowFactor(reflectors, tau, np.triu(reflectors[: min(x.shape)]))
+    return WindowFactor(x, tau, np.triu(x[: min(x.shape)]))
 
 
 def window_factor(matrix, factor: WindowFactor = None) -> WindowFactor:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lagrom import bench, cli, hfm_eulerian, hfm_lagrangian, svd_core
+from lagrom import bench, cli, hfm_eulerian, hfm_lagrangian, lapack, svd_core
 from lagrom.bench import _Frame, _Scorer, _block_width, _score_all, run_experiment
 from lagrom.cli import main
 from lagrom.core import PERIODIC, stacked_to_grid
@@ -109,6 +109,11 @@ class TestRunExperiment:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["deterministic"] is True
         assert manifest["n_cells"] == 40
+        assert manifest["environment"] == {
+            "numpy": np.__version__,
+            "lapack": lapack.build(),
+            "blas_threads": lapack.threads(),
+        }
         compile((out / "plot.py").read_text(), "plot.py", "exec")
         timing = json.loads((out / "timing.json").read_text())
         assert isinstance(timing["emit_seconds"], float) and timing["emit_seconds"] >= 0
@@ -773,6 +778,29 @@ class TestCli:
         snapshots.write_text("\n".join(lines) + "\n")
         failed = [check for check in validate_run_dir(record.output_dir) if not check[1]]
         assert [check[0] for check in failed] == ["snapshots finite"], failed
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda env: env.update(blas_threads=0),
+            lambda env: env.update(blas_threads="1"),
+            lambda env: env.update(blas_threads=True),
+            lambda env: env.update(lapack=""),
+            lambda env: env.pop("numpy"),
+            lambda env: env.clear(),
+        ],
+        ids=["zero-threads", "threads-as-text", "threads-as-bool", "blank-lapack", "no-numpy", "empty"],
+    )
+    def test_validate_flags_a_corrupt_environment(self, corrupt, tmp_path):
+        # A manifest environment that does not name the numpy version, the
+        # OpenBLAS build and a positive thread count fails its check alone.
+        record = run_experiment(tiny_config(output_dir=str(tmp_path / "out")))
+        path = Path(record.output_dir) / "manifest.json"
+        manifest = json.loads(path.read_text())
+        corrupt(manifest["environment"])
+        path.write_text(json.dumps(manifest))
+        failed = [check[0] for check in validate_run_dir(record.output_dir) if not check[1]]
+        assert failed == ["manifest environment"]
 
     def test_validate_flags_an_error_above_its_bound(self, tmp_path):
         # An observable error past its bound fails the domination check

@@ -32,6 +32,23 @@ def linear_trajectory(a, y0, count):
     return np.column_stack(cols)
 
 
+def diagonal_model(diagonal, anchor):
+    """A real-input model with U = I, K = diag(``diagonal``) and the
+    projected anchor ``anchor``: column k of a prediction is
+    diag(diagonal)^k anchor."""
+    import dataclasses
+
+    model = fit_dmd(np.column_stack([np.array([1.0, -2.0])] * 5), epsilon=1e-8)
+    return dataclasses.replace(
+        model,
+        eigenvalues=np.array(diagonal, dtype=float),
+        eigenvectors=np.eye(2),
+        projector=np.eye(2),
+        reduced_operator=np.diag(diagonal).astype(float),
+        projected_anchor=np.array(anchor),
+    )
+
+
 class TestSplitPairs:
     def test_two_columns(self):
         y1, y2 = split_pairs(np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -288,63 +305,50 @@ class TestLagrangianObservable:
 
 
 class TestImaginaryGuard:
-    def test_excess_imaginary_part_rejected(self):
+    """A real-input model's factors are real: ``load_dmd_model`` checks the
+    factors of a file once, and prediction checks each lifted column for
+    overflow."""
+
+    @staticmethod
+    def reloaded(model, tmp_path):
+        path = tmp_path / "model.txt"
+        save_dmd_model(model, path)
+        return load_dmd_model(path)
+
+    def test_excess_imaginary_part_rejected(self, tmp_path):
         import dataclasses
 
-        data = np.column_stack([np.array([1.0, -2.0])] * 5)
-        model = fit_dmd(data, epsilon=1e-8)
-        # Corrupt the anchor so the prediction is dominantly imaginary while
-        # the model still claims real input.
+        model = fit_dmd(np.column_stack([np.array([1.0, -2.0])] * 5), epsilon=1e-8)
+        # A file whose anchor is imaginary while the model claims real input.
         broken = dataclasses.replace(model, projected_anchor=model.projected_anchor * 1j)
-        with pytest.raises(NumericalFailure):
-            predict(broken, 3)
+        with pytest.raises(ValueError, match=r"\[projected_anchor_im\] of a real-input model"):
+            self.reloaded(broken, tmp_path)
+        loaded = self.reloaded(model, tmp_path)
+        assert not np.iscomplexobj(loaded.projected_anchor)
 
     def test_series_checks_each_column(self):
-        import dataclasses
-
-        data = np.column_stack([np.array([1.0, -2.0])] * 5)
-        model = fit_dmd(data, epsilon=1e-8)
-        # Column k is [1, 1e-9j * 2^k]: its imaginary share passes the tolerance
-        # up to k = 9 and exceeds it at k = 10, while over the block 1..10 the
-        # imaginary norm stays below 1e-6 of the real norm.
-        broken = dataclasses.replace(
-            model,
-            projector=np.eye(2),
-            reduced_operator=np.diag([1.0, 2.0]).astype(complex),
-            projected_anchor=np.array([1.0, 1e-9j]),
-        )
-        base = broken.base_time_index
-        predict_series(broken, base + np.arange(1, 10))
-        block = base + np.arange(1, 11)
-        assert np.linalg.norm([2.0**k * 1e-9 for k in range(1, 11)]) < 1e-6 * np.sqrt(10)
-        for indices in (block, block[::-1]):
-            with pytest.raises(NumericalFailure) as excinfo:
-                predict_series(broken, indices)
-            assert excinfo.value.time_index == base + 10
-        with pytest.raises(NumericalFailure) as excinfo:
-            predict(broken, base + 10)
-        assert excinfo.value.time_index == base + 10
-
-
-    def test_columns_past_the_square_root_of_the_largest_double(self):
-        import dataclasses
-
-        # Column k is [1e30^k, 1e-9j (2e30)^k]: its imaginary share 1.024e-6
-        # at k = 10 ([1e300, 1.024e294j]) fails the tolerance while both norms
-        # of the unscaled column are inf, and k = 11 overflows.
-        model = fit_dmd(np.column_stack([np.array([1.0, -2.0])] * 5), epsilon=1e-8)
-        broken = dataclasses.replace(
-            model,
-            projector=np.eye(2),
-            reduced_operator=np.diag([1e30, 2e30]).astype(complex),
-            projected_anchor=np.array([1.0, 1e-9j]),
-            base_time_index=0,
-        )
-        predict_series(broken, np.arange(1, 10))
+        # Column k is [1, 1e-2 * 1e30^k]: finite up to k = 10, inf at k = 11.
+        model = diagonal_model([1.0, 1e30], [1.0, 1e-2])
+        base = model.base_time_index
+        predict_series(model, base + np.arange(1, 11))
+        block = base + np.arange(1, 12)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalFailure, match="imaginary part 1.024e\\+294 .* magnitude 1.000e\\+300") as exc:
-                predict_series(broken, np.arange(1, 13))
-        assert exc.value.time_index == 10
+            for indices in (block, block[::-1]):
+                with pytest.raises(NumericalFailure, match="not finite") as excinfo:
+                    predict_series(model, indices)
+                assert excinfo.value.time_index == base + 11
+            with pytest.raises(NumericalFailure) as excinfo:
+                predict(model, base + 11)
+        assert excinfo.value.time_index == base + 11
+
+    def test_columns_past_the_square_root_of_the_largest_double(self, tmp_path):
+        # The anchor [1e300, 1.024e294j] has imaginary share 1.024e-6, past
+        # the tolerance, while the squares of both parts overflow; a share of
+        # 0.9e-6 loads as the real part.
+        with pytest.raises(ValueError, match=r"imaginary part 1.024e\+294 .* magnitude 1.000e\+300"):
+            self.reloaded(diagonal_model([1.0, 1.0], [1e300, 1.024e294j]), tmp_path)
+        loaded = self.reloaded(diagonal_model([1.0, 1.0], [1e300, 0.9e294j]), tmp_path)
+        assert np.array_equal(loaded.projected_anchor, [1e300, 0.0])
 
 
 class TestPredictionBlocks:
@@ -379,28 +383,18 @@ class TestPredictionBlocks:
         assert np.array_equal(predict_series(model, np.arange(1, horizon + 1)), whole)
 
     def test_earliest_failing_index_is_reported(self):
-        import dataclasses
-
-        # Column k is [1, 1e-120j (1e27)^k]: its imaginary part passes the
-        # tolerance up to k = 4 and fails it from k = 5; from k = 16 it
-        # overflows, in the same lift block. A check of the whole array for
-        # overflow first named 16.
-        model = fit_dmd(np.column_stack([np.array([1.0, -2.0])] * 5), epsilon=1e-8)
-        broken = dataclasses.replace(
-            model,
-            projector=np.eye(2),
-            reduced_operator=np.diag([1.0, 1e27]).astype(complex),
-            projected_anchor=np.array([1.0, 1e-120j]),
-        )
-        base = broken.base_time_index
+        # Column k is [1, 1e-120 (1e27)^k]: finite up to k = 15 and inf from
+        # k = 16 on, so a block holds one failing column or many.
+        model = diagonal_model([1.0, 1e27], [1.0, 1e-120])
+        base = model.base_time_index
         with np.errstate(over="ignore", invalid="ignore"):
-            predict_series(broken, base + np.arange(1, 5))
+            predict_series(model, base + np.arange(1, 16))
             for count in (16, 48):
-                with pytest.raises(NumericalFailure, match="imaginary part") as excinfo:
-                    predict_series(broken, base + np.arange(1, count + 1))
-                assert excinfo.value.time_index == base + 5
+                with pytest.raises(NumericalFailure, match="not finite") as excinfo:
+                    predict_series(model, base + np.arange(1, count + 1))
+                assert excinfo.value.time_index == base + 16
             with pytest.raises(NumericalFailure, match="not finite") as excinfo:
-                predict_series(broken, [base + 16])
+                predict_series(model, [base + 16])
             assert excinfo.value.time_index == base + 16
 
 

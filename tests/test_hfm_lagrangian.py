@@ -56,12 +56,11 @@ class TestSingleStep:
         assert err.value.time_index == 1
 
     def test_non_finite_initial_profile_fails_at_the_first_step(self):
-        # u^0 is yielded unchecked; the first step's finiteness check names
-        # index 1.
+        # u^0 is checked before it is yielded, as the other two streams do.
         spec = make_spec(speed="const", c=1.0, n=20, m_steps=5, ic=lambda x: np.where(x > 1.0, np.inf, 0.0))
-        with pytest.raises(NumericalFailure, match="time index 1$") as err:
-            first_states(spec, 1)
-        assert err.value.time_index == 1
+        with pytest.raises(NumericalFailure, match="time index 0$") as err:
+            next(lagrangian_steps(spec))
+        assert err.value.time_index == 0
 
     def test_periodic_grid_crossing_its_seam_detected(self):
         # u0 = x/L carries the last node at speed about 1 and the first at 0:
