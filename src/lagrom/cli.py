@@ -16,6 +16,7 @@ import json
 import sys
 
 from .bench import run_experiment
+from .errors import LagromError
 from .rundir import load_timing, timing_table, validate_run_dir
 from .presets import PRESET_NAMES, ExperimentConfig, parse_config_file, resolve
 
@@ -87,7 +88,11 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         print(f"lagrom run: error: {exc}", file=sys.stderr)
         return 2
-    record = run_experiment(config)
+    try:
+        record = run_experiment(config)
+    except LagromError as exc:  # a solver failure, which no method can record
+        print(f"lagrom run: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     print(f"experiment {record.label}: N = {record.n_cells}, M = {record.n_steps}, m = {record.n_snapshots}")
     print(f"  eulerian HFM    {record.hfm_eulerian_seconds:.4f} s")
     if record.hfm_lagrangian_seconds is not None:

@@ -5,6 +5,10 @@ so instances can be shared freely across threads. A float64 array is adopted
 without a copy when it and every array it is a view of are read-only and the
 chain ends in an array that owns its memory; anything else is copied, since a
 read-only view of a writeable base could still change under the instance.
+
+``real_array`` is the one door through which the fits, the window QR and the
+scoring take real float64 data; it, these classes and ``write_number_table``
+raise TypeError on complex input rather than drop its imaginary part.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
             link = link.base
         if link is None:
             return arr
-    out = np.array(arr, dtype=float)
+    out = np.array(real_array(arr))
     out.setflags(write=False)
     return out
 
@@ -238,6 +242,25 @@ class SnapshotMatrix:
         return self.col_times.size < 2 or bool(np.all(np.diff(self.col_times) == 1))
 
 
+def real_array(x) -> np.ndarray:
+    """The float64 data of a ``SnapshotMatrix`` or an array-like, without a
+    copy of float64 input; raises TypeError on complex input."""
+    data = x.data if isinstance(x, SnapshotMatrix) else x
+    if np.iscomplexobj(data):
+        raise TypeError(f"complex input ({np.asarray(data).dtype}) where real float64 data is required")
+    return np.asarray(data, dtype=float)
+
+
+def first_time_index(x) -> int:
+    """A unit-stride ``SnapshotMatrix``'s first column time (0 with no
+    columns), or 1 for an array; raises DimensionMismatch for another stride."""
+    if not isinstance(x, SnapshotMatrix):
+        return 1
+    if not x.has_unit_stride():
+        raise DimensionMismatch("training snapshots must have unit time stride")
+    return int(x.col_times[0]) if x.n_snapshots else 0
+
+
 def _grid_nodes(grid) -> np.ndarray:
     nodes = grid.nodes if isinstance(grid, Grid1D) else np.asarray(grid, dtype=float)
     if nodes.ndim != 1:
@@ -301,7 +324,7 @@ def linear_interpolate(src_grid, src_values, dst_grid, bc: str = "clamp", period
 
 def split_stacked(data, n: int = None):
     """Undo the [grid; state] stacking: returns (grid_block, state_block)."""
-    mat = data.data if isinstance(data, SnapshotMatrix) else np.asarray(data)
+    mat = real_array(data)
     rows = mat.shape[0]
     if n is None:
         if rows % 2:
@@ -537,7 +560,7 @@ def write_number_table(fh, *columns) -> None:
     * k > 22 and the fraction of S lies within 1e-9 of one half.
     Zeros print as ``0`` and ``-0`` without that fallback.
     """
-    parts = [np.asarray(c, dtype=float) for c in columns]
+    parts = [real_array(c) for c in columns]
     parts = [c[:, None] if c.ndim == 1 else c for c in parts]
     n_rows = parts[0].shape[0]
     width = sum(c.shape[1] for c in parts)

@@ -15,10 +15,11 @@ they come, so a whole-horizon observable exists only when a caller asks for
 one. The lift width is load-bearing. Blocks of 4 to 128 rows gave the
 single n x r by r x h product bit for bit on every preset; blocks of 1 or 3
 did not. At full size, 16-row blocks took 1.8 times as long as the single
-product, and 64-row blocks about as long. ``predict`` is ``predict_series`` at one index, where the walk is
-one r x r matrix power (about log2 k products) and the lift one n x r
-matvec, whatever the horizon.
-The form keeps every intermediate at the scale of the data: for
+product, and 64-row blocks about as long.
+
+``predict`` is ``predict_series`` at one index, where the walk is one r x r
+matrix power (about log2 k products) and the lift one n x r matvec, whatever
+the horizon. The form keeps every intermediate at the scale of the data: for
 snapshot data whose one-step operator is nearly defective (for example a
 state growing linearly in time) the eigenvector basis is ill-conditioned,
 and a superposition of modes would cancel about half of its floating-point
@@ -34,10 +35,13 @@ R[:, 1:m] - U_R K U_R^T R[:, :m-1]. When the QR is shared, the fit's
 ``fit_seconds`` in ``lagrom run`` excludes it if the POD fit ran first.
 
 The model also keeps K's eigenvalues and its r x r eigenvectors W
-(K W = W diag(eigenvalues)). The DMD modes are the projected modes U W
-(Schmid, JFM 2010), formed only when ``DmdModel.modes`` is read; since U has
-orthonormal columns, pinv(U W) = W^-1 U^T, so the fit's left-inverse check
-and the error bound's ||pinv(modes)||_F need only W.
+(K W = W diag(eigenvalues)), from ``_eigenpairs``. The DMD modes are the
+projected modes U W (Schmid, JFM 2010), formed only when ``DmdModel.modes``
+is read; since U has orthonormal columns, pinv(U W) = W^-1 U^T, so the
+left-inverse check and the error bound's ||pinv(modes)||_F need only W.
+The data are real (``core.real_array``), so only the eigenpairs may be
+complex: a model file stores the real factors U, K and U^T y_base, and
+``load_dmd_model`` derives the eigenpairs again. Prediction never reads them.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .core import NUMBER_FORMAT, SnapshotMatrix, side_by_side, write_number_table
+from .core import NUMBER_FORMAT, first_time_index, real_array, side_by_side, write_number_table
 from .errors import DimensionMismatch, NumericalFailure, TooFewSnapshots
 from .svd_core import WindowFactor, check_rank_rule, fit_svd, window_factor
 
@@ -55,7 +59,6 @@ OBSERVABLE_STATE = "state"
 OBSERVABLE_STACKED = "lagrangian-stacked"
 OBSERVABLE_LEVELSET = "levelset-field"
 
-_IMAG_TOL = 1e-6
 # Indices lifted per block by prediction_blocks (2 MB of the full-size
 # stacked observable). Load-bearing, see above.
 LIFT_COLUMNS = 64
@@ -71,7 +74,6 @@ class DmdModel:
     training_count: int
     train_residual: float
     requested_rank: Optional[int]
-    real_input: bool
     # Orthonormal data basis, reduced one-step operator, and projected anchor
     # snapshot: the factors every prediction is evaluated from.
     projector: np.ndarray
@@ -94,24 +96,31 @@ class DmdModel:
 
 def split_pairs(snapshots) -> Tuple[np.ndarray, np.ndarray]:
     """Shifted column pairs (Y1, Y2) = (columns 1..m-1, columns 2..m)."""
-    data = snapshots.data if isinstance(snapshots, SnapshotMatrix) else np.asarray(snapshots)
+    data = real_array(snapshots)
     if data.ndim != 2 or data.shape[1] < 2:
         raise TooFewSnapshots("need at least two snapshot columns")
     return data[:, :-1], data[:, 1:]
 
 
 def _resolve_training(snapshots, base_time_index):
-    if isinstance(snapshots, SnapshotMatrix):
-        data = snapshots.data
-        if not snapshots.has_unit_stride():
-            raise DimensionMismatch("training snapshots must have unit time stride")
-        base = int(snapshots.col_times[0]) if snapshots.n_snapshots else 0
-    else:
-        data = np.asarray(snapshots, dtype=float)
-        base = 1
-    if base_time_index is not None:
-        base = int(base_time_index)
-    return data, base
+    base = first_time_index(snapshots)
+    return real_array(snapshots), base if base_time_index is None else int(base_time_index)
+
+
+def _eigenpairs(k_tilde: np.ndarray, n_rows: int):
+    """K's eigenvalues and eigenvectors W, for the fit and ``load_dmd_model``.
+
+    pinv(U W) = W^-1 U^T for the n_rows x r basis U, so the modes' left
+    inverse is checked on W alone. As in np.linalg.pinv of the modes, W is
+    singular from cond(W) = 1/(n eps): an exact LU can invert a W far past
+    that, as for a nilpotent K.
+    """
+    eigvals, w = np.linalg.eig(k_tilde)
+    if np.linalg.cond(w) * n_rows * np.finfo(float).eps >= 1 or (
+        np.max(np.abs(np.linalg.inv(w) @ w - np.eye(w.shape[0]))) > 1e-8
+    ):
+        raise NumericalFailure("mode pseudoinverse lost left-inverse property")
+    return eigvals, w
 
 
 def fit_dmd(
@@ -137,21 +146,13 @@ def fit_dmd(
     factor = window_factor(data, factor)
 
     svd = fit_svd(factor, m - 1, epsilon, fixed_rank)
-    r = svd.rank
 
     # With X = QR and U = Q [U_R; 0], U^T maps a window column X[:, j] to
     # U_R^T R[:, j]: the window algebra below runs on R's columns.
     u, u_r, s, v = svd.left_vectors, svd.r_left_vectors, svd.singular_values, svd.right_vectors
     r1, r2 = factor.r[:, :-1], factor.r[:, 1:]
     k_tilde = (u_r.T @ r2 @ v) / s[None, :]
-    eigvals, w = np.linalg.eig(k_tilde)
-    # pinv(U W) = W^-1 U^T, so the modes' left inverse is checked on W alone.
-    # As in np.linalg.pinv of the modes, W is singular from cond(W) = 1/(n eps):
-    # an exact LU can invert a W far past that, as for a nilpotent K.
-    if np.linalg.cond(w) * data.shape[0] * np.finfo(float).eps >= 1 or (
-        np.max(np.abs(np.linalg.inv(w) @ w - np.eye(r))) > 1e-8
-    ):
-        raise NumericalFailure("mode pseudoinverse lost left-inverse property")
+    eigvals, w = _eigenpairs(k_tilde, data.shape[0])
     anchor_proj = u_r.T @ factor.r[:, 0]
 
     # One-step training residual max_j ||Y2_j - U K U^T Y1_j||, a fit
@@ -170,7 +171,6 @@ def fit_dmd(
         training_count=m,
         train_residual=resid,
         requested_rank=fixed_rank,
-        real_input=bool(np.isrealobj(data)),
         projector=u,
         reduced_operator=k_tilde,
         projected_anchor=anchor_proj,
@@ -181,8 +181,7 @@ def fit_lagrangian_dmd(
     stacked_snapshots, epsilon: float = None, fixed_rank: int = None, factor: WindowFactor = None
 ) -> DmdModel:
     """DMD on the stacked [positions; values] observable (rows must be 2N)."""
-    data = stacked_snapshots.data if isinstance(stacked_snapshots, SnapshotMatrix) else np.asarray(stacked_snapshots)
-    if data.shape[0] % 2:
+    if real_array(stacked_snapshots).shape[0] % 2:
         raise DimensionMismatch("stacked observable matrix must have an even row count")
     return fit_dmd(
         stacked_snapshots, epsilon=epsilon, fixed_rank=fixed_rank, observable_kind=OBSERVABLE_STACKED, factor=factor
@@ -191,23 +190,17 @@ def fit_lagrangian_dmd(
 
 def one_step_map(model: DmdModel, columns: np.ndarray) -> np.ndarray:
     """Apply the fitted one-step propagator to each column."""
-    cols = np.asarray(columns)
-    out = model.projector @ (model.reduced_operator @ (model.projector.T.conj() @ cols))
-    return out.real if model.real_input else out
+    return model.projector @ (model.reduced_operator @ (model.projector.T @ np.asarray(columns)))
 
 
 def _checked_finite(result: np.ndarray, indices) -> np.ndarray:
-    """Real part of a prediction block (n x k) whose columns belong to
-    ``indices``; raises at the block's first column that overflowed.
-
-    A real-input model's factors are real (a fit makes them so, and
-    ``load_dmd_model`` checks a file's), so its blocks are real already.
-    """
+    """A prediction block (n x k) whose columns belong to ``indices``;
+    raises at the block's first column that overflowed."""
     failing = ~np.isfinite(result).all(axis=0)
     if failing.any():
         first = int(indices[int(np.argmax(failing))])
         raise NumericalFailure(f"prediction at time index {first} is not finite", time_index=first)
-    return result.real
+    return result
 
 
 def predict(model: DmdModel, k: int) -> np.ndarray:
@@ -256,115 +249,64 @@ def predict_series(model: DmdModel, indices) -> np.ndarray:
     return side_by_side(prediction_blocks(model, idx), model.n_rows, idx.size, order="F")
 
 
-def save_dmd_model(model: DmdModel, path) -> None:
-    """Plain-text serialization: header lines then CSV blocks of the factors.
+# The factor blocks of a model file, in file order.
+_FACTORS = ("projector", "reduced_operator", "projected_anchor")
 
-    Every factor is written as a ``[name_re]`` block and a ``[name_im]``
-    block; vectors take one row.
-    """
-    blocks = (
-        ("eigenvalues", model.eigenvalues[None, :]),
-        ("eigenvectors", model.eigenvectors),
-        ("projector", model.projector),
-        ("reduced_operator", model.reduced_operator),
-        ("projected_anchor", model.projected_anchor[None, :]),
-    )
+
+def save_dmd_model(model: DmdModel, path) -> None:
+    """Plain-text serialization: header lines, then one CSV block per real
+    factor (U, K and the projected anchor, which takes one row)."""
     with open(path, "wb") as fh:
         fh.write(
             (
-                "lagrom-dmd-v2\n"
+                "lagrom-dmd-v3\n"
                 f"kind={model.observable_kind}\n"
                 f"base_time_index={model.base_time_index}\n"
                 f"training_count={model.training_count}\n"
-                f"rank={model.rank}\n"
-                f"rows={model.n_rows}\n"
                 f"train_residual={NUMBER_FORMAT % model.train_residual}\n"
-                f"real_input={int(model.real_input)}\n"
                 f"requested_rank={'' if model.requested_rank is None else model.requested_rank}\n"
             ).encode()
         )
-        for name, matrix in blocks:
-            matrix = np.asarray(matrix, dtype=complex)
-            for part, values in (("re", matrix.real), ("im", matrix.imag)):
-                fh.write(f"[{name}_{part}]\n".encode())
-                write_number_table(fh, values)
-
-
-def _real_factor(name: str, values: np.ndarray) -> np.ndarray:
-    """The real part of a real-input model's factor read from a file.
-
-    Raises ValueError when the factor's largest imaginary magnitude exceeds
-    ``_IMAG_TOL`` of its largest real one. Largest magnitudes, not norms, so
-    entries past the square root of the largest double compare exactly.
-    """
-    imag = float(np.max(np.abs(values.imag), initial=0.0))
-    scale = float(np.max(np.abs(values.real), initial=0.0))
-    if not imag <= _IMAG_TOL * scale:
-        raise ValueError(
-            f"[{name}_im] of a real-input model: imaginary part {imag:.3e} exceeds {_IMAG_TOL:g} of magnitude {scale:.3e}"
-        )
-    return np.ascontiguousarray(values.real)
+        for name in _FACTORS:
+            fh.write(f"[{name}]\n".encode())
+            write_number_table(fh, np.atleast_2d(getattr(model, name)))
 
 
 def load_dmd_model(path) -> DmdModel:
-    """Read a model written by ``save_dmd_model``.
+    """Read a model written by ``save_dmd_model``, with K's eigenpairs
+    derived again by ``_eigenpairs``.
 
-    Raises ValueError for a file that is not a complete ``lagrom-dmd-v2``
-    model: unknown format (``lagrom-dmd-v1`` included), a missing factor
-    block, block shapes that disagree with the header's ``rows`` and
-    ``rank``, or, for a real-input model, a factor whose imaginary part is
-    not negligible (``_real_factor``).
+    Raises ValueError for a file that is not a complete ``lagrom-dmd-v3``
+    model: unknown format (``lagrom-dmd-v2`` and ``-v1`` included), a
+    missing factor block, or blocks whose shapes disagree (U is n x r, K is
+    r x r and the anchor 1 x r); and NumericalFailure, as the fit does, when
+    K's eigenvectors fail the left-inverse check.
     """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != "lagrom-dmd-v2":
+    if not lines or lines[0] != "lagrom-dmd-v3":
         raise ValueError("not a recognized model file")
-    header = {}
-    i = 1
-    while i < len(lines) and not lines[i].startswith("["):
-        key, _, val = lines[i].partition("=")
-        header[key] = val
-        i += 1
-    blocks = {}
-    current = None
-    for ln in lines[i:]:
+    header, blocks, current = {}, {}, None
+    for ln in lines[1:]:
         if ln.startswith("[") and ln.endswith("]"):
-            current = ln[1:-1]
-            blocks[current] = []
-        elif current is not None and ln:
-            blocks[current].append(np.array([float(x) for x in ln.split(",")]))
-
-    try:
-        rows, rank = int(header["rows"]), int(header["rank"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"model header lacks a valid rows/rank entry: {exc}") from exc
-
-    def complex_block(name, shape):
-        # Assigned part by part: ``re + 1j * im`` would turn an imaginary -0 into +0.
-        out = np.empty(shape, dtype=complex)
-        for label, part in ((f"{name}_re", out.real), (f"{name}_im", out.imag)):
-            if not blocks.get(label):
-                raise ValueError(f"model file lacks the [{label}] block")
-            values = np.array(blocks[label])  # ragged rows raise ValueError here
-            if values.shape != shape:
-                raise ValueError(f"[{label}] block does not have shape {shape} (rows={rows}, rank={rank})")
-            part[...] = values
-        return out
-
-    eigvals = complex_block("eigenvalues", (1, rank))[0]
-    eigvecs = complex_block("eigenvectors", (rank, rank))
-    projector = complex_block("projector", (rows, rank))
-    reduced_op = complex_block("reduced_operator", (rank, rank))
-    anchor = complex_block("projected_anchor", (1, rank))[0]
-    real_input = bool(int(header.get("real_input", "1")))
-    if real_input and not eigvals.imag.any():
-        # np.linalg.eig returns real factors for a real operator's real spectrum
-        eigvals, eigvecs = (np.ascontiguousarray(a.real) for a in (eigvals, eigvecs))
-    if real_input:
-        projector, reduced_op, anchor = (
-            _real_factor(name, values)
-            for name, values in (("projector", projector), ("reduced_operator", reduced_op), ("projected_anchor", anchor))
+            current = blocks[ln[1:-1]] = []
+        elif current is None:
+            key, _, val = ln.partition("=")
+            header[key] = val
+        elif ln:
+            current.append([float(x) for x in ln.split(",")])
+    for name in _FACTORS:
+        if not blocks.get(name):
+            raise ValueError(f"model file lacks the [{name}] block")
+    # ragged rows raise ValueError here
+    projector, reduced_op, anchor = (np.array(blocks[name]) for name in _FACTORS)
+    rows, rank = projector.shape
+    if reduced_op.shape != (rank, rank) or anchor.shape != (1, rank):
+        raise ValueError(
+            f"factor blocks of shapes {projector.shape}, {reduced_op.shape} and {anchor.shape} "
+            "do not have the shapes n x r, r x r and 1 x r"
         )
+    eigvals, eigvecs = _eigenpairs(reduced_op, rows)
     req = header.get("requested_rank", "")
     return DmdModel(
         eigenvalues=eigvals,
@@ -374,8 +316,7 @@ def load_dmd_model(path) -> DmdModel:
         training_count=int(header["training_count"]),
         train_residual=float(header["train_residual"]),
         requested_rank=int(req) if req else None,
-        real_input=real_input,
         projector=projector,
         reduced_operator=reduced_op,
-        projected_anchor=anchor,
+        projected_anchor=anchor[0],
     )

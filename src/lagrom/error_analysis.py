@@ -26,29 +26,23 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SnapshotMatrix
+from .core import real_array
 from .dmd_rom import DmdModel, one_step_map
 from .errors import DimensionMismatch, IndexBeforeAnchor
 
 
-def _as_array(data) -> np.ndarray:
-    return data.data if isinstance(data, SnapshotMatrix) else np.asarray(data, dtype=float)
-
-
 def _column_norms(columns: np.ndarray) -> np.ndarray:
-    """Column 2-norms of an array the caller made and gives up: a real one
-    is squared in place, which sums the products ``np.linalg.norm(columns,
+    """Column 2-norms of a real array the caller made and gives up: it is
+    squared in place, which sums the products ``np.linalg.norm(columns,
     axis=0)`` sums, in the same layout, without its two temporaries."""
-    if np.iscomplexobj(columns):
-        return np.linalg.norm(columns, axis=0)
     np.multiply(columns, columns, out=columns)
     return np.sqrt(np.add.reduce(columns, axis=0))
 
 
 def truncation_error(reference, rom) -> np.ndarray:
     """Per-column 2-norm differences between matching trajectories."""
-    ref = _as_array(reference)
-    approx = _as_array(rom)
+    ref = real_array(reference)
+    approx = real_array(rom)
     if ref.shape != approx.shape:
         raise DimensionMismatch(f"shape mismatch {ref.shape} vs {approx.shape}")
     return _column_norms(ref - approx)
@@ -57,7 +51,7 @@ def truncation_error(reference, rom) -> np.ndarray:
 def relative_l2(reference, rom) -> np.ndarray:
     """Column-wise ||ref - rom|| / ||ref||, falling back to absolute on zero columns."""
     diff = truncation_error(reference, rom)
-    return diff / np.maximum(np.linalg.norm(_as_array(reference), axis=0), 1e-300)
+    return diff / np.maximum(np.linalg.norm(real_array(reference), axis=0), 1e-300)
 
 
 def last_training_index(model: DmdModel) -> int:
@@ -67,7 +61,7 @@ def last_training_index(model: DmdModel) -> int:
 def estimate_eps_m(model: DmdModel, training) -> float:
     """Worst one-step residual of the fitted propagator over the consecutive
     column pairs of ``training`` (whatever trajectory the caller passes)."""
-    y = _as_array(training)
+    y = real_array(training)
     if y.shape[1] < 2:
         return 0.0
     residuals = one_step_map(model, y[:, :-1])

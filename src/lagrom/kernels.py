@@ -16,8 +16,9 @@ and denominator with the factorization, so a periodic solve is one ``dgttrs``
 plus an O(1) correction. A run whose diffusion coefficient is constant
 factors once and solves once per step. The small dense Newton systems follow
 the same split: ``factor_small`` (``dgetrf``) once per run when the reduced
-Jacobian is constant, ``small_factor_solve`` (``dgetrs``) per iteration, and
-``solve_small`` for a Jacobian that changes at every step.
+Jacobian is constant, then its ``solve`` (``dgetrs``) per iteration, and
+``solve_small``, the same two calls, for a Jacobian that changes at every
+step.
 """
 
 from __future__ import annotations
@@ -178,17 +179,11 @@ def factor_small(a) -> DenseLU:
     return factor
 
 
-def small_factor_solve(factor: DenseLU, rhs):
-    """Solve a factored small dense system for one right-hand side."""
-    return factor.solve(rhs)
-
-
 def solve_small(a, b):
-    """Dense LAPACK solve for reduced Newton systems that change every step."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(str(exc)) from exc
+    """Solve a reduced Newton system that changes every step: one
+    ``factor_small`` and its solve. Raises ``NumericalFailure`` on an
+    exactly zero pivot."""
+    return factor_small(a).solve(b)
 
 
 def levelset_step(values, speeds, dt_over_dx, periodic):

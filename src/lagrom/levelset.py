@@ -38,7 +38,7 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from . import kernels
-from .core import Grid1D, ProblemSpec, SnapshotMatrix, StateVector, side_by_side
+from .core import Grid1D, ProblemSpec, SnapshotMatrix, StateVector, real_array, side_by_side
 from .errors import (
     CflViolation,
     MultipleSignChanges,
@@ -66,7 +66,7 @@ class LevelSetField:
     time_index: int = 0
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
+        vals = np.array(real_array(self.values))
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         if vals.shape != (len(self.y_grid), len(self.x_grid)):

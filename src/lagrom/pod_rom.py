@@ -221,7 +221,7 @@ def _reduced_newton(jac: np.ndarray, factor, z_hat: np.ndarray, target: np.ndarr
         if factor is None:
             delta = kernels.solve_small(jac, resid)
         else:
-            delta = kernels.small_factor_solve(factor, resid)
+            delta = factor.solve(resid)
         z_next_hat = z_next_hat - delta
         _newton_guard(z_next_hat, iteration)
     raise NewtonDivergence(f"no convergence in {NEWTON_CAP} iterations", iterations=NEWTON_CAP)

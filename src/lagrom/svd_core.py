@@ -23,8 +23,9 @@ QR's workspace query and factorization both run on one Fortran-order
 float64 array, with the optimal ``lwork`` the query returns (the blocked
 path rounds differently from the unblocked one, and the emitted CSVs depend
 on it; ``scipy.linalg.qr`` chooses the same ``lwork``, and the tests compare
-the two bit for bit). Any input, a ``SnapshotMatrix`` or a caller's array,
-writable or not, is copied into that array once and left as it was. Only a window wrapped in
+the two bit for bit). Any input, a ``SnapshotMatrix`` or a caller's real
+array (``core.real_array`` refuses complex data), writable or not, is copied
+into that array once and left as it was. Only a window wrapped in
 ``HandedOverWindow`` is factored in its own memory: the reflectors
 overwrite it, and no copy of it is made. ``bench`` hands over the level-set
 window alone, whose full-size QR would otherwise copy 800 MB.
@@ -38,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import lapack
-from .core import SnapshotMatrix
+from .core import real_array
 from .errors import DimensionMismatch, EmptySpectrum, NumericalFailure, RankOutOfRange
 
 # Cells of float64 per column block of reduced_svd's finiteness check, so
@@ -157,14 +158,14 @@ def reduced_svd(matrix) -> WindowFactor:
     ``matrix`` is a ``SnapshotMatrix``, an array, or a ``HandedOverWindow``;
     only the last is overwritten (see the module docstring)."""
     handed_over = isinstance(matrix, HandedOverWindow)
-    x = matrix.data if isinstance(matrix, (SnapshotMatrix, HandedOverWindow)) else np.asarray(matrix, dtype=float)
+    x = real_array(matrix.data if handed_over else matrix)
     if x.ndim != 2:
         raise DimensionMismatch(f"a training window must be 2-D, not {x.ndim}-D")
     if x.size == 0:
         raise EmptySpectrum("cannot factor an empty matrix")
     if not _all_finite(x):
         raise NumericalFailure("matrix contains NaN or Inf")
-    if not (handed_over and x.dtype == np.float64 and x.flags.f_contiguous and x.flags.writeable):
+    if not (handed_over and x.flags.f_contiguous and x.flags.writeable):
         x = np.array(x, dtype=float, order="F")
     tau, info = lapack.geqrf(x)
     if info != 0:
@@ -177,7 +178,7 @@ def window_factor(matrix, factor: WindowFactor = None) -> WindowFactor:
     same window, or else ``reduced_svd(matrix)``."""
     if factor is None:
         return reduced_svd(matrix)
-    shape = (matrix.data if isinstance(matrix, SnapshotMatrix) else np.asarray(matrix)).shape
+    shape = real_array(matrix).shape
     if shape != (factor.n_rows, factor.n_cols):
         raise DimensionMismatch(f"factor of a {factor.n_rows} x {factor.n_cols} window given for a {shape} window")
     return factor

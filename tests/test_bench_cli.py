@@ -702,6 +702,15 @@ class TestCli:
         assert main(["run"]) == 2
         assert capsys.readouterr().err == "lagrom run: error: run requires a preset name or --config file\n"
 
+    def test_run_reports_a_solver_failure_in_one_line(self, tmp_path, capsys):
+        # Eight steps of test3 at --scale 10 break the fixed-grid solver's
+        # CFL limit at the first step.
+        code = main(["run", "test3", "--scale", "10", "--steps", "8", "--snapshots", "3", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("lagrom run: error: CflViolation: Courant number ")
+        assert err.endswith("(time index 1)\n") and err.count("\n") == 1
+
     def test_run_rejects_epsilon_with_rank(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("solvers ran"))
         assert main(["run", "test1", "--epsilon", "1e-8", "--rank", "5"]) == 2

@@ -1,5 +1,6 @@
 """Grids, problem validation, interpolation, and snapshot assembly."""
 
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,10 @@ from lagrom.core import (
     uniform_grid,
 )
 from lagrom import core
+from lagrom.dmd_rom import fit_dmd, fit_lagrangian_dmd
+from lagrom.error_analysis import truncation_error
+from lagrom.pod_rom import fit_pod
+from lagrom.svd_core import reduced_svd
 from lagrom.errors import DimensionMismatch, GridEntanglement, NonMonotonicGrid, NumericalFailure
 from lagrom.presets import PRESET_NAMES, ExperimentConfig, resolve
 
@@ -175,6 +180,56 @@ class TestReadonlyAdoption:
         base[1] = 7.0
         assert np.array_equal(copied.data, np.ones((2, 3)))
         assert np.array_equal(broadcast.data, np.ones((2, 3)))
+
+
+def complex_snapshots():
+    """Four rows of three complex modes e^{i(0.3, 0.5, 0.7)k}, k = 0..7."""
+    rng = np.random.default_rng(23)
+    mixing = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    return mixing @ np.exp(1j * np.outer([0.3, 0.5, 0.7], np.arange(8)))
+
+
+class TestRealData:
+    """``core.real_array`` is the door every fit and score takes its data
+    through: real float64 data passes without a copy, complex data raises."""
+
+    @pytest.mark.parametrize(
+        "door",
+        [
+            lambda z: fit_dmd(z, epsilon=1e-10),
+            lambda z: fit_lagrangian_dmd(z, epsilon=1e-10),
+            lambda z: fit_pod(z, epsilon=1e-10),
+            lambda z: SnapshotMatrix(z, np.arange(1, z.shape[1] + 1)),
+            reduced_svd,
+            lambda z: truncation_error(z, np.zeros(z.shape)),
+            lambda z: core.write_number_table(io.BytesIO(), z),
+        ],
+        ids=[
+            "fit_dmd",
+            "fit_lagrangian_dmd",
+            "fit_pod",
+            "SnapshotMatrix",
+            "reduced_svd",
+            "truncation_error",
+            "write_number_table",
+        ],
+    )
+    def test_complex_input_rejected_at_every_door(self, door):
+        with pytest.raises(TypeError, match="complex"):
+            door(complex_snapshots())
+
+    def test_complex_input_with_zero_imaginary_part_rejected(self):
+        # The dtype decides, not the values: no cast happens silently.
+        with pytest.raises(TypeError, match="complex"):
+            core.real_array(np.ones((2, 3), dtype=complex))
+
+    def test_float64_data_is_not_copied(self):
+        data = np.arange(6.0).reshape(2, 3)
+        assert core.real_array(data) is data
+        matrix = SnapshotMatrix(data, np.array([1, 2, 3]))
+        assert core.real_array(matrix) is matrix.data
+        converted = core.real_array([[1, 2], [3, 4]])
+        assert converted.dtype == np.float64 and np.array_equal(converted, [[1.0, 2.0], [3.0, 4.0]])
 
 
 class TestInterpolation:

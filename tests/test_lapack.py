@@ -82,7 +82,7 @@ def test_dense_lu_equals_scipy_bit_for_bit(r):
     assert ours.info == info == 0
     assert np.array_equal(ours.lu, lu) and np.array_equal(ours.ipiv, piv + 1)  # scipy's getrf pivots are 0-based
     for b in rng.standard_normal((3, r)):
-        assert np.array_equal(kernels.small_factor_solve(ours, b), dgetrs(lu, piv, b)[0])
+        assert np.array_equal(ours.solve(b), dgetrs(lu, piv, b)[0])
 
 
 def test_solve_rejects_a_right_hand_side_of_another_length():

@@ -201,30 +201,23 @@ def reference_modes_csv(path, coords, modes):
 
 def reference_save_dmd_model(model, path):
     blocks = (
-        ("eigenvalues", model.eigenvalues[None, :]),
-        ("eigenvectors", model.eigenvectors),
         ("projector", model.projector),
         ("reduced_operator", model.reduced_operator),
         ("projected_anchor", model.projected_anchor[None, :]),
     )
     with open(path, "w") as fh:
         fh.write(
-            "lagrom-dmd-v2\n"
+            "lagrom-dmd-v3\n"
             f"kind={model.observable_kind}\n"
             f"base_time_index={model.base_time_index}\n"
             f"training_count={model.training_count}\n"
-            f"rank={model.rank}\n"
-            f"rows={model.n_rows}\n"
             f"train_residual={NUMBER_FORMAT % model.train_residual}\n"
-            f"real_input={int(model.real_input)}\n"
             f"requested_rank={'' if model.requested_rank is None else model.requested_rank}\n"
         )
-        for name, matrix in blocks:
-            matrix = np.asarray(matrix, dtype=complex)
-            for part, values in (("re", matrix.real), ("im", matrix.imag)):
-                fh.write(f"[{name}_{part}]\n")
-                for row in values:
-                    fh.write(reference_format_row(row) + "\n")
+        for name, values in blocks:
+            fh.write(f"[{name}]\n")
+            for row in values:
+                fh.write(reference_format_row(row) + "\n")
 
 
 def write_modes_csv(path, coords, modes):
@@ -279,8 +272,6 @@ class TestWritersByteIdentity:
 
         model = dataclasses.replace(
             model,
-            eigenvalues=awkward_complex(rng, model.eigenvalues.shape),
-            eigenvectors=awkward_complex(rng, model.eigenvectors.shape),
             projector=awkward_values(rng, model.projector.shape),
             reduced_operator=awkward_values(rng, model.reduced_operator.shape),
             projected_anchor=awkward_values(rng, model.projected_anchor.shape),
