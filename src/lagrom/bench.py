@@ -245,8 +245,7 @@ class _Scorer:
         if self.model is not None:
             self.eps_m = max(self.eps_m, estimate_eps_m(self.model, reference[:, : width + 1]))
         if self.stacked:
-            spec = self.spec
-            block = stacked_to_grid(block, self.grid, spec.bc, spec.domain_length, first_index=start + 1)[2]
+            block = stacked_to_grid(block, self.grid, self.spec.period, first_index=start + 1)
         if self.states is not None:
             self.states[:, cols] = block
         self.rel_state[cols] = relative_l2(states[:, :width], block)

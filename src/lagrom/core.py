@@ -6,20 +6,22 @@ without a copy when it and every array it is a view of are read-only and the
 chain ends in an array that owns its memory; anything else is copied, since a
 read-only view of a writeable base could still change under the instance.
 
-``real_array`` is the one door through which the fits, the window QR and the
-scoring take real float64 data; it, these classes and ``write_number_table``
-raise TypeError on complex input rather than drop its imaginary part.
+``ProblemSpec`` is the one reader of the problem: solvers and steppers take
+its boundary rule (``period``) and its functions, evaluated as arrays, from
+it. ``real_array`` is the one door for real float64 data (the problem's
+functions, interpolation, fits, the window QR, scoring); it, these classes
+and ``write_number_table`` raise TypeError on complex input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatch, GridEntanglement, NonMonotonicGrid, NumericalFailure
+from .errors import CflViolation, DimensionMismatch, GridEntanglement, NonMonotonicGrid, NumericalFailure
 
 # Every number the library writes to disk: 17 significant digits round-trip
 # any float64 exactly, so identical runs emit identical bytes.
@@ -28,6 +30,9 @@ NUMBER_FORMAT = "%.17g"
 DIRICHLET_ZERO = "dirichlet-zero"
 PERIODIC = "periodic"
 _BC_TAGS = (DIRICHLET_ZERO, PERIODIC)
+
+# Courant numbers up to 1 + CFL_SLACK pass: a step sized to exactly 1 may round above it.
+CFL_SLACK = 1e-12
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -91,7 +96,8 @@ class ProblemSpec:
     ``flux_f`` is the wave speed u -> f(u) and ``flux_F`` the conserved flux
     u -> F(u) with f = dF/du; both must accept numpy arrays. ``flux_df`` is
     the derivative f'(u) of the wave speed; it may return a scalar (constant
-    f', as for Burgers or constant-speed transport) or an array.
+    f', as for Burgers or constant-speed transport) or an array. Solvers read
+    them and u0 through ``speed``, ``flux``, ``speed_slope``, ``initial_state``.
 
     ``diffusion_D`` is ``None`` for the identically-zero case, which lets the
     semi-Lagrangian stepper skip its interpolation round-trips entirely; a
@@ -141,6 +147,11 @@ class ProblemSpec:
         return self.domain_hi - self.domain_lo
 
     @property
+    def period(self) -> Optional[float]:
+        """The boundary rule: the domain length when periodic, else None."""
+        return self.domain_length if self.periodic else None
+
+    @property
     def dx(self) -> float:
         # Matches the node layout of uniform_grid: periodic grids omit the
         # duplicate endpoint, Dirichlet grids include both endpoints.
@@ -155,10 +166,36 @@ class ProblemSpec:
     def grid(self) -> Grid1D:
         return uniform_grid(self.domain_lo, self.domain_hi, self.n_cells, self.periodic)
 
+    def speed(self, u: np.ndarray) -> np.ndarray:
+        """f(u) at every point of ``u``, also when ``flux_f`` returns one number."""
+        f = real_array(self.flux_f(u))
+        if f.ndim == 0:
+            return np.full(u.shape, float(f))
+        return f
+
+    def flux(self, u: np.ndarray) -> np.ndarray:
+        """F(u)."""
+        return real_array(self.flux_F(u))
+
+    def speed_slope(self, u: np.ndarray) -> np.ndarray:
+        """f'(u), 0-d when ``flux_df`` returns one number (a constant f')."""
+        return real_array(self.flux_df(u))
+
+    def initial_state(self) -> np.ndarray:
+        """u0 on the grid nodes, read-only; raises DimensionMismatch for
+        another shape and NumericalFailure (time index 0) unless finite."""
+        nodes = self.grid().nodes
+        u0 = _readonly(self.initial_u0(nodes))
+        if u0.shape != nodes.shape:
+            raise DimensionMismatch(f"initial state of shape {u0.shape} on a grid of {nodes.size} nodes")
+        if not np.isfinite(u0).all():
+            raise NumericalFailure("initial state contains NaN or Inf at time index 0", time_index=0)
+        return u0
+
     def diffusion_at(self, x: np.ndarray, t: float, u: np.ndarray) -> np.ndarray:
         """Evaluate D on the given nodes, broadcasting scalar coefficients."""
         d = self.diffusion_D
-        d = np.asarray(d(x, t, u) if callable(d) else d, dtype=float)
+        d = real_array(d(x, t, u) if callable(d) else d)
         if d.ndim == 0:
             return np.full(x.shape, float(d))
         return d
@@ -170,20 +207,20 @@ class ProblemSpec:
         Returns the worst absolute deviation; raises ValueError beyond 1e-6.
         Run once per problem definition, not inside step loops.
         """
-        u0 = np.asarray(self.initial_u0(self.grid().nodes), dtype=float)
+        u0 = self.initial_state()
         lo, hi = float(np.min(u0)), float(np.max(u0))
         pad = 0.5 * max(hi - lo, 1.0)
         u_samples = np.linspace(lo - pad, hi + pad, 33)
         h = 1e-4 * np.maximum(1.0, np.abs(u_samples))
 
         def worst_deviation(antiderivative, derivative):
-            approx = (np.asarray(antiderivative(u_samples + h)) - np.asarray(antiderivative(u_samples - h))) / (2 * h)
-            return float(np.max(np.abs(approx - np.asarray(derivative(u_samples)))))
+            approx = (antiderivative(u_samples + h) - antiderivative(u_samples - h)) / (2 * h)
+            return float(np.max(np.abs(approx - derivative(u_samples))))
 
-        worst_f = worst_deviation(self.flux_F, self.flux_f)
+        worst_f = worst_deviation(self.flux, self.speed)
         if worst_f > 1e-6:
             raise ValueError(f"flux_f and flux_F are inconsistent (max deviation {worst_f:.3e})")
-        worst_df = worst_deviation(self.flux_f, self.flux_df)
+        worst_df = worst_deviation(self.speed, self.speed_slope)
         if worst_df > 1e-6:
             raise ValueError(f"flux_df and flux_f are inconsistent (max deviation {worst_df:.3e})")
         return max(worst_f, worst_df)
@@ -245,6 +282,9 @@ class SnapshotMatrix:
 def real_array(x) -> np.ndarray:
     """The float64 data of a ``SnapshotMatrix`` or an array-like, without a
     copy of float64 input; raises TypeError on complex input."""
+    # The solvers pass a float64 array on every step: return it at once.
+    if type(x) is np.ndarray and x.dtype == np.float64:
+        return x
     data = x.data if isinstance(x, SnapshotMatrix) else x
     if np.iscomplexobj(data):
         raise TypeError(f"complex input ({np.asarray(data).dtype}) where real float64 data is required")
@@ -262,12 +302,26 @@ def first_time_index(x) -> int:
 
 
 def _grid_nodes(grid) -> np.ndarray:
-    nodes = grid.nodes if isinstance(grid, Grid1D) else np.asarray(grid, dtype=float)
+    nodes = grid.nodes if isinstance(grid, Grid1D) else real_array(grid)
     if nodes.ndim != 1:
         raise DimensionMismatch("grid must be one-dimensional")
     if nodes.size > 1 and np.any(np.diff(nodes) <= 0):
         raise NonMonotonicGrid("source grid must be strictly increasing")
     return nodes
+
+
+def check_courant(speeds: np.ndarray, dt: float, dx: float, time_index: int, what: str = "Courant number") -> float:
+    """max|speeds|·dt/dx of the explicit step to ``time_index``; past
+    1 + ``CFL_SLACK`` raises ``CflViolation`` whose message opens with ``what``."""
+    fastest = float(np.max(np.abs(speeds)))
+    courant = fastest * dt / dx
+    if courant > 1.0 + CFL_SLACK:
+        raise CflViolation(
+            f"{what} {courant:.6f} exceeds 1 (max |f(u)| = {fastest:.6g}) (time index {time_index})",
+            max_speed=fastest,
+            time_index=time_index,
+        )
+    return courant
 
 
 def check_untangled(positions: np.ndarray, period: float = None, what: str = "moving grid", first_index: int = None) -> None:
@@ -284,55 +338,47 @@ def check_untangled(positions: np.ndarray, period: float = None, what: str = "mo
         raise GridEntanglement(f"{what} tangled{where}", time_index=k)
 
 
-def interp_unchecked(src: np.ndarray, vals: np.ndarray, dst: np.ndarray, periodic: bool, period: float = None) -> np.ndarray:
+def interp_unchecked(src: np.ndarray, vals: np.ndarray, dst: np.ndarray, period: float = None) -> np.ndarray:
     """Interpolation core without input validation, for verified hot loops.
 
-    The periodic branch wraps destination coordinates into the source window
-    and bridges the seam across one period, which matches
-    ``np.interp(..., period=...)`` for a strictly increasing source spanning
-    less than one period but skips that routine's internal sort.
+    Given a ``period``, destinations wrap into the source window and the seam
+    is bridged across one period, which matches ``np.interp(..., period=...)``
+    for a strictly increasing source spanning less than one period but skips
+    that routine's internal sort; without one, they clamp to the hull.
     """
-    if periodic:
-        return kernels.interp_periodic(src, vals, dst, period)
-    return kernels.interp_clamped(src, vals, dst)
+    if period is None:
+        return kernels.interp_clamped(src, vals, dst)
+    return kernels.interp_periodic(src, vals, dst, period)
 
 
-def linear_interpolate(src_grid, src_values, dst_grid, bc: str = "clamp", period: float = None) -> np.ndarray:
+def linear_interpolate(src_grid, src_values, dst_grid, period: float = None) -> np.ndarray:
     """Piecewise-linear interpolation of (src_grid, src_values) at dst nodes.
 
-    Destination nodes outside the source hull follow the boundary rule:
-    ``bc="clamp"`` holds the edge sample (Dirichlet-type problems), while
-    ``bc="periodic"`` wraps coordinates by ``period`` before interpolating,
+    Outside the source hull, destinations take the edge sample when
+    ``period`` (``ProblemSpec.period``) is None, else wrap by it first,
     through ``np.interp`` for a source spanning a whole period.
     """
     src = _grid_nodes(src_grid)
-    dst = dst_grid.nodes if isinstance(dst_grid, Grid1D) else np.asarray(dst_grid, dtype=float)
+    dst = dst_grid.nodes if isinstance(dst_grid, Grid1D) else real_array(dst_grid)
     scalar = dst.ndim == 0
     dst = np.atleast_1d(dst)
-    vals = np.asarray(src_values, dtype=float)
+    vals = real_array(src_values)
     if vals.shape != src.shape:
         raise DimensionMismatch("src_values length must match src_grid length")
-    periodic = bc == "periodic"
-    if periodic and period is None:
-        raise ValueError("periodic interpolation requires the domain period")
-    if periodic and src[-1] - src[0] >= period:
+    if period is not None and src[-1] - src[0] >= period:
         out = np.interp(dst, src, vals, period=period)
     else:
-        out = interp_unchecked(src, vals, dst, periodic, period)
+        out = interp_unchecked(src, vals, dst, period)
     return out[0] if scalar else out
 
 
-def split_stacked(data, n: int = None):
+def split_stacked(data):
     """Undo the [grid; state] stacking: returns (grid_block, state_block)."""
     mat = real_array(data)
     rows = mat.shape[0]
-    if n is None:
-        if rows % 2:
-            raise DimensionMismatch("stacked matrix must have an even number of rows")
-        n = rows // 2
-    if not 0 < n < rows:
-        raise DimensionMismatch("split row outside matrix")
-    return mat[:n], mat[n:]
+    if rows % 2 or rows == 0:
+        raise DimensionMismatch("stacked matrix must have an even, nonzero number of rows")
+    return mat[: rows // 2], mat[rows // 2 :]
 
 
 def side_by_side(blocks, rows: int, count: int, order: str = "C") -> np.ndarray:
@@ -346,33 +392,28 @@ def side_by_side(blocks, rows: int, count: int, order: str = "C") -> np.ndarray:
     return out
 
 
-def stacked_to_grid(stacked, grid, bc: str = "clamp", period: float = None, first_index: int = None):
-    """Take one stacked [x; u] column (1-D), or a block of them (2-D) at time
-    indices ``first_index`` onwards, back to ``grid``.
+def stacked_to_grid(stacked, grid, period: float = None, first_index: int = None) -> np.ndarray:
+    """The values on ``grid`` of one stacked [x; u] column (1-D), or of a
+    block of them (2-D, column-contiguous) at time indices ``first_index`` on.
 
-    Each column splits at its midpoint; its values are interpolated onto the
-    grid nodes with the boundary rule ``bc`` (as in ``linear_interpolate``).
-    Returns (positions, values, values_on_grid), the last column-contiguous.
-    Crossed positions make a moving grid unusable: the first tangled column
-    (``check_untangled``, the seam included when periodic) raises
-    ``GridEntanglement`` with its time index. That check is the only one the
-    positions need, so the contiguous time-major copy of the columns is
-    checked at once and interpolated unchecked row by row.
+    Each column splits at its midpoint and is interpolated onto the grid
+    nodes with the boundary rule ``period``, as in ``linear_interpolate``.
+    The first tangled column (``check_untangled``, the seam included when
+    periodic) raises ``GridEntanglement`` with its time index. That is the
+    only check the positions need, so the contiguous time-major copy of the
+    columns is checked at once and interpolated unchecked row by row.
     """
-    block = np.asarray(stacked, dtype=float)
-    nodes = grid.nodes if isinstance(grid, Grid1D) else np.asarray(grid, dtype=float)
+    block = real_array(stacked)
+    nodes = grid.nodes if isinstance(grid, Grid1D) else real_array(grid)
     n = nodes.size
     if block.shape[0] != 2 * n:
         raise DimensionMismatch("stacked prediction must have 2N rows")
-    periodic = bc == "periodic"
-    if periodic and period is None:
-        raise ValueError("periodic interpolation requires the domain period")
     rows = np.ascontiguousarray(np.atleast_2d(block.T))
-    check_untangled(rows[:, :n], period if periodic else None, "predicted positions", first_index)
+    check_untangled(rows[:, :n], period, "predicted positions", first_index)
     out = np.empty((rows.shape[0], n))
     for j, row in enumerate(rows):
-        out[j] = interp_unchecked(row[:n], row[n:], nodes, periodic, period)
-    return block[:n], block[n:], out[0] if block.ndim == 1 else out.T
+        out[j] = interp_unchecked(row[:n], row[n:], nodes, period)
+    return out[0] if block.ndim == 1 else out.T
 
 
 # Cells formatted per block and per compaction step: bound the writer's

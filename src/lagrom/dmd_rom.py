@@ -278,9 +278,9 @@ def load_dmd_model(path) -> DmdModel:
 
     Raises ValueError for a file that is not a complete ``lagrom-dmd-v3``
     model: unknown format (``lagrom-dmd-v2`` and ``-v1`` included), a
-    missing factor block, or blocks whose shapes disagree (U is n x r, K is
-    r x r and the anchor 1 x r); and NumericalFailure, as the fit does, when
-    K's eigenvectors fail the left-inverse check.
+    missing header line or factor block, or blocks whose shapes disagree
+    (U is n x r, K is r x r and the anchor 1 x r); and NumericalFailure, as
+    the fit does, when K's eigenvectors fail the left-inverse check.
     """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -295,6 +295,9 @@ def load_dmd_model(path) -> DmdModel:
             header[key] = val
         elif ln:
             current.append([float(x) for x in ln.split(",")])
+    for key in ("kind", "base_time_index", "training_count", "train_residual"):
+        if key not in header:
+            raise ValueError(f"model file lacks the {key}= line")
     for name in _FACTORS:
         if not blocks.get(name):
             raise ValueError(f"model file lacks the [{name}] block")

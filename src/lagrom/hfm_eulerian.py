@@ -20,7 +20,8 @@ evaluates, assembles and factors one when D is a callable. The
 semi-Lagrangian solver and both POD steppers call these pieces instead of
 repeating them; this module calls only ``kernels`` and ``core``. Every
 solver step checks its residual ``apply(u_new) - with_boundary_terms(u*)``,
-its Courant number and the finiteness of the new state.
+its Courant number (``core.check_courant``) and the finiteness of the new
+state; F, f and u0 come from ``ProblemSpec.flux``, ``speed``, ``initial_state``.
 
 One step path: the step stream ``eulerian_steps`` calls ``eulerian_step``,
 which advances a raw value array and returns it with the step's residual and
@@ -43,10 +44,9 @@ from typing import Iterator, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from . import kernels
-from .core import Grid1D, ProblemSpec, SnapshotMatrix, StateVector
-from .errors import CflViolation, NumericalFailure
+from .core import Grid1D, ProblemSpec, SnapshotMatrix, check_courant
+from .errors import NumericalFailure
 
-CFL_SLACK = 1e-12
 RESIDUAL_TOL = 1e-10
 
 
@@ -61,12 +61,10 @@ def _extend(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
 def face_fluxes(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """All N+1 face fluxes for a state of length N, ghost cells included."""
     u_ext = _extend(u, spec)
-    f_vals = np.asarray(spec.flux_F(u_ext), dtype=float)
+    f_vals = spec.flux(u_ext)
     du = u_ext[1:] - u_ext[:-1]
     d_f = f_vals[1:] - f_vals[:-1]
-    tangent = np.asarray(spec.flux_f(u_ext[:-1]), dtype=float)
-    if tangent.ndim == 0:
-        tangent = np.full(du.shape, float(tangent))
+    tangent = spec.speed(u_ext[:-1])
     ties = du == 0.0
     secant = d_f / np.where(ties, 1.0, du)
     secant = np.where(ties, tangent, secant)
@@ -77,22 +75,6 @@ def advected_state(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """The explicit half-step u* = u - (dt/dx) (F_{j+1/2} - F_{j-1/2})."""
     fluxes = face_fluxes(u, spec)
     return u - (spec.dt / spec.dx) * (fluxes[1:] - fluxes[:-1])
-
-
-def check_cfl(u: np.ndarray, spec: ProblemSpec, time_index: int = None) -> float:
-    """Courant number of the explicit advection step from state ``u``;
-    raises past 1 + slack, naming ``time_index`` (the step's new index)
-    when given."""
-    speeds = np.max(np.abs(np.asarray(spec.flux_f(u), dtype=float)))
-    courant = float(speeds) * spec.dt / spec.dx
-    if courant > 1.0 + CFL_SLACK:
-        where = "" if time_index is None else f" (time index {time_index})"
-        raise CflViolation(
-            f"Courant number {courant:.6f} exceeds 1 (max |f(u)| = {float(speeds):.6g}){where}",
-            max_speed=float(speeds),
-            time_index=time_index,
-        )
-    return courant
 
 
 @dataclass
@@ -192,7 +174,7 @@ def eulerian_step(
     Courant, residual and finiteness checks. ``system`` is the run's
     diffusion system when D is constant (``step_system``). Returns
     (u_new, residual, courant)."""
-    courant = check_cfl(u, spec, index)
+    courant = check_courant(spec.speed(u), spec.dt, spec.dx, index)
     u_star = advected_state(u, spec)
     if spec.diffusion_D is None:
         u_new, residual = u_star, 0.0
@@ -224,11 +206,10 @@ def eulerian_steps(spec: ProblemSpec) -> Iterator[EulerianStep]:
     """The run as a stream: u^0, then one step per index 1..M. Nothing is
     stored, so a consumer that reads the steps as they come holds one state
     at a time; ``run_eulerian_hfm`` collects them. A non-finite u^0 raises
-    ``NumericalFailure`` before the first yield."""
-    grid = spec.grid()
-    nodes = grid.nodes
+    ``NumericalFailure`` for time index 0 before the first yield."""
+    nodes = spec.grid().nodes
     system = run_diffusion_system(spec)
-    u = StateVector(np.asarray(spec.initial_u0(nodes), dtype=float), grid).values
+    u = spec.initial_state()
     yield EulerianStep(u, 0.0, 0.0)
     for step in range(spec.n_steps):
         u, residual, courant = eulerian_step(u, spec, system, nodes, step + 1)

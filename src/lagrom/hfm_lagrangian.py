@@ -11,10 +11,12 @@ performs, in order:
   (iv)  advance the grid positions with the trapezoidal rule
         x^{n+1} = x^n + dt/2 (f(u^n) + f(u^{n+1})).
 
-Sub-steps (i)-(iii) are ``diffuse_carried_values`` and the speeds of (iv)
-are ``speeds``; the moving-frame POD stepper calls both for its residual.
-This module calls ``hfm_eulerian`` for the fixed-grid solve (``step_system``
-and ``DiffusionSystem``) and ``core.interp_unchecked`` for the interpolation.
+Sub-steps (i)-(iii) are ``diffuse_carried_values``, which the moving-frame
+POD stepper calls for its residual; the speeds of (iv) and u0 come from
+``ProblemSpec.speed`` and ``initial_state``. This module calls
+``hfm_eulerian`` for the fixed-grid solve (``step_system`` and
+``DiffusionSystem``) and ``core.interp_unchecked``, with the boundary rule
+``ProblemSpec.period``, for the interpolation.
 When the diffusion coefficient is ``None`` the first three sub-steps are
 skipped and the carried values are transported bit-exactly. When it is a
 number, the run builds and factors the implicit system once and every step
@@ -44,16 +46,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .core import Grid1D, ProblemSpec, SnapshotMatrix, check_untangled, interp_unchecked
-from .errors import DimensionMismatch, NumericalFailure
+from .errors import NumericalFailure
 from .hfm_eulerian import RESIDUAL_TOL, DiffusionSystem, run_diffusion_system, step_system
-
-
-def speeds(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
-    """f(u) at every point, also when ``flux_f`` returns one number."""
-    f = np.asarray(spec.flux_f(u), dtype=float)
-    if f.ndim == 0:
-        return np.full(u.shape, float(f))
-    return f
 
 
 def diffuse_carried_values(
@@ -65,10 +59,11 @@ def diffuse_carried_values(
     Returns the diffused values on ``x`` and the fixed-grid step as
     (system, rhs, solution), whose residual the solver checks.
     """
-    u_tilde = interp_unchecked(x, u, nodes, spec.periodic, spec.domain_length)
+    period = spec.period
+    u_tilde = interp_unchecked(x, u, nodes, period)
     system = step_system(spec, run_system, nodes, t, u_tilde)
     u_tilde_new = system.solve(u_tilde)
-    u_new = interp_unchecked(nodes, u_tilde_new, x, spec.periodic, spec.domain_length)
+    u_new = interp_unchecked(nodes, u_tilde_new, x, period)
     return u_new, (system, u_tilde, u_tilde_new)
 
 
@@ -82,7 +77,7 @@ def lagrangian_step(
     index: int,
 ):
     """Positions, values and speeds at time index ``index`` from ``x``, ``u``
-    and ``f_u = speeds(spec, u)`` at ``index - 1``; the diffusion solve runs
+    and ``f_u = spec.speed(u)`` at ``index - 1``; the diffusion solve runs
     on the fixed ``nodes``. Checks the diffusion residual, entanglement and
     finiteness of the new state.
     """
@@ -96,11 +91,11 @@ def lagrangian_step(
                 f"diffusion residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e} at time index {index}",
                 time_index=index,
             )
-        f_new = speeds(spec, u_new)
+        f_new = spec.speed(u_new)
 
     x_new = x + 0.5 * spec.dt * (f_u + f_new)
 
-    check_untangled(x_new, spec.domain_length if spec.periodic else None, first_index=index)
+    check_untangled(x_new, spec.period, first_index=index)
     if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(u_new))):
         raise NumericalFailure(f"non-finite state at time index {index}", time_index=index)
     return x_new, u_new, f_new
@@ -115,14 +110,9 @@ def lagrangian_steps(spec: ProblemSpec) -> Iterator[np.ndarray]:
     nodes = spec.grid().nodes
     system = run_diffusion_system(spec)
     n = nodes.size
-    u0 = np.asarray(spec.initial_u0(nodes), dtype=float)
-    if u0.shape != nodes.shape:
-        raise DimensionMismatch("positions and values must have equal length")
-    if not np.isfinite(u0).all():
-        raise NumericalFailure("non-finite state at time index 0", time_index=0)
-    row = np.concatenate([nodes, u0])
+    row = np.concatenate([nodes, spec.initial_state()])
     row.setflags(write=False)
-    f_u = speeds(spec, row[n:])
+    f_u = spec.speed(row[n:])
     yield row
     for step in range(spec.n_steps):
         x_new, u_new, f_u = lagrangian_step(spec, system, nodes, row[:n], row[n:], f_u, step + 1)

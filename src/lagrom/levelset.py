@@ -8,7 +8,8 @@ on flattened field snapshots gives an iteration-free surrogate whose contours
 approximate the nonlinear solution.
 
 One step path: the step stream ``levelset_steps`` checks the row speeds
-with ``row_speeds`` and steps the raw field with ``kernels.levelset_step``.
+f(y) (``ProblemSpec.speed``) with ``core.check_courant`` and steps the raw
+field with ``kernels.levelset_step``.
 ``extract_zero_contour``, the run and the surrogate's one rollout path,
 ``contour_blocks`` (one block of contours per chunk of ``CONTOUR_CHUNK``
 indices; ``predict_contours`` collects them and ``predicted_contour`` takes
@@ -38,16 +39,14 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from . import kernels
-from .core import Grid1D, ProblemSpec, SnapshotMatrix, StateVector, real_array, side_by_side
+from .core import Grid1D, ProblemSpec, SnapshotMatrix, StateVector, check_courant, real_array, side_by_side
 from .errors import (
-    CflViolation,
     MultipleSignChanges,
     NoSignChange,
     NumericalFailure,
     RangeNotCovered,
 )
 from .dmd_rom import OBSERVABLE_LEVELSET, DmdModel, fit_dmd, prediction_blocks
-from .hfm_eulerian import CFL_SLACK
 from .svd_core import WindowFactor
 
 DEFAULT_MARGIN_FRAC = 0.1
@@ -87,7 +86,7 @@ def value_grid_for(u0_samples: np.ndarray, n_y: int) -> Grid1D:
 
 def embed_initial(u0, x_grid: Grid1D, y_grid: Grid1D) -> LevelSetField:
     """Build c0(x, y) = y - u0(x); the zero contour is exactly the initial curve."""
-    u_samples = np.asarray(u0(x_grid.nodes), dtype=float)
+    u_samples = real_array(u0(x_grid.nodes))
     lo, hi = float(np.min(u_samples)), float(np.max(u_samples))
     required = DEFAULT_MARGIN_FRAC * (hi - lo)
     tol = 1e-12 * max(abs(hi), abs(lo), 1.0)
@@ -98,22 +97,6 @@ def embed_initial(u0, x_grid: Grid1D, y_grid: Grid1D) -> LevelSetField:
         )
     values = y_grid.nodes[:, None] - u_samples[None, :]
     return LevelSetField(x_grid, y_grid, values, 0)
-
-
-def row_speeds(spec: ProblemSpec, y_nodes: np.ndarray, dt: float, dx: float, time_index: int = None) -> np.ndarray:
-    """The constant speed f(y) of every row; raises CflViolation (naming
-    ``time_index``, the index of the step being checked) when the fastest
-    row's Courant number exceeds 1."""
-    speeds = np.asarray(spec.flux_f(y_nodes), dtype=float)
-    speeds = np.broadcast_to(speeds, y_nodes.shape).astype(float)
-    courant = float(np.max(np.abs(speeds))) * dt / dx
-    if courant > 1.0 + CFL_SLACK:
-        raise CflViolation(
-            f"row Courant number {courant:.6f} exceeds 1",
-            max_speed=float(np.max(np.abs(speeds))),
-            time_index=time_index,
-        )
-    return speeds
 
 
 def zero_contour(c: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -168,8 +151,7 @@ def levelset_grids(spec: ProblemSpec, n_y: int = None) -> Tuple[Grid1D, Grid1D]:
     x_grid = spec.grid()
     if n_y is None:
         n_y = max(len(x_grid) // 10, 8)
-    u0_samples = np.asarray(spec.initial_u0(x_grid.nodes), dtype=float)
-    return x_grid, value_grid_for(u0_samples, n_y)
+    return x_grid, value_grid_for(spec.initial_state(), n_y)
 
 
 def levelset_steps(spec: ProblemSpec, x_grid: Grid1D, y_grid: Grid1D) -> Iterator[np.ndarray]:
@@ -177,7 +159,8 @@ def levelset_steps(spec: ProblemSpec, x_grid: Grid1D, y_grid: Grid1D) -> Iterato
     fields c^0..c^M. Nothing is stored, so a consumer that reads the fields
     as they come holds one at a time; ``run_levelset_hfm`` collects them."""
     dx = x_grid.spacing
-    speeds = row_speeds(spec, y_grid.nodes, spec.dt, dx, time_index=1)
+    speeds = spec.speed(y_grid.nodes)
+    check_courant(speeds, spec.dt, dx, 1, "row Courant number")
     c = np.asfortranarray(embed_initial(spec.initial_u0, x_grid, y_grid).values)
     for index in range(spec.n_steps + 1):
         if index:

@@ -9,7 +9,8 @@ its action on the basis. The moving-frame stepper projects the coupled
 position/value residuals, with the value target taken from
 ``hfm_lagrangian.diffuse_carried_values``, the semi-Lagrangian solver's own
 interpolate-to-reference, diffuse, interpolate-back round trip. Both solve
-the projected system with Newton iteration in the reduced coordinates.
+the projected system with Newton iteration in the reduced coordinates, with
+f and f' from ``ProblemSpec.speed`` and ``ProblemSpec.speed_slope``.
 
 No hyper-reduction is applied: each step still does full-dimension work, so
 rollout cost scales with the grid like the solvers do. A prepared
@@ -56,7 +57,7 @@ from . import kernels
 from .core import ProblemSpec, SnapshotMatrix, check_untangled
 from .errors import NewtonDivergence, NumericalFailure
 from .hfm_eulerian import DiffusionSystem, advected_state, run_diffusion_system, step_system
-from .hfm_lagrangian import diffuse_carried_values, speeds
+from .hfm_lagrangian import diffuse_carried_values
 from .svd_core import WindowFactor, check_rank_rule, fit_svd, window_factor
 
 NEWTON_TOL = 1e-10
@@ -186,12 +187,12 @@ def _affine_speed(spec: ProblemSpec, u: np.ndarray) -> Optional[Tuple[float, np.
     on; that is checked once, on the state ``u``. Non-finite speeds are left
     to the Newton guards.
     """
-    slope = np.asarray(spec.flux_df(u), dtype=float)
+    slope = spec.speed_slope(u)
     if slope.ndim:
         return None
     c = float(slope)
-    f_u = speeds(spec, u)
-    f_zero = speeds(spec, np.zeros_like(u))
+    f_u = spec.speed(u)
+    f_zero = spec.speed(np.zeros_like(u))
     worst = float(np.max(np.abs(f_u - (f_zero + c * u)), initial=0.0))
     if worst > AFFINE_TOL * max(1.0, float(np.max(np.abs(f_u), initial=0.0))):
         raise ValueError(
@@ -259,7 +260,7 @@ def _lagrangian_newton(context: PodStepContext, z_hat, z_prev, spec: ProblemSpec
     phi = context.basis_matrix
     n = context.pos_block.shape[0]
     x_prev, u_prev = z_prev[:n], z_prev[n:]
-    check_untangled(x_prev, spec.domain_length if spec.periodic else None, "reconstructed positions", time_index)
+    check_untangled(x_prev, spec.period, "reconstructed positions", time_index)
     t_next = (time_index + 1) * spec.dt
     dt_half = 0.5 * spec.dt
 
@@ -277,19 +278,19 @@ def _lagrangian_newton(context: PodStepContext, z_hat, z_prev, spec: ProblemSpec
         z_next_hat, iterations = _reduced_newton(context.jacobian, context.jacobian_factor, z_hat, target)
         return z_next_hat, iterations, phi @ z_next_hat
 
-    base_x = x_prev + dt_half * speeds(spec, u_prev)
+    base_x = x_prev + dt_half * spec.speed(u_prev)
     z_next_hat = z_hat.copy()
     z_next = z_prev
     for iteration in range(1, NEWTON_CAP + 1):
         x_next, u_next = z_next[:n], z_next[n:]
-        r_x = x_next - base_x - dt_half * speeds(spec, u_next)
+        r_x = x_next - base_x - dt_half * spec.speed(u_next)
         r_u = u_next - u_target
         proj_resid = context.pos_block_t @ r_x + context.val_block_t @ r_u
         _newton_guard(proj_resid, iteration)
         if math.sqrt(float(proj_resid @ proj_resid)) <= NEWTON_TOL:
             return z_next_hat, iteration - 1, z_next
         # The orthonormal basis leaves I - (dt/2) P^T diag(f'(u)) V.
-        f_prime = np.asarray(spec.flux_df(u_next), dtype=float)
+        f_prime = spec.speed_slope(u_next)
         coupling = context.pos_block_t @ (f_prime[:, None] * context.val_block)
         jac = context.identity_r - dt_half * coupling
         try:

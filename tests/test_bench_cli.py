@@ -338,7 +338,7 @@ class TestScore:
         observed = self.perturbed(stacked)
         report, kept = self.score(frames, observed, spec, keep_states=True)
         assert kept.flags.f_contiguous
-        assert np.array_equal(kept, stacked_to_grid(observed, spec.grid(), spec.bc, spec.domain_length)[2])
+        assert np.array_equal(kept, stacked_to_grid(observed, spec.grid(), spec.period))
         assert np.array_equal(report.error_state, relative_l2(states, kept))
         frames = self.reference(spec, self.COUNT)[0]
         assert self.score(frames, observed, spec)[1] is None

@@ -1,7 +1,10 @@
 """Grids, problem validation, interpolation, and snapshot assembly."""
 
+import ast
 import io
 from dataclasses import replace
+from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,9 @@ from lagrom.core import (
 from lagrom import core
 from lagrom.dmd_rom import fit_dmd, fit_lagrangian_dmd
 from lagrom.error_analysis import truncation_error
+from lagrom.hfm_eulerian import eulerian_steps
+from lagrom.hfm_lagrangian import lagrangian_steps
+from lagrom.levelset import levelset_grids, levelset_steps
 from lagrom.pod_rom import fit_pod
 from lagrom.svd_core import reduced_svd
 from lagrom.errors import DimensionMismatch, GridEntanglement, NonMonotonicGrid, NumericalFailure
@@ -107,6 +113,80 @@ class TestProblemSpec:
         varying = replace(spec, diffusion_D=lambda x, t, u: 0.25)
         assert not varying.diffusion_is_constant
         assert np.array_equal(varying.diffusion_at(x, 0.0, None), np.full(x.shape, 0.25))
+
+
+class TestProblemFunctions:
+    """``ProblemSpec`` is the one reader of the problem: the boundary rule,
+    the speed, flux and slope, and the initial state."""
+
+    def test_period_is_the_domain_length_only_when_periodic(self):
+        assert make_spec(speed="burgers", bc=PERIODIC).period == 2.0 * np.pi
+        assert make_spec().period is None
+
+    def test_scalar_speed_broadcasts_and_scalar_slope_stays_0d(self):
+        spec = replace(make_spec(), flux_f=lambda u: 1.0)
+        u = np.linspace(0.0, 1.0, 5)
+        assert np.array_equal(spec.speed(u), np.ones(5))
+        assert spec.speed_slope(u).ndim == 0
+        assert np.array_equal(spec.flux(u), u)
+
+    def test_initial_state_is_a_read_only_copy(self):
+        u0 = np.linspace(0.0, 1.0, 10)
+        state = make_spec(n=10, ic=lambda x: u0).initial_state()
+        assert np.array_equal(state, u0) and not state.flags.writeable
+        assert u0.flags.writeable
+
+
+def _complex_valued(fn):
+    return lambda u: fn(u) * (1.0 + 0.0j)
+
+
+class TestProblemDoor:
+    """A complex-valued problem function raises TypeError at the door of
+    every step stream that reads it: the fixed-grid solver reads f, F and
+    u0; the moving-grid solver (D absent) and the level set read f and u0."""
+
+    SPEC = dict(speed="burgers", bc=PERIODIC, n=40, m_steps=20)
+
+    @pytest.mark.parametrize(
+        "stream, function",
+        [
+            ("eulerian", "flux_f"),
+            ("eulerian", "flux_F"),
+            ("eulerian", "initial_u0"),
+            ("lagrangian", "flux_f"),
+            ("lagrangian", "initial_u0"),
+            ("levelset", "flux_f"),
+            ("levelset", "initial_u0"),
+        ],
+    )
+    def test_complex_problem_function_rejected(self, stream, function):
+        spec = make_spec(**self.SPEC)
+        bad = replace(spec, **{function: _complex_valued(getattr(spec, function))})
+        steps = {
+            "eulerian": lambda: eulerian_steps(bad),
+            "lagrangian": lambda: lagrangian_steps(bad),
+            "levelset": lambda: levelset_steps(bad, *levelset_grids(spec, 8)),
+        }[stream]
+        with pytest.raises(TypeError, match="complex"):
+            list(islice(steps(), 2))
+
+
+# Only these modules may call a problem's functions directly: core reads
+# them for every other module, and presets defines them.
+_PROBLEM_FUNCTIONS = {"flux_f", "flux_F", "flux_df", "initial_u0"}
+_PROBLEM_READERS = {"core.py", "presets.py"}
+
+
+def test_only_core_calls_the_problem_functions():
+    offenders = []
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        if path.name in _PROBLEM_READERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in _PROBLEM_FUNCTIONS:
+                offenders.append(f"{path.name}:{node.lineno} .{node.func.attr}(")
+    assert not offenders, f"call ProblemSpec.speed/flux/speed_slope/initial_state instead: {offenders}"
 
 
 class TestStateVector:
@@ -203,6 +283,8 @@ class TestRealData:
             reduced_svd,
             lambda z: truncation_error(z, np.zeros(z.shape)),
             lambda z: core.write_number_table(io.BytesIO(), z),
+            lambda z: linear_interpolate(np.arange(4.0), z[:, 0], np.arange(4.0)),
+            lambda z: stacked_to_grid(z, np.arange(2.0)),
         ],
         ids=[
             "fit_dmd",
@@ -212,6 +294,8 @@ class TestRealData:
             "reduced_svd",
             "truncation_error",
             "write_number_table",
+            "linear_interpolate",
+            "stacked_to_grid",
         ],
     )
     def test_complex_input_rejected_at_every_door(self, door):
@@ -286,7 +370,7 @@ class TestInterpolation:
     def test_clamp_outside_hull(self):
         src = np.array([0.0, 1.0])
         vals = np.array([3.0, 5.0])
-        out = linear_interpolate(src, vals, np.array([-1.0, 2.0]), bc="clamp")
+        out = linear_interpolate(src, vals, np.array([-1.0, 2.0]))
         assert np.allclose(out, [3.0, 5.0])
 
     def test_periodic_wraps_coordinates(self):
@@ -295,15 +379,11 @@ class TestInterpolation:
         src = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
         vals = np.sin(src)
         period = 2.0 * np.pi
-        out = linear_interpolate(src, vals, src + period, bc="periodic", period=period)
+        out = linear_interpolate(src, vals, src + period, period=period)
         assert np.allclose(out, vals, atol=1e-12)
-        mid_seam = linear_interpolate(src, vals, np.array([2.0 * np.pi - 0.5 * src[1]]), bc="periodic", period=period)
+        mid_seam = linear_interpolate(src, vals, np.array([2.0 * np.pi - 0.5 * src[1]]), period=period)
         expected = 0.5 * (vals[-1] + vals[0])
         assert np.isclose(mid_seam[0], expected, atol=1e-12)
-
-    def test_periodic_requires_period(self):
-        with pytest.raises(ValueError):
-            linear_interpolate(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([0.5]), bc="periodic")
 
     def test_non_monotone_source_raises(self):
         with pytest.raises(NonMonotonicGrid):
@@ -319,21 +399,15 @@ class TestStackedToGrid:
         # a periodic column spans less than one period; a clamped one overhangs the grid
         positions = np.sort(rng.uniform(-0.2, period - 0.2, 64) if periodic else rng.uniform(-0.3, period + 0.3, 64))
         values = rng.standard_normal(64)
-        rule = {"bc": "periodic", "period": period} if periodic else {"bc": "clamp"}
+        rule = {"period": period} if periodic else {}
         want = linear_interpolate(positions, values, grid, **rule)
 
         def no_second_check(*args, **kwargs):
             raise AssertionError("positions were validated twice")
 
         monkeypatch.setattr(core, "linear_interpolate", no_second_check)
-        got_positions, got_values, got = stacked_to_grid(np.concatenate([positions, values]), grid, **rule)
+        got = stacked_to_grid(np.concatenate([positions, values]), grid, **rule)
         assert np.array_equal(got, want)
-        assert np.array_equal(got_positions, positions) and np.array_equal(got_values, values)
-
-    def test_periodic_requires_period(self):
-        grid = uniform_grid(0.0, 1.0, 2, periodic=True)
-        with pytest.raises(ValueError):
-            stacked_to_grid(np.array([0.0, 0.5, 1.0, 1.0]), grid, bc="periodic")
 
 
 class TestStackedBlock:
@@ -346,24 +420,21 @@ class TestStackedBlock:
     def test_block_equals_columns(self, speed, bc, order):
         spec = make_spec(speed=speed, n=50, m_steps=self.COUNT, bc=bc)
         columns = np.asarray(drifting_stacked(spec, self.COUNT), order=order)
-        rule = {"bc": bc, "period": spec.domain_length}
-        expected = np.column_stack([stacked_to_grid(col, spec.grid(), **rule)[2] for col in columns.T])
-        positions, values, got = stacked_to_grid(columns, spec.grid(), **rule)
+        expected = np.column_stack([stacked_to_grid(col, spec.grid(), spec.period) for col in columns.T])
+        got = stacked_to_grid(columns, spec.grid(), spec.period)
         assert np.array_equal(got, expected)
         assert got.flags.f_contiguous
-        assert np.array_equal(np.vstack([positions, values]), columns)
 
     def test_first_tangled_column_reports_its_time_index(self):
         spec = make_spec(speed="burgers", n=50, m_steps=self.COUNT, bc=PERIODIC)
         columns = drifting_stacked(spec, self.COUNT)
         for col in (40, 65):
             columns[[5, 6], col] = columns[[6, 5], col]
-        rule = {"bc": PERIODIC, "period": spec.domain_length}
         with pytest.raises(GridEntanglement, match="time index 51$") as exc:
-            stacked_to_grid(columns, spec.grid(), first_index=11, **rule)
+            stacked_to_grid(columns, spec.grid(), spec.period, first_index=11)
         assert exc.value.time_index == 51
         with pytest.raises(GridEntanglement) as exc:
-            stacked_to_grid(columns[:, 40], spec.grid(), **rule)
+            stacked_to_grid(columns[:, 40], spec.grid(), spec.period)
         assert exc.value.time_index is None
 
     def test_column_crossing_the_seam_is_tangled(self):
@@ -373,11 +444,10 @@ class TestStackedBlock:
         columns = drifting_stacked(spec, self.COUNT)
         n = spec.n_cells
         columns[:n, 30] = np.linspace(0.0, spec.domain_length, n)
-        rule = {"bc": PERIODIC, "period": spec.domain_length}
         with pytest.raises(GridEntanglement, match="time index 41$") as exc:
-            stacked_to_grid(columns, spec.grid(), first_index=11, **rule)
+            stacked_to_grid(columns, spec.grid(), spec.period, first_index=11)
         assert exc.value.time_index == 41
-        stacked_to_grid(columns, spec.grid(), bc="clamp")
+        stacked_to_grid(columns, spec.grid())
 
 
 class TestAssembly:

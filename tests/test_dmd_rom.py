@@ -376,15 +376,14 @@ class TestReconstructState:
     def test_identity_grid_returns_values(self):
         grid = uniform_grid(0.0, 1.0, 8)
         u = np.sin(grid.nodes)
-        positions, _, on_grid = stacked_to_grid(np.concatenate([grid.nodes, u]), grid)
+        on_grid = stacked_to_grid(np.concatenate([grid.nodes, u]), grid)
         assert np.allclose(on_grid, u, atol=1e-12)
-        assert np.array_equal(positions, grid.nodes)
 
     def test_shifted_grid_moves_peak(self):
         grid = uniform_grid(0.0, 2.0, 101)
         u = np.exp(-(((grid.nodes - 0.5) / 0.1) ** 2))
         shift = 0.6
-        _, _, on_grid = stacked_to_grid(np.concatenate([grid.nodes + shift, u]), grid)
+        on_grid = stacked_to_grid(np.concatenate([grid.nodes + shift, u]), grid)
         peak = grid.nodes[np.argmax(on_grid)]
         assert abs(peak - 1.1) < 0.03
 
@@ -468,6 +467,13 @@ class TestPersistence:
         path, lines = self._saved_model_lines(tmp_path)
         path.write_text("\n".join(lines[: lines.index("[projector]")]) + "\n")
         with pytest.raises(ValueError, match="projector"):
+            load_dmd_model(path)
+
+    @pytest.mark.parametrize("key", ["kind", "base_time_index", "training_count", "train_residual"])
+    def test_rejects_a_missing_header_line(self, tmp_path, key):
+        path, lines = self._saved_model_lines(tmp_path)
+        path.write_text("\n".join(ln for ln in lines if not ln.startswith(f"{key}=")) + "\n")
+        with pytest.raises(ValueError, match=f"lacks the {key}= line"):
             load_dmd_model(path)
 
     def test_defective_operator_rejected_at_load_as_at_fit(self, tmp_path):

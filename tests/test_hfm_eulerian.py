@@ -5,10 +5,9 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from lagrom.core import PERIODIC, ProblemSpec
+from lagrom.core import PERIODIC, ProblemSpec, check_courant
 from lagrom.errors import CflViolation, NumericalFailure
 from lagrom.hfm_eulerian import (
-    check_cfl,
     eulerian_step,
     eulerian_steps,
     face_fluxes,
@@ -80,7 +79,7 @@ class TestAdvance:
     def test_courant_exactly_one_accepted(self):
         spec = make_spec(speed="const", c=1.0, n=50, m_steps=50, t_final=2.0, bc=PERIODIC)
         grid = spec.grid()
-        assert check_cfl(gaussian_pulse(grid.nodes), spec) == pytest.approx(1.0)
+        assert check_courant(spec.speed(gaussian_pulse(grid.nodes)), spec.dt, spec.dx, 1) == pytest.approx(1.0)
 
 
 class TestDiffusion:
@@ -218,8 +217,9 @@ class TestRun:
     def test_non_finite_initial_profile_rejected_before_the_first_state(self):
         spec = make_spec(n=20, m_steps=5, ic=lambda x: np.where(x > 1.0, np.nan, 0.0))
         steps = eulerian_steps(spec)
-        with pytest.raises(NumericalFailure, match="NaN or Inf"):
+        with pytest.raises(NumericalFailure, match="NaN or Inf") as err:
             next(steps)
+        assert err.value.time_index == 0
 
 
 class TestStore:

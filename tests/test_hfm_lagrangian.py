@@ -12,7 +12,6 @@ from lagrom.hfm_lagrangian import (
     lagrangian_step,
     lagrangian_steps,
     run_lagrangian_hfm,
-    speeds,
 )
 from lagrom.presets import gaussian_pulse, one_plus_sin
 
@@ -163,7 +162,7 @@ class TestRun:
         run = run_lagrangian_hfm(spec, 5)
         nodes = spec.grid().nodes
         x, u = nodes, spec.initial_u0(nodes)
-        f_u = speeds(spec, u)
+        f_u = spec.speed(u)
         system = run_diffusion_system(spec)
         for k in range(1, spec.n_steps + 1):
             x, u, f_u = lagrangian_step(spec, system, nodes, x, u, f_u, k)

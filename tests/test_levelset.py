@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lagrom.core import PERIODIC, Grid1D, uniform_grid
+from lagrom.core import PERIODIC, Grid1D, check_courant, uniform_grid
 from lagrom import kernels, levelset
 from lagrom.dmd_rom import predict_series
 from lagrom.errors import (
@@ -23,7 +23,6 @@ from lagrom.levelset import (
     levelset_steps,
     predict_contours,
     predicted_contour,
-    row_speeds,
     run_levelset_hfm,
     value_grid_for,
     zero_contour,
@@ -97,9 +96,10 @@ class TestAdvance:
     @staticmethod
     def step(field, spec, dt):
         """The field one upwind step of ``dt`` later, through the stream's
-        own pieces: the row speed check, then the kernel."""
+        own pieces: the row speeds and their Courant check, then the kernel."""
         dx = field.x_grid.spacing
-        speeds = row_speeds(spec, field.y_grid.nodes, dt, dx, time_index=1)
+        speeds = spec.speed(field.y_grid.nodes)
+        check_courant(speeds, dt, dx, 1, "row Courant number")
         return kernels.levelset_step(field.values, speeds, dt / dx, spec.periodic)
 
     def test_zero_speed_row_unchanged(self, burgers_spec):
@@ -132,11 +132,12 @@ class TestAdvance:
     def test_run_cfl_violation_names_its_time_index(self):
         spec = make_spec(speed="burgers", n=200, m_steps=5, bc=PERIODIC)
         y = value_grid_for(one_plus_sin(spec.grid().nodes), 20).nodes
-        courant = np.max(np.abs(y)) * spec.dt / spec.dx
+        fastest = np.max(np.abs(y))
+        courant = fastest * spec.dt / spec.dx
         with pytest.raises(CflViolation) as err:
             run_levelset_hfm(spec, 2, n_y=20)
         assert err.value.time_index == 1
-        assert str(err.value) == f"row Courant number {courant:.6f} exceeds 1"
+        assert str(err.value) == f"row Courant number {courant:.6f} exceeds 1 (max |f(u)| = {fastest:.6g}) (time index 1)"
 
     def test_row_conservation_periodic(self, burgers_spec):
         field = self.make_field()
@@ -299,7 +300,7 @@ class TestStore:
         # Stepped in C order here; the run steps column-major fields.
         run = run_levelset_hfm(burgers_spec, 6, n_y=20)
         field = embed_initial(burgers_spec.initial_u0, run.x_grid, run.y_grid)
-        speeds = row_speeds(burgers_spec, run.y_grid.nodes, burgers_spec.dt, run.x_grid.spacing)
+        speeds = burgers_spec.speed(run.y_grid.nodes)
         courant = burgers_spec.dt / run.x_grid.spacing
         assert np.array_equal(extract_zero_contour(field).values, run.contours[:, 0])
         for k in range(1, burgers_spec.n_steps + 1):
