@@ -36,12 +36,18 @@ of that width: each reads the fixed-grid frame once, and the moving frame
 while a moving-frame method is live, with one overlap column for the bound's
 residual, and every live method (one ``_Scorer`` each) scores it. The views
 have the column layout of a whole-run store, so every error sums as it did
-over one. Only eps_m depends on where the blocks start: the one-step map's
-matrix product rounds by block width. A method's ``LagromError`` ends that
-method alone. A DMD observable stream is one ``K^gap`` walk over every
-index, so the scored observable is ``predict_series``'s bit for bit
-(restarting the walk per chunk moved the full-size test4 L-DMD errors by up
-to 6e-8 relative).
+over one. A method's rollout columns are gathered per block into new arrays
+that are dropped once the block is scored: between blocks a method holds
+only the stream block it is reading (a DMD lift block, or one POD state).
+The Lagrangian POD's states reach the scorer with their fixed-grid values,
+which its rollout took once when it made each state (and its next step
+diffused); the Lagrangian DMD's stacked predictions are taken to the fixed
+grid here, by ``core.stacked_to_grid``. Only eps_m depends on where the
+blocks start: the one-step map's matrix product rounds by block width. A
+method's ``LagromError`` ends that method alone. A DMD observable stream is
+one ``K^gap`` walk over every index, so the scored observable is
+``predict_series``'s bit for bit (restarting the walk per chunk moved the
+full-size test4 L-DMD errors by up to 6e-8 relative).
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SnapshotMatrix, stacked_to_grid
+from .core import SnapshotMatrix, check_untangled, stacked_to_grid
 from .dmd_rom import LIFT_COLUMNS, fit_dmd, fit_lagrangian_dmd, prediction_blocks
 from .errors import DimensionMismatch, LagromError
 from .error_analysis import (
@@ -160,51 +166,32 @@ class _Frame:
             pass
 
 
-def _scoring_blocks(blocks, width):
-    """Regroup a stream of column blocks, in time order, into blocks of
-    ``width`` columns (the last may be narrower); yields (first column, block).
-
-    Columns pass through as views where one stream block covers a scoring
-    block, and are gathered into one reused buffer otherwise. The buffer
-    takes the stream's memory layout, so the column norms of a scoring block
-    sum in the same order as over the whole horizon stored that way.
-    """
-    filled = start = 0
-    buffer = None
-    for block in blocks:
-        at = 0
-        while at < block.shape[1]:
-            if not filled and block.shape[1] - at >= width:
-                yield start, block[:, at : at + width]
-                start, at = start + width, at + width
-                continue
-            if buffer is None:
-                row_major = not block.flags.f_contiguous and block.strides[0] > block.strides[1]
-                buffer = np.empty((block.shape[0], width), order="C" if row_major else "F")
-            take = min(width - filled, block.shape[1] - at)
-            buffer[:, filled : filled + take] = block[:, at : at + take]
-            filled, at = filled + take, at + take
-            if filled == width:
-                yield start, buffer
-                start, filled = start + width, 0
-        del block  # not held while the stream makes the next one
-    if filled:
-        yield start, buffer[:, :filled]
+def _layout(block: np.ndarray) -> str:
+    """The memory order of a column block: "C" when its rows are contiguous."""
+    return "C" if not block.flags.f_contiguous and block.strides[0] > block.strides[1] else "F"
 
 
 class _Scorer:
     """One method's error report, built one scoring block at a time.
 
-    ``blocks`` is the method's rollout: its observables at indices 1..M as
-    column blocks in time order, fixed-grid states (N rows) or, when
-    ``stacked``, moving-frame [x; u] states (2N rows), which are taken to
-    the fixed grid. Each ``score`` pulls the rollout (timed in ``rollout``)
-    up to its next block of ``width`` columns (``_scoring_blocks``) and
-    scores it: the observable error, the tangle check and interpolation of
-    stacked columns, and the relative state error. Neither the observable
-    nor a scoring temporary grows with the horizon. Fixed-grid states are
-    kept only with ``keep_states`` (column-contiguous). A failure, in the
-    rollout or in the scoring, ends the method at the block where it shows.
+    ``blocks`` is the method's rollout: column blocks in time order, indices
+    1..M, of its observable: fixed-grid states (N rows) or, when ``stacked``,
+    moving-frame [x; u] states (2N rows). A stream may instead yield pairs
+    of blocks whose second part holds the same states on the fixed grid: a
+    Lagrangian POD rollout takes each state there once, when it makes it
+    (``pod_rom.pod_steps``), so its scoring reuses those values. Stacked
+    blocks without it (Lagrangian DMD) are taken to the fixed grid here
+    (``stacked_to_grid``). Either way the positions of each stacked
+    block pass the same tangle check, with the same message and time index.
+
+    Each ``score`` pulls the rollout (timed in ``rollout``) up to its next
+    block of ``width`` columns (``_next_block``) and scores it: the
+    observable error, the tangle check and the fixed-grid states, and the
+    relative state error. Neither the observable nor a scoring temporary
+    grows with the horizon, and no gathered block is held while another
+    method scores. Fixed-grid states are kept only with
+    ``keep_states`` (column-contiguous). A failure, in the rollout or in the
+    scoring, ends the method at the block where it shows.
 
     With a DMD ``model`` the report carries the affine bound past the
     training window. Its slope eps_m is the worst one-step residual of the
@@ -223,7 +210,7 @@ class _Scorer:
         self.model = model
         self.width = width
         self.rollout = _Timed(blocks)
-        self.blocks = _scoring_blocks(self.rollout, width)
+        self.pending, self.taken = None, 0
         self.err_obs = np.empty(self.horizon)
         self.rel_state = np.empty(self.horizon)
         self.states = np.empty((len(self.grid), self.horizon), order="F") if keep_states else None
@@ -231,24 +218,62 @@ class _Scorer:
         self.scored = 0
         self.failure = None
 
+    def _next_block(self):
+        """The rollout's next ``width`` columns, fewer where it ends, one
+        array per part of its blocks (None when it has ended). They are
+        views where one stream block covers them; otherwise they are
+        gathered into new arrays, each in its stream part's memory layout, so
+        the column norms of a scoring block sum in the same order as over the
+        whole horizon stored that way. Only the stream block being read is
+        held between calls, and none while the stream makes the next."""
+        out, filled = None, 0
+        while filled < self.width:
+            if self.pending is None:
+                block = next(self.rollout, None)
+                if block is None:
+                    break
+                self.pending, self.taken = block if isinstance(block, tuple) else (block,), 0
+                del block  # held as ``pending`` alone
+            at = self.taken
+            take = min(self.width - filled, self.pending[0].shape[1] - at)
+            if out is None and take == self.width:
+                out = [part[:, at : at + take] for part in self.pending]
+            else:
+                if out is None:
+                    out = [np.empty((part.shape[0], self.width), order=_layout(part)) for part in self.pending]
+                for buffer, part in zip(out, self.pending):
+                    buffer[:, filled : filled + take] = part[:, at : at + take]
+            filled, self.taken = filled + take, at + take
+            if self.taken == self.pending[0].shape[1]:
+                self.pending = None
+        return None if out is None else [part[:, :filled] for part in out]
+
     def score(self, reference: np.ndarray, states: np.ndarray) -> None:
         """Score the next block. ``reference`` holds the reference
         observables at its indices and at the one after it (when there is
         one), ``states`` the fixed-grid reference states at its indices.
         A rollout that ends short of the block fails the method."""
-        start, block = next(self.blocks, (self.scored, None))
-        width = 0 if block is None else block.shape[1]
+        start = self.scored
+        parts = self._next_block()
+        width = 0 if parts is None else parts[0].shape[1]
         if width < min(self.width, self.horizon - start):
             raise DimensionMismatch(f"scored {start + width} columns of a {self.horizon}-index horizon")
+        block = parts[0]
         cols = slice(start, start + width)
         self.err_obs[cols] = truncation_error(reference[:, :width], block)
         if self.model is not None:
             self.eps_m = max(self.eps_m, estimate_eps_m(self.model, reference[:, : width + 1]))
-        if self.stacked:
-            block = stacked_to_grid(block, self.grid, self.spec.period, first_index=start + 1)
+        if len(parts) > 1:
+            positions = block[: len(self.grid)].T
+            check_untangled(positions, self.spec.period, "predicted positions", first_index=start + 1)
+            on_grid = parts[1]
+        elif self.stacked:
+            on_grid = stacked_to_grid(block, self.grid, self.spec.period, first_index=start + 1)
+        else:
+            on_grid = block
         if self.states is not None:
-            self.states[:, cols] = block
-        self.rel_state[cols] = relative_l2(states[:, :width], block)
+            self.states[:, cols] = on_grid
+        self.rel_state[cols] = relative_l2(states[:, :width], on_grid)
         self.scored = start + width
 
     def report(self) -> ErrorReport:
@@ -314,13 +339,14 @@ def _score_all(scorers, width: int, euler: _Frame, lagr: Optional[_Frame]) -> No
 
 
 def _pod_columns(steps, newton):
-    """The reconstructions of a ``pod_steps`` stream past its initial
-    projection, as one-column blocks; appends each step's Newton iterations
-    to ``newton``."""
+    """A ``pod_steps`` stream past its initial projection, as one-column
+    blocks: each step's reconstruction and, in the moving frame, its values
+    on the fixed grid; appends each step's Newton iterations to ``newton``."""
     next(steps)
     for step in steps:
         newton.append(step.iterations)
-        yield step.full[:, None]
+        full = step.full[:, None]
+        yield (full,) if step.grid_values is step.full else (full, step.grid_values[:, None])
 
 
 def _fit_method(method, resolved, frame, window_qr: list, width: int, keep_states=False, level_grids=None):
@@ -356,12 +382,16 @@ def _fit_method(method, resolved, frame, window_qr: list, width: int, keep_state
     newton = None
     if isinstance(model, PodBasis):
         newton = []
-        blocks, modes = _pod_columns(pod_steps(model, frame.window[0], spec, spec.n_steps), newton), model.basis
-    elif method == METHOD_LEVELSET_DMD:
-        blocks, modes = contour_blocks(model, indices, *level_grids), model.modes
+        blocks = _pod_columns(pod_steps(model, frame.window[0], spec, spec.n_steps), newton)
+        modes = model.basis[:, :3].copy()  # the leading three alone, not a view of them all
     else:
-        blocks, modes = prediction_blocks(model, indices), model.modes
-    modes = modes[:, :3].copy()  # the leading three alone, not a view of them all
+        if method == METHOD_LEVELSET_DMD:
+            blocks = contour_blocks(model, indices, *level_grids)
+        else:
+            blocks = prediction_blocks(model, indices)
+        # The leading three modes U W alone: ``model.modes`` forms all r, from
+        # a complex copy of U, which lifted a full-size run's peak RSS.
+        modes = model.projector @ model.eigenvectors[:, :3]
     # The bound belongs to a DMD propagator on the observable it was fitted
     # to; the level set is scored on contours, which it does not propagate.
     bound_model = model if method in (METHOD_EULERIAN_DMD, METHOD_LAGRANGIAN_DMD) else None

@@ -328,27 +328,56 @@ def check_untangled(positions: np.ndarray, period: float = None, what: str = "mo
     """Raise ``GridEntanglement``, naming the time index, unless the moving
     grid ``positions`` (or each row, at indices ``first_index`` on) increases
     strictly and, given a ``period``, its last node has not passed the first
-    node's periodic image: such a grid overlaps itself across the seam."""
-    tangled = np.any(np.diff(positions, axis=-1) <= 0.0, axis=-1)
-    if period is not None:
-        tangled |= positions[..., -1] - positions[..., 0] >= period
-    if np.any(tangled):
-        k = None if first_index is None else first_index + int(np.argmax(tangled))
+    node's periodic image: such a grid overlaps itself across the seam.
+
+    A single grid (one per solver and rollout step) takes a 1-D path without
+    the per-row reductions. Both paths compare differences with zero, so a
+    NaN difference (a NaN position, or inf - inf) is no fold in either."""
+    if positions.ndim == 1:
+        tangled = (positions[1:] - positions[:-1] <= 0.0).any() or (
+            period is not None and float(positions[-1]) - float(positions[0]) >= period
+        )
+        k = first_index
+    else:
+        rows = np.any(np.diff(positions, axis=-1) <= 0.0, axis=-1)
+        if period is not None:
+            rows |= positions[..., -1] - positions[..., 0] >= period
+        tangled = rows.any()
+        k = None if first_index is None else first_index + int(np.argmax(rows))
+    if tangled:
         where = "" if k is None else f" at time index {k}"
         raise GridEntanglement(f"{what} tangled{where}", time_index=k)
 
 
-def interp_unchecked(src: np.ndarray, vals: np.ndarray, dst: np.ndarray, period: float = None) -> np.ndarray:
+def interp_source(src: np.ndarray, period: float = None) -> np.ndarray:
+    """The nodes ``src`` as ``interp_unchecked`` reads them: given a
+    ``period``, with the first node's periodic image appended
+    (``kernels.periodic_source``). A fixed grid builds this once per run."""
+    if period is None:
+        return src
+    return kernels.periodic_source(src, period)
+
+
+def interp_unchecked(source: np.ndarray, vals: np.ndarray, dst: np.ndarray, period: float = None) -> np.ndarray:
     """Interpolation core without input validation, for verified hot loops.
 
-    Given a ``period``, destinations wrap into the source window and the seam
-    is bridged across one period, which matches ``np.interp(..., period=...)``
-    for a strictly increasing source spanning less than one period but skips
-    that routine's internal sort; without one, they clamp to the hull.
+    ``source`` is ``interp_source(src, period)`` for strictly increasing
+    nodes ``src`` carrying ``vals``, and ``dst`` is ascending. Given a
+    ``period``, destinations wrap into the source window and the seam is
+    bridged across one period, as ``np.interp(..., period=...)`` does for a
+    source spanning less than one period, without its sort; without one,
+    they clamp to the hull.
     """
     if period is None:
-        return kernels.interp_clamped(src, vals, dst)
-    return kernels.interp_periodic(src, vals, dst, period)
+        return kernels.interp_clamped(source, vals, dst)
+    return kernels.interp_periodic(source, vals, dst, period)
+
+
+def carried_to_grid(x: np.ndarray, u: np.ndarray, nodes: np.ndarray, period: float = None) -> np.ndarray:
+    """The values ``u`` carried on the moving grid ``x`` (unchecked) at the
+    fixed ``nodes``: a moving-frame state on the fixed grid, and the first
+    leg of the moving-grid round trip."""
+    return interp_unchecked(interp_source(x, period), u, nodes, period)
 
 
 def linear_interpolate(src_grid, src_values, dst_grid, period: float = None) -> np.ndarray:
@@ -357,6 +386,10 @@ def linear_interpolate(src_grid, src_values, dst_grid, period: float = None) -> 
     Outside the source hull, destinations take the edge sample when
     ``period`` (``ProblemSpec.period``) is None, else wrap by it first,
     through ``np.interp`` for a source spanning a whole period.
+    Destinations may come in any order: the periodic kernel wraps an
+    ascending destination by the bounds its end points give, so they are
+    sorted here, and framed by their minimum and maximum, which are NaN
+    when one of them is, as two reductions over them would be.
     """
     src = _grid_nodes(src_grid)
     dst = dst_grid.nodes if isinstance(dst_grid, Grid1D) else real_array(dst_grid)
@@ -365,10 +398,17 @@ def linear_interpolate(src_grid, src_values, dst_grid, period: float = None) -> 
     vals = real_array(src_values)
     if vals.shape != src.shape:
         raise DimensionMismatch("src_values length must match src_grid length")
-    if period is not None and src[-1] - src[0] >= period:
+    if period is None:
+        out = interp_unchecked(src, vals, dst)
+    elif src[-1] - src[0] >= period:
         out = np.interp(dst, src, vals, period=period)
+    elif dst.size:
+        order = np.argsort(dst, kind="stable")
+        framed = np.concatenate([[np.min(dst)], dst[order], [np.max(dst)]])
+        out = np.empty(dst.shape)
+        out[order] = interp_unchecked(interp_source(src, period), vals, framed, period)[1:-1]
     else:
-        out = interp_unchecked(src, vals, dst, period)
+        out = np.empty(0)
     return out[0] if scalar else out
 
 
@@ -412,7 +452,7 @@ def stacked_to_grid(stacked, grid, period: float = None, first_index: int = None
     check_untangled(rows[:, :n], period, "predicted positions", first_index)
     out = np.empty((rows.shape[0], n))
     for j, row in enumerate(rows):
-        out[j] = interp_unchecked(row[:n], row[n:], nodes, period)
+        out[j] = carried_to_grid(row[:n], row[n:], nodes, period)
     return out[0] if block.ndim == 1 else out.T
 
 

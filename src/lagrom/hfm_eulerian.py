@@ -10,10 +10,11 @@ an implicit backward-Euler centered-difference diffusion solve. One step is
 with the face flux F_{j+1/2} = (F(u_R)+F(u_L))/2 - |a| (u_R-u_L)/2 and the
 local speed a taken as the secant slope of F (the tangent f when u_L = u_R).
 
-This module owns the pieces of that step: ``advected_state`` (the explicit
-half, through ``face_fluxes``) and ``DiffusionSystem`` (the implicit half:
-face coefficients plus the LU factors of (I - dt D2), with ``apply`` for the
-operator itself and ``solve`` for its inverse). When D is a number the
+This module owns the pieces of that step: ``face_fluxes`` and
+``advected_state`` (the explicit half; the Courant check reads f(u) from the
+tangent speeds the fluxes already form) and ``DiffusionSystem`` (the
+implicit half: face coefficients plus the LU factors of (I - dt D2), with
+``apply`` for the operator itself and ``solve`` for its inverse). When D is a number the
 system is the same at every step, so a run builds and factors it once
 (``run_diffusion_system``); ``step_system`` hands a step that system, or
 evaluates, assembles and factors one when D is a callable. The
@@ -58,8 +59,10 @@ def _extend(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     return np.concatenate([[lo], u, [hi]])
 
 
-def face_fluxes(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """All N+1 face fluxes for a state of length N, ghost cells included."""
+def face_fluxes(u: np.ndarray, spec: ProblemSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """All N+1 face fluxes for a state of length N, ghost cells included,
+    and the N+1 tangent speeds f at each face's left value (the ghost
+    first), whose entries 1..N are f(u): f is evaluated once per state."""
     u_ext = _extend(u, spec)
     f_vals = spec.flux(u_ext)
     du = u_ext[1:] - u_ext[:-1]
@@ -68,12 +71,12 @@ def face_fluxes(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     ties = du == 0.0
     secant = d_f / np.where(ties, 1.0, du)
     secant = np.where(ties, tangent, secant)
-    return 0.5 * (f_vals[1:] + f_vals[:-1]) - 0.5 * np.abs(secant) * du
+    return 0.5 * (f_vals[1:] + f_vals[:-1]) - 0.5 * np.abs(secant) * du, tangent
 
 
-def advected_state(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """The explicit half-step u* = u - (dt/dx) (F_{j+1/2} - F_{j-1/2})."""
-    fluxes = face_fluxes(u, spec)
+def advected_state(u: np.ndarray, fluxes: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """The explicit half-step u* = u - (dt/dx) (F_{j+1/2} - F_{j-1/2}) from
+    the ``face_fluxes`` of u."""
     return u - (spec.dt / spec.dx) * (fluxes[1:] - fluxes[:-1])
 
 
@@ -174,8 +177,9 @@ def eulerian_step(
     Courant, residual and finiteness checks. ``system`` is the run's
     diffusion system when D is constant (``step_system``). Returns
     (u_new, residual, courant)."""
-    courant = check_courant(spec.speed(u), spec.dt, spec.dx, index)
-    u_star = advected_state(u, spec)
+    fluxes, speeds = face_fluxes(u, spec)
+    courant = check_courant(speeds[1:], spec.dt, spec.dx, index)  # f(u), before the update
+    u_star = advected_state(u, fluxes, spec)
     if spec.diffusion_D is None:
         u_new, residual = u_star, 0.0
     else:
@@ -188,7 +192,7 @@ def eulerian_step(
                 f"step residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} at time index {index}",
                 time_index=index,
             )
-    if not np.all(np.isfinite(u_new)):
+    if not np.isfinite(u_new).all():
         raise NumericalFailure(f"non-finite state at time index {index}", time_index=index)
     return u_new, residual, courant
 

@@ -11,16 +11,18 @@ performs, in order:
   (iv)  advance the grid positions with the trapezoidal rule
         x^{n+1} = x^n + dt/2 (f(u^n) + f(u^{n+1})).
 
-Sub-steps (i)-(iii) are ``diffuse_carried_values``, which the moving-frame
-POD stepper calls for its residual; the speeds of (iv) and u0 come from
+Sub-step (i) is ``core.carried_to_grid`` and sub-steps (ii)-(iii) are
+``diffuse_carried_values``; the moving-frame POD stepper calls both for its
+residual, and takes (i) when it makes a state, so the scoring of that state
+reads the same values. The speeds of (iv) and u0 come from
 ``ProblemSpec.speed`` and ``initial_state``. This module calls
 ``hfm_eulerian`` for the fixed-grid solve (``step_system`` and
 ``DiffusionSystem``) and ``core.interp_unchecked``, with the boundary rule
-``ProblemSpec.period``, for the interpolation.
-When the diffusion coefficient is ``None`` the first three sub-steps are
-skipped and the carried values are transported bit-exactly. When it is a
-number, the run builds and factors the implicit system once and every step
-reuses it. Positions are kept unwrapped (monotone) for periodic problems;
+``ProblemSpec.period``, for the interpolation; a run builds the round
+trip's constants once, as one ``ReferenceGrid``. When the diffusion
+coefficient is ``None`` the first three sub-steps are skipped and the
+carried values are transported bit-exactly. When it is a number, the run
+builds and factors the implicit system once and every step reuses it. Positions are kept unwrapped (monotone) for periodic problems;
 wrapping happens only inside the interpolation, so entanglement detection
 (``core.check_untangled``) is a monotonicity test plus, when periodic, the
 seam test x[-1] - x[0] < L.
@@ -41,51 +43,66 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .core import Grid1D, ProblemSpec, SnapshotMatrix, check_untangled, interp_unchecked
+from .core import (
+    Grid1D,
+    ProblemSpec,
+    SnapshotMatrix,
+    carried_to_grid,
+    check_untangled,
+    interp_source,
+    interp_unchecked,
+)
 from .errors import NumericalFailure
 from .hfm_eulerian import RESIDUAL_TOL, DiffusionSystem, run_diffusion_system, step_system
 
 
-def diffuse_carried_values(
-    spec: ProblemSpec, run_system: Optional[DiffusionSystem], x: np.ndarray, u: np.ndarray, nodes: np.ndarray, t: float
-):
-    """Sub-steps (i)-(iii): values ``u`` carried on ``x`` after one implicit
-    diffusion step solved on the fixed ``nodes`` at time ``t``.
+class ReferenceGrid(NamedTuple):
+    """The round trip's constants for a whole run: the fixed ``nodes``, the
+    same nodes as the interpolation ``source`` of sub-step (iii)
+    (``core.interp_source``), and the run's diffusion ``system`` when D is a
+    number, else None."""
+
+    nodes: np.ndarray
+    source: np.ndarray
+    system: Optional[DiffusionSystem]
+
+
+def reference_grid(spec: ProblemSpec) -> ReferenceGrid:
+    """Build a run's ``ReferenceGrid`` once, before its first step."""
+    nodes = spec.grid().nodes
+    return ReferenceGrid(nodes, interp_source(nodes, spec.period), run_diffusion_system(spec))
+
+
+def diffuse_carried_values(spec: ProblemSpec, ref: ReferenceGrid, x: np.ndarray, u_grid: np.ndarray, t: float):
+    """Sub-steps (ii)-(iii): ``u_grid``, the values carried on ``x`` taken
+    to the reference nodes (sub-step (i), ``core.carried_to_grid``), after
+    one implicit diffusion step at time ``t``, interpolated back onto ``x``.
 
     Returns the diffused values on ``x`` and the fixed-grid step as
     (system, rhs, solution), whose residual the solver checks.
     """
-    period = spec.period
-    u_tilde = interp_unchecked(x, u, nodes, period)
-    system = step_system(spec, run_system, nodes, t, u_tilde)
-    u_tilde_new = system.solve(u_tilde)
-    u_new = interp_unchecked(nodes, u_tilde_new, x, period)
-    return u_new, (system, u_tilde, u_tilde_new)
+    system = step_system(spec, ref.system, ref.nodes, t, u_grid)
+    u_grid_new = system.solve(u_grid)
+    u_new = interp_unchecked(ref.source, u_grid_new, x, spec.period)
+    return u_new, (system, u_grid, u_grid_new)
 
 
-def lagrangian_step(
-    spec: ProblemSpec,
-    system: Optional[DiffusionSystem],
-    nodes: np.ndarray,
-    x: np.ndarray,
-    u: np.ndarray,
-    f_u: np.ndarray,
-    index: int,
-):
+def lagrangian_step(spec: ProblemSpec, ref: ReferenceGrid, x: np.ndarray, u: np.ndarray, f_u: np.ndarray, index: int):
     """Positions, values and speeds at time index ``index`` from ``x``, ``u``
     and ``f_u = spec.speed(u)`` at ``index - 1``; the diffusion solve runs
-    on the fixed ``nodes``. Checks the diffusion residual, entanglement and
-    finiteness of the new state.
+    on the run's reference grid ``ref``. Checks the diffusion residual,
+    entanglement and finiteness of the new state.
     """
     if spec.diffusion_D is None:
         u_new, f_new = u, f_u
     else:
-        u_new, (system, u_tilde, u_tilde_new) = diffuse_carried_values(spec, system, x, u, nodes, index * spec.dt)
-        worst = system.residual(u_tilde_new, u_tilde)
+        u_grid = carried_to_grid(x, u, ref.nodes, spec.period)
+        u_new, (system, u_grid, u_grid_new) = diffuse_carried_values(spec, ref, x, u_grid, index * spec.dt)
+        worst = system.residual(u_grid_new, u_grid)
         if worst > RESIDUAL_TOL:
             raise NumericalFailure(
                 f"diffusion residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e} at time index {index}",
@@ -96,7 +113,7 @@ def lagrangian_step(
     x_new = x + 0.5 * spec.dt * (f_u + f_new)
 
     check_untangled(x_new, spec.period, first_index=index)
-    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(u_new))):
+    if not (np.isfinite(x_new).all() and np.isfinite(u_new).all()):
         raise NumericalFailure(f"non-finite state at time index {index}", time_index=index)
     return x_new, u_new, f_new
 
@@ -107,15 +124,14 @@ def lagrangian_steps(spec: ProblemSpec) -> Iterator[np.ndarray]:
     stored, so a consumer that reads the rows as they come holds one at a
     time; ``run_lagrangian_hfm`` collects them. A non-finite u^0 raises
     ``NumericalFailure`` for time index 0 before the first yield."""
-    nodes = spec.grid().nodes
-    system = run_diffusion_system(spec)
-    n = nodes.size
-    row = np.concatenate([nodes, spec.initial_state()])
+    ref = reference_grid(spec)
+    n = ref.nodes.size
+    row = np.concatenate([ref.nodes, spec.initial_state()])
     row.setflags(write=False)
     f_u = spec.speed(row[n:])
     yield row
     for step in range(spec.n_steps):
-        x_new, u_new, f_u = lagrangian_step(spec, system, nodes, row[:n], row[n:], f_u, step + 1)
+        x_new, u_new, f_u = lagrangian_step(spec, ref, row[:n], row[n:], f_u, step + 1)
         row = np.concatenate([x_new, u_new])
         row.setflags(write=False)  # the next step reads it
         yield row

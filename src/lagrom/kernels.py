@@ -19,6 +19,12 @@ the same split: ``factor_small`` (``dgetrf``) once per run when the reduced
 Jacobian is constant, then its ``solve`` (``dgetrs``) per iteration, and
 ``solve_small``, the same two calls, for a Jacobian that changes at every
 step.
+
+Interpolation is ``interp_clamped`` and ``interp_periodic``; no other module
+calls ``np.interp`` but ``core.linear_interpolate`` for a source that spans
+a whole period. The periodic kernel reads a source already extended across
+the seam (``periodic_source``), which a fixed grid builds once per run, and
+an ascending destination, whose end points bound how far it must wrap.
 """
 
 from __future__ import annotations
@@ -105,12 +111,12 @@ def factor_cyclic(lower, diag, upper, corner_top, corner_bottom) -> CyclicFactor
 
 
 def cyclic_thomas_solve(factor: CyclicFactor, rhs):
-    """Solve a factored periodic system: one tridiagonal solve, then the
-    rank-one correction."""
-    y = thomas_solve(factor.tridiagonal, rhs)
+    """Solve a factored periodic system: one tridiagonal solve, straight
+    through the LU's ``dgttrs``, then the rank-one correction."""
+    y = factor.tridiagonal.solve(rhs)
     if factor.z is None:
         return y
-    correction = (y[0] + factor.corner_top * y[-1] / factor.gamma) / factor.denom
+    correction = (float(y[0]) + factor.corner_top * float(y[-1]) / factor.gamma) / factor.denom
     y -= correction * factor.z  # y is the solve's own output, never the caller's rhs
     return y
 
@@ -120,34 +126,44 @@ def interp_clamped(src, vals, dst):
     return np.interp(dst, src, vals)
 
 
-def interp_periodic(src, vals, dst, period):
+def periodic_source(src, period):
+    """The interpolation source ``interp_periodic`` reads: the n source
+    nodes and the first node's periodic image ``src[0] + period``, the right
+    end of the seam segment. A fixed grid builds it once per run."""
+    n = src.shape[0]
+    out = np.empty(n + 1)
+    out[:n] = src
+    out[n] = src[0] + period
+    return out
+
+
+def interp_periodic(source, vals, dst, period):
     """Periodic variant: wrap destinations into the source window and bridge
     the seam segment from the last source node to the first plus one period.
 
-    Offsets within one period of the window are wrapped by one masked add or
-    subtract of the period, which rounds exactly as ``np.mod`` does there and
-    costs a fraction of it; farther offsets take ``np.mod``.
+    ``source`` is ``periodic_source(src, period)`` for strictly increasing
+    ``src`` with the n values ``vals``. ``dst`` is ascending, so its offsets
+    below the window form a prefix and those past it a suffix, wrapped by
+    one add or subtract of the period on that slice: it rounds as ``np.mod``
+    does there, at a fraction of the cost. A destination that leaves the
+    window on both sides, or by more than a period, takes ``np.mod``.
     """
-    origin = src[0]
+    origin = source[0]
     shifted = dst - origin
-    lo = np.minimum.reduce(shifted, initial=0.0)
-    hi = np.maximum.reduce(shifted, initial=0.0)
-    if lo < -period or hi >= 2.0 * period:
-        shifted = np.mod(shifted, period)
-    else:
-        if lo < 0.0:
-            np.add(shifted, period, out=shifted, where=shifted < 0.0)
-        if hi >= period:
-            np.subtract(shifted, period, out=shifted, where=shifted >= period)
+    if shifted.size:
+        lo, hi = shifted[0], shifted[-1]
+        if lo < -period or hi >= 2.0 * period or (lo < 0.0 and hi >= period):
+            shifted = np.mod(shifted, period)
+        elif lo < 0.0:
+            shifted[: shifted.searchsorted(0.0)] += period
+        elif hi >= period:
+            shifted[shifted.searchsorted(period) :] -= period
     shifted += origin
-    n = src.shape[0]
-    src_ext = np.empty(n + 1)
-    src_ext[:n] = src
-    src_ext[n] = origin + period
+    n = vals.shape[0]
     vals_ext = np.empty(n + 1)
     vals_ext[:n] = vals
     vals_ext[n] = vals[0]
-    return np.interp(shifted, src_ext, vals_ext)
+    return np.interp(shifted, source, vals_ext)
 
 
 def diffusion_bands(d_nodes, mu, periodic):

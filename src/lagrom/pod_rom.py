@@ -3,21 +3,23 @@
 This module owns the bases, the reduced Newton iteration and the per-run
 reduced operators; the discretisation it projects belongs to the solvers.
 The fixed-grid stepper projects the full advection-diffusion residual, built
-from ``hfm_eulerian``'s pieces: ``advected_state`` for the explicit half,
-``step_system`` for the (I - dt D2) system and ``DiffusionSystem.apply`` for
-its action on the basis. The moving-frame stepper projects the coupled
-position/value residuals, with the value target taken from
-``hfm_lagrangian.diffuse_carried_values``, the semi-Lagrangian solver's own
-interpolate-to-reference, diffuse, interpolate-back round trip. Both solve
+from ``hfm_eulerian``'s pieces: ``face_fluxes`` and ``advected_state`` for
+the explicit half, ``step_system`` for the (I - dt D2) system and
+``DiffusionSystem.apply`` for its action on the basis. The moving-frame
+stepper projects the coupled position/value residuals, with the value target
+from the semi-Lagrangian solver's own interpolate-to-reference, diffuse,
+interpolate-back round trip: ``core.carried_to_grid`` for the first leg and
+``hfm_lagrangian.diffuse_carried_values`` for the rest. Both solve
 the projected system with Newton iteration in the reduced coordinates, with
 f and f' from ``ProblemSpec.speed`` and ``ProblemSpec.speed_slope``.
 
 No hyper-reduction is applied: each step still does full-dimension work, so
 rollout cost scales with the grid like the solvers do. A prepared
 ``PodStepContext`` holds what is constant over a rollout, so the step loop
-repeats only per-step work: the grid nodes and basis splits; the factored
-diffusion system when D is a number; and the reduced Jacobian with its LU
-factors when it does not change over the run.
+repeats only per-step work: the basis splits; the run's reference grid
+(``hfm_lagrangian.ReferenceGrid``: the nodes, their interpolation source and
+the factored diffusion system when D is a number); and the reduced Jacobian
+with its LU factors when it does not change over the run.
 
 * Fixed grid: the Jacobian Phi^T (I - dt D2) Phi is constant when D is a
   number or absent, and is factored once per run.
@@ -28,10 +30,10 @@ factors when it does not change over the run.
   coordinates, B = P^T P + (dt/2) c P^T V and g = dt P^T f(0). Newton then
   runs entirely in r x r arithmetic against one LU of A. A step's
   full-dimension work is one entanglement check, one reconstruction of the
-  converged state and, when D is given, the value target: the diffusion
-  round trip and its projection V^T u_target (one N x r product). With D
-  absent the value target is u = V z, its projection joins B, and b is r x r
-  algebra throughout.
+  converged state and its values on the fixed grid and, when D is given,
+  the value target: the rest of the diffusion round trip and its projection
+  V^T u_target (one N x r product). With D absent the value target is
+  u = V z, its projection joins B, and b is r x r algebra throughout.
 * Moving frame with an array-valued f': f has no reduced form, so every
   Newton iteration evaluates the residual at full dimension and solves its
   Jacobian I - (dt/2) P^T diag(f'(u)) V afresh.
@@ -41,7 +43,11 @@ One step path: the stream ``pod_steps`` calls ``_eulerian_newton`` or
 yields each state as it is stepped and stores none: ``run_pod_rom``
 collects it into a (horizon x n) time-major store, and ``bench`` scores the
 reconstructions block by block as they come, so that store exists only when
-a caller asks ``run_pod_rom`` for it.
+a caller asks ``run_pod_rom`` for it. Each state comes with its values on
+the fixed grid, taken once when the state is made: in the moving frame they
+are the first leg of the next step's round trip and the state ``bench``
+scores, so no moving-frame state is interpolated twice; in the fixed frame
+they are the reconstruction itself.
 """
 
 from __future__ import annotations
@@ -54,10 +60,10 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import kernels
-from .core import ProblemSpec, SnapshotMatrix, check_untangled
+from .core import ProblemSpec, SnapshotMatrix, carried_to_grid, check_untangled, real_array
 from .errors import NewtonDivergence, NumericalFailure
-from .hfm_eulerian import DiffusionSystem, advected_state, run_diffusion_system, step_system
-from .hfm_lagrangian import diffuse_carried_values
+from .hfm_eulerian import advected_state, face_fluxes, step_system
+from .hfm_lagrangian import ReferenceGrid, diffuse_carried_values, reference_grid
 from .svd_core import WindowFactor, check_rank_rule, fit_svd, window_factor
 
 NEWTON_TOL = 1e-10
@@ -102,7 +108,9 @@ def fit_pod(
 class PodStepContext:
     """Per-run constants shared by every step of one rollout.
 
-    ``system`` is the run's factored diffusion system when D is a number.
+    ``ref`` is the run's fixed grid (``hfm_lagrangian.ReferenceGrid``): its
+    nodes, their interpolation source and the factored diffusion system when
+    D is a number.
     ``jacobian`` is the reduced Jacobian when it does not change over the run
     (fixed grid: D a number or absent; moving frame: a scalar f'), else None,
     and ``jacobian_factor`` its LU factors. When the moving-frame residual is
@@ -117,9 +125,8 @@ class PodStepContext:
     val_block: Optional[np.ndarray]
     pos_block_t: Optional[np.ndarray]
     val_block_t: Optional[np.ndarray]
-    euler_nodes: np.ndarray
+    ref: ReferenceGrid
     identity_r: np.ndarray
-    system: Optional[DiffusionSystem]
     jacobian: Optional[np.ndarray]
     jacobian_factor: Optional[kernels.DenseLU]
     target_map: Optional[np.ndarray]
@@ -136,14 +143,13 @@ class PodStepContext:
         """
         phi = basis.basis
         phi_t = np.ascontiguousarray(phi.T)
-        nodes = np.array(spec.grid().nodes)
-        system = run_diffusion_system(spec)
+        ref = reference_grid(spec)
         pos = val = pos_t = val_t = jacobian = target_map = target_offset = None
         if basis.frame == FRAME_LAGRANGIAN:
             n = phi.shape[0] // 2
             pos, val = phi[:n], phi[n:]
             pos_t, val_t = phi_t[:, :n], phi_t[:, n:]  # column views of basis_t, not copies
-            affine = _affine_speed(spec, np.asarray(initial_full, dtype=float)[n:])
+            affine = _affine_speed(spec, real_array(initial_full)[n:])
             if affine is not None:
                 slope, flux_at_zero = affine
                 coupling = (0.5 * spec.dt * slope) * (pos_t @ val)
@@ -155,8 +161,8 @@ class PodStepContext:
                 target_offset = spec.dt * (pos_t @ flux_at_zero)
         elif spec.diffusion_D is None:
             jacobian = phi_t @ phi
-        elif system is not None:
-            jacobian = phi_t @ system.apply(phi)
+        elif ref.system is not None:
+            jacobian = phi_t @ ref.system.apply(phi)
         factor = None
         if jacobian is not None:
             try:
@@ -170,9 +176,8 @@ class PodStepContext:
             val_block=val,
             pos_block_t=pos_t,
             val_block_t=val_t,
-            euler_nodes=nodes,
+            ref=ref,
             identity_r=np.eye(basis.rank),
-            system=system,
             jacobian=jacobian,
             jacobian_factor=factor,
             target_map=target_map,
@@ -239,10 +244,10 @@ def _eulerian_newton(context: PodStepContext, u_hat, u_prev, spec: ProblemSpec, 
     """
     t_next = (time_index + 1) * spec.dt
 
-    u_star = advected_state(u_prev, spec)
+    u_star = advected_state(u_prev, face_fluxes(u_prev, spec)[0], spec)
     rhs_known = u_star
     if spec.diffusion_D is not None:
-        system = step_system(spec, context.system, context.euler_nodes, t_next, u_star)
+        system = step_system(spec, context.ref.system, context.ref.nodes, t_next, u_star)
         rhs_known = system.with_boundary_terms(u_star)
 
     target = context.basis_t @ rhs_known
@@ -252,11 +257,13 @@ def _eulerian_newton(context: PodStepContext, u_hat, u_prev, spec: ProblemSpec, 
     return _reduced_newton(jac, context.jacobian_factor, u_hat, target)
 
 
-def _lagrangian_newton(context: PodStepContext, z_hat, z_prev, spec: ProblemSpec, time_index: int):
+def _lagrangian_newton(context: PodStepContext, z_hat, z_prev, u_grid_prev, spec: ProblemSpec, time_index: int):
     """The stacked [positions; values] reduced coordinates after the
-    moving-frame step from index ``time_index`` (reconstruction ``z_prev``),
-    with the Newton iterations they took and their reconstruction, which the
-    next step starts from."""
+    moving-frame step from index ``time_index`` (reconstruction ``z_prev``,
+    whose values on the fixed grid are ``u_grid_prev``), with the Newton
+    iterations they took and their reconstruction, which the next step
+    starts from. The diffusion round trip starts from ``u_grid_prev``, so
+    its first leg is the one ``pod_steps`` took when it made the state."""
     phi = context.basis_matrix
     n = context.pos_block.shape[0]
     x_prev, u_prev = z_prev[:n], z_prev[n:]
@@ -267,7 +274,7 @@ def _lagrangian_newton(context: PodStepContext, z_hat, z_prev, spec: ProblemSpec
     if spec.diffusion_D is None:
         u_target = u_prev
     else:
-        u_target = diffuse_carried_values(spec, context.system, x_prev, u_prev, context.euler_nodes, t_next)[0]
+        u_target = diffuse_carried_values(spec, context.ref, x_prev, u_grid_prev, t_next)[0]
 
     if context.target_map is not None:
         # f(u) = f(0) + c u makes the residual A z - b, and every part of b but
@@ -305,32 +312,46 @@ def _lagrangian_newton(context: PodStepContext, z_hat, z_prev, spec: ProblemSpec
 
 class PodStep(NamedTuple):
     """One state of a rollout: its reduced coordinates, the Newton iterations
-    that reached them (0 for the projected initial state) and their
-    full-dimensional reconstruction."""
+    that reached them (0 for the projected initial state), their
+    full-dimensional reconstruction, and the reconstruction's values on the
+    fixed grid. In the fixed frame those are the reconstruction itself; in
+    the moving frame, its values carried to the grid nodes
+    (``core.carried_to_grid``), which the next step diffuses."""
 
     reduced: np.ndarray
     iterations: int
     full: np.ndarray
+    grid_values: np.ndarray
 
 
 def pod_steps(basis: PodBasis, initial_full: np.ndarray, spec: ProblemSpec, horizon: int) -> Iterator[PodStep]:
     """The rollout from ``initial_full`` as a stream: its projection onto the
     basis (index 0), then one step per index 1..horizon. Nothing is stored,
     so a consumer that reads the steps as they come holds one state at a
-    time; ``run_pod_rom`` collects them."""
-    z0 = np.asarray(initial_full, dtype=float)
+    time; ``run_pod_rom`` collects them. A moving-frame state is taken to
+    the fixed grid once, when it is made: the next step's round trip and
+    ``bench``'s scoring both read those values."""
+    z0 = real_array(initial_full)
     context = PodStepContext.for_basis(basis, spec, z0)
     z_hat = basis.project(z0)
     recon = context.basis_matrix @ z_hat
-    yield PodStep(z_hat, 0, recon)
     lagrangian = basis.frame == FRAME_LAGRANGIAN
+    nodes, period = context.ref.nodes, spec.period
+    n = nodes.size
+
+    def on_grid(full):
+        return carried_to_grid(full[:n], full[n:], nodes, period) if lagrangian else full
+
+    grid_values = on_grid(recon)
+    yield PodStep(z_hat, 0, recon, grid_values)
     for k in range(horizon):
         if lagrangian:
-            z_hat, used, recon = _lagrangian_newton(context, z_hat, recon, spec, k)
+            z_hat, used, recon = _lagrangian_newton(context, z_hat, recon, grid_values, spec, k)
         else:
             z_hat, used = _eulerian_newton(context, z_hat, recon, spec, k)
             recon = context.basis_matrix @ z_hat
-        yield PodStep(z_hat, used, recon)
+        grid_values = on_grid(recon)
+        yield PodStep(z_hat, used, recon, grid_values)
 
 
 @dataclass
@@ -355,7 +376,7 @@ def run_pod_rom(basis: PodBasis, initial_full: np.ndarray, spec: ProblemSpec, ho
     started = time.perf_counter()
     steps = pod_steps(basis, initial_full, spec, horizon)
     initial = next(steps)
-    proj_err = float(np.linalg.norm(np.asarray(initial_full, dtype=float) - initial.full))
+    proj_err = float(np.linalg.norm(real_array(initial_full) - initial.full))
     reduced = np.empty((horizon + 1, basis.rank))
     reduced[0] = initial.reduced
     full = np.empty((horizon, basis.basis.shape[0]))

@@ -17,6 +17,7 @@ from lagrom.core import (
     Grid1D,
     SnapshotMatrix,
     StateVector,
+    check_untangled,
     linear_interpolate,
     split_stacked,
     stacked_to_grid,
@@ -28,7 +29,7 @@ from lagrom.error_analysis import truncation_error
 from lagrom.hfm_eulerian import eulerian_steps
 from lagrom.hfm_lagrangian import lagrangian_steps
 from lagrom.levelset import levelset_grids, levelset_steps
-from lagrom.pod_rom import fit_pod
+from lagrom.pod_rom import FRAME_LAGRANGIAN, PodBasis, fit_pod, pod_steps, run_pod_rom
 from lagrom.svd_core import reduced_svd
 from lagrom.errors import DimensionMismatch, GridEntanglement, NonMonotonicGrid, NumericalFailure
 from lagrom.presets import PRESET_NAMES, ExperimentConfig, resolve
@@ -178,6 +179,50 @@ _PROBLEM_FUNCTIONS = {"flux_f", "flux_F", "flux_df", "initial_u0"}
 _PROBLEM_READERS = {"core.py", "presets.py"}
 
 
+def _np_interp_calls(tree):
+    """(enclosing function, has a ``period`` keyword, line) of each
+    ``np.interp``/``numpy.interp`` call, and each import of ``interp`` from
+    numpy as (None, False, line)."""
+    calls = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "interp"
+                and isinstance(child.func.value, ast.Name)
+                and child.func.value.id in {"np", "numpy"}
+            ):
+                calls.append((function, any(k.arg == "period" for k in child.keywords), child.lineno))
+            if isinstance(child, ast.ImportFrom) and child.module == "numpy":
+                if any(alias.name == "interp" for alias in child.names):
+                    calls.append((None, False, child.lineno))
+            visit(child, function)
+
+    visit(tree, None)
+    return calls
+
+
+def test_np_interp_is_called_only_through_kernels():
+    # perfbench's ``kernels.interp`` layer wraps interp_periodic and
+    # interp_clamped by name, so it times every interpolation only while
+    # every other np.interp call stays out of src: the one exception is
+    # linear_interpolate's branch for a source spanning a whole period,
+    # which np.interp's own period mode serves.
+    offenders = []
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        if path.name == "kernels.py":
+            continue
+        for function, periodic, line in _np_interp_calls(ast.parse(path.read_text(), filename=str(path))):
+            if not (path.name == "core.py" and function == "linear_interpolate" and periodic):
+                offenders.append(f"{path.name}:{line}")
+    assert not offenders, f"interpolate through kernels.interp_periodic/interp_clamped: {offenders}"
+
+
 def test_only_core_calls_the_problem_functions():
     offenders = []
     for path in sorted(Path(core.__file__).parent.glob("*.py")):
@@ -269,6 +314,11 @@ def complex_snapshots():
     return mixing @ np.exp(1j * np.outer([0.3, 0.5, 0.7], np.arange(8)))
 
 
+# A moving-frame basis for a two-node grid: its states are the four rows of
+# complex_snapshots().
+_MOVING_BASIS = PodBasis(np.eye(4), 4, FRAME_LAGRANGIAN)
+
+
 class TestRealData:
     """``core.real_array`` is the door every fit and score takes its data
     through: real float64 data passes without a copy, complex data raises."""
@@ -285,6 +335,8 @@ class TestRealData:
             lambda z: core.write_number_table(io.BytesIO(), z),
             lambda z: linear_interpolate(np.arange(4.0), z[:, 0], np.arange(4.0)),
             lambda z: stacked_to_grid(z, np.arange(2.0)),
+            lambda z: list(pod_steps(_MOVING_BASIS, z[:, 0], make_spec(speed="burgers", n=2, bc=PERIODIC), 1)),
+            lambda z: run_pod_rom(_MOVING_BASIS, z[:, 0], make_spec(speed="burgers", n=2, bc=PERIODIC), 1),
         ],
         ids=[
             "fit_dmd",
@@ -296,6 +348,8 @@ class TestRealData:
             "write_number_table",
             "linear_interpolate",
             "stacked_to_grid",
+            "pod_steps",
+            "run_pod_rom",
         ],
     )
     def test_complex_input_rejected_at_every_door(self, door):
@@ -408,6 +462,83 @@ class TestStackedToGrid:
         monkeypatch.setattr(core, "linear_interpolate", no_second_check)
         got = stacked_to_grid(np.concatenate([positions, values]), grid, **rule)
         assert np.array_equal(got, want)
+
+
+def test_unordered_destinations_keep_their_periodic_values():
+    # The periodic kernel reads its wrap bounds from an ascending
+    # destination's end points; linear_interpolate frames any order by its
+    # extremes, so each destination gets what wrapping it by np.mod and
+    # bridging the seam gives, bit for bit, in every wrap branch.
+    rng = np.random.default_rng(8)
+    period = 2.0 * np.pi
+    src = np.sort(rng.random(40)) * (period * 0.95) + 0.1
+    vals = np.sin(src)
+    ext_src, ext_vals = np.append(src, src[0] + period), np.append(vals, vals[0])
+    for lo, hi in ((-0.5, 0.9), (0.2, 1.4), (-1.6, 0.5), (0.5, 2.4), (0.1, 0.8)):
+        dst = rng.uniform(lo, hi, 200) * period
+        dst[:3] = src[0], src[0] + period, src[-1]
+        rng.shuffle(dst)
+        want = np.interp(src[0] + np.mod(dst - src[0], period), ext_src, ext_vals)
+        assert np.array_equal(linear_interpolate(src, vals, dst, period=period), want)
+    assert linear_interpolate(src, vals, np.empty(0), period=period).shape == (0,)
+    assert linear_interpolate(src, vals, src[3], period=period) == vals[3]
+
+
+def _entanglement(call):
+    """The exception type, message and time index ``call`` raises, or None."""
+    try:
+        call()
+    except GridEntanglement as exc:
+        return type(exc), str(exc), exc.time_index
+    return None
+
+
+def _tangle_cases():
+    """Ten positions in one period of length 1 (and a few edge cases), each
+    with its verdict with and without the period."""
+    good = np.linspace(0.0, 0.9, 10)
+
+    def edit(index, value):
+        positions = good.copy()
+        positions[index] = value
+        return positions
+
+    interior = good.copy()
+    interior[[4, 5]] = interior[[5, 4]]
+    return {
+        "untangled": (good, False, False),
+        "interior": (interior, True, True),
+        "seam": (np.linspace(0.0, 1.05, 10), False, True),
+        "repeated": (edit(4, good[3]), True, True),
+        # A NaN difference does not count as a fold, nor does an infinite
+        # one; the seam difference of an infinite end is infinite.
+        "nan": (edit(4, np.nan), False, False),
+        "nan-first": (edit(0, np.nan), False, False),
+        "inf-last": (edit(9, np.inf), False, True),
+        "-inf-first": (edit(0, -np.inf), False, True),
+        "inf-interior": (edit(4, np.inf), True, True),
+        "-inf-interior": (edit(4, -np.inf), True, True),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_tangle_cases()))
+@pytest.mark.parametrize("period", [None, 1.0])
+def test_single_grid_and_block_tangle_checks_agree(case, period):
+    # The 1-D path serves the step loops, the 2-D one the scoring blocks;
+    # both give one verdict, message and time index, also for NaN and
+    # infinite positions.
+    positions, tangled, tangled_periodic = _tangle_cases()[case]
+    good = np.linspace(0.0, 0.9, 10)
+    block = np.vstack([good, good, positions, good])
+    for first in (None, 7):
+        at = None if first is None else first + 2
+        one = _entanglement(lambda: check_untangled(positions, period, "grid", at))
+        two = _entanglement(lambda: check_untangled(block, period, "grid", first))
+        row = _entanglement(lambda: check_untangled(positions[None, :], period, "grid", at))
+        assert one == two == row
+        expected = tangled_periodic if period else tangled
+        suffix = "" if at is None else f" at time index {at}"
+        assert one == ((GridEntanglement, f"grid tangled{suffix}", at) if expected else None)
 
 
 class TestStackedBlock:

@@ -1,10 +1,12 @@
 """Eulerian solver: flux algebra, step properties, conservation, stability."""
 
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
 import pytest
 
+from lagrom import hfm_eulerian
 from lagrom.core import PERIODIC, ProblemSpec, check_courant
 from lagrom.errors import CflViolation, NumericalFailure
 from lagrom.hfm_eulerian import (
@@ -31,7 +33,7 @@ class TestNumericalFlux:
     def test_consistency_at_equal_states(self):
         spec = make_spec(speed="burgers", n=4, bc=PERIODIC)
         for c in (0.0, 0.4, 1.7, -2.0):
-            fluxes = face_fluxes(np.full(4, c), spec)
+            fluxes = face_fluxes(np.full(4, c), spec)[0]
             assert fluxes.shape == (5,)
             assert np.allclose(fluxes, 0.5 * c * c, rtol=0.0, atol=1e-15)
 
@@ -41,7 +43,7 @@ class TestNumericalFlux:
         spec = make_spec(speed="const", c=1.0, n=5, bc_values=(0.2, -0.1))
         u = np.array([0.3, 0.9, 1.0, -0.5, 0.0])
         expected = np.concatenate([[0.2], u])
-        assert np.allclose(face_fluxes(u, spec), expected, rtol=0.0, atol=1e-15)
+        assert np.allclose(face_fluxes(u, spec)[0], expected, rtol=0.0, atol=1e-15)
 
     def test_burgers_hand_value(self):
         # F = u^2/2 across the face from the Dirichlet ghost 0 to u = 1:
@@ -49,7 +51,7 @@ class TestNumericalFlux:
         # interior face (1 | 1) carries F(1) = 0.5, and so does the right
         # face to the ghost 0 (average 0.25 plus spread 0.25).
         spec = make_spec(speed="burgers", n=2)
-        fluxes = face_fluxes(np.ones(2), spec)
+        fluxes = face_fluxes(np.ones(2), spec)[0]
         assert np.allclose(fluxes, [0.0, 0.5, 0.5], rtol=0.0, atol=1e-15)
 
 
@@ -213,6 +215,37 @@ class TestRun:
         with pytest.raises(CflViolation, match=r"\(time index 5\)$") as err:
             eulerian_step(gaussian_pulse(grid.nodes), spec, None, grid.nodes, 5)
         assert err.value.time_index == 5
+
+    @pytest.mark.parametrize("bc", [PERIODIC, "dirichlet-zero"])
+    def test_wave_speed_is_evaluated_once_per_step(self, bc):
+        # The Courant check reads f(u) from the tangent speeds the face
+        # fluxes form, so f runs once per step, like F.
+        spec = make_spec(speed="burgers", diffusion=0.05, n=40, m_steps=20, bc=bc)
+        calls = {"flux_f": 0, "flux_F": 0}
+
+        def counted(name):
+            function = getattr(spec, name)
+
+            def wrapper(u):
+                calls[name] += 1
+                return function(u)
+
+            return wrapper
+
+        counting = replace(spec, flux_f=counted("flux_f"), flux_F=counted("flux_F"))
+        states = [step.values for step in eulerian_steps(counting)]
+        assert calls == {"flux_f": spec.n_steps, "flux_F": spec.n_steps}
+        assert all(np.array_equal(a, b.values) for a, b in zip(states, eulerian_steps(spec)))
+
+    def test_courant_check_runs_before_the_flux_update(self, monkeypatch):
+        spec = make_spec(speed="const", c=5.0, n=100, m_steps=10)
+
+        def no_update(*args):
+            raise AssertionError("the flux update ran before the Courant check")
+
+        monkeypatch.setattr(hfm_eulerian, "advected_state", no_update)
+        with pytest.raises(CflViolation, match=r"\(time index 1\)$"):
+            next(islice(eulerian_steps(spec), 1, None))
 
     def test_non_finite_initial_profile_rejected_before_the_first_state(self):
         spec = make_spec(n=20, m_steps=5, ic=lambda x: np.where(x > 1.0, np.nan, 0.0))

@@ -7,10 +7,11 @@ import pytest
 
 from lagrom.core import PERIODIC
 from lagrom.errors import DimensionMismatch, GridEntanglement, NumericalFailure
-from lagrom.hfm_eulerian import run_diffusion_system, run_eulerian_hfm
+from lagrom.hfm_eulerian import run_eulerian_hfm
 from lagrom.hfm_lagrangian import (
     lagrangian_step,
     lagrangian_steps,
+    reference_grid,
     run_lagrangian_hfm,
 )
 from lagrom.presets import gaussian_pulse, one_plus_sin
@@ -160,12 +161,11 @@ class TestRun:
     def test_run_equals_raw_steps_bit_for_bit(self, diffusion):
         spec = make_spec(speed="burgers", diffusion=diffusion, n=100, m_steps=20, t_final=0.4, bc=PERIODIC)
         run = run_lagrangian_hfm(spec, 5)
-        nodes = spec.grid().nodes
-        x, u = nodes, spec.initial_u0(nodes)
+        ref = reference_grid(spec)
+        x, u = ref.nodes, spec.initial_u0(ref.nodes)
         f_u = spec.speed(u)
-        system = run_diffusion_system(spec)
         for k in range(1, spec.n_steps + 1):
-            x, u, f_u = lagrangian_step(spec, system, nodes, x, u, f_u, k)
+            x, u, f_u = lagrangian_step(spec, ref, x, u, f_u, k)
             assert np.array_equal(x, run.positions[:, k])
             assert np.array_equal(u, run.values[:, k])
 

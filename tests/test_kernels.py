@@ -93,7 +93,9 @@ def test_interp_clamped_matches_per_point_reference():
     assert np.all(out[above] == vals[-1])
 
 
-def test_interp_periodic_matches_np_interp_period_mode():
+def _periodic_case():
+    """A source spanning less than one period, and destinations around and
+    exactly on its wrap edges, from one period below to two above."""
     rng = np.random.default_rng(4)
     period = 2.0 * np.pi
     src = np.sort(rng.random(50)) * (period * 0.97)
@@ -106,14 +108,34 @@ def test_interp_periodic_matches_np_interp_period_mode():
         src + period,
     ]
     dst = np.concatenate([rng.random(300) * 3 * period - period, *wrap_edges])
-    reference = np.interp(dst, src, vals, period=period)
-    fast = kernels.interp_periodic(src, vals, dst, period)
-    assert np.allclose(reference, fast, atol=1e-12)
     # Bit for bit what wrapping by np.mod and bridging the seam gives.
     shifted = src[0] + np.mod(dst - src[0], period)
     by_mod = np.interp(shifted, np.append(src, src[0] + period), np.append(vals, vals[0]))
-    assert np.array_equal(fast, by_mod)
-    assert kernels.interp_periodic(src, vals, np.empty(0), period).shape == (0,)
+    return period, src, vals, dst, by_mod
+
+
+def test_interp_periodic_matches_np_interp_period_mode():
+    # The kernel reads its wrap bounds from the end points of an ascending
+    # destination; core.linear_interpolate serves any order (test_core).
+    period, src, vals, dst, by_mod = _periodic_case()
+    order = np.argsort(dst)
+    source = kernels.periodic_source(src, period)
+    fast = kernels.interp_periodic(source, vals, dst[order], period)
+    assert np.allclose(np.interp(dst[order], src, vals, period=period), fast, atol=1e-12)
+    assert np.array_equal(fast, by_mod[order])
+    assert kernels.interp_periodic(source, vals, np.empty(0), period).shape == (0,)
+
+
+@pytest.mark.parametrize("lo, hi", [(-0.3, 0.9), (0.1, 1.2), (-1.5, 0.5), (0.5, 2.5), (-0.3, 1.2), (0.2, 0.8)])
+def test_interp_periodic_wrap_branches_match_np_mod(lo, hi):
+    # Each wrap branch: an add below the window, a subtract above it, np.mod
+    # beyond one period or past both sides, and none inside it; period 1,
+    # source from 0.
+    src = np.linspace(0.0, 0.9, 10)
+    vals = np.cos(3.0 * src)
+    dst = np.linspace(lo, hi, 41)
+    by_mod = np.interp(np.mod(dst, 1.0), np.append(src, 1.0), np.append(vals, vals[0]))
+    assert np.array_equal(kernels.interp_periodic(kernels.periodic_source(src, 1.0), vals, dst, 1.0), by_mod)
 
 
 def dense_diffusion_operator(d_nodes, mu, periodic):

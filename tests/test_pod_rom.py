@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lagrom.core import PERIODIC, ProblemSpec
+from lagrom.core import PERIODIC, ProblemSpec, stacked_to_grid
 from lagrom.errors import NewtonDivergence
 from lagrom.hfm_eulerian import run_eulerian_hfm
 from lagrom.hfm_lagrangian import run_lagrangian_hfm
@@ -17,6 +17,7 @@ from lagrom.pod_rom import (
     pod_steps,
     run_pod_rom,
 )
+from lagrom.presets import ExperimentConfig, resolve
 from lagrom.svd_core import reduced_svd
 
 from conftest import make_spec
@@ -119,7 +120,7 @@ class TestNewtonBehavior:
     def test_zero_state_is_fixed_point(self):
         spec = make_spec(speed="burgers", diffusion=0.05, bc=PERIODIC, n=30, m_steps=30, ic=lambda x: np.zeros_like(x))
         basis = identity_basis(30, FRAME_EULERIAN)
-        out, iters, _ = list(pod_steps(basis, np.zeros(30), spec, 1))[1]
+        out, iters, _, _ = list(pod_steps(basis, np.zeros(30), spec, 1))[1]
         assert np.allclose(out, 0.0, atol=1e-14)
         assert iters == 0
 
@@ -192,6 +193,27 @@ class TestRollout:
         assert rom.newton_iterations == [step.iterations for step in steps[1:]]
         assert np.array_equal(rom.snapshots.data, np.column_stack([step.full for step in steps[1:]]))
         assert rom.initial_projection_error == np.linalg.norm(z0 - steps[0].full)
+
+    @pytest.mark.parametrize("preset", ["test2", "test4"])  # Dirichlet, periodic
+    def test_moving_frame_grid_values_are_the_reconstructions_on_the_grid(self, preset):
+        # Each state is taken to the fixed grid once, when it is made; the
+        # next step diffuses those values and the scoring reads them, so they
+        # must be the reconstruction's stacked_to_grid bit for bit.
+        resolved = resolve(ExperimentConfig(preset=preset, scale=10))
+        spec = resolved.spec
+        run = run_lagrangian_hfm(spec, resolved.n_snapshots)
+        basis = fit_pod(run.snapshots, epsilon=resolved.epsilon, frame=FRAME_LAGRANGIAN)
+        steps = list(pod_steps(basis, run.stacked[:, 0], spec, spec.n_steps))
+        assert len(steps) == spec.n_steps + 1
+        full = np.column_stack([step.full for step in steps])
+        on_grid = np.column_stack([step.grid_values for step in steps])
+        assert np.array_equal(on_grid, stacked_to_grid(full, spec.grid(), spec.period))
+
+    def test_fixed_frame_grid_values_are_the_reconstructions(self):
+        spec = make_spec(speed="burgers", diffusion=0.05, bc=PERIODIC, n=60, m_steps=20)
+        run = run_eulerian_hfm(spec, 10)
+        basis = fit_pod(run.snapshots, epsilon=1e-8, frame=FRAME_EULERIAN)
+        assert all(step.grid_values is step.full for step in pod_steps(basis, run.trajectory[:, 0], spec, 20))
 
     def test_pure_advection_rollout_is_machine_precise(self):
         spec = make_spec(speed="const", c=1.0, n=200, m_steps=100)
