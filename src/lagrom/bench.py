@@ -39,12 +39,11 @@ have the column layout of a whole-run store, so every error sums as it did
 over one. A method's rollout columns are gathered per block into new arrays
 that are dropped once the block is scored: between blocks a method holds
 only the stream block it is reading (a DMD lift block, or one POD state).
-The Lagrangian POD's states reach the scorer with their fixed-grid values,
-which its rollout took once when it made each state (and its next step
-diffused); the Lagrangian DMD's stacked predictions are taken to the fixed
-grid here, by ``core.stacked_to_grid``. Only eps_m depends on where the
-blocks start: the one-step map's matrix product rounds by block width. A
-method's ``LagromError`` ends that method alone. A DMD observable stream is
+Both moving-frame methods' stacked states are taken to the fixed grid here,
+by ``core.stacked_to_grid``, which checks their positions for tangles. Only
+eps_m depends on where the blocks start: the one-step map's matrix product
+rounds by block width. A method's ``LagromError`` ends that method alone.
+A DMD observable stream is
 one ``K^gap`` walk over every index, so the scored observable is
 ``predict_series``'s bit for bit (restarting the walk per chunk moved the
 full-size test4 L-DMD errors by up to 6e-8 relative).
@@ -57,7 +56,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SnapshotMatrix, check_untangled, stacked_to_grid
+from .core import SnapshotMatrix, stacked_to_grid
 from .dmd_rom import LIFT_COLUMNS, fit_dmd, fit_lagrangian_dmd, prediction_blocks
 from .errors import DimensionMismatch, LagromError
 from .error_analysis import (
@@ -176,13 +175,8 @@ class _Scorer:
 
     ``blocks`` is the method's rollout: column blocks in time order, indices
     1..M, of its observable: fixed-grid states (N rows) or, when ``stacked``,
-    moving-frame [x; u] states (2N rows). A stream may instead yield pairs
-    of blocks whose second part holds the same states on the fixed grid: a
-    Lagrangian POD rollout takes each state there once, when it makes it
-    (``pod_rom.pod_steps``), so its scoring reuses those values. Stacked
-    blocks without it (Lagrangian DMD) are taken to the fixed grid here
-    (``stacked_to_grid``). Either way the positions of each stacked
-    block pass the same tangle check, with the same message and time index.
+    moving-frame [x; u] states (2N rows), which are taken to the fixed grid
+    here (``stacked_to_grid``, whose tangle check names the time index).
 
     Each ``score`` pulls the rollout (timed in ``rollout``) up to its next
     block of ``width`` columns (``_next_block``) and scores it: the
@@ -219,34 +213,31 @@ class _Scorer:
         self.failure = None
 
     def _next_block(self):
-        """The rollout's next ``width`` columns, fewer where it ends, one
-        array per part of its blocks (None when it has ended). They are
-        views where one stream block covers them; otherwise they are
-        gathered into new arrays, each in its stream part's memory layout, so
-        the column norms of a scoring block sum in the same order as over the
-        whole horizon stored that way. Only the stream block being read is
-        held between calls, and none while the stream makes the next."""
+        """The rollout's next ``width`` columns, fewer where it ends (None
+        when it has ended). They are a view where one stream block covers
+        them; otherwise they are gathered into a new array in the stream's
+        memory layout, so the column norms of a scoring block sum in the same
+        order as over the whole horizon stored that way. Only the stream
+        block being read is held between calls, and none while the stream
+        makes the next."""
         out, filled = None, 0
         while filled < self.width:
             if self.pending is None:
-                block = next(self.rollout, None)
-                if block is None:
+                self.pending, self.taken = next(self.rollout, None), 0
+                if self.pending is None:
                     break
-                self.pending, self.taken = block if isinstance(block, tuple) else (block,), 0
-                del block  # held as ``pending`` alone
             at = self.taken
-            take = min(self.width - filled, self.pending[0].shape[1] - at)
+            take = min(self.width - filled, self.pending.shape[1] - at)
             if out is None and take == self.width:
-                out = [part[:, at : at + take] for part in self.pending]
+                out = self.pending[:, at : at + take]
             else:
                 if out is None:
-                    out = [np.empty((part.shape[0], self.width), order=_layout(part)) for part in self.pending]
-                for buffer, part in zip(out, self.pending):
-                    buffer[:, filled : filled + take] = part[:, at : at + take]
+                    out = np.empty((self.pending.shape[0], self.width), order=_layout(self.pending))
+                out[:, filled : filled + take] = self.pending[:, at : at + take]
             filled, self.taken = filled + take, at + take
-            if self.taken == self.pending[0].shape[1]:
+            if self.taken == self.pending.shape[1]:
                 self.pending = None
-        return None if out is None else [part[:, :filled] for part in out]
+        return None if out is None else out[:, :filled]
 
     def score(self, reference: np.ndarray, states: np.ndarray) -> None:
         """Score the next block. ``reference`` holds the reference
@@ -254,20 +245,15 @@ class _Scorer:
         one), ``states`` the fixed-grid reference states at its indices.
         A rollout that ends short of the block fails the method."""
         start = self.scored
-        parts = self._next_block()
-        width = 0 if parts is None else parts[0].shape[1]
+        block = self._next_block()
+        width = 0 if block is None else block.shape[1]
         if width < min(self.width, self.horizon - start):
             raise DimensionMismatch(f"scored {start + width} columns of a {self.horizon}-index horizon")
-        block = parts[0]
         cols = slice(start, start + width)
         self.err_obs[cols] = truncation_error(reference[:, :width], block)
         if self.model is not None:
             self.eps_m = max(self.eps_m, estimate_eps_m(self.model, reference[:, : width + 1]))
-        if len(parts) > 1:
-            positions = block[: len(self.grid)].T
-            check_untangled(positions, self.spec.period, "predicted positions", first_index=start + 1)
-            on_grid = parts[1]
-        elif self.stacked:
+        if self.stacked:
             on_grid = stacked_to_grid(block, self.grid, self.spec.period, first_index=start + 1)
         else:
             on_grid = block
@@ -340,13 +326,12 @@ def _score_all(scorers, width: int, euler: _Frame, lagr: Optional[_Frame]) -> No
 
 def _pod_columns(steps, newton):
     """A ``pod_steps`` stream past its initial projection, as one-column
-    blocks: each step's reconstruction and, in the moving frame, its values
-    on the fixed grid; appends each step's Newton iterations to ``newton``."""
+    blocks of its reconstructions; appends each step's Newton iterations to
+    ``newton``."""
     next(steps)
     for step in steps:
         newton.append(step.iterations)
-        full = step.full[:, None]
-        yield (full,) if step.grid_values is step.full else (full, step.grid_values[:, None])
+        yield step.full[:, None]
 
 
 def _fit_method(method, resolved, frame, window_qr: list, width: int, keep_states=False, level_grids=None):

@@ -33,6 +33,8 @@ _BC_TAGS = (DIRICHLET_ZERO, PERIODIC)
 
 # Courant numbers up to 1 + CFL_SLACK pass: a step sized to exactly 1 may round above it.
 CFL_SLACK = 1e-12
+# The largest residual entry a solver's implicit diffusion solve may leave.
+RESIDUAL_TOL = 1e-10
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -100,9 +102,9 @@ class ProblemSpec:
     them and u0 through ``speed``, ``flux``, ``speed_slope``, ``initial_state``.
 
     ``diffusion_D`` is ``None`` for the identically-zero case, which lets the
-    semi-Lagrangian stepper skip its interpolation round-trips entirely; a
-    number for a constant coefficient, which lets every stepper build and
-    factor its implicit system once per run; or a callable mapping (x, t, u)
+    semi-Lagrangian stepper skip its diffusion step entirely; a number for a
+    constant coefficient, which lets the fixed-grid steppers build and
+    factor their implicit system once per run; or a callable mapping (x, t, u)
     to a coefficient (scalar or array), evaluated at every step.
     """
 
@@ -166,6 +168,14 @@ class ProblemSpec:
     def grid(self) -> Grid1D:
         return uniform_grid(self.domain_lo, self.domain_hi, self.n_cells, self.periodic)
 
+    def with_ghosts(self, u: np.ndarray) -> np.ndarray:
+        """``u`` with one ghost value at each end: the wrapped neighbours when
+        periodic, else ``bc_values``."""
+        if self.periodic:
+            return np.concatenate([u[-1:], u, u[:1]])
+        lo, hi = self.bc_values
+        return np.concatenate([[lo], u, [hi]])
+
     def speed(self, u: np.ndarray) -> np.ndarray:
         """f(u) at every point of ``u``, also when ``flux_f`` returns one number."""
         f = real_array(self.flux_f(u))
@@ -195,10 +205,11 @@ class ProblemSpec:
     def diffusion_at(self, x: np.ndarray, t: float, u: np.ndarray) -> np.ndarray:
         """Evaluate D on the given nodes, broadcasting scalar coefficients."""
         d = self.diffusion_D
-        d = real_array(d(x, t, u) if callable(d) else d)
-        if d.ndim == 0:
-            return np.full(x.shape, float(d))
-        return d
+        if callable(d):
+            d = real_array(d(x, t, u))
+            if d.ndim:
+                return d
+        return np.full(x.shape, float(d))
 
     def validate_flux_consistency(self) -> float:
         """Check f = dF/du and f' = df/du by centered differences at 33 states
@@ -349,35 +360,26 @@ def check_untangled(positions: np.ndarray, period: float = None, what: str = "mo
         raise GridEntanglement(f"{what} tangled{where}", time_index=k)
 
 
-def interp_source(src: np.ndarray, period: float = None) -> np.ndarray:
-    """The nodes ``src`` as ``interp_unchecked`` reads them: given a
-    ``period``, with the first node's periodic image appended
-    (``kernels.periodic_source``). A fixed grid builds this once per run."""
-    if period is None:
-        return src
-    return kernels.periodic_source(src, period)
-
-
-def interp_unchecked(source: np.ndarray, vals: np.ndarray, dst: np.ndarray, period: float = None) -> np.ndarray:
+def interp_unchecked(src: np.ndarray, vals: np.ndarray, dst: np.ndarray, period: float = None) -> np.ndarray:
     """Interpolation core without input validation, for verified hot loops.
 
-    ``source`` is ``interp_source(src, period)`` for strictly increasing
-    nodes ``src`` carrying ``vals``, and ``dst`` is ascending. Given a
-    ``period``, destinations wrap into the source window and the seam is
-    bridged across one period, as ``np.interp(..., period=...)`` does for a
-    source spanning less than one period, without its sort; without one,
-    they clamp to the hull.
+    ``src`` is strictly increasing and carries ``vals``, and ``dst`` is
+    ascending. Given a ``period``, destinations wrap into the source window
+    and the seam is bridged across one period, as ``np.interp(...,
+    period=...)`` does for a source spanning less than one period, without
+    its sort; without one, they clamp to the hull.
     """
     if period is None:
-        return kernels.interp_clamped(source, vals, dst)
-    return kernels.interp_periodic(source, vals, dst, period)
+        return kernels.interp_clamped(src, vals, dst)
+    return kernels.interp_periodic(src, vals, dst, period)
 
 
 def carried_to_grid(x: np.ndarray, u: np.ndarray, nodes: np.ndarray, period: float = None) -> np.ndarray:
     """The values ``u`` carried on the moving grid ``x`` (unchecked) at the
-    fixed ``nodes``: a moving-frame state on the fixed grid, and the first
-    leg of the moving-grid round trip."""
-    return interp_unchecked(interp_source(x, period), u, nodes, period)
+    fixed ``nodes``: a moving-frame state on the fixed grid, as
+    ``stacked_to_grid`` scores it. No stepper reads the fixed grid: the
+    moving-grid solver diffuses on its own nodes."""
+    return interp_unchecked(x, u, nodes, period)
 
 
 def linear_interpolate(src_grid, src_values, dst_grid, period: float = None) -> np.ndarray:
@@ -388,8 +390,8 @@ def linear_interpolate(src_grid, src_values, dst_grid, period: float = None) -> 
     through ``np.interp`` for a source spanning a whole period.
     Destinations may come in any order: the periodic kernel wraps an
     ascending destination by the bounds its end points give, so they are
-    sorted here, and framed by their minimum and maximum, which are NaN
-    when one of them is, as two reductions over them would be.
+    sorted here. A NaN destination gives NaN and leaves the wrap of the
+    others alone: sorting puts it last, and it is kept out of the kernel.
     """
     src = _grid_nodes(src_grid)
     dst = dst_grid.nodes if isinstance(dst_grid, Grid1D) else real_array(dst_grid)
@@ -402,13 +404,11 @@ def linear_interpolate(src_grid, src_values, dst_grid, period: float = None) -> 
         out = interp_unchecked(src, vals, dst)
     elif src[-1] - src[0] >= period:
         out = np.interp(dst, src, vals, period=period)
-    elif dst.size:
-        order = np.argsort(dst, kind="stable")
-        framed = np.concatenate([[np.min(dst)], dst[order], [np.max(dst)]])
-        out = np.empty(dst.shape)
-        out[order] = interp_unchecked(interp_source(src, period), vals, framed, period)[1:-1]
     else:
-        out = np.empty(0)
+        order = np.argsort(dst, kind="stable")
+        order = order[: dst.size - np.count_nonzero(np.isnan(dst))]
+        out = np.full(dst.shape, np.nan)
+        out[order] = interp_unchecked(src, vals, dst[order], period)
     return out[0] if scalar else out
 
 

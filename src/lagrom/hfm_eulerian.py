@@ -1,5 +1,5 @@
 """Eulerian high-fidelity solver, and the owner of the fixed-grid
-discretisation every other stepper calls.
+discretisation that the fixed-grid POD stepper projects.
 
 Explicit conservative upwind advection (local wave-speed flux) combined with
 an implicit backward-Euler centered-difference diffusion solve. One step is
@@ -14,15 +14,16 @@ This module owns the pieces of that step: ``face_fluxes`` and
 ``advected_state`` (the explicit half; the Courant check reads f(u) from the
 tangent speeds the fluxes already form) and ``DiffusionSystem`` (the
 implicit half: face coefficients plus the LU factors of (I - dt D2), with
-``apply`` for the operator itself and ``solve`` for its inverse). When D is a number the
-system is the same at every step, so a run builds and factors it once
-(``run_diffusion_system``); ``step_system`` hands a step that system, or
-evaluates, assembles and factors one when D is a callable. The
-semi-Lagrangian solver and both POD steppers call these pieces instead of
-repeating them; this module calls only ``kernels`` and ``core``. Every
-solver step checks its residual ``apply(u_new) - with_boundary_terms(u*)``,
-its Courant number (``core.check_courant``) and the finiteness of the new
-state; F, f and u0 come from ``ProblemSpec.flux``, ``speed``, ``initial_state``.
+``apply`` for the operator itself and ``solve`` for its inverse). When D is
+a number the system is the same at every step, so a run builds and factors
+it once (``run_diffusion_system``); ``step_system`` hands a step that
+system, or evaluates, assembles and factors one when D is a callable. The
+fixed-grid POD stepper calls these pieces instead of repeating them; this
+module calls only ``kernels`` and ``core``, whose
+``ProblemSpec.with_ghosts`` attaches the boundary values. Every solver step
+checks its residual ``apply(u_new) - with_boundary_terms(u*)``, its Courant
+number (``core.check_courant``) and the finiteness of the new state; F, f
+and u0 come from ``ProblemSpec.flux``, ``speed``, ``initial_state``.
 
 One step path: the step stream ``eulerian_steps`` calls ``eulerian_step``,
 which advances a raw value array and returns it with the step's residual and
@@ -45,25 +46,15 @@ from typing import Iterator, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from . import kernels
-from .core import Grid1D, ProblemSpec, SnapshotMatrix, check_courant
+from .core import RESIDUAL_TOL, Grid1D, ProblemSpec, SnapshotMatrix, check_courant
 from .errors import NumericalFailure
-
-RESIDUAL_TOL = 1e-10
-
-
-def _extend(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Attach ghost values: boundary data for Dirichlet, wrapped for periodic."""
-    if spec.periodic:
-        return np.concatenate([u[-1:], u, u[:1]])
-    lo, hi = spec.bc_values
-    return np.concatenate([[lo], u, [hi]])
 
 
 def face_fluxes(u: np.ndarray, spec: ProblemSpec) -> Tuple[np.ndarray, np.ndarray]:
     """All N+1 face fluxes for a state of length N, ghost cells included,
     and the N+1 tangent speeds f at each face's left value (the ghost
     first), whose entries 1..N are f(u): f is evaluated once per state."""
-    u_ext = _extend(u, spec)
+    u_ext = spec.with_ghosts(u)
     f_vals = spec.flux(u_ext)
     du = u_ext[1:] - u_ext[:-1]
     d_f = f_vals[1:] - f_vals[:-1]

@@ -13,18 +13,18 @@ runs the LU elimination (LAPACK ``dgttrf``) once, and ``thomas_solve`` /
 ``cyclic_thomas_solve`` reuse that factorization for each right-hand side
 (one ``dgttrs`` each). A periodic system stores its Sherman-Morrison vector
 and denominator with the factorization, so a periodic solve is one ``dgttrs``
-plus an O(1) correction. A run whose diffusion coefficient is constant
-factors once and solves once per step. The small dense Newton systems follow
-the same split: ``factor_small`` (``dgetrf``) once per run when the reduced
-Jacobian is constant, then its ``solve`` (``dgetrs``) per iteration, and
-``solve_small``, the same two calls, for a Jacobian that changes at every
-step.
+plus an O(1) correction. A fixed grid whose diffusion coefficient is
+constant factors once and solves once per step; the moving grid factors each
+step's system in its run's one LU (``into``). The small dense Newton systems
+follow the same split: ``factor_small`` (``dgetrf``) once per run when the
+reduced Jacobian is constant, then its ``solve`` (``dgetrs``) per iteration,
+and ``solve_small``, the same two calls, for a Jacobian that changes at
+every step.
 
 Interpolation is ``interp_clamped`` and ``interp_periodic``; no other module
 calls ``np.interp`` but ``core.linear_interpolate`` for a source that spans
-a whole period. The periodic kernel reads a source already extended across
-the seam (``periodic_source``), which a fixed grid builds once per run, and
-an ascending destination, whose end points bound how far it must wrap.
+a whole period. The periodic kernel reads an ascending destination, whose
+end points bound how far it must wrap.
 """
 
 from __future__ import annotations
@@ -60,14 +60,17 @@ class CyclicFactor(NamedTuple):
     denom: float
 
 
-def factor_tridiagonal(lower, diag, upper) -> TridiagonalLU:
+def factor_tridiagonal(lower, diag, upper, into: Optional[TridiagonalLU] = None) -> TridiagonalLU:
     """LU-factor a tridiagonal matrix once for any number of later solves.
 
     ``lower[i]`` multiplies x[i-1] in row i (lower[0] unused);
     ``upper[i]`` multiplies x[i+1] in row i (upper[-1] unused).
-    Raises ``SingularTridiagonal`` on an exactly zero pivot.
+    Given ``into``, an LU of the same size, the matrix is factored in its
+    buffers and ``into`` returned. Raises ``SingularTridiagonal`` on an
+    exactly zero pivot.
     """
-    factor = TridiagonalLU(lower[1:], diag, upper[:-1])
+    bands = (lower[1:], diag, upper[:-1])
+    factor = TridiagonalLU(*bands) if into is None else into.refactor(*bands)
     if factor.info > 0:
         raise SingularTridiagonal(f"zero pivot in row {factor.info - 1} of a {factor.n}x{factor.n} system")
     return factor
@@ -78,7 +81,7 @@ def thomas_solve(factor: TridiagonalLU, rhs):
     return factor.solve(rhs)
 
 
-def factor_cyclic(lower, diag, upper, corner_top, corner_bottom) -> CyclicFactor:
+def factor_cyclic(lower, diag, upper, corner_top, corner_bottom, into: Optional[TridiagonalLU] = None) -> CyclicFactor:
     """Factor a tridiagonal matrix with periodic corner couplings.
 
     ``corner_top`` is the (0, n-1) matrix entry, ``corner_bottom`` the
@@ -86,6 +89,7 @@ def factor_cyclic(lower, diag, upper, corner_top, corner_bottom) -> CyclicFactor
     become a rank-one update; its factorization, the solve against the update
     vector and the Sherman-Morrison denominator are computed here, once.
     Systems of fewer than three rows fold the corners into the bands.
+    ``into`` is as in ``factor_tridiagonal``, for the tridiagonal part.
     """
     n = diag.shape[0]
     if n < 3:
@@ -94,12 +98,12 @@ def factor_cyclic(lower, diag, upper, corner_top, corner_bottom) -> CyclicFactor
         if n == 2:
             upper2[0] += corner_top
             lower2[1] += corner_bottom
-        return CyclicFactor(factor_tridiagonal(lower2, diag, upper2), None, 1.0, 0.0, 1.0)
+        return CyclicFactor(factor_tridiagonal(lower2, diag, upper2, into), None, 1.0, 0.0, 1.0)
     gamma = -diag[0]
     diag2 = diag.copy()
     diag2[0] = diag[0] - gamma
     diag2[-1] = diag[-1] - corner_top * corner_bottom / gamma
-    tri = factor_tridiagonal(lower, diag2, upper)
+    tri = factor_tridiagonal(lower, diag2, upper, into)
     u = np.zeros(n)
     u[0] = gamma
     u[-1] = corner_bottom
@@ -126,29 +130,18 @@ def interp_clamped(src, vals, dst):
     return np.interp(dst, src, vals)
 
 
-def periodic_source(src, period):
-    """The interpolation source ``interp_periodic`` reads: the n source
-    nodes and the first node's periodic image ``src[0] + period``, the right
-    end of the seam segment. A fixed grid builds it once per run."""
-    n = src.shape[0]
-    out = np.empty(n + 1)
-    out[:n] = src
-    out[n] = src[0] + period
-    return out
-
-
-def interp_periodic(source, vals, dst, period):
+def interp_periodic(src, vals, dst, period):
     """Periodic variant: wrap destinations into the source window and bridge
     the seam segment from the last source node to the first plus one period.
 
-    ``source`` is ``periodic_source(src, period)`` for strictly increasing
-    ``src`` with the n values ``vals``. ``dst`` is ascending, so its offsets
-    below the window form a prefix and those past it a suffix, wrapped by
-    one add or subtract of the period on that slice: it rounds as ``np.mod``
-    does there, at a fraction of the cost. A destination that leaves the
-    window on both sides, or by more than a period, takes ``np.mod``.
+    ``src`` is strictly increasing with the n values ``vals``. ``dst`` is
+    ascending, so its offsets below the window form a prefix and those past
+    it a suffix, wrapped by one add or subtract of the period on that slice:
+    it rounds as ``np.mod`` does there, at a fraction of the cost. A
+    destination that leaves the window on both sides, or by more than a
+    period, takes ``np.mod``.
     """
-    origin = source[0]
+    origin = src[0]
     shifted = dst - origin
     if shifted.size:
         lo, hi = shifted[0], shifted[-1]
@@ -160,9 +153,9 @@ def interp_periodic(source, vals, dst, period):
             shifted[shifted.searchsorted(period) :] -= period
     shifted += origin
     n = vals.shape[0]
-    vals_ext = np.empty(n + 1)
-    vals_ext[:n] = vals
-    vals_ext[n] = vals[0]
+    source, vals_ext = np.empty(n + 1), np.empty(n + 1)
+    source[:n], source[n] = src, origin + period
+    vals_ext[:n], vals_ext[n] = vals, vals[0]
     return np.interp(shifted, source, vals_ext)
 
 

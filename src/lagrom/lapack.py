@@ -17,9 +17,10 @@ LAPACK does, so callers keep deciding what a zero pivot means.
 
 A solve at desk size runs on a few hundred rows, so the per-call cost of
 ``ctypes`` matters. Each factor therefore builds every argument of its
-solves once, at factorization: the pointers to its factors and to a
-right-hand-side buffer, the sizes, ``info`` and the character flag; its
-factors and that buffer share one float64 array (``_segments``). A solve
+solves, and of a tridiagonal ``refactor``, once, at construction: the
+pointers to its factors and to a right-hand-side buffer, the sizes,
+``info`` and the character flag; its factors and that buffer share one
+float64 array (``_segments``). A solve
 copies its right-hand side in, makes one foreign call and returns a copy.
 Building a pointer per call costs more than the solve: on a 2-vCPU x86_64
 host, a ``ctypes`` view of a fresh array took 0.5 µs, and a ``dgetrs`` solve
@@ -157,23 +158,29 @@ class _Solves:
 
 class TridiagonalLU(_Solves):
     """LU factors of an n x n tridiagonal matrix (``dgttrf``); ``solve`` is
-    one ``dgttrs``. The bands ``sub`` and ``sup`` have n - 1 entries."""
+    one ``dgttrs``. The bands ``sub`` and ``sup`` have n - 1 entries;
+    ``refactor`` factors new bands of the same size in the same buffers."""
 
     def __init__(self, sub, diag, sup):
-        n = diag.shape[0]
+        n = self.n = diag.shape[0]
         off = max(n - 1, 0)
-        if np.shape(sub) != (off,) or np.shape(sup) != (off,):
-            raise ValueError(f"bands of shapes {np.shape(sub)}, {np.shape(diag)}, {np.shape(sup)} for n = {n}")
-        self.n = n
-        # dgttrf overwrites the copied bands with the factors.
         (self.dl, self.d, self.du, self.du2, self._rhs), pointers = _segments(off, n, off, max(n - 2, 0), n)
-        self.dl[...], self.d[...], self.du[...] = sub, diag, sup
         self.ipiv = np.zeros(n, dtype=np.int64)
         factors = (*pointers[:4], _memory(self.ipiv, _INT))
-        info = _INT()
-        _dgttrf(_ref(n), *factors, ctypes.byref(info))
-        self.info = info.value
+        self._factor_info = _INT()
+        self._factor_args = (_ref(n), *factors, ctypes.byref(self._factor_info))
         self._bind_solves(_dgttrs, factors, pointers[4])
+        self.refactor(sub, diag, sup)
+
+    def refactor(self, sub, diag, sup) -> "TridiagonalLU":
+        off = max(self.n - 1, 0)
+        if np.shape(sub) != (off,) or np.shape(diag) != (self.n,) or np.shape(sup) != (off,):
+            raise ValueError(f"bands of shapes {np.shape(sub)}, {np.shape(diag)}, {np.shape(sup)} for n = {self.n}")
+        # dgttrf overwrites the copied bands with the factors.
+        self.dl[...], self.d[...], self.du[...] = sub, diag, sup
+        _dgttrf(*self._factor_args)
+        self.info = self._factor_info.value
+        return self
 
 
 class DenseLU(_Solves):

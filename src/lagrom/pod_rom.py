@@ -7,19 +7,18 @@ from ``hfm_eulerian``'s pieces: ``face_fluxes`` and ``advected_state`` for
 the explicit half, ``step_system`` for the (I - dt D2) system and
 ``DiffusionSystem.apply`` for its action on the basis. The moving-frame
 stepper projects the coupled position/value residuals, with the value target
-from the semi-Lagrangian solver's own interpolate-to-reference, diffuse,
-interpolate-back round trip: ``core.carried_to_grid`` for the first leg and
-``hfm_lagrangian.diffuse_carried_values`` for the rest. Both solve
-the projected system with Newton iteration in the reduced coordinates, with
-f and f' from ``ProblemSpec.speed`` and ``ProblemSpec.speed_slope``.
+from the semi-Lagrangian solver's own diffusion step on the moving nodes
+(``hfm_lagrangian.NodeDiffusion.step``). Both solve the projected system
+with Newton iteration in the reduced coordinates, with f and f' from
+``ProblemSpec.speed`` and ``ProblemSpec.speed_slope``.
 
 No hyper-reduction is applied: each step still does full-dimension work, so
 rollout cost scales with the grid like the solvers do. A prepared
 ``PodStepContext`` holds what is constant over a rollout, so the step loop
-repeats only per-step work: the basis splits; the run's reference grid
-(``hfm_lagrangian.ReferenceGrid``: the nodes, their interpolation source and
-the factored diffusion system when D is a number); and the reduced Jacobian
-with its LU factors when it does not change over the run.
+repeats only per-step work: the basis splits; in the fixed frame the grid
+nodes and the factored diffusion system when D is a number, in the moving
+frame the run's ``NodeDiffusion``; and the reduced Jacobian with its LU
+factors when it does not change over the run.
 
 * Fixed grid: the Jacobian Phi^T (I - dt D2) Phi is constant when D is a
   number or absent, and is factored once per run.
@@ -30,10 +29,10 @@ with its LU factors when it does not change over the run.
   coordinates, B = P^T P + (dt/2) c P^T V and g = dt P^T f(0). Newton then
   runs entirely in r x r arithmetic against one LU of A. A step's
   full-dimension work is one entanglement check, one reconstruction of the
-  converged state and its values on the fixed grid and, when D is given,
-  the value target: the rest of the diffusion round trip and its projection
-  V^T u_target (one N x r product). With D absent the value target is
-  u = V z, its projection joins B, and b is r x r algebra throughout.
+  converged state and, when D is given, the value target: one diffusion
+  step on the reconstructed nodes and its projection V^T u_target (one
+  N x r product). With D absent the value target is u = V z, its
+  projection joins B, and b is r x r algebra throughout.
 * Moving frame with an array-valued f': f has no reduced form, so every
   Newton iteration evaluates the residual at full dimension and solves its
   Jacobian I - (dt/2) P^T diag(f'(u)) V afresh.
@@ -43,11 +42,7 @@ One step path: the stream ``pod_steps`` calls ``_eulerian_newton`` or
 yields each state as it is stepped and stores none: ``run_pod_rom``
 collects it into a (horizon x n) time-major store, and ``bench`` scores the
 reconstructions block by block as they come, so that store exists only when
-a caller asks ``run_pod_rom`` for it. Each state comes with its values on
-the fixed grid, taken once when the state is made: in the moving frame they
-are the first leg of the next step's round trip and the state ``bench``
-scores, so no moving-frame state is interpolated twice; in the fixed frame
-they are the reconstruction itself.
+a caller asks ``run_pod_rom`` for it.
 """
 
 from __future__ import annotations
@@ -60,10 +55,10 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import kernels
-from .core import ProblemSpec, SnapshotMatrix, carried_to_grid, check_untangled, real_array
+from .core import ProblemSpec, SnapshotMatrix, check_untangled, real_array
 from .errors import NewtonDivergence, NumericalFailure
-from .hfm_eulerian import advected_state, face_fluxes, step_system
-from .hfm_lagrangian import ReferenceGrid, diffuse_carried_values, reference_grid
+from .hfm_eulerian import DiffusionSystem, advected_state, face_fluxes, run_diffusion_system, step_system
+from .hfm_lagrangian import NodeDiffusion
 from .svd_core import WindowFactor, check_rank_rule, fit_svd, window_factor
 
 NEWTON_TOL = 1e-10
@@ -108,9 +103,10 @@ def fit_pod(
 class PodStepContext:
     """Per-run constants shared by every step of one rollout.
 
-    ``ref`` is the run's fixed grid (``hfm_lagrangian.ReferenceGrid``): its
-    nodes, their interpolation source and the factored diffusion system when
-    D is a number.
+    In the fixed frame ``nodes`` are the grid nodes and ``system`` the run's
+    factored diffusion system when D is a number, else None; in the moving
+    frame ``diffusion`` is the run's ``hfm_lagrangian.NodeDiffusion``. The
+    other frame's fields are None.
     ``jacobian`` is the reduced Jacobian when it does not change over the run
     (fixed grid: D a number or absent; moving frame: a scalar f'), else None,
     and ``jacobian_factor`` its LU factors. When the moving-frame residual is
@@ -125,7 +121,9 @@ class PodStepContext:
     val_block: Optional[np.ndarray]
     pos_block_t: Optional[np.ndarray]
     val_block_t: Optional[np.ndarray]
-    ref: ReferenceGrid
+    nodes: Optional[np.ndarray]
+    system: Optional[DiffusionSystem]
+    diffusion: Optional[NodeDiffusion]
     identity_r: np.ndarray
     jacobian: Optional[np.ndarray]
     jacobian_factor: Optional[kernels.DenseLU]
@@ -143,9 +141,10 @@ class PodStepContext:
         """
         phi = basis.basis
         phi_t = np.ascontiguousarray(phi.T)
-        ref = reference_grid(spec)
         pos = val = pos_t = val_t = jacobian = target_map = target_offset = None
+        nodes = system = diffusion = None
         if basis.frame == FRAME_LAGRANGIAN:
+            diffusion = NodeDiffusion(spec)
             n = phi.shape[0] // 2
             pos, val = phi[:n], phi[n:]
             pos_t, val_t = phi_t[:, :n], phi_t[:, n:]  # column views of basis_t, not copies
@@ -159,10 +158,12 @@ class PodStepContext:
                 if spec.diffusion_D is None:
                     target_map += val_t @ val
                 target_offset = spec.dt * (pos_t @ flux_at_zero)
-        elif spec.diffusion_D is None:
-            jacobian = phi_t @ phi
-        elif ref.system is not None:
-            jacobian = phi_t @ ref.system.apply(phi)
+        else:
+            nodes, system = spec.grid().nodes, run_diffusion_system(spec)
+            if spec.diffusion_D is None:
+                jacobian = phi_t @ phi
+            elif system is not None:
+                jacobian = phi_t @ system.apply(phi)
         factor = None
         if jacobian is not None:
             try:
@@ -176,7 +177,9 @@ class PodStepContext:
             val_block=val,
             pos_block_t=pos_t,
             val_block_t=val_t,
-            ref=ref,
+            nodes=nodes,
+            system=system,
+            diffusion=diffusion,
             identity_r=np.eye(basis.rank),
             jacobian=jacobian,
             jacobian_factor=factor,
@@ -247,7 +250,7 @@ def _eulerian_newton(context: PodStepContext, u_hat, u_prev, spec: ProblemSpec, 
     u_star = advected_state(u_prev, face_fluxes(u_prev, spec)[0], spec)
     rhs_known = u_star
     if spec.diffusion_D is not None:
-        system = step_system(spec, context.ref.system, context.ref.nodes, t_next, u_star)
+        system = step_system(spec, context.system, context.nodes, t_next, u_star)
         rhs_known = system.with_boundary_terms(u_star)
 
     target = context.basis_t @ rhs_known
@@ -257,13 +260,12 @@ def _eulerian_newton(context: PodStepContext, u_hat, u_prev, spec: ProblemSpec, 
     return _reduced_newton(jac, context.jacobian_factor, u_hat, target)
 
 
-def _lagrangian_newton(context: PodStepContext, z_hat, z_prev, u_grid_prev, spec: ProblemSpec, time_index: int):
+def _lagrangian_newton(context: PodStepContext, z_hat, z_prev, spec: ProblemSpec, time_index: int):
     """The stacked [positions; values] reduced coordinates after the
-    moving-frame step from index ``time_index`` (reconstruction ``z_prev``,
-    whose values on the fixed grid are ``u_grid_prev``), with the Newton
-    iterations they took and their reconstruction, which the next step
-    starts from. The diffusion round trip starts from ``u_grid_prev``, so
-    its first leg is the one ``pod_steps`` took when it made the state."""
+    moving-frame step from index ``time_index`` (reconstruction ``z_prev``),
+    with the Newton iterations they took and their reconstruction, which the
+    next step starts from. The value target is the solver's diffusion step
+    on the reconstructed nodes, without its residual check."""
     phi = context.basis_matrix
     n = context.pos_block.shape[0]
     x_prev, u_prev = z_prev[:n], z_prev[n:]
@@ -274,7 +276,7 @@ def _lagrangian_newton(context: PodStepContext, z_hat, z_prev, u_grid_prev, spec
     if spec.diffusion_D is None:
         u_target = u_prev
     else:
-        u_target = diffuse_carried_values(spec, context.ref, x_prev, u_grid_prev, t_next)[0]
+        u_target = context.diffusion.step(x_prev, u_prev, t_next)[0]
 
     if context.target_map is not None:
         # f(u) = f(0) + c u makes the residual A z - b, and every part of b but
@@ -312,46 +314,31 @@ def _lagrangian_newton(context: PodStepContext, z_hat, z_prev, u_grid_prev, spec
 
 class PodStep(NamedTuple):
     """One state of a rollout: its reduced coordinates, the Newton iterations
-    that reached them (0 for the projected initial state), their
-    full-dimensional reconstruction, and the reconstruction's values on the
-    fixed grid. In the fixed frame those are the reconstruction itself; in
-    the moving frame, its values carried to the grid nodes
-    (``core.carried_to_grid``), which the next step diffuses."""
+    that reached them (0 for the projected initial state) and their
+    full-dimensional reconstruction."""
 
     reduced: np.ndarray
     iterations: int
     full: np.ndarray
-    grid_values: np.ndarray
 
 
 def pod_steps(basis: PodBasis, initial_full: np.ndarray, spec: ProblemSpec, horizon: int) -> Iterator[PodStep]:
     """The rollout from ``initial_full`` as a stream: its projection onto the
     basis (index 0), then one step per index 1..horizon. Nothing is stored,
     so a consumer that reads the steps as they come holds one state at a
-    time; ``run_pod_rom`` collects them. A moving-frame state is taken to
-    the fixed grid once, when it is made: the next step's round trip and
-    ``bench``'s scoring both read those values."""
+    time; ``run_pod_rom`` collects them."""
     z0 = real_array(initial_full)
     context = PodStepContext.for_basis(basis, spec, z0)
     z_hat = basis.project(z0)
     recon = context.basis_matrix @ z_hat
-    lagrangian = basis.frame == FRAME_LAGRANGIAN
-    nodes, period = context.ref.nodes, spec.period
-    n = nodes.size
-
-    def on_grid(full):
-        return carried_to_grid(full[:n], full[n:], nodes, period) if lagrangian else full
-
-    grid_values = on_grid(recon)
-    yield PodStep(z_hat, 0, recon, grid_values)
+    yield PodStep(z_hat, 0, recon)
     for k in range(horizon):
-        if lagrangian:
-            z_hat, used, recon = _lagrangian_newton(context, z_hat, recon, grid_values, spec, k)
+        if basis.frame == FRAME_LAGRANGIAN:
+            z_hat, used, recon = _lagrangian_newton(context, z_hat, recon, spec, k)
         else:
             z_hat, used = _eulerian_newton(context, z_hat, recon, spec, k)
             recon = context.basis_matrix @ z_hat
-        grid_values = on_grid(recon)
-        yield PodStep(z_hat, used, recon, grid_values)
+        yield PodStep(z_hat, used, recon)
 
 
 @dataclass

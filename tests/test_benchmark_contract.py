@@ -70,26 +70,27 @@ def test_environment_record_fields_exist():
 # Calls per traced layer in one scale-20 run_experiment(emit=False). test4 is
 # periodic viscous Burgers with both solvers and a Lagrangian POD rollout;
 # test2 the Dirichlet counterpart; test0-advection runs no Lagrangian method.
-# A constant D is assembled once per solver and per POD rollout that diffuses.
-# Interpolations over M = 50 steps: the moving-grid solver's round trip 100,
-# the L-POD rollout's first legs 51 (one per state, made once and scored as
-# they are) and second legs 50, and the L-DMD scoring 50. A periodic solve
-# calls the LU's dgttrs directly, so only the three factorizations'
-# Sherman-Morrison solves go through ``thomas_solve``.
+# A constant D is assembled once per fixed-grid solver and per fixed-grid POD
+# rollout that diffuses; the moving grid assembles its own bands at each of
+# its M = 50 solver steps and 50 rollout steps, so its 100 solves are counted
+# with the fixed grid's 50, and each periodic factorization adds one
+# Sherman-Morrison ``thomas_solve``. The only interpolations left are the
+# scoring's: the L-POD reconstructions and the L-DMD predictions taken to the
+# fixed grid, 50 each.
 TRACED_CALLS = {
     "test4": {
         "hfm_eulerian.face_fluxes": 50,
-        "hfm_eulerian.diffusion_system_for": 3,
-        "kernels.diffusion_bands": 3,
-        "kernels.interp": 251,
-        "kernels.thomas_solve": 3,
+        "hfm_eulerian.diffusion_system_for": 1,
+        "kernels.diffusion_bands": 1,
+        "kernels.interp": 100,
+        "kernels.thomas_solve": 101,
         "kernels.cyclic_thomas_solve": 150,
     },
     "test2": {
         "hfm_eulerian.face_fluxes": 50,
-        "hfm_eulerian.diffusion_system_for": 3,
-        "kernels.diffusion_bands": 3,
-        "kernels.interp": 251,
+        "hfm_eulerian.diffusion_system_for": 1,
+        "kernels.diffusion_bands": 1,
+        "kernels.interp": 100,
         "kernels.thomas_solve": 150,
         "kernels.cyclic_thomas_solve": 0,
     },

@@ -1,9 +1,10 @@
 """Constant diffusion as data: the per-run factored system against the per-step path.
 
-A number for D lets the solvers and the POD steppers build and factor the
-implicit system once per run. A callable returning the same number takes the
-per-step path (evaluate, assemble, factor at every step), which is the
-reference the hoisted path must reproduce.
+A number for D lets the fixed-grid solver and POD stepper build and factor
+the implicit system once per run; the moving grid assembles and factors one
+per step, the same way for a number and a callable. A callable returning the
+same number takes the per-step path (evaluate, assemble, factor at every
+step), which is the reference the hoisted path must reproduce.
 """
 
 from dataclasses import replace
@@ -66,20 +67,27 @@ def test_number_and_callable_diffusion_agree(kind):
 
 
 def test_constant_diffusion_system_is_built_once_per_run(monkeypatch):
-    calls = []
-    original = kernels.diffusion_bands
+    calls = {"diffusion_bands": 0, "factor_cyclic": 0}
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(name):
+        original = getattr(kernels, name)
 
-    monkeypatch.setattr(kernels, "diffusion_bands", counting)
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(kernels, name, counting(name))
     config = ExperimentConfig(preset="test4", scale=20)
     record = run_experiment(config, emit=False)
     assert not any(m.failure for m in record.methods.values())
     # test4 runs the Eulerian solver, the Lagrangian solver and one
-    # Lagrangian POD rollout: one assembly each, not one per step.
-    assert len(calls) == 3
+    # Lagrangian POD rollout over M = 50 steps. The fixed grid assembles and
+    # factors its system once; the moving nodes change the system at every
+    # step of the solver and of the rollout.
+    assert calls == {"diffusion_bands": 1, "factor_cyclic": 1 + 2 * 50}
 
 
 @pytest.mark.parametrize("preset", ["test4", "test0-advection"])

@@ -464,6 +464,21 @@ class TestStackedToGrid:
         assert np.array_equal(got, want)
 
 
+def test_nan_destination_leaves_the_wrap_of_the_others():
+    # A NaN among the destinations gives NaN there and nothing else: the
+    # other destinations still wrap by the period.
+    src = np.arange(7.0)
+    vals = np.sin(src)
+    period = 2.0 * np.pi
+    alone = linear_interpolate(src, vals, np.array([7.0]), period=period)
+    beside = linear_interpolate(src, vals, np.array([7.0, np.nan, 0.5]), period=period)
+    assert np.isclose(alone[0], 0.603, atol=5e-4)
+    assert beside[0] == alone[0]
+    assert np.isnan(beside[1])
+    assert beside[2] == 0.5 * vals[1]
+    assert np.isnan(linear_interpolate(src, vals, np.nan, period=period))
+
+
 def test_unordered_destinations_keep_their_periodic_values():
     # The periodic kernel reads its wrap bounds from an ascending
     # destination's end points; linear_interpolate frames any order by its

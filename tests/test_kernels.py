@@ -119,11 +119,10 @@ def test_interp_periodic_matches_np_interp_period_mode():
     # destination; core.linear_interpolate serves any order (test_core).
     period, src, vals, dst, by_mod = _periodic_case()
     order = np.argsort(dst)
-    source = kernels.periodic_source(src, period)
-    fast = kernels.interp_periodic(source, vals, dst[order], period)
+    fast = kernels.interp_periodic(src, vals, dst[order], period)
     assert np.allclose(np.interp(dst[order], src, vals, period=period), fast, atol=1e-12)
     assert np.array_equal(fast, by_mod[order])
-    assert kernels.interp_periodic(source, vals, np.empty(0), period).shape == (0,)
+    assert kernels.interp_periodic(src, vals, np.empty(0), period).shape == (0,)
 
 
 @pytest.mark.parametrize("lo, hi", [(-0.3, 0.9), (0.1, 1.2), (-1.5, 0.5), (0.5, 2.5), (-0.3, 1.2), (0.2, 0.8)])
@@ -135,7 +134,7 @@ def test_interp_periodic_wrap_branches_match_np_mod(lo, hi):
     vals = np.cos(3.0 * src)
     dst = np.linspace(lo, hi, 41)
     by_mod = np.interp(np.mod(dst, 1.0), np.append(src, 1.0), np.append(vals, vals[0]))
-    assert np.array_equal(kernels.interp_periodic(kernels.periodic_source(src, 1.0), vals, dst, 1.0), by_mod)
+    assert np.array_equal(kernels.interp_periodic(src, vals, dst, 1.0), by_mod)
 
 
 def dense_diffusion_operator(d_nodes, mu, periodic):

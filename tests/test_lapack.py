@@ -73,6 +73,24 @@ def test_periodic_tridiagonal_equals_scipy_bit_for_bit(n, monkeypatch):
         assert np.array_equal(kernels.cyclic_thomas_solve(ours, b), kernels.cyclic_thomas_solve(theirs, b))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 400])
+def test_factoring_into_an_lu_equals_a_fresh_factorization(n):
+    # A moving grid factors each step's system in its run's one LU: its
+    # buffers must hold what a new factorization of that system holds.
+    first, second = bands(n, n + 200), bands(n, n + 300)
+    reused = kernels.factor_tridiagonal(*first[:3])
+    assert kernels.factor_tridiagonal(*second[:3], into=reused) is reused
+    fresh = kernels.factor_tridiagonal(*second[:3])
+    for name in ("dl", "d", "du", "du2", "ipiv"):
+        assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
+    corners = (-0.3, -0.4)
+    cyclic = kernels.factor_cyclic(*second[:3], *corners, into=kernels.factor_tridiagonal(*first[:3]))
+    fresh_cyclic = kernels.factor_cyclic(*second[:3], *corners)
+    for b in second[3]:
+        assert np.array_equal(kernels.thomas_solve(reused, b), kernels.thomas_solve(fresh, b))
+        assert np.array_equal(kernels.cyclic_thomas_solve(cyclic, b), kernels.cyclic_thomas_solve(fresh_cyclic, b))
+
+
 @pytest.mark.parametrize("r", [1, 2, 5, 12])
 def test_dense_lu_equals_scipy_bit_for_bit(r):
     rng = np.random.default_rng(r)
