@@ -1,16 +1,19 @@
-"""Grids, problem definitions, state vectors, interpolation, snapshot assembly.
+"""Grids, problem definitions, the implicit diffusion step, state vectors,
+interpolation, snapshot assembly.
 
-Everything here is immutable after construction (arrays are marked read-only),
-so instances can be shared freely across threads. A float64 array is adopted
-without a copy when it and every array it is a view of are read-only and the
-chain ends in an array that owns its memory; anything else is copied, since a
-read-only view of a writeable base could still change under the instance.
+Everything here but a ``DiffusionSystem`` is immutable after construction
+(arrays are marked read-only), so instances can be shared freely across
+threads. A float64 array is adopted without a copy when it and every array
+it is a view of are read-only and the chain ends in an array that owns its
+memory; anything else is copied, since a read-only view of a writeable base
+could still change under the instance.
 
 ``ProblemSpec`` is the one reader of the problem: solvers and steppers take
 its boundary rule (``period``) and its functions, evaluated as arrays, from
-it. ``real_array`` is the one door for real float64 data (the problem's
-functions, interpolation, fits, the window QR, scoring); it, these classes
-and ``write_number_table`` raise TypeError on complex input.
+it. ``diffusion_system_for`` builds every implicit diffusion step, on fixed
+and moving nodes alike. ``real_array`` is the one door for real float64 data
+(the problem's functions, interpolation, fits, the window QR, scoring); it,
+these classes and ``write_number_table`` raise TypeError on complex input.
 """
 
 from __future__ import annotations
@@ -238,6 +241,75 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
+class DiffusionSystem:
+    """I - dt L(x), one implicit diffusion step on the nodes x: its bands as
+    ``kernels.diffusion_bands`` assembles them and their LU factors, with
+    the periodic corners inside the factorization. ``lower[0]`` and
+    ``upper[-1]`` couple the end nodes across the boundary: to each other
+    when ``periodic``, else to the ghosts that carry ``bc_values``."""
+
+    factor: Union[kernels.TridiagonalLU, kernels.CyclicFactor]
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+    periodic: bool
+    bc_values: tuple
+
+    def with_boundary_terms(self, rhs: np.ndarray) -> np.ndarray:
+        """``rhs`` plus the known Dirichlet ghost terms of the first and last rows."""
+        if self.periodic:
+            return rhs
+        b = rhs.copy()
+        b[0] -= self.lower[0] * self.bc_values[0]
+        b[-1] -= self.upper[-1] * self.bc_values[1]
+        return b
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self.periodic:
+            return kernels.cyclic_thomas_solve(self.factor, rhs)
+        return kernels.thomas_solve(self.factor, self.with_boundary_terms(rhs))
+
+    def apply(self, columns: np.ndarray) -> np.ndarray:
+        """I - dt L with zero ghost values, on a vector or on each column of
+        a block; periodic corners included. Independent of the elimination
+        path, so it checks ``solve``."""
+        lower, diag, upper = self.lower, self.diag, self.upper
+        if columns.ndim > 1:
+            lower, diag, upper = lower[:, None], diag[:, None], upper[:, None]
+        out = columns * diag
+        out[1:] += lower[1:] * columns[:-1]
+        out[:-1] += upper[:-1] * columns[1:]
+        if self.periodic:
+            out[0] += lower[0] * columns[-1]
+            out[-1] += upper[-1] * columns[0]
+        return out
+
+    def residual(self, solution: np.ndarray, rhs: np.ndarray) -> float:
+        """Largest entry of apply(solution) - with_boundary_terms(rhs)."""
+        resid = self.apply(solution)
+        resid -= self.with_boundary_terms(rhs)
+        return float(np.max(np.abs(resid, out=resid)))
+
+
+def diffusion_system_for(
+    spec: ProblemSpec, x: np.ndarray, t: float, u: np.ndarray, into: Optional[DiffusionSystem] = None
+) -> DiffusionSystem:
+    """The implicit diffusion step of ``spec`` on the nodes ``x``, fixed or
+    moving: D evaluated at (x, t, u), the bands of I - dt L(x) with the
+    boundary rule ``spec.period``, and their LU factors. Given ``into``, a
+    system of the same size, the factors take over its LU buffers, so
+    ``into`` must not solve again."""
+    period = spec.period
+    lower, diag, upper = kernels.diffusion_bands(x, spec.diffusion_at(x, t, u), spec.dt, period)
+    lu = None if into is None else into.factor.tridiagonal if into.periodic else into.factor
+    if period is None:
+        factor = kernels.factor_tridiagonal(lower, diag, upper, lu)
+    else:
+        factor = kernels.factor_cyclic(lower, diag, upper, lower[0], upper[-1], lu)
+    return DiffusionSystem(factor, lower, diag, upper, period is not None, spec.bc_values)
+
+
+@dataclass(frozen=True)
 class StateVector:
     """Solution values on a grid at one time level."""
 
@@ -374,14 +446,6 @@ def interp_unchecked(src: np.ndarray, vals: np.ndarray, dst: np.ndarray, period:
     return kernels.interp_periodic(src, vals, dst, period)
 
 
-def carried_to_grid(x: np.ndarray, u: np.ndarray, nodes: np.ndarray, period: float = None) -> np.ndarray:
-    """The values ``u`` carried on the moving grid ``x`` (unchecked) at the
-    fixed ``nodes``: a moving-frame state on the fixed grid, as
-    ``stacked_to_grid`` scores it. No stepper reads the fixed grid: the
-    moving-grid solver diffuses on its own nodes."""
-    return interp_unchecked(x, u, nodes, period)
-
-
 def linear_interpolate(src_grid, src_values, dst_grid, period: float = None) -> np.ndarray:
     """Piecewise-linear interpolation of (src_grid, src_values) at dst nodes.
 
@@ -452,7 +516,7 @@ def stacked_to_grid(stacked, grid, period: float = None, first_index: int = None
     check_untangled(rows[:, :n], period, "predicted positions", first_index)
     out = np.empty((rows.shape[0], n))
     for j, row in enumerate(rows):
-        out[j] = carried_to_grid(row[:n], row[n:], nodes, period)
+        out[j] = interp_unchecked(row[:n], row[n:], nodes, period)
     return out[0] if block.ndim == 1 else out.T
 
 

@@ -2,28 +2,28 @@
 discretisation that the fixed-grid POD stepper projects.
 
 Explicit conservative upwind advection (local wave-speed flux) combined with
-an implicit backward-Euler centered-difference diffusion solve. One step is
+an implicit backward-Euler diffusion solve. One step is
 
     u* = u^n - (dt/dx) (F_{j+1/2} - F_{j-1/2})
-    (I - dt D2) u^{n+1} = u*
+    (I - dt L) u^{n+1} = u*
 
-with the face flux F_{j+1/2} = (F(u_R)+F(u_L))/2 - |a| (u_R-u_L)/2 and the
-local speed a taken as the secant slope of F (the tangent f when u_L = u_R).
+with the face flux F_{j+1/2} = (F(u_R)+F(u_L))/2 - |a| (u_R-u_L)/2, the
+local speed a taken as the secant slope of F (the tangent f when u_L = u_R),
+and L the three-point (D u_x)_x on the grid nodes.
 
-This module owns the pieces of that step: ``face_fluxes`` and
-``advected_state`` (the explicit half; the Courant check reads f(u) from the
-tangent speeds the fluxes already form) and ``DiffusionSystem`` (the
-implicit half: face coefficients plus the LU factors of (I - dt D2), with
-``apply`` for the operator itself and ``solve`` for its inverse). When D is
-a number the system is the same at every step, so a run builds and factors
-it once (``run_diffusion_system``); ``step_system`` hands a step that
-system, or evaluates, assembles and factors one when D is a callable. The
-fixed-grid POD stepper calls these pieces instead of repeating them; this
-module calls only ``kernels`` and ``core``, whose
-``ProblemSpec.with_ghosts`` attaches the boundary values. Every solver step
-checks its residual ``apply(u_new) - with_boundary_terms(u*)``, its Courant
-number (``core.check_courant``) and the finiteness of the new state; F, f
-and u0 come from ``ProblemSpec.flux``, ``speed``, ``initial_state``.
+This module owns the explicit half of that step: ``face_fluxes`` and
+``advected_state`` (the Courant check reads f(u) from the tangent speeds the
+fluxes already form). The implicit half is ``core.DiffusionSystem``, built
+by ``core.diffusion_system_for`` on the grid nodes: the one builder the
+moving grid also steps with, so the fixed grid is the moving grid at rest.
+When D is a number the system is the same at every step, so a run builds
+and factors it once (``run_diffusion_system``); ``step_system`` hands a step
+that system, or builds one when D is a callable. The fixed-grid POD stepper
+calls these pieces instead of repeating them; this module calls only
+``core``, whose ``ProblemSpec.with_ghosts`` attaches the boundary values.
+Every solver step checks its residual (``DiffusionSystem.residual``), its
+Courant number (``core.check_courant``) and the finiteness of the new state;
+F, f and u0 come from ``ProblemSpec.flux``, ``speed``, ``initial_state``.
 
 One step path: the step stream ``eulerian_steps`` calls ``eulerian_step``,
 which advances a raw value array and returns it with the step's residual and
@@ -40,13 +40,12 @@ snapshot matrix adopts without a copy.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import kernels
-from .core import RESIDUAL_TOL, Grid1D, ProblemSpec, SnapshotMatrix, check_courant
+from .core import RESIDUAL_TOL, DiffusionSystem, Grid1D, ProblemSpec, SnapshotMatrix, check_courant, diffusion_system_for
 from .errors import NumericalFailure
 
 
@@ -69,79 +68,6 @@ def advected_state(u: np.ndarray, fluxes: np.ndarray, spec: ProblemSpec) -> np.n
     """The explicit half-step u* = u - (dt/dx) (F_{j+1/2} - F_{j-1/2}) from
     the ``face_fluxes`` of u."""
     return u - (spec.dt / spec.dx) * (fluxes[1:] - fluxes[:-1])
-
-
-@dataclass
-class DiffusionSystem:
-    """(I - dt D2) on a fixed grid: face coefficients and the LU factors,
-    with the periodic corner couplings inside the factorization.
-
-    The operator's diagonal band, its off-diagonal products mu·D_{j+1/2}
-    and its corner products are formed once, at construction, for
-    ``apply``."""
-
-    factor: Union[kernels.TridiagonalLU, kernels.CyclicFactor]
-    periodic: bool
-    mu: float
-    d_faces: np.ndarray
-    bc_values: tuple
-    diagonal: np.ndarray = field(init=False, repr=False)
-    off_diagonal: np.ndarray = field(init=False, repr=False)
-    corners: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        mu, df = self.mu, self.d_faces
-        self.diagonal = 1.0 + mu * (df[:-1] + df[1:])
-        self.off_diagonal = mu * df[1:-1]
-        self.corners = (mu * df[0], mu * df[-1])
-
-    def with_boundary_terms(self, rhs: np.ndarray) -> np.ndarray:
-        """``rhs`` plus the known Dirichlet ghost terms of the first and last rows."""
-        if self.periodic:
-            return rhs
-        b = rhs.copy()
-        b[0] += self.mu * self.d_faces[0] * self.bc_values[0]
-        b[-1] += self.mu * self.d_faces[-1] * self.bc_values[1]
-        return b
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.periodic:
-            return kernels.cyclic_thomas_solve(self.factor, rhs)
-        return kernels.thomas_solve(self.factor, self.with_boundary_terms(rhs))
-
-    def apply(self, columns: np.ndarray) -> np.ndarray:
-        """(I - dt D2) with zero ghost values, on a vector or on each column
-        of a block; periodic corners included. Independent of the
-        elimination path, so it checks ``solve``."""
-        shape = (-1,) + (1,) * (columns.ndim - 1)
-        off = self.off_diagonal.reshape(shape)
-        out = columns * self.diagonal.reshape(shape)
-        out[1:] -= off * columns[:-1]
-        out[:-1] -= off * columns[1:]
-        if self.periodic:
-            top, bottom = self.corners
-            out[0] -= top * columns[-1]
-            out[-1] -= bottom * columns[0]
-        return out
-
-    def residual(self, solution: np.ndarray, rhs: np.ndarray) -> float:
-        """Largest entry of apply(solution) - with_boundary_terms(rhs)."""
-        resid = self.apply(solution)
-        resid -= self.with_boundary_terms(rhs)
-        return float(np.max(np.abs(resid, out=resid)))
-
-
-def diffusion_system_for(spec: ProblemSpec, x: np.ndarray, t: float, u: np.ndarray) -> DiffusionSystem:
-    """Evaluate D on the nodes, average it to faces, assemble the implicit
-    system and factor it."""
-    d_nodes = spec.diffusion_at(x, t, u)
-    mu = spec.dt / spec.dx**2
-    d_faces, lower, diag, upper = kernels.diffusion_bands(np.ascontiguousarray(d_nodes), mu, spec.periodic)
-    if spec.periodic:
-        factor = kernels.factor_cyclic(lower, diag, upper, -mu * d_faces[0], -mu * d_faces[-1])
-    else:
-        factor = kernels.factor_tridiagonal(lower, diag, upper)
-    return DiffusionSystem(factor, spec.periodic, mu, d_faces, spec.bc_values)
 
 
 def run_diffusion_system(spec: ProblemSpec) -> Optional[DiffusionSystem]:

@@ -4,28 +4,26 @@ and diffuses on its own nodes.
 Grid points carry the solution values. Each step performs, in order:
 
   (i)   one implicit Euler step (I - dt L(x^n)) u^{n+1} = u^n of (D u_x)_x
-        on the moving nodes, row i of L being the nonuniform three-point
-        2 [D_{i+1/2} (u_{i+1} - u_i) / h_+ - D_{i-1/2} (u_i - u_{i-1}) / h_-] / (h_- + h_+)
-        with h_- = x_i - x_{i-1}, h_+ = x_{i+1} - x_i and each face's D the
-        mean of D at its two nodes;
+        on the moving nodes, L the nonuniform three-point operator of
+        ``kernels.diffusion_bands``;
   (ii)  the trapezoidal position update x^{n+1} = x^n + dt/2 (f(u^n) + f(u^{n+1})).
 
-The boundary rule is ``ProblemSpec.period``. Periodic: each end node's
-neighbour across the seam is the other end node shifted by the period, which
-gives one cyclic system. Dirichlet: a ghost node one end-spacing beyond each
-moving end node carries ``bc_values``, and the end face takes the end node's
-D: the fixed grid's own ghost rule, carried along with the grid, so on nodes
-at rest step (i) is the fixed-grid solver's diffusion step.
+Step (i) is ``core.diffusion_system_for`` on the moving nodes, the builder
+the fixed grid steps with, and its boundary rule is ``ProblemSpec.period``.
+Periodic: each end node's neighbour across the seam is the other end node
+shifted by the period, which gives one cyclic system. Dirichlet: a ghost
+node one end-spacing beyond each moving end node carries ``bc_values``, and
+the end face takes the end node's D. On nodes at rest, step (i) is the
+fixed-grid solver's diffusion step bit for bit.
 
-``NodeDiffusion.step`` is the one moving-grid diffusion step: the solver
-checks its residual against ``RESIDUAL_TOL``, and the moving-frame POD
-stepper takes it as its value target. The nodes move, so each step
-assembles and factors its own system from D at (x^n, t^{n+1}, u^n), a
-number or a callable alike. When D is ``None`` step (i) is skipped and the
-values are transported bit-exactly. This module calls only ``kernels`` and
-``core``. Positions are kept unwrapped (monotone) for periodic problems, so
-``core.check_untangled`` is a monotonicity test plus, when periodic, the
-seam test x[-1] - x[0] < L.
+The nodes move, so each step builds its own system from D at (x^n, t^{n+1},
+u^n), a number or a callable alike, factored in the LU of the step before:
+the solver checks its ``DiffusionSystem.residual`` against ``RESIDUAL_TOL``,
+and the moving-frame POD stepper solves it for its value target. When D is
+``None`` step (i) is skipped and the values are transported bit-exactly.
+This module calls only ``core``. Positions are kept unwrapped (monotone) for
+periodic problems, so ``core.check_untangled`` is a monotonicity test plus,
+when periodic, the seam test x[-1] - x[0] < L.
 
 One step path: the stream ``lagrangian_steps`` calls ``lagrangian_step``,
 which advances raw position and value arrays (and hands back f(u^{n+1}),
@@ -45,72 +43,25 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import kernels
-from .core import RESIDUAL_TOL, Grid1D, ProblemSpec, SnapshotMatrix, check_untangled
+from .core import RESIDUAL_TOL, DiffusionSystem, Grid1D, ProblemSpec, SnapshotMatrix, check_untangled, diffusion_system_for
 from .errors import NumericalFailure
 
 
-class NodeDiffusion:
-    """The diffusion steps of one run on its moving nodes. Each step's
-    system is factored in the buffers of the run's one LU (``into`` of
-    ``kernels.factor_tridiagonal``), so no step sets up LAPACK anew."""
-
-    def __init__(self, spec: ProblemSpec):
-        self.spec = spec
-        self.lu: Optional[kernels.TridiagonalLU] = None
-
-    def step(self, x: np.ndarray, u: np.ndarray, t: float):
-        """The values ``u`` carried on the nodes ``x`` after one implicit
-        Euler diffusion step to time ``t``, and the step's bands
-        (lower, diag, upper) of I - dt L(x): ``lower[0]`` and ``upper[-1]``
-        couple the end nodes to their neighbours across the boundary."""
-        spec = self.spec
-        n = x.shape[0]
-        d = spec.diffusion_at(x, t, u)
-        gaps = np.empty(n + 1)  # h_{i-1/2} for i = 0..N: a boundary gap at each end
-        faces = np.empty(n + 1)  # D_{i-1/2}
-        np.subtract(x[1:], x[:-1], out=gaps[1:-1])
-        faces[1:-1] = 0.5 * (d[:-1] + d[1:])
-        if spec.periodic:
-            gaps[0] = gaps[-1] = x[0] + spec.period - x[-1]
-            faces[0] = faces[-1] = 0.5 * (d[-1] + d[0])
-        else:
-            gaps[0], gaps[-1] = gaps[1], gaps[-2]
-            faces[0], faces[-1] = d[0], d[-1]
-        weights = faces / gaps
-        scale = (-2.0 * spec.dt) / (gaps[:-1] + gaps[1:])
-        lower = scale * weights[:-1]
-        upper = scale * weights[1:]
-        diag = 1.0 - lower - upper
-        if spec.periodic:
-            factor = kernels.factor_cyclic(lower, diag, upper, lower[0], upper[-1], self.lu)
-            self.lu = factor.tridiagonal
-            u_new = kernels.cyclic_thomas_solve(factor, u)
-        else:
-            rhs = u.copy()
-            rhs[0] -= lower[0] * spec.bc_values[0]
-            rhs[-1] -= upper[-1] * spec.bc_values[1]
-            self.lu = kernels.factor_tridiagonal(lower, diag, upper, self.lu)
-            u_new = kernels.thomas_solve(self.lu, rhs)
-        return u_new, (lower, diag, upper)
-
-
-def lagrangian_step(spec: ProblemSpec, diffusion: NodeDiffusion, x: np.ndarray, u: np.ndarray, f_u: np.ndarray, index: int):
+def lagrangian_step(spec: ProblemSpec, system: Optional[DiffusionSystem], x: np.ndarray, u: np.ndarray, f_u: np.ndarray, index: int):
     """Positions, values and speeds at time index ``index`` from ``x``, ``u``
-    and ``f_u = spec.speed(u)`` at ``index - 1``; ``diffusion`` is the run's
-    ``NodeDiffusion``. Checks the diffusion residual, entanglement and
+    and ``f_u = spec.speed(u)`` at ``index - 1``; ``system`` is the step's
+    diffusion system, ``diffusion_system_for`` at (x, t^index, u), or None
+    when D is absent. Checks the diffusion residual, entanglement and
     finiteness of the new state.
     """
-    if spec.diffusion_D is None:
+    if system is None:
         u_new, f_new = u, f_u
     else:
-        u_new, (lower, diag, upper) = diffusion.step(x, u, index * spec.dt)
-        ghosts = spec.with_ghosts(u_new)
-        resid = diag * u_new + lower * ghosts[:-2] + upper * ghosts[2:] - u
-        worst = float(np.max(np.abs(resid, out=resid)))
-        if worst > RESIDUAL_TOL:
+        u_new = system.solve(u)
+        residual = system.residual(u_new, u)
+        if residual > RESIDUAL_TOL:
             raise NumericalFailure(
-                f"diffusion residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e} at time index {index}",
+                f"diffusion residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} at time index {index}",
                 time_index=index,
             )
         f_new = spec.speed(u_new)
@@ -129,15 +80,18 @@ def lagrangian_steps(spec: ProblemSpec) -> Iterator[np.ndarray]:
     stored, so a consumer that reads the rows as they come holds one at a
     time; ``run_lagrangian_hfm`` collects them. A non-finite u^0 raises
     ``NumericalFailure`` for time index 0 before the first yield."""
-    diffusion = NodeDiffusion(spec)
     nodes = spec.grid().nodes
     n = nodes.size
     row = np.concatenate([nodes, spec.initial_state()])
     row.setflags(write=False)
     f_u = spec.speed(row[n:])
+    system = None
     yield row
     for step in range(spec.n_steps):
-        x_new, u_new, f_u = lagrangian_step(spec, diffusion, row[:n], row[n:], f_u, step + 1)
+        x, u = row[:n], row[n:]
+        if spec.diffusion_D is not None:
+            system = diffusion_system_for(spec, x, (step + 1) * spec.dt, u, into=system)
+        x_new, u_new, f_u = lagrangian_step(spec, system, x, u, f_u, step + 1)
         row = np.concatenate([x_new, u_new])
         row.setflags(write=False)  # the next step reads it
         yield row

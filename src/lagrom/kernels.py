@@ -13,13 +13,14 @@ runs the LU elimination (LAPACK ``dgttrf``) once, and ``thomas_solve`` /
 ``cyclic_thomas_solve`` reuse that factorization for each right-hand side
 (one ``dgttrs`` each). A periodic system stores its Sherman-Morrison vector
 and denominator with the factorization, so a periodic solve is one ``dgttrs``
-plus an O(1) correction. A fixed grid whose diffusion coefficient is
-constant factors once and solves once per step; the moving grid factors each
-step's system in its run's one LU (``into``). The small dense Newton systems
-follow the same split: ``factor_small`` (``dgetrf``) once per run when the
-reduced Jacobian is constant, then its ``solve`` (``dgetrs``) per iteration,
-and ``solve_small``, the same two calls, for a Jacobian that changes at
-every step.
+plus an O(1) correction. ``diffusion_bands`` assembles every diffusion
+system, on fixed and moving nodes alike, and ``core.diffusion_system_for``
+factors it: once per run on a fixed grid whose diffusion coefficient is
+constant, else once per step in the run's one LU (``into``). The small dense
+Newton systems follow the same split: ``factor_small`` (``dgetrf``) once per
+run when the reduced Jacobian is constant, then its ``solve`` (``dgetrs``)
+per iteration, and ``solve_small``, the same two calls, for a Jacobian that
+changes at every step.
 
 Interpolation is ``interp_clamped`` and ``interp_periodic``; no other module
 calls ``np.interp`` but ``core.linear_interpolate`` for a source that spans
@@ -159,22 +160,35 @@ def interp_periodic(src, vals, dst, period):
     return np.interp(shifted, source, vals_ext)
 
 
-def diffusion_bands(d_nodes, mu, periodic):
-    """Face-averaged coefficients and the (I - dt*D2) bands: (d_faces, lower, diag, upper)."""
-    n = d_nodes.shape[0]
-    if periodic:
-        d_ext = np.concatenate([d_nodes[-1:], d_nodes, d_nodes[:1]])
+def diffusion_bands(x, d, dt, period):
+    """The bands (lower, diag, upper) of I - dt L(x), L the nonuniform
+    three-point (D u_x)_x on the strictly increasing nodes ``x``, with the
+    coefficient ``d`` at them. Row i of L is
+
+        2 [D_{i+1/2} (u_{i+1} - u_i) / h_+ - D_{i-1/2} (u_i - u_{i-1}) / h_-] / (h_- + h_+)
+
+    with h_- = x_i - x_{i-1}, h_+ = x_{i+1} - x_i and each face's D the mean
+    of D at its two nodes. ``lower[0]`` and ``upper[-1]`` couple the end
+    nodes across the boundary: given a ``period``, to the other end node
+    shifted by it; else to a ghost node one end-spacing out, whose face
+    takes the end node's D.
+    """
+    n = x.shape[0]
+    gaps = np.empty(n + 1)  # h_{i-1/2} for i = 0..N: a boundary gap at each end
+    faces = np.empty(n + 1)  # D_{i-1/2}
+    np.subtract(x[1:], x[:-1], out=gaps[1:-1])
+    faces[1:-1] = 0.5 * (d[:-1] + d[1:])
+    if period is not None:
+        gaps[0] = gaps[-1] = x[0] + period - x[-1]
+        faces[0] = faces[-1] = 0.5 * (d[-1] + d[0])
     else:
-        d_ext = np.concatenate([d_nodes[:1], d_nodes, d_nodes[-1:]])
-    d_faces = 0.5 * (d_ext[:-1] + d_ext[1:])
-    lower = np.empty(n)
-    upper = np.empty(n)
-    diag = 1.0 + mu * (d_faces[:-1] + d_faces[1:])
-    lower[0] = 0.0
-    upper[-1] = 0.0
-    lower[1:] = -mu * d_faces[1:-1]
-    upper[:-1] = -mu * d_faces[1:-1]
-    return d_faces, lower, diag, upper
+        gaps[0], gaps[-1] = gaps[1], gaps[-2]
+        faces[0], faces[-1] = d[0], d[-1]
+    weights = faces / gaps
+    scale = (-2.0 * dt) / (gaps[:-1] + gaps[1:])
+    lower = scale * weights[:-1]
+    upper = scale * weights[1:]
+    return lower, 1.0 - lower - upper, upper
 
 
 def factor_small(a) -> DenseLU:

@@ -84,9 +84,9 @@ def value_grid_for(u0_samples: np.ndarray, n_y: int) -> Grid1D:
     return Grid1D(np.linspace(lo - margin, hi + margin, n_y), uniform=True)
 
 
-def embed_initial(u0, x_grid: Grid1D, y_grid: Grid1D) -> LevelSetField:
-    """Build c0(x, y) = y - u0(x); the zero contour is exactly the initial curve."""
-    u_samples = real_array(u0(x_grid.nodes))
+def embed_initial(u0: np.ndarray, x_grid: Grid1D, y_grid: Grid1D) -> LevelSetField:
+    """c0(x, y) = y - u0(x) from u0 sampled on the x grid; its zero contour is the initial curve."""
+    u_samples = real_array(u0)
     lo, hi = float(np.min(u_samples)), float(np.max(u_samples))
     required = DEFAULT_MARGIN_FRAC * (hi - lo)
     tol = 1e-12 * max(abs(hi), abs(lo), 1.0)
@@ -161,7 +161,7 @@ def levelset_steps(spec: ProblemSpec, x_grid: Grid1D, y_grid: Grid1D) -> Iterato
     dx = x_grid.spacing
     speeds = spec.speed(y_grid.nodes)
     check_courant(speeds, spec.dt, dx, 1, "row Courant number")
-    c = np.asfortranarray(embed_initial(spec.initial_u0, x_grid, y_grid).values)
+    c = np.asfortranarray(embed_initial(spec.initial_state(), x_grid, y_grid).values)
     for index in range(spec.n_steps + 1):
         if index:
             c = kernels.levelset_step(c, speeds, spec.dt / dx, spec.periodic)

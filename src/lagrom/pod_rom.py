@@ -2,25 +2,26 @@
 
 This module owns the bases, the reduced Newton iteration and the per-run
 reduced operators; the discretisation it projects belongs to the solvers.
-The fixed-grid stepper projects the full advection-diffusion residual, built
-from ``hfm_eulerian``'s pieces: ``face_fluxes`` and ``advected_state`` for
-the explicit half, ``step_system`` for the (I - dt D2) system and
-``DiffusionSystem.apply`` for its action on the basis. The moving-frame
-stepper projects the coupled position/value residuals, with the value target
-from the semi-Lagrangian solver's own diffusion step on the moving nodes
-(``hfm_lagrangian.NodeDiffusion.step``). Both solve the projected system
-with Newton iteration in the reduced coordinates, with f and f' from
-``ProblemSpec.speed`` and ``ProblemSpec.speed_slope``.
+Both steppers take their implicit diffusion step from the solvers' one
+builder, ``core.diffusion_system_for``. The fixed-grid stepper projects the
+full advection-diffusion residual, built from ``hfm_eulerian``'s pieces:
+``face_fluxes`` and ``advected_state`` for the explicit half, ``step_system``
+for the (I - dt L) system and ``DiffusionSystem.apply`` for its action on
+the basis. The moving-frame stepper projects the coupled position/value
+residuals, with the value target the solver's own diffusion step on the
+reconstructed nodes. Both solve the projected system with Newton iteration
+in the reduced coordinates, with f and f' from ``ProblemSpec.speed`` and
+``ProblemSpec.speed_slope``.
 
 No hyper-reduction is applied: each step still does full-dimension work, so
 rollout cost scales with the grid like the solvers do. A prepared
 ``PodStepContext`` holds what is constant over a rollout, so the step loop
-repeats only per-step work: the basis splits; in the fixed frame the grid
-nodes and the factored diffusion system when D is a number, in the moving
-frame the run's ``NodeDiffusion``; and the reduced Jacobian with its LU
-factors when it does not change over the run.
+repeats only per-step work: the basis splits; the diffusion system, in the
+fixed frame the run's when D is a number and in the moving frame the last
+step's, whose LU the next step's takes over; and the reduced Jacobian with
+its LU factors when it does not change over the run.
 
-* Fixed grid: the Jacobian Phi^T (I - dt D2) Phi is constant when D is a
+* Fixed grid: the Jacobian Phi^T (I - dt L) Phi is constant when D is a
   number or absent, and is factored once per run.
 * Moving frame with a constant f' = c (``flux_df`` returning a scalar): the
   speed is affine, f(u) = f(0) + c u, so the projected residual is exactly
@@ -55,10 +56,9 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import kernels
-from .core import ProblemSpec, SnapshotMatrix, check_untangled, real_array
+from .core import DiffusionSystem, ProblemSpec, SnapshotMatrix, check_untangled, diffusion_system_for, real_array
 from .errors import NewtonDivergence, NumericalFailure
-from .hfm_eulerian import DiffusionSystem, advected_state, face_fluxes, run_diffusion_system, step_system
-from .hfm_lagrangian import NodeDiffusion
+from .hfm_eulerian import advected_state, face_fluxes, run_diffusion_system, step_system
 from .svd_core import WindowFactor, check_rank_rule, fit_svd, window_factor
 
 NEWTON_TOL = 1e-10
@@ -104,9 +104,9 @@ class PodStepContext:
     """Per-run constants shared by every step of one rollout.
 
     In the fixed frame ``nodes`` are the grid nodes and ``system`` the run's
-    factored diffusion system when D is a number, else None; in the moving
-    frame ``diffusion`` is the run's ``hfm_lagrangian.NodeDiffusion``. The
-    other frame's fields are None.
+    factored diffusion system when D is a number, else None. In the moving
+    frame ``nodes`` is None and ``system`` the last step's system on the
+    moving nodes (None before the first), whose LU the next step's takes over.
     ``jacobian`` is the reduced Jacobian when it does not change over the run
     (fixed grid: D a number or absent; moving frame: a scalar f'), else None,
     and ``jacobian_factor`` its LU factors. When the moving-frame residual is
@@ -123,7 +123,6 @@ class PodStepContext:
     val_block_t: Optional[np.ndarray]
     nodes: Optional[np.ndarray]
     system: Optional[DiffusionSystem]
-    diffusion: Optional[NodeDiffusion]
     identity_r: np.ndarray
     jacobian: Optional[np.ndarray]
     jacobian_factor: Optional[kernels.DenseLU]
@@ -142,9 +141,8 @@ class PodStepContext:
         phi = basis.basis
         phi_t = np.ascontiguousarray(phi.T)
         pos = val = pos_t = val_t = jacobian = target_map = target_offset = None
-        nodes = system = diffusion = None
+        nodes = system = None
         if basis.frame == FRAME_LAGRANGIAN:
-            diffusion = NodeDiffusion(spec)
             n = phi.shape[0] // 2
             pos, val = phi[:n], phi[n:]
             pos_t, val_t = phi_t[:, :n], phi_t[:, n:]  # column views of basis_t, not copies
@@ -179,7 +177,6 @@ class PodStepContext:
             val_block_t=val_t,
             nodes=nodes,
             system=system,
-            diffusion=diffusion,
             identity_r=np.eye(basis.rank),
             jacobian=jacobian,
             jacobian_factor=factor,
@@ -276,7 +273,8 @@ def _lagrangian_newton(context: PodStepContext, z_hat, z_prev, spec: ProblemSpec
     if spec.diffusion_D is None:
         u_target = u_prev
     else:
-        u_target = context.diffusion.step(x_prev, u_prev, t_next)[0]
+        context.system = diffusion_system_for(spec, x_prev, t_next, u_prev, into=context.system)
+        u_target = context.system.solve(u_prev)
 
     if context.target_map is not None:
         # f(u) = f(0) + c u makes the residual A z - b, and every part of b but

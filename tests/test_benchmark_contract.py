@@ -72,24 +72,24 @@ def test_environment_record_fields_exist():
 # test2 the Dirichlet counterpart; test0-advection runs no Lagrangian method.
 # A constant D is assembled once per fixed-grid solver and per fixed-grid POD
 # rollout that diffuses; the moving grid assembles its own bands at each of
-# its M = 50 solver steps and 50 rollout steps, so its 100 solves are counted
-# with the fixed grid's 50, and each periodic factorization adds one
-# Sherman-Morrison ``thomas_solve``. The only interpolations left are the
+# its M = 50 solver steps and 50 rollout steps, through the same builder, so
+# its 100 builds and solves are counted with the fixed grid's 1 and 50, and
+# each periodic factorization adds one Sherman-Morrison ``thomas_solve``. The only interpolations left are the
 # scoring's: the L-POD reconstructions and the L-DMD predictions taken to the
 # fixed grid, 50 each.
 TRACED_CALLS = {
     "test4": {
         "hfm_eulerian.face_fluxes": 50,
-        "hfm_eulerian.diffusion_system_for": 1,
-        "kernels.diffusion_bands": 1,
+        "hfm_eulerian.diffusion_system_for": 101,
+        "kernels.diffusion_bands": 101,
         "kernels.interp": 100,
         "kernels.thomas_solve": 101,
         "kernels.cyclic_thomas_solve": 150,
     },
     "test2": {
         "hfm_eulerian.face_fluxes": 50,
-        "hfm_eulerian.diffusion_system_for": 1,
-        "kernels.diffusion_bands": 1,
+        "hfm_eulerian.diffusion_system_for": 101,
+        "kernels.diffusion_bands": 101,
         "kernels.interp": 100,
         "kernels.thomas_solve": 150,
         "kernels.cyclic_thomas_solve": 0,

@@ -2,7 +2,7 @@
 
 A number for D lets the fixed-grid solver and POD stepper build and factor
 the implicit system once per run; the moving grid assembles and factors one
-per step, the same way for a number and a callable. A callable returning the
+per step through the same builder, the same way for a number and a callable. A callable returning the
 same number takes the per-step path (evaluate, assemble, factor at every
 step), which is the reference the hoisted path must reproduce.
 """
@@ -87,7 +87,7 @@ def test_constant_diffusion_system_is_built_once_per_run(monkeypatch):
     # Lagrangian POD rollout over M = 50 steps. The fixed grid assembles and
     # factors its system once; the moving nodes change the system at every
     # step of the solver and of the rollout.
-    assert calls == {"diffusion_bands": 1, "factor_cyclic": 1 + 2 * 50}
+    assert calls == {"diffusion_bands": 1 + 2 * 50, "factor_cyclic": 1 + 2 * 50}
 
 
 @pytest.mark.parametrize("preset", ["test4", "test0-advection"])

@@ -6,8 +6,10 @@ so the Courant number stays fixed, and compares the state at t = 0.24 (index
 Burgers) with the Cole-Hopf series of ``perfbench/exact.py``, test3
 (inviscid Burgers, t < 1) with the characteristics. Both schemes are first
 order: the max-norm errors measured here halve with each refinement, with
-observed orders 0.91-0.99, so a band around 1 catches a lost order or an
-O(1) defect that exact-solution checks at a single size would pass.
+observed orders 0.96-0.99 for the Eulerian solver (test3 and test4) and
+0.99-1.00 for the Lagrangian solver on test4, so a band around 1 catches a
+lost order or an O(1) defect that exact-solution checks at a single size
+would pass.
 
 Without diffusion the moving grid rides the characteristics and carries its
 values unchanged, so the Lagrangian solver on test1 and test3 is exact up to

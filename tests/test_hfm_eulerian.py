@@ -10,10 +10,10 @@ from lagrom import hfm_eulerian
 from lagrom.core import PERIODIC, ProblemSpec, check_courant
 from lagrom.errors import CflViolation, NumericalFailure
 from lagrom.hfm_eulerian import (
+    diffusion_system_for,
     eulerian_step,
     eulerian_steps,
     face_fluxes,
-    run_diffusion_system,
     run_eulerian_hfm,
 )
 from lagrom.presets import gaussian_pulse
@@ -273,7 +273,7 @@ class TestStore:
         run = run_eulerian_hfm(spec, 7)
         nodes = spec.grid().nodes
         u = spec.initial_u0(nodes)
-        system = run_diffusion_system(spec)
+        system = diffusion_system_for(spec, nodes, 0.0, None)
         for k in range(1, spec.n_steps + 1):
             u = eulerian_step(u, spec, system, nodes, k)[0]
             assert np.array_equal(u, run.trajectory[:, k])

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from lagrom import hfm_lagrangian
-from lagrom.core import DIRICHLET_ZERO, PERIODIC
+from lagrom.core import DIRICHLET_ZERO, PERIODIC, diffusion_system_for
 from lagrom.dmd_rom import fit_lagrangian_dmd
 from lagrom.errors import DimensionMismatch, GridEntanglement, NumericalFailure
 from lagrom.hfm_eulerian import run_eulerian_hfm
-from lagrom.hfm_lagrangian import NodeDiffusion, lagrangian_step, lagrangian_steps, run_lagrangian_hfm
+from lagrom.hfm_lagrangian import lagrangian_step, lagrangian_steps, run_lagrangian_hfm
 from lagrom.presets import ExperimentConfig, gaussian_pulse, one_plus_sin, resolve
 
 from conftest import make_spec
@@ -128,8 +128,9 @@ class TestDiffusionStep:
         # A constant speed translates the grid rigidly, so its spacings, its
         # seam neighbours shifted by the period and its Dirichlet ghosts one
         # end-spacing beyond each end node, carrying bc_values, all move with
-        # it: the carried values must equal those of the grid at rest, and
-        # the grid at rest diffuses as the fixed-grid solver does.
+        # it: the carried values must equal those of the grid at rest. The
+        # grid at rest is the fixed grid, and both build their step through
+        # one builder, so it diffuses bit for bit as the fixed-grid solver.
         def values(solver, c):
             spec = make_spec(speed="const", c=c, diffusion=0.01, n=200, m_steps=100, bc=bc, bc_values=bc_values)
             return solver(spec, spec.n_steps)
@@ -138,7 +139,7 @@ class TestDiffusionStep:
         at_rest = values(run_lagrangian_hfm, 0.0).values
         fixed = values(run_eulerian_hfm, 0.0).trajectory
         assert np.max(np.abs(moving - at_rest)) <= 1e-13
-        assert np.max(np.abs(at_rest - fixed)) <= 1e-13
+        assert np.array_equal(at_rest, fixed)
 
 
 def _exact():
@@ -210,10 +211,9 @@ def test_hfm_lagrangian_imports_nothing_from_hfm_eulerian():
 
 
 def test_moving_grid_bands_are_factored_only_in_hfm_lagrangian():
-    # Every implicit diffusion system is factored in one of two places: the
-    # fixed grid's in ``hfm_eulerian.diffusion_system_for``, the moving
-    # grid's in ``NodeDiffusion.step``. No other module assembles bands.
-    allowed = {"hfm_eulerian.diffusion_system_for", "hfm_lagrangian.NodeDiffusion.step"}
+    # Every implicit diffusion system, on fixed or moving nodes, is
+    # assembled and factored in one place: ``core.diffusion_system_for``.
+    allowed = {"core.diffusion_system_for"}
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "kernels.py":
@@ -225,13 +225,13 @@ def test_moving_grid_bands_are_factored_only_in_hfm_lagrangian():
 
 
 def test_carried_to_grid_is_called_only_from_core():
-    # No stepper reads the fixed grid; only the scoring's ``stacked_to_grid``
-    # takes moving-grid states there.
+    # No stepper reads the fixed grid; only core's interpolation, the
+    # scoring's ``stacked_to_grid`` among it, takes moving-grid states there.
     offenders = [
         f"{path.name}:{line}"
         for path in sorted(SRC.glob("*.py"))
-        if path.name != "core.py"
-        for _, _, line in _calls(path, {"carried_to_grid"})
+        if path.name not in ("core.py", "kernels.py")
+        for _, _, line in _calls(path, {"interp_unchecked", "interp_clamped", "interp_periodic"})
     ]
     assert not offenders
 
@@ -284,12 +284,14 @@ class TestRun:
     def test_run_equals_raw_steps_bit_for_bit(self, diffusion):
         spec = make_spec(speed="burgers", diffusion=diffusion, n=100, m_steps=20, t_final=0.4, bc=PERIODIC)
         run = run_lagrangian_hfm(spec, 5)
-        diffusion = NodeDiffusion(spec)
+        system = None
         x = spec.grid().nodes
         u = spec.initial_u0(x)
         f_u = spec.speed(u)
         for k in range(1, spec.n_steps + 1):
-            x, u, f_u = lagrangian_step(spec, diffusion, x, u, f_u, k)
+            if spec.diffusion_D is not None:
+                system = diffusion_system_for(spec, x, k * spec.dt, u, into=system)
+            x, u, f_u = lagrangian_step(spec, system, x, u, f_u, k)
             assert np.array_equal(x, run.positions[:, k])
             assert np.array_equal(u, run.values[:, k])
 

@@ -1,11 +1,15 @@
 """Kernels against independent references: dense solves, dense operators, per-point formulas."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lagrom import kernels
-from lagrom.hfm_eulerian import DiffusionSystem
+from lagrom.core import PERIODIC, DiffusionSystem, diffusion_system_for
 from lagrom.errors import NumericalFailure, SingularTridiagonal
+
+from conftest import make_spec
 
 
 def random_tridiag(n, rng):
@@ -137,76 +141,117 @@ def test_interp_periodic_wrap_branches_match_np_mod(lo, hi):
     assert np.array_equal(kernels.interp_periodic(src, vals, dst, 1.0), by_mod)
 
 
-def dense_diffusion_operator(d_nodes, mu, periodic):
-    """Reference I - mu*D2 assembled entry by entry.
+def dense_diffusion_operator(x, d, dt, period):
+    """Reference I - dt L(x) assembled entry by entry, and the coefficients
+    of the ghost values in the first and last rows (zero when periodic).
 
-    Row j of D2 couples node j to each neighbour through the face coefficient
-    between them (the mean of the two nodal values). Without periodic wrap, a
-    boundary face takes the edge node's coefficient and the ghost value is zero.
+    Row i of L couples node i to each neighbour through the face between
+    them, whose D is the mean of its two nodal values: the term is
+    2 D (u_nb - u_i) / (h (h_- + h_+)), h the gap to that neighbour. Across
+    the boundary the neighbour is the other end node shifted by the period,
+    or without one a ghost one end-spacing out whose face takes the end
+    node's D.
     """
-    n = d_nodes.size
-    d2 = np.zeros((n, n))
-    for j in range(n):
-        for nb in (j - 1, j + 1):
-            inside = 0 <= nb < n
-            face = 0.5 * (d_nodes[j] + d_nodes[nb % n]) if inside or periodic else d_nodes[j]
-            d2[j, j] -= face
-            if inside or periodic:
-                d2[j, nb % n] += face
-    return np.eye(n) - mu * d2
+    n = x.size
+    dense = np.eye(n)
+    ghosts = np.zeros(2)
+    for i in range(n):
+        terms = []
+        for side in (-1, 1):
+            nb = i + side
+            if 0 <= nb < n:
+                terms.append((nb, abs(x[nb] - x[i]), 0.5 * (d[i] + d[nb])))
+            elif period is not None:
+                nb %= n
+                terms.append((nb, abs(x[nb] + side * period - x[i]), 0.5 * (d[i] + d[nb])))
+            else:
+                terms.append((None, abs(x[i - side] - x[i]), d[i]))
+        span = sum(gap for _, gap, _ in terms)
+        for (nb, gap, face), end in zip(terms, (0, 1)):
+            weight = 2.0 * dt * face / (gap * span)
+            dense[i, i] += weight
+            if nb is None:
+                ghosts[end] = -weight
+            else:
+                dense[i, nb] -= weight
+    return dense, ghosts
+
+
+def random_nodes(rng, n, period):
+    """n strictly increasing nodes of uneven spacing spanning less than ``period``."""
+    gaps = 0.2 + rng.random(n)
+    return 0.1 + np.cumsum(gaps) * (0.9 * period / gaps.sum())
 
 
 def test_diffusion_bands_match_dense_operator():
     rng = np.random.default_rng(5)
-    d_nodes = 0.01 + rng.random(33)
-    mu, n = 0.7, d_nodes.size
-    for periodic in (True, False):
-        d_faces, lower, diag, upper = kernels.diffusion_bands(d_nodes, mu, periodic)
-        dense = dense_diffusion_operator(d_nodes, mu, periodic)
+    n, dt = 33, 0.01
+    x = random_nodes(rng, n, 2.0)
+    d = 0.01 + rng.random(n)
+    for period in (2.0, None):
+        periodic = period is not None
+        lower, diag, upper = kernels.diffusion_bands(x, d, dt, period)
+        dense, ghosts = dense_diffusion_operator(x, d, dt, period)
         assert np.allclose(diag, np.diag(dense), rtol=1e-14, atol=0.0)
         assert np.allclose(lower[1:], np.diag(dense, -1), rtol=1e-14, atol=0.0)
         assert np.allclose(upper[:-1], np.diag(dense, 1), rtol=1e-14, atol=0.0)
-        assert lower[0] == 0.0 and upper[-1] == 0.0
-        if periodic:
-            # the solvers close the cycle with -mu times the seam face coefficient
-            assert np.isclose(-mu * d_faces[0], dense[0, n - 1], rtol=1e-14, atol=0.0)
-            assert np.isclose(-mu * d_faces[-1], dense[n - 1, 0], rtol=1e-14, atol=0.0)
+        # the end rows' couplings across the boundary: the corners of the
+        # periodic cycle, or the Dirichlet ghosts' coefficients
+        ends = (dense[0, n - 1], dense[n - 1, 0]) if periodic else tuple(ghosts)
+        assert np.allclose((lower[0], upper[-1]), ends, rtol=1e-14, atol=0.0)
         # apply() is the operator with zero ghost values: boundary data enter
-        # only through with_boundary_terms, so nonzero data must not show here.
-        system = DiffusionSystem(None, periodic, mu, d_faces, (0.3, -0.2))
+        # only through with_boundary_terms, so nonzero data must not show in
+        # it, and show in the residual as the ghost terms.
+        bc_values = (0.3, -0.2)
+        system = DiffusionSystem(None, lower, diag, upper, periodic, bc_values)
         vector = rng.standard_normal(n)
         block = rng.standard_normal((n, 4))
         assert np.allclose(system.apply(vector), dense @ vector, rtol=1e-13, atol=1e-13)
         assert np.allclose(system.apply(block), dense @ block, rtol=1e-13, atol=1e-13)
         assert system.apply(block[:, 1]).tolist() == system.apply(block)[:, 1].tolist()
+        rhs = rng.standard_normal(n)
+        known = rhs.copy()
+        if not periodic:
+            known[[0, -1]] -= ghosts * bc_values
+        worst = np.max(np.abs(dense @ vector - known))
+        assert np.isclose(system.residual(vector, rhs), worst, rtol=1e-12, atol=1e-13)
 
 
 @pytest.mark.parametrize("periodic", [True, False])
 def test_diffusion_system_leaves_its_inputs_alone(periodic):
     # apply, residual and the periodic solve reuse the bands formed at
-    # construction and work in place on their own outputs only.
+    # construction and work in place on their own outputs only; a system
+    # factored in another's LU solves as a fresh one does.
     rng = np.random.default_rng(12)
-    d_nodes = 0.01 + rng.random(40)
-    mu = 0.7
-    d_faces, lower, diag, upper = kernels.diffusion_bands(d_nodes, mu, periodic)
+    n = 40
+    spec = make_spec(diffusion=lambda x, t, u: 0.2 + np.cos(x) ** 2 + t * u, n=n, m_steps=10, bc_values=(0.3, -0.2))
     if periodic:
-        factor = kernels.factor_cyclic(lower, diag, upper, -mu * d_faces[0], -mu * d_faces[-1])
-    else:
-        factor = kernels.factor_tridiagonal(lower, diag, upper)
-    system = DiffusionSystem(factor, periodic, mu, d_faces, (0.3, -0.2))
-    dense = dense_diffusion_operator(d_nodes, mu, periodic)
-    rhs = rng.standard_normal(40)
+        spec = replace(spec, bc=PERIODIC, bc_values=(0.0, 0.0))
+    x = random_nodes(rng, n, spec.domain_length)
+    u = rng.standard_normal(n)
+    system = diffusion_system_for(spec, x, 0.5, u)
+    lower, diag, upper = kernels.diffusion_bands(x, spec.diffusion_at(x, 0.5, u), spec.dt, spec.period)
+    assert np.array_equal(system.lower, lower) and np.array_equal(system.diag, diag) and np.array_equal(system.upper, upper)
+    dense, ghosts = dense_diffusion_operator(x, spec.diffusion_at(x, 0.5, u), spec.dt, spec.period)
+    rhs = rng.standard_normal(n)
     kept = rhs.copy()
     solution = system.solve(rhs)
     assert np.array_equal(rhs, kept)
-    assert np.allclose(dense @ solution, system.with_boundary_terms(rhs), atol=1e-12)
+    known = rhs.copy()
+    if not periodic:
+        known[[0, -1]] -= ghosts * spec.bc_values
+    assert np.allclose(dense @ solution, known, atol=1e-12)
+    assert np.allclose(system.with_boundary_terms(rhs), known, rtol=1e-14, atol=1e-15)
     solution_kept = solution.copy()
     expected = float(np.max(np.abs(system.apply(solution) - system.with_boundary_terms(rhs))))
-    assert system.residual(solution, rhs) == expected
+    assert system.residual(solution, rhs) == expected <= 1e-12
     assert np.array_equal(rhs, kept) and np.array_equal(solution, solution_kept)
     if periodic:
-        again = kernels.cyclic_thomas_solve(factor, rhs)
+        again = kernels.cyclic_thomas_solve(system.factor, rhs)
         assert np.array_equal(rhs, kept) and np.array_equal(again, solution)
+    x2, u2 = np.sort(x + 0.01 * rng.random(n)), rng.standard_normal(n)
+    reused = diffusion_system_for(spec, x2, 0.6, u2, into=system)
+    assert np.array_equal(reused.solve(rhs), diffusion_system_for(spec, x2, 0.6, u2).solve(rhs))
 
 
 def test_solve_small_matches_lapack():

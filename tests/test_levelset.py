@@ -55,21 +55,21 @@ class TestEmbed:
     def test_zero_profile_gives_plain_coordinates(self):
         xg = uniform_grid(0.0, 1.0, 5)
         yg = Grid1D(np.linspace(-1.0, 1.0, 7))
-        field = embed_initial(lambda x: np.zeros_like(x), xg, yg)
+        field = embed_initial(np.zeros(len(xg)), xg, yg)
         for i, y in enumerate(yg.nodes):
             assert np.allclose(field.values[i], y)
 
     def test_constant_profile_contour_is_horizontal_line(self):
         xg = uniform_grid(0.0, 1.0, 6)
         yg = Grid1D(np.linspace(0.0, 1.4, 15))
-        field = embed_initial(lambda x: np.full_like(x, 0.7), xg, yg)
+        field = embed_initial(np.full(len(xg), 0.7), xg, yg)
         contour = extract_zero_contour(field)
         assert np.allclose(contour.values, 0.7, atol=1e-14)
 
     def test_sine_profile_contour_recovers_initial_curve(self):
         xg = uniform_grid(0.0, 2.0 * np.pi, 50, periodic=True)
         yg = Grid1D(np.linspace(-0.3, 2.3, 21))
-        field = embed_initial(one_plus_sin, xg, yg)
+        field = embed_initial(one_plus_sin(xg.nodes), xg, yg)
         contour = extract_zero_contour(field)
         # the embedding is affine in y, so the linear root is exact
         assert np.allclose(contour.values, one_plus_sin(xg.nodes), atol=1e-12)
@@ -78,7 +78,7 @@ class TestEmbed:
         xg = uniform_grid(0.0, 2.0 * np.pi, 30, periodic=True)
         yg = Grid1D(np.linspace(0.0, 2.0, 11))  # no margin beyond the range
         with pytest.raises(RangeNotCovered):
-            embed_initial(one_plus_sin, xg, yg)
+            embed_initial(one_plus_sin(xg.nodes), xg, yg)
 
     def test_value_grid_margins(self):
         samples = np.array([0.0, 2.0])
@@ -91,7 +91,7 @@ class TestAdvance:
     def make_field(self, n_x=40, n_y=9):
         xg = uniform_grid(0.0, 2.0 * np.pi, n_x, periodic=True)
         yg = Grid1D(np.linspace(-0.25, 2.25, n_y))
-        return embed_initial(one_plus_sin, xg, yg)
+        return embed_initial(one_plus_sin(xg.nodes), xg, yg)
 
     @staticmethod
     def step(field, spec, dt):
@@ -299,7 +299,7 @@ class TestStore:
     def test_run_equals_raw_steps_bit_for_bit(self, burgers_spec):
         # Stepped in C order here; the run steps column-major fields.
         run = run_levelset_hfm(burgers_spec, 6, n_y=20)
-        field = embed_initial(burgers_spec.initial_u0, run.x_grid, run.y_grid)
+        field = embed_initial(burgers_spec.initial_state(), run.x_grid, run.y_grid)
         speeds = burgers_spec.speed(run.y_grid.nodes)
         courant = burgers_spec.dt / run.x_grid.spacing
         assert np.array_equal(extract_zero_contour(field).values, run.contours[:, 0])
